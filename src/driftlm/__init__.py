@@ -3,7 +3,7 @@
 from .backbone import CorruptionKind, CorruptionRecord, DenoiserParams, ModelConfig
 from .corpus import MarkovSource, banded_source
 from .drift import DriftConfig, ReferenceQueue
-from .encoder import FeatureVec, FrozenEncoder, LiftKind
+from .encoder import FrozenEncoder, LiftKind
 from .objectives import ObjectiveKind, ObjectiveVariant
 from .trainer import Checkpoint, TrainConfig, TrainState
 
@@ -13,7 +13,6 @@ __all__ = [
     "CorruptionRecord",
     "DenoiserParams",
     "DriftConfig",
-    "FeatureVec",
     "FrozenEncoder",
     "LiftKind",
     "MarkovSource",

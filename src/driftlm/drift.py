@@ -7,24 +7,27 @@ per-side renormalization of the resulting weights keeps the construction
 exactly anti-symmetric, which in turn forces a zero drift whenever the two
 reference multisets coincide.  Multi-temperature estimates are RMS-balanced
 per temperature before averaging so no scale dominates.
+
+Features are ``[n, m]`` float64 rows.  Positives are one ``[P, m]`` set
+shared by every anchor; negatives are ``[n, N, m]``, one set per anchor, so
+an anchor's own row can be left out of its negatives by index.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import FeatureVec
 from .numcore import Array, InvalidInputError
+
+_UNIT_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class DriftConfig:
     temperatures: tuple[float, ...] = (0.02, 0.05, 0.2)
     eps: float = 1e-8
-    alpha: float = 1.0
     w_plus: float = 1.0
     w_minus: float = 1.0
     renormalize_sides: bool = True  # False keeps the raw joint-softmax masses per side
@@ -36,8 +39,8 @@ class DriftConfig:
             raise InvalidInputError("temperatures must be a nonempty list of positive reals")
         if len(set(temps)) != len(temps):
             raise InvalidInputError("temperatures must be distinct")
-        if self.eps <= 0.0 or self.alpha <= 0.0:
-            raise InvalidInputError("eps and alpha must be positive")
+        if self.eps <= 0.0:
+            raise InvalidInputError("eps must be positive")
         if self.w_plus < 0.0 or self.w_minus < 0.0:
             raise InvalidInputError("attraction/repulsion weights must be nonnegative")
         if self.w_plus == 0.0 and self.w_minus == 0.0:
@@ -45,76 +48,60 @@ class DriftConfig:
 
 
 class ReferenceQueue:
-    """Bounded FIFO of detached feature vectors, oldest first."""
+    """Bounded FIFO of detached unit feature rows ``[<= capacity, dim]``, oldest first."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, dim: int):
         if capacity < 1:
             raise InvalidInputError("queue capacity must be positive")
         self.capacity = capacity
-        self._entries: deque[FeatureVec] = deque(maxlen=capacity)
-
-    @property
-    def entries(self) -> list[FeatureVec]:
-        return list(self._entries)
-
-    def push(self, features) -> None:
-        for f in features:
-            self._entries.append(f)
+        self.rows: Array = np.zeros((0, dim))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self.rows.shape[0]
 
 
-def queue_push(queue: ReferenceQueue, features) -> None:
-    queue.push(features)
-
-
-@dataclass(frozen=True)
-class References:
-    positives: list
-    negatives_pool: list
+def queue_push(queue: ReferenceQueue, rows) -> None:
+    """Append copies of unit feature rows ``[k, dim]``, keeping the newest ``capacity``."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != queue.rows.shape[1]:
+        raise InvalidInputError(f"queue rows must have shape [k, {queue.rows.shape[1]}]")
+    norms = np.linalg.norm(rows, axis=1)
+    if not np.all(np.abs(norms - 1.0) <= _UNIT_NORM_TOL):
+        raise InvalidInputError("queue rows must be finite unit vectors")
+    joined = np.concatenate([queue.rows, rows])[-queue.capacity :]
+    joined.setflags(write=False)
+    queue.rows = joined
 
 
 def build_references(
-    current_real, current_gen, q_real: ReferenceQueue, q_gen: ReferenceQueue
-) -> References:
-    """Current micro-batch features joined with the queue snapshots.
+    current_real: Array, current_gen: Array, q_real: ReferenceQueue, q_gen: ReferenceQueue
+) -> tuple[Array, Array]:
+    """Positives ``[n_real + Q_real, m]`` and per-anchor negatives ``[n, n - 1 + Q_gen, m]``.
 
-    Current generated features keep their object identity so per-anchor
-    self-exclusion works even when feature values collide.
+    ``Q_real`` and ``Q_gen`` are the queue lengths.  Current features come
+    before the queue snapshots.  Anchor ``i`` is row ``i`` of
+    ``current_gen`` and is left out of its own negatives by index, so a
+    value-twin elsewhere in the pool stays.
     """
-    current_real = list(current_real)
-    current_gen = list(current_gen)
-    if not current_real or not current_gen:
-        raise InvalidInputError("current feature lists must be nonempty")
-    return References(
-        positives=current_real + q_real.entries,
-        negatives_pool=current_gen + q_gen.entries,
-    )
+    real = np.asarray(current_real, dtype=np.float64)
+    gen = np.asarray(current_gen, dtype=np.float64)
+    if real.ndim != 2 or gen.ndim != 2 or real.shape[0] == 0 or gen.shape[0] == 0:
+        raise InvalidInputError("current features must be nonempty [n, m] arrays")
+    n, m = gen.shape
+    positives = np.concatenate([real, q_real.rows])
+    others = np.broadcast_to(gen, (n, n, m))[~np.eye(n, dtype=bool)].reshape(n, n - 1, m)
+    queued = np.broadcast_to(q_gen.rows, (n,) + q_gen.rows.shape)
+    return positives, np.concatenate([others, queued], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # drift estimation
 
 
-def _as_matrix(refs, dim: int) -> Array:
-    if isinstance(refs, np.ndarray):
-        mat = np.asarray(refs, dtype=np.float64)
-        return mat.reshape(-1, mat.shape[-1]) if mat.ndim > 1 else mat[None, :]
-    rows = [r.values if isinstance(r, FeatureVec) else np.asarray(r, np.float64) for r in refs]
-    if not rows:
-        return np.zeros((0, dim))
-    return np.stack(rows)
-
-
-def _values(h) -> Array:
-    return h.values if isinstance(h, FeatureVec) else np.asarray(h, dtype=np.float64)
-
-
 def joint_affinity_weights(
     h: Array, positives: Array, negatives: Array, tau: float
 ) -> tuple[Array, Array]:
-    """One softmax over the concatenated (positive ; negative) affinities."""
+    """One softmax over the concatenated (positive ; negative) affinities of one anchor."""
     d_pos = np.sum((positives - h) ** 2, axis=1)
     d_neg = np.sum((negatives - h) ** 2, axis=1)
     s = np.concatenate([-d_pos / tau, -d_neg / tau])
@@ -123,7 +110,25 @@ def joint_affinity_weights(
     return w[: d_pos.size], w[d_pos.size :]
 
 
-def _side_barycenter(affinities: Array, refs: Array, dim: int) -> Array:
+def _sq_dists(anchors: Array, refs: Array) -> Array:
+    """Squared distances ``[n, K]`` from each anchor ``[n, m]`` to its references ``[n, K, m]``.
+
+    Gram form ||h||^2 + ||r||^2 - 2 h.r, clamped at zero; every operation
+    works row by row, so each anchor's distances do not depend on the rest
+    of the batch.
+    """
+    cross = np.matmul(refs, anchors[:, :, None])[:, :, 0]
+    h2 = np.einsum("nm,nm->n", anchors, anchors)
+    r2 = np.einsum("nkm,nkm->nk", refs, refs)
+    return np.maximum(h2[:, None] + r2 - 2.0 * cross, 0.0)
+
+
+def _weighted_sum(weights: Array, refs: Array) -> Array:
+    """Per-anchor ``weights [n, K] @ refs [n, K, m]``."""
+    return np.matmul(weights[:, None, :], refs)[:, 0, :]
+
+
+def _side_barycenter(affinities: Array, refs: Array) -> Array:
     """Renormalized barycenter of one side, as a stable per-side softmax.
 
     Dividing the joint-softmax masses by their per-side total cancels the
@@ -131,10 +136,10 @@ def _side_barycenter(affinities: Array, refs: Array, dim: int) -> Array:
     affinities alone; computing it that way also survives one side
     underflowing in the joint view.
     """
-    if refs.shape[0] == 0:
-        return np.zeros(dim)
-    e = np.exp(affinities - affinities.max())
-    return (e / e.sum()) @ refs
+    if refs.shape[1] == 0:
+        return np.zeros((refs.shape[0], refs.shape[2]))
+    e = np.exp(affinities - affinities.max(axis=1, keepdims=True))
+    return _weighted_sum(e / e.sum(axis=1, keepdims=True), refs)
 
 
 def _drift_from_sq_dists(
@@ -146,22 +151,41 @@ def _drift_from_sq_dists(
     w_plus: float,
     w_minus: float,
     renormalize: bool,
-    dim: int,
 ) -> Array:
     if renormalize:
-        b_plus = _side_barycenter(-d_pos / tau, pos, dim)
-        b_minus = _side_barycenter(-d_neg / tau, neg, dim)
+        b_plus = _side_barycenter(-d_pos / tau, pos)
+        b_minus = _side_barycenter(-d_neg / tau, neg)
     else:
-        s = np.concatenate([-d_pos / tau, -d_neg / tau])
-        e = np.exp(s - s.max())
-        w = e / e.sum()
-        b_plus = w[: d_pos.size] @ pos if pos.shape[0] else np.zeros(dim)
-        b_minus = w[d_pos.size :] @ neg if neg.shape[0] else np.zeros(dim)
+        s = np.concatenate([-d_pos / tau, -d_neg / tau], axis=1)
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        w = e / e.sum(axis=1, keepdims=True)
+        n_pos = d_pos.shape[1]
+        b_plus = _weighted_sum(w[:, :n_pos], pos)
+        b_minus = _weighted_sum(w[:, n_pos:], neg)
     return w_plus * b_plus - w_minus * b_minus
 
 
+def _references(anchors, positives, negatives, w_plus: float, w_minus: float):
+    """Validated anchors ``[n, m]``, positives as ``[n, P, m]`` and negatives ``[n, N, m]``."""
+    h = np.asarray(anchors, dtype=np.float64)
+    if h.ndim != 2 or h.shape[0] == 0:
+        raise InvalidInputError("anchors must be a nonempty [n, m] array")
+    n, m = h.shape
+    pos = np.asarray(positives, dtype=np.float64)
+    neg = np.asarray(negatives, dtype=np.float64)
+    if pos.ndim != 2 or pos.shape[1] != m:
+        raise InvalidInputError(f"positives must have shape [P, {m}]")
+    if neg.ndim != 3 or neg.shape[0] != n or neg.shape[2] != m:
+        raise InvalidInputError(f"negatives must have shape [{n}, N, {m}]")
+    if w_plus > 0.0 and pos.shape[0] == 0:
+        raise InvalidInputError("positives must be nonempty when w_plus > 0")
+    if w_minus > 0.0 and neg.shape[1] == 0:
+        raise InvalidInputError("negatives must be nonempty when w_minus > 0")
+    return h, np.broadcast_to(pos, (n,) + pos.shape), neg
+
+
 def drift_single_temp(
-    h,
+    anchors,
     positives,
     negatives,
     tau: float,
@@ -169,82 +193,38 @@ def drift_single_temp(
     w_minus: float = 1.0,
     renormalize: bool = True,
 ) -> Array:
-    """Temperature-``tau`` drift w_plus * b+ - w_minus * b- for one anchor.
+    """Temperature-``tau`` drift w_plus * b+ - w_minus * b- for each anchor row.
 
-    Affinities are exp(-||h - r||^2 / tau), normalized jointly across both
-    sides.  A side whose ratio weight is zero may be empty and contributes a
-    zero barycenter; otherwise an empty side is a contract violation.
+    ``anchors`` is ``[n, m]``, ``positives`` ``[P, m]`` (shared) and
+    ``negatives`` ``[n, N, m]``.  Affinities are exp(-||h - r||^2 / tau),
+    normalized jointly across both sides.  A side whose ratio weight is zero
+    may be empty and contributes a zero barycenter; otherwise an empty side
+    is a contract violation.
     """
     if tau <= 0.0:
         raise InvalidInputError("tau must be positive")
-    hv = _values(h)
-    dim = hv.size
-    pos = _as_matrix(positives, dim)
-    neg = _as_matrix(negatives, dim)
-    if w_plus > 0.0 and pos.shape[0] == 0:
-        raise InvalidInputError("positives must be nonempty when w_plus > 0")
-    if w_minus > 0.0 and neg.shape[0] == 0:
-        raise InvalidInputError("negatives must be nonempty when w_minus > 0")
-    d_pos = np.sum((pos - hv) ** 2, axis=1)
-    d_neg = np.sum((neg - hv) ** 2, axis=1)
-    return _drift_from_sq_dists(d_pos, d_neg, pos, neg, tau, w_plus, w_minus, renormalize, dim)
+    h, pos, neg = _references(anchors, positives, negatives, w_plus, w_minus)
+    return _drift_from_sq_dists(
+        _sq_dists(h, pos), _sq_dists(h, neg), pos, neg, tau, w_plus, w_minus, renormalize
+    )
 
 
-def drift_multi_temp(anchors, positives, negatives_pool, config: DriftConfig) -> Array:
-    """RMS-balanced multi-temperature drift for a batch of anchors.
+def drift_multi_temp(anchors, positives, negatives, config: DriftConfig) -> Array:
+    """RMS-balanced multi-temperature drift for anchors ``[n, m]``.
 
-    Each anchor is excluded from its own negative set by object identity;
-    all reference features are treated as constants.
+    Positives ``[P, m]`` are shared; ``negatives[i]`` is anchor ``i``'s own
+    set (see ``build_references``).  All references are treated as
+    constants.  Squared distances are computed once; only the temperatures
+    are looped over.
     """
-    anchors = list(anchors)
-    if not anchors:
-        raise InvalidInputError("anchor batch must be nonempty")
-    m = _values(anchors[0]).size
-    pool = list(negatives_pool)
-    pos_mat = _as_matrix(positives, m)
-    pool_mat = _as_matrix(pool, m)
-
-    if config.w_plus > 0.0 and pos_mat.shape[0] == 0:
-        raise InvalidInputError("positives must be nonempty when w_plus > 0")
-
-    pool_occurrences: dict[int, list[int]] = {}
-    for i, ref in enumerate(pool):
-        pool_occurrences.setdefault(id(ref), []).append(i)
-
-    # squared distances are temperature-independent; compute them once
-    per_anchor: list[tuple[Array, Array, Array]] = []
-    for h in anchors:
-        keep = np.ones(len(pool), dtype=bool)
-        for i in pool_occurrences.get(id(h), ()):
-            keep[i] = False
-        neg = pool_mat[keep]
-        if config.w_minus > 0.0 and neg.shape[0] == 0:
-            raise InvalidInputError("negatives must be nonempty when w_minus > 0")
-        hv = _values(h)
-        d_pos = np.sum((pos_mat - hv) ** 2, axis=1)
-        d_neg = np.sum((pool_mat - hv) ** 2, axis=1)[keep]
-        per_anchor.append((d_pos, d_neg, neg))
-
-    out = np.zeros((len(anchors), m))
+    h, pos, neg = _references(anchors, positives, negatives, config.w_plus, config.w_minus)
+    d_pos, d_neg = _sq_dists(h, pos), _sq_dists(h, neg)
+    out = np.zeros(h.shape)
     for tau in config.temperatures:
-        per_tau = np.stack(
-            [
-                _drift_from_sq_dists(
-                    d_pos,
-                    d_neg,
-                    pos_mat,
-                    neg,
-                    tau,
-                    config.w_plus,
-                    config.w_minus,
-                    config.renormalize_sides,
-                    m,
-                )
-                for d_pos, d_neg, neg in per_anchor
-            ]
+        per_tau = _drift_from_sq_dists(
+            d_pos, d_neg, pos, neg, tau, config.w_plus, config.w_minus, config.renormalize_sides
         )
-        scale = rms_scale(per_tau, config.eps)
-        out += per_tau / scale
+        out += per_tau / rms_scale(per_tau, config.eps)
     return out / len(config.temperatures)
 
 

@@ -3,7 +3,8 @@
 The encoder is an immutable copy of a denoiser checkpoint.  It consumes
 embedding rows directly (its own token lookup is bypassed, positional rows
 are still added), runs the block stack, and pools the penultimate and final
-hidden layers into one L2-normalized feature vector.  The soft lift replaces
+hidden layers into one L2-normalized feature row per sequence; the lifts,
+encoding and pullback each take a whole micro-batch.  The soft lift replaces
 hard token embeddings with probability-weighted embedding mixtures on the
 predicted positions, which is the only differentiable path from logits into
 this feature space; the hard straight-through lift is the ablation variant
@@ -20,7 +21,6 @@ import numpy as np
 from . import numcore
 from .backbone import (
     BlockCache,
-    CorruptionRecord,
     DenoiserParams,
     blocks_backward,
     copy_params,
@@ -29,7 +29,6 @@ from .backbone import (
 )
 from .numcore import Array, InvalidInputError
 
-_UNIT_NORM_TOL = 1e-9
 _DEGENERATE_NORM = 1e-12
 
 
@@ -40,26 +39,6 @@ class DegenerateFeatureError(RuntimeError):
 class LiftKind(str, Enum):
     SOFT = "soft"
     HARD_ST = "hard-st"
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureVec:
-    """L2-normalized pooled feature.
-
-    Equality is object identity: queue entries and drift anchors are
-    distinguished as markers even when their values collide.
-    """
-
-    values: Array
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise InvalidInputError("FeatureVec expects a 1-D vector")
-        n = float(np.linalg.norm(v))
-        if abs(n - 1.0) > _UNIT_NORM_TOL:
-            raise InvalidInputError(f"FeatureVec norm {n} is not 1")
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -82,39 +61,37 @@ def encoder_param_bytes(encoder: FrozenEncoder) -> bytes:
 
 # ---------------------------------------------------------------------------
 # lifts
+#
+# A micro-batch is ``probs [n, L, V]`` with the corrupted tokens ``[n, L]``
+# and a boolean ``predicted [n, L]`` marking the positions the model must
+# predict; one sequence is the case n = 1.
 
 
-def soft_token_lift(probs: Array, record: CorruptionRecord, embed: Array) -> Array:
+def soft_token_lift(probs: Array, corrupted: Array, predicted: Array, embed: Array) -> Array:
     """Expected embeddings on predicted positions, hard lookups elsewhere."""
     probs = np.asarray(probs, dtype=np.float64)
-    e = embed[record.corrupted]
-    pp = record.predicted_positions
-    if pp.size:
-        e[pp] = probs[pp] @ embed
+    e = embed[corrupted]
+    e[predicted] = probs[predicted] @ embed
     return e
 
 
-def hard_st_lift(probs: Array, record: CorruptionRecord, embed: Array) -> Array:
+def hard_st_lift(probs: Array, corrupted: Array, predicted: Array, embed: Array) -> Array:
     """Argmax embeddings on predicted positions (ties to the lowest index).
 
     Forward value is piecewise constant in the probabilities; the backward
     rule is shared with the soft lift (straight-through surrogate).
     """
     probs = np.asarray(probs, dtype=np.float64)
-    e = embed[record.corrupted]
-    pp = record.predicted_positions
-    if pp.size:
-        e[pp] = embed[np.argmax(probs[pp], axis=1)]
+    e = embed[corrupted]
+    e[predicted] = embed[np.argmax(probs[predicted], axis=-1)]
     return e
 
 
-def lift_vjp(record: CorruptionRecord, embed: Array, grad_embeddings: Array) -> Array:
+def lift_vjp(predicted: Array, embed: Array, grad_embeddings: Array) -> Array:
     """Cotangent into the probabilities; zero rows at non-predicted positions."""
     grad_embeddings = np.asarray(grad_embeddings, dtype=np.float64)
-    grad_probs = np.zeros((grad_embeddings.shape[0], embed.shape[0]))
-    pp = record.predicted_positions
-    if pp.size:
-        grad_probs[pp] = grad_embeddings[pp] @ embed.T
+    grad_probs = np.zeros(grad_embeddings.shape[:-1] + (embed.shape[0],))
+    grad_probs[predicted] = grad_embeddings[predicted] @ embed.T
     return grad_probs
 
 
@@ -124,66 +101,52 @@ def lift_vjp(record: CorruptionRecord, embed: Array, grad_embeddings: Array) -> 
 
 @dataclass
 class Encoded:
-    feature: FeatureVec
+    features: Array  # [n, m] unit rows
     block_caches: list[BlockCache]
-    pooled: Array  # concatenated means before normalization
-    norm: float
+    pooled: Array  # [n, m] concatenated means before normalization
 
 
 def encode(encoder: FrozenEncoder, embeddings: Array) -> Encoded:
-    """Run the frozen block stack on embedding rows and pool into a unit feature."""
+    """Run the frozen block stack on embedding rows ``[n, L, d]`` and pool into unit features."""
     p = encoder.params
     x = np.asarray(embeddings, dtype=np.float64)
-    if x.shape != (p.length, p.embed_dim):
-        raise InvalidInputError(f"embeddings must have shape {(p.length, p.embed_dim)}")
+    if x.ndim != 3 or x.shape[1:] != (p.length, p.embed_dim):
+        raise InvalidInputError(f"embeddings must have shape [n, {p.length}, {p.embed_dim}]")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("encode: non-finite embeddings")
-    hiddens, caches = run_blocks(p, (x + p.pos_embed)[None])
-    pooled = np.concatenate([hiddens[-2][0].mean(axis=0), hiddens[-1][0].mean(axis=0)])
-    norm = float(np.linalg.norm(pooled))
-    if norm < _DEGENERATE_NORM:
-        raise DegenerateFeatureError(f"pooled feature norm {norm} below {_DEGENERATE_NORM}")
-    return Encoded(
-        feature=FeatureVec(pooled / norm), block_caches=caches, pooled=pooled, norm=norm
-    )
+    hiddens, caches = run_blocks(p, x + p.pos_embed)
+    pooled = np.concatenate([hiddens[-2].mean(axis=1), hiddens[-1].mean(axis=1)], axis=1)
+    norms = np.linalg.norm(pooled, axis=1, keepdims=True)
+    if np.any(norms < _DEGENERATE_NORM):
+        raise DegenerateFeatureError(
+            f"pooled feature norm {norms.min()} below {_DEGENERATE_NORM}"
+        )
+    return Encoded(features=pooled / norms, block_caches=caches, pooled=pooled)
 
 
-def encode_vjp(encoder: FrozenEncoder, encoded: Encoded, grad_feature: Array) -> Array:
-    """Pull a feature cotangent back to the input embedding rows."""
+def encode_vjp(encoder: FrozenEncoder, encoded: Encoded, grad_features: Array) -> Array:
+    """Pull feature cotangents ``[n, m]`` back to the input embedding rows ``[n, L, d]``."""
     p = encoder.params
-    g_pooled = numcore.l2_normalize_vjp(encoded.pooled, np.asarray(grad_feature, np.float64))
-    d = p.embed_dim
-    g_m1, g_m2 = g_pooled[:d], g_pooled[d:]
-    length = p.length
-    g_h1 = np.broadcast_to(g_m1 / length, (1, length, d))
-    g_h2 = np.broadcast_to(g_m2 / length, (1, length, d))
+    g_pooled = numcore.l2_normalize_vjp(encoded.pooled, np.asarray(grad_features, np.float64))
+    d, length = p.embed_dim, p.length
+    shape = (g_pooled.shape[0], length, d)
     grad_hiddens: list[Array | None] = [None] * len(p.blocks)
-    grad_hiddens[-2] = g_h1
-    grad_hiddens[-1] = g_h2
+    grad_hiddens[-2] = np.broadcast_to((g_pooled[:, :d] / length)[:, None, :], shape)
+    grad_hiddens[-1] = np.broadcast_to((g_pooled[:, d:] / length)[:, None, :], shape)
     g_e, _ = blocks_backward(p, encoded.block_caches, grad_hiddens, want_param_grads=False)
-    return g_e[0]
+    return g_e
 
 
-def real_feature(encoder: FrozenEncoder, clean: Array) -> FeatureVec:
-    """Feature of a clean sequence under the frozen embedding lookup (target side)."""
-    seq = np.asarray(clean, dtype=np.int64)
-    if np.any(seq < 0) or np.any(seq >= encoder.params.mask_index):
-        raise InvalidInputError("clean sequence contains the mask symbol or bad indices")
-    return encode(encoder, encoder.params.embed[seq]).feature
+def real_features_batch(encoder: FrozenEncoder, clean_batch: Array) -> Array:
+    """Features ``[n, m]`` of clean sequences ``[n, L]`` under the frozen embedding lookup.
 
-
-def real_features_batch(encoder: FrozenEncoder, clean_batch: Array) -> list[FeatureVec]:
-    """Batched ``real_feature``; target side only, so no caches are kept."""
+    Target side only: the block caches are dropped.
+    """
     p = encoder.params
     batch = np.asarray(clean_batch, dtype=np.int64)
     if np.any(batch < 0) or np.any(batch >= p.mask_index):
         raise InvalidInputError("clean sequences contain the mask symbol or bad indices")
-    hiddens, _ = run_blocks(p, p.embed[batch] + p.pos_embed)
-    pooled = np.concatenate([hiddens[-2].mean(axis=1), hiddens[-1].mean(axis=1)], axis=1)
-    norms = np.linalg.norm(pooled, axis=1)
-    if np.any(norms < _DEGENERATE_NORM):
-        raise DegenerateFeatureError("pooled feature norm collapsed in batch encode")
-    return [FeatureVec(pooled[i] / norms[i]) for i in range(batch.shape[0])]
+    return encode(encoder, p.embed[batch]).features
 
 
 # ---------------------------------------------------------------------------
@@ -192,34 +155,37 @@ def real_features_batch(encoder: FrozenEncoder, clean_batch: Array) -> list[Feat
 
 @dataclass
 class LiftedEncoding:
-    """Forward state of logits -> probs -> lifted embeddings -> feature."""
+    """Forward state of logits -> probs -> lifted embeddings -> features for a micro-batch."""
 
     encoder: FrozenEncoder
-    record: CorruptionRecord
-    logits: Array
+    predicted: Array  # [n, L] bool
+    logits: Array  # [n, L, V]
     probs: Array
-    embeddings: Array
+    embeddings: Array  # [n, L, d]
     encoded: Encoded
     lift: LiftKind
 
     @property
-    def feature(self) -> FeatureVec:
-        return self.encoded.feature
+    def features(self) -> Array:
+        return self.encoded.features
 
 
 def lift_and_encode(
     encoder: FrozenEncoder,
     logits: Array,
-    record: CorruptionRecord,
+    corrupted: Array,
+    predicted: Array,
     lift: LiftKind = LiftKind.SOFT,
 ) -> LiftedEncoding:
+    """Lift logits ``[n, L, V]`` on the ``predicted [n, L]`` positions and encode them."""
     logits = np.asarray(logits, dtype=np.float64)
+    predicted = np.asarray(predicted, dtype=bool)
     probs = numcore.softmax_rows(logits)
     lift_fn = soft_token_lift if lift == LiftKind.SOFT else hard_st_lift
-    embeddings = lift_fn(probs, record, encoder.params.embed)
+    embeddings = lift_fn(probs, corrupted, predicted, encoder.params.embed)
     return LiftedEncoding(
         encoder=encoder,
-        record=record,
+        predicted=predicted,
         logits=logits,
         probs=probs,
         embeddings=embeddings,
@@ -228,8 +194,8 @@ def lift_and_encode(
     )
 
 
-def pullback_to_logits(state: LiftedEncoding, grad_feature: Array) -> Array:
-    """Apply J_h(logits)^T to a feature cotangent via the stored VJP chain."""
-    g_e = encode_vjp(state.encoder, state.encoded, grad_feature)
-    g_probs = lift_vjp(state.record, state.encoder.params.embed, g_e)
+def pullback_to_logits(state: LiftedEncoding, grad_features: Array) -> Array:
+    """Apply J_h(logits)^T to feature cotangents ``[n, m]`` via the stored VJP chain."""
+    g_e = encode_vjp(state.encoder, state.encoded, grad_features)
+    g_probs = lift_vjp(state.predicted, state.encoder.params.embed, g_e)
     return numcore.softmax_vjp_from_probs(state.probs, g_probs)

@@ -230,10 +230,18 @@ def train_config_to_dict(config: TrainConfig) -> dict:
     return d
 
 
+def _check_keys(section: str, doc: dict, cls) -> dict:
+    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise InvalidInputError(f"unknown {section} config keys: {sorted(unknown)}")
+    return doc
+
+
 def train_config_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
+    d = _check_keys("top-level", dict(d), TrainConfig)
     objective = d.get("objective")
     if objective is not None:
+        objective = _check_keys("objective", objective, ObjectiveKind)
         objective = ObjectiveKind(
             variant=ObjectiveVariant(objective["variant"]),
             with_base_loss=bool(objective["with_base_loss"]),
@@ -241,16 +249,11 @@ def train_config_from_dict(d: dict) -> TrainConfig:
             eta=float(objective["eta"]),
             alpha=float(objective["alpha"]),
         )
-    drift = d.get("drift", {})
-    model = d.get("model", {})
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(d) - known
-    if unknown:
-        raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in d.items() if k in known}
+    drift = _check_keys("drift", d.get("drift", {}), DriftConfig)
+    kwargs = dict(d)
     kwargs["objective"] = objective
     kwargs["drift"] = DriftConfig(**{**drift, "temperatures": tuple(drift.get("temperatures", (0.02, 0.05, 0.2)))})
-    kwargs["model"] = ModelConfig(**model)
+    kwargs["model"] = ModelConfig(**_check_keys("model", d.get("model", {}), ModelConfig))
     kwargs["corruption"] = CorruptionKind(d.get("corruption", "masked"))
     kwargs["eval_nfes"] = tuple(int(n) for n in d.get("eval_nfes", (4, 8, 16)))
     return TrainConfig(**kwargs)
@@ -358,8 +361,6 @@ def _resolve_train_config(args, drift_phase: bool) -> TrainConfig:
             drift_overrides["temperatures"] = args.temperatures
         if args.unrenormalized_barycenters:
             drift_overrides["renormalize_sides"] = False
-        if args.alpha is not None:
-            drift_overrides["alpha"] = args.alpha
         config = replace(
             config, objective=objective, drift=replace(config.drift, **drift_overrides)
         )
@@ -686,20 +687,18 @@ def _check_sampler_contract():
 
 def _check_encoder_contracts():
     from .backbone import init_params
-    from .encoder import encode, make_frozen_encoder, real_feature, soft_token_lift
-    from .backbone import CorruptionRecord
+    from .encoder import encode, make_frozen_encoder, real_features_batch, soft_token_lift
 
     cfg = ModelConfig()
     rng = np.random.default_rng(5)
     enc = make_frozen_encoder(init_params(cfg, rng))
-    clean = rng.integers(0, cfg.clean_vocab, size=cfg.length)
-    feat = real_feature(enc, clean)
-    assert abs(np.linalg.norm(feat.values) - 1.0) <= 1e-9
-    onehot = np.zeros((cfg.length, cfg.vocab_size))
-    onehot[np.arange(cfg.length), clean] = 1.0
-    record = CorruptionRecord(clean.copy(), 0.5, np.arange(cfg.length))
-    lifted = soft_token_lift(onehot, record, enc.params.embed)
-    assert np.array_equal(encode(enc, lifted).feature.values, feat.values)
+    clean = rng.integers(0, cfg.clean_vocab, size=(2, cfg.length))
+    feats = real_features_batch(enc, clean)
+    assert np.all(np.abs(np.linalg.norm(feats, axis=1) - 1.0) <= 1e-9)
+    onehot = np.zeros((2, cfg.length, cfg.vocab_size))
+    onehot[np.arange(2)[:, None], np.arange(cfg.length), clean] = 1.0
+    lifted = soft_token_lift(onehot, clean, np.ones(clean.shape, bool), enc.params.embed)
+    assert np.array_equal(encode(enc, lifted).features, feats)
 
 
 def _check_drift_antisymmetry():
@@ -707,11 +706,11 @@ def _check_drift_antisymmetry():
 
     rng = np.random.default_rng(11)
     for _ in range(20):
-        h = rng.normal(size=8)
+        h = rng.normal(size=(1, 8))
         pos = rng.normal(size=(5, 8))
         neg = rng.normal(size=(4, 8))
-        fwd = drift_single_temp(h, pos, neg, 0.05)
-        bwd = drift_single_temp(h, neg, pos, 0.05)
+        fwd = drift_single_temp(h, pos, neg[None], 0.05)
+        bwd = drift_single_temp(h, neg, pos[None], 0.05)
         assert np.max(np.abs(fwd + bwd)) <= 1e-12
 
 
@@ -720,12 +719,11 @@ def _check_drift_equilibrium():
 
     rng = np.random.default_rng(12)
     refs = rng.normal(size=(6, 8))
-    h = rng.normal(size=8)
+    anchors = rng.normal(size=(3, 8))
+    twins = np.repeat(refs[None], 3, axis=0)
     for tau in (0.02, 0.05, 0.2):
-        assert np.all(drift_single_temp(h, refs, refs.copy(), tau) == 0.0)
-    anchors = [rng.normal(size=8) / np.linalg.norm(rng.normal(size=8)) for _ in range(3)]
-    out = drift_multi_temp(anchors, refs, list(refs.copy()), DriftConfig())
-    assert np.all(out == 0.0)
+        assert np.all(drift_single_temp(anchors, refs, twins, tau) == 0.0)
+    assert np.all(drift_multi_temp(anchors, refs, twins, DriftConfig()) == 0.0)
 
 
 def _check_joint_weights():
@@ -746,36 +744,30 @@ def _check_rms_scale():
     from .drift import DriftConfig, drift_multi_temp, drift_single_temp, rms_scale
 
     rng = np.random.default_rng(14)
-    anchors = [v / np.linalg.norm(v) for v in rng.normal(size=(4, 8))]
+    anchors = rng.normal(size=(4, 8))
+    anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
     pos = rng.normal(size=(6, 8))
-    neg = rng.normal(size=(5, 8))
+    neg = np.repeat(rng.normal(size=(1, 5, 8)), 4, axis=0)
     for tau in (0.02, 0.2):
-        per = np.stack([drift_single_temp(a, pos, neg, tau) for a in anchors])
-        scale = rms_scale(per, 1e-8)
-        normalized = per / scale
+        per = drift_single_temp(anchors, pos, neg, tau)
+        normalized = per / rms_scale(per, 1e-8)
         rms = math.sqrt(float(np.mean(np.sum(normalized * normalized, axis=1))))
         assert abs(rms - 1.0) <= 1e-6
-    single = drift_multi_temp(anchors, pos, list(neg), DriftConfig(temperatures=(0.05,)))
-    per = np.stack([drift_single_temp(a, pos, neg, 0.05) for a in anchors])
+    single = drift_multi_temp(anchors, pos, neg, DriftConfig(temperatures=(0.05,)))
+    per = np.concatenate(
+        [drift_single_temp(anchors[i : i + 1], pos, neg[i : i + 1], 0.05) for i in range(4)]
+    )
     assert np.array_equal(single, per / rms_scale(per, 1e-8))
 
 
 def _check_queue_fifo():
-    from .drift import ReferenceQueue
+    from .drift import ReferenceQueue, queue_push
 
-    def unit(i):
-        from .encoder import FeatureVec
-
-        v = np.zeros(4)
-        v[i % 4] = 1.0
-        return FeatureVec(v)
-
-    q = ReferenceQueue(2)
-    a, b, c = unit(0), unit(1), unit(2)
-    q.push([a])
-    q.push([b])
-    q.push([c])
-    assert q.entries == [b, c]
+    rows = np.eye(4)
+    q = ReferenceQueue(2, 4)
+    for i in range(3):
+        queue_push(q, rows[i : i + 1])
+    assert np.array_equal(q.rows, rows[1:3])
 
 
 def _check_objectives():

@@ -5,6 +5,8 @@ shifted by the drift, so its feature gradient is exactly -alpha * V and the
 logit gradient is the VJP pullback of that vector.  The mirror variants
 instead convert the drift into a detached teacher distribution via an
 exponentiated-gradient step in logit space and match it with KL or MSE.
+Every function takes a whole micro-batch: features and drifts ``[n, m]``,
+logits ``[n, L, V]`` and a boolean ``predicted [n, L]`` position mask.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import numcore
-from .backbone import CorruptionRecord, base_loss
+from .backbone import base_loss
 from .encoder import LiftedEncoding, LiftKind, pullback_to_logits
 from .numcore import Array, InvalidInputError
 
@@ -41,11 +43,10 @@ class ObjectiveKind:
             raise InvalidInputError("alpha must be positive")
 
 
-def feature_fixed_point_loss(h, drift: Array, alpha: float) -> tuple[float, Array]:
-    """1/2 ||h - sg(h + alpha V)||^2 with its exact feature gradient -alpha V."""
+def feature_fixed_point_loss(h, drift: Array, alpha: float) -> tuple[Array, Array]:
+    """Per-row 1/2 ||h - sg(h + alpha V)||^2 with its exact feature gradient -alpha V."""
     step = alpha * np.asarray(drift, dtype=np.float64)
-    loss = 0.5 * float(step @ step)
-    return loss, -step
+    return 0.5 * np.sum(step * step, axis=-1), -step
 
 
 def mirror_direction(state: LiftedEncoding, drift: Array) -> Array:
@@ -60,77 +61,64 @@ def mirror_teacher(logits: Array, g: Array, eta: float) -> Array:
     return numcore.softmax_rows(np.asarray(logits, np.float64) + eta * np.asarray(g, np.float64))
 
 
-def mirror_kl_loss(p_star: Array, logits: Array, positions: Array) -> tuple[float, Array]:
-    """Mean KL(p* || p) over predicted positions; gradient (p - p*) / |positions|.
+def mirror_kl_loss(p_star: Array, logits: Array, predicted: Array) -> tuple[Array, Array]:
+    """Per-sequence mean KL(p* || p) over predicted positions; gradient (p - p*) / count.
 
     Both distributions go through the same log so a bitwise-equal teacher
     (the drift-equilibrium case) yields exactly zero loss and gradient.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    pos = np.asarray(positions, dtype=np.int64)
-    grad = np.zeros_like(logits)
-    if pos.size == 0:
-        return 0.0, grad
-    p_star = np.asarray(p_star, dtype=np.float64)[pos]
-    p = numcore.softmax_rows(logits[pos])
+    predicted = np.asarray(predicted, dtype=bool)
+    p_star = np.asarray(p_star, dtype=np.float64)
+    count = np.maximum(predicted.sum(axis=1), 1)
+    p = numcore.softmax_rows(logits)
     log_ratio = np.log(np.where(p_star > 0.0, p_star, 1.0)) - np.log(p)
-    loss = float(np.where(p_star > 0.0, p_star * log_ratio, 0.0).sum() / pos.size)
-    grad[pos] = (p - p_star) / pos.size
-    return loss, grad
+    row_kl = np.where(p_star > 0.0, p_star * log_ratio, 0.0).sum(axis=-1)
+    loss = np.where(predicted, row_kl, 0.0).sum(axis=1) / count
+    return loss, np.where(predicted[..., None], (p - p_star) / count[:, None, None], 0.0)
 
 
-def mirror_mse_loss(l_star: Array, logits: Array, positions: Array) -> tuple[float, Array]:
-    """Mean squared logit-row distance over predicted positions."""
+def mirror_mse_loss(l_star: Array, logits: Array, predicted: Array) -> tuple[Array, Array]:
+    """Per-sequence mean squared logit-row distance over predicted positions."""
     logits = np.asarray(logits, dtype=np.float64)
-    pos = np.asarray(positions, dtype=np.int64)
-    grad = np.zeros_like(logits)
-    if pos.size == 0:
-        return 0.0, grad
-    diff = logits[pos] - np.asarray(l_star, dtype=np.float64)[pos]
-    loss = float((diff * diff).sum() / pos.size)
-    grad[pos] = 2.0 * diff / pos.size
-    return loss, grad
+    predicted = np.asarray(predicted, dtype=bool)
+    count = np.maximum(predicted.sum(axis=1), 1)
+    diff = np.where(predicted[..., None], logits - np.asarray(l_star, dtype=np.float64), 0.0)
+    return (diff * diff).sum(axis=(1, 2)) / count, 2.0 * diff / count[:, None, None]
 
 
 @dataclass
 class TotalObjective:
     loss: float
-    grad_logits: list[Array]        # per-sample gradient of the batch-mean loss
-    per_sample_loss: list[float]
+    grad_logits: Array  # [n, L, V] gradient of the batch-mean loss
+    per_sample_loss: Array  # [n]
 
 
 def total_objective(
-    kind: ObjectiveKind,
-    states: list[LiftedEncoding],
-    drifts: Array,
-    clean_batch,
-    records: list[CorruptionRecord],
+    kind: ObjectiveKind, state: LiftedEncoding, drifts: Array, clean_batch: Array
 ) -> TotalObjective:
-    """Batch-mean objective with analytic per-sample logit gradients."""
-    n = len(states)
-    if n == 0 or len(records) != n or len(drifts) != n:
-        raise InvalidInputError("batch pieces must have matching lengths")
-    losses: list[float] = []
-    grads: list[Array] = []
-    for i, state in enumerate(states):
-        drift_i = np.asarray(drifts[i], dtype=np.float64)
-        if kind.variant == ObjectiveVariant.FEATURE_L2:
-            loss_i, grad_h = feature_fixed_point_loss(state.feature, drift_i, kind.alpha)
-            grad_l = pullback_to_logits(state, grad_h)
+    """Batch-mean objective of one lifted micro-batch with its analytic logit gradient."""
+    drifts = np.asarray(drifts, dtype=np.float64)
+    if drifts.shape != state.features.shape:
+        raise InvalidInputError("drifts must match the lifted features' shape")
+    n = drifts.shape[0]
+    if kind.variant == ObjectiveVariant.FEATURE_L2:
+        losses, grad_h = feature_fixed_point_loss(state.features, drifts, kind.alpha)
+        grad = pullback_to_logits(state, grad_h)
+    else:
+        g = mirror_direction(state, drifts)
+        if kind.variant == ObjectiveVariant.MIRROR_KL:
+            p_star = mirror_teacher(state.logits, g, kind.eta)
+            losses, grad = mirror_kl_loss(p_star, state.logits, state.predicted)
         else:
-            g = mirror_direction(state, drift_i)
-            if kind.variant == ObjectiveVariant.MIRROR_KL:
-                p_star = mirror_teacher(state.logits, g, kind.eta)
-                loss_i, grad_l = mirror_kl_loss(p_star, state.logits, records[i].predicted_positions)
-            else:
-                l_star = state.logits + kind.eta * g
-                loss_i, grad_l = mirror_mse_loss(l_star, state.logits, records[i].predicted_positions)
-        if kind.with_base_loss:
-            bl, bg = base_loss(state.logits, clean_batch[i], records[i].predicted_positions)
-            loss_i += bl
-            grad_l = grad_l + bg
-        losses.append(loss_i)
-        grads.append(grad_l / n)
+            l_star = state.logits + kind.eta * g
+            losses, grad = mirror_mse_loss(l_star, state.logits, state.predicted)
+    if kind.with_base_loss:
+        for i in range(n):
+            positions = np.flatnonzero(state.predicted[i])
+            bl, bg = base_loss(state.logits[i], clean_batch[i], positions)
+            losses[i] += bl
+            grad[i] += bg
     return TotalObjective(
-        loss=float(sum(losses) / n), grad_logits=grads, per_sample_loss=losses
+        loss=float(losses.sum() / n), grad_logits=grad / n, per_sample_loss=losses
     )

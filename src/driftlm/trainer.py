@@ -30,13 +30,7 @@ from .backbone import (
 )
 from .corpus import MarkovSource, sample_sequences
 from .drift import DriftConfig, ReferenceQueue, build_references, drift_multi_temp, queue_push
-from .encoder import (
-    FeatureVec,
-    FrozenEncoder,
-    lift_and_encode,
-    make_frozen_encoder,
-    real_features_batch,
-)
+from .encoder import FrozenEncoder, lift_and_encode, make_frozen_encoder, real_features_batch
 from .numcore import Array, InvalidInputError
 from .objectives import ObjectiveKind, total_objective
 
@@ -79,6 +73,11 @@ class TrainConfig:
     init_std: float = 0.3  # fresh-parameter scale; ignored when starting from a checkpoint
 
     def __post_init__(self):
+        for name in ("batch_size", "micro_batch", "queue_capacity", "eval_samples"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.eval_nfes:
+            raise InvalidInputError("eval_nfes must name at least one NFE budget")
         if self.batch_size % self.micro_batch != 0:
             raise InvalidInputError("micro_batch must divide batch_size")
         if self.lr <= 0.0 or self.init_std <= 0.0:
@@ -138,23 +137,18 @@ def init_state(
             adam_m = {k: v.copy() for k, v in checkpoint.adam_m.items()}
             adam_v = {k: v.copy() for k, v in checkpoint.adam_v.items()}
             adam_t, step = checkpoint.adam_t, checkpoint.step
+    encoder = make_frozen_encoder(params)
     return TrainState(
         params=params,
         adam_m=adam_m,
         adam_v=adam_v,
         adam_t=adam_t,
         step=step,
-        q_real=ReferenceQueue(config.queue_capacity),
-        q_gen=ReferenceQueue(config.queue_capacity),
+        q_real=ReferenceQueue(config.queue_capacity, encoder.feature_dim),
+        q_gen=ReferenceQueue(config.queue_capacity, encoder.feature_dim),
         rng=rng,
-        encoder=make_frozen_encoder(params),
+        encoder=encoder,
     )
-
-
-def _detach(feature: FeatureVec) -> FeatureVec:
-    values = feature.values.copy()
-    values.setflags(write=False)
-    return FeatureVec(values)
 
 
 def _adam_update(state: TrainState, grads: dict[str, Array], config: TrainConfig) -> None:
@@ -187,8 +181,8 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
     loss_total = 0.0
     drift_norm_sum = 0.0
     drift_count = 0
-    pushed_real: list[FeatureVec] = []
-    pushed_gen: list[FeatureVec] = []
+    pushed_real: list[Array] = []
+    pushed_gen: list[Array] = []
 
     # corrupt the whole batch up front so the draw stream does not depend on
     # the micro-batch granularity
@@ -212,21 +206,21 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
                 micro_loss += loss_i / mb
                 grad_logits[i] = grad_i / mb
         else:
-            states = [
-                lift_and_encode(state.encoder, logits[i], records[i], objective.lift)
-                for i in range(mb)
-            ]
-            gens = [s.feature for s in states]
+            predicted = np.zeros(tokens.shape, dtype=bool)
+            for i, r in enumerate(records):
+                predicted[i, r.predicted_positions] = True
+            lifted = lift_and_encode(state.encoder, logits, tokens, predicted, objective.lift)
+            gens = lifted.features
             reals = real_features_batch(state.encoder, chunk)
-            refs = build_references(reals, gens, state.q_real, state.q_gen)
-            drifts = drift_multi_temp(gens, refs.positives, refs.negatives_pool, config.drift)
-            total = total_objective(objective, states, drifts, chunk, records)
+            positives, negatives = build_references(reals, gens, state.q_real, state.q_gen)
+            drifts = drift_multi_temp(gens, positives, negatives, config.drift)
+            total = total_objective(objective, lifted, drifts, chunk)
             micro_loss = total.loss
-            grad_logits = np.stack(total.grad_logits)
+            grad_logits = total.grad_logits
             drift_norm_sum += float(np.linalg.norm(drifts, axis=1).sum())
             drift_count += mb
-            pushed_real.extend(reals)
-            pushed_gen.extend(gens)
+            pushed_real.append(reals)
+            pushed_gen.append(gens)
 
         if not np.isfinite(micro_loss):
             raise TrainingDivergedError(
@@ -251,8 +245,8 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
     # Algorithm order: the queue push is the final line of the step, and the
     # pushed features are the pre-update ones already computed.
     if pushed_real:
-        queue_push(state.q_real, [_detach(f) for f in pushed_real])
-        queue_push(state.q_gen, [_detach(f) for f in pushed_gen])
+        queue_push(state.q_real, np.concatenate(pushed_real))
+        queue_push(state.q_gen, np.concatenate(pushed_gen))
 
     return {
         "loss": float(loss_total),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from driftlm.backbone import ModelConfig, init_params
-from driftlm.encoder import FeatureVec, make_frozen_encoder
+from driftlm.encoder import make_frozen_encoder
 
 settings.register_profile("ci", max_examples=30, deadline=None, derandomize=True)
 settings.load_profile("ci")
@@ -30,13 +30,19 @@ def small_encoder(small_params):
     return make_frozen_encoder(small_params)
 
 
-def unit_vec(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """``[n, dim]`` random unit feature rows."""
+    v = rng.normal(size=(n, dim))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def feature(rng: np.random.Generator, dim: int) -> FeatureVec:
-    return FeatureVec(unit_vec(rng, dim))
+def stack_records(records) -> tuple[np.ndarray, np.ndarray]:
+    """Corrupted tokens ``[n, L]`` and the predicted-position mask ``[n, L]`` of a record list."""
+    corrupted = np.stack([r.corrupted for r in records])
+    predicted = np.zeros(corrupted.shape, dtype=bool)
+    for i, r in enumerate(records):
+        predicted[i, r.predicted_positions] = True
+    return corrupted, predicted
 
 
 def rel_err(analytic: np.ndarray, reference: np.ndarray, atol: float = 1e-8) -> float:

@@ -169,6 +169,19 @@ def test_train_config_rejects_unknown_keys():
         train_config_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [("drift", "alpha"), ("model", "mystery"), ("objective", "mystery")],
+    ids=["old-drift-alpha", "model", "objective"],
+)
+def test_train_config_rejects_unknown_nested_keys_by_name(section, key):
+    doc = train_config_to_dict(tiny_train_config())
+    assert key not in doc[section]
+    doc[section][key] = 1.0
+    with pytest.raises(InvalidInputError, match=f"{section}.*{key}"):
+        train_config_from_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -285,6 +298,19 @@ def test_cli_base_then_drift_then_eval(cli_env, capsys):
     report = json.loads((eval_out / "report.json").read_text())
     assert [m["nfe"] for m in report["per_nfe"]] == [2, 3]
     assert report["seed"] == 5
+
+
+def test_cli_alpha_sets_only_the_objective(cli_env, capsys):
+    tmp_path, source_path, config_path, ckpt_path = cli_env
+    out = tmp_path / "drift"
+    args = ["--config", str(config_path), "--init", str(ckpt_path), "--steps", "0"]
+    code = cli(
+        ["drift-train", "--source", str(source_path), "--out", str(out), "--alpha", "2.5"] + args
+    )
+    assert code == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["objective"]["alpha"] == 2.5
+    assert "alpha" not in config["drift"]
 
 
 def test_cli_sample_writes_jsonl(cli_env, capsys):

@@ -19,7 +19,14 @@ from driftlm.objectives import (
     total_objective,
 )
 
-from conftest import SMALL_MODEL, rel_err
+from conftest import SMALL_MODEL, rel_err, stack_records
+
+L, V = SMALL_MODEL.length, SMALL_MODEL.vocab_size
+
+
+def _lift(encoder, logits, record, lift=LiftKind.SOFT):
+    """``lift_and_encode`` of one sequence as a batch of one."""
+    return lift_and_encode(encoder, logits, *stack_records([record]), lift)
 
 
 def _state(encoder, rng, t=0.6, lift=LiftKind.SOFT, record_seed=3):
@@ -27,8 +34,15 @@ def _state(encoder, rng, t=0.6, lift=LiftKind.SOFT, record_seed=3):
     record = corrupt(
         clean, t, CorruptionKind.MASKED, np.random.default_rng(record_seed), SMALL_MODEL.vocab_size
     )
-    logits = rng.normal(size=(SMALL_MODEL.length, SMALL_MODEL.vocab_size))
-    return clean, record, lift_and_encode(encoder, logits, record, lift)
+    logits = rng.normal(size=(1, L, V))
+    return clean, record, _lift(encoder, logits, record, lift)
+
+
+def _mask(positions, n_rows):
+    """Predicted-position mask ``[1, n_rows]`` for one sequence."""
+    predicted = np.zeros((1, n_rows), dtype=bool)
+    predicted[0, positions] = True
+    return predicted
 
 
 # ---------------------------------------------------------------------------
@@ -68,17 +82,17 @@ def test_fixed_point_gradient_is_exactly_minus_alpha_v(rng):
 
 def test_mirror_direction_zero_drift(small_encoder, rng):
     _, _, state = _state(small_encoder, rng)
-    g = mirror_direction(state, np.zeros(small_encoder.feature_dim))
+    g = mirror_direction(state, np.zeros((1, small_encoder.feature_dim)))
     assert np.all(g == 0.0)
 
 
 def test_mirror_direction_matches_finite_differences(small_encoder, rng):
     _, record, state = _state(small_encoder, rng)
-    v = rng.normal(size=small_encoder.feature_dim)
+    v = rng.normal(size=(1, small_encoder.feature_dim))
     g = mirror_direction(state, v)
 
     def f(l):
-        return float(v @ lift_and_encode(small_encoder, l, record).feature.values)
+        return float(np.sum(v * _lift(small_encoder, l, record).features))
 
     fd = finite_diff_grad(f, state.logits, step=1e-5)
     assert rel_err(g, fd) <= 1e-5
@@ -86,8 +100,8 @@ def test_mirror_direction_matches_finite_differences(small_encoder, rng):
 
 def test_mirror_direction_linear_in_drift(small_encoder, rng):
     _, _, state = _state(small_encoder, rng)
-    v1 = rng.normal(size=small_encoder.feature_dim)
-    v2 = rng.normal(size=small_encoder.feature_dim)
+    v1 = rng.normal(size=(1, small_encoder.feature_dim))
+    v2 = rng.normal(size=(1, small_encoder.feature_dim))
     g = mirror_direction(state, v1 + v2)
     g_split = mirror_direction(state, v1) + mirror_direction(state, v2)
     assert np.max(np.abs(g - g_split)) <= 1e-10
@@ -137,50 +151,52 @@ def test_teacher_maximizes_variational_objective_on_grid(rng):
 
 
 def test_mirror_kl_identity(rng):
-    logits = rng.normal(size=(5, 7))
+    logits = rng.normal(size=(1, 5, 7))
     p = softmax_rows(logits)
-    loss, grad = mirror_kl_loss(p, logits, np.arange(5))
-    assert abs(loss) <= 1e-15 and np.max(np.abs(grad)) <= 1e-15
+    loss, grad = mirror_kl_loss(p, logits, np.ones((1, 5), bool))
+    assert abs(loss[0]) <= 1e-15 and np.max(np.abs(grad)) <= 1e-15
 
 
 def test_mirror_kl_nonnegative(rng):
     for _ in range(25):
-        logits = rng.normal(size=(3, 5))
-        p_star = softmax_rows(rng.normal(size=(3, 5)))
-        loss, _ = mirror_kl_loss(p_star, logits, np.arange(3))
-        assert loss >= 0.0
+        logits = rng.normal(size=(1, 3, 5))
+        p_star = softmax_rows(rng.normal(size=(1, 3, 5)))
+        loss, _ = mirror_kl_loss(p_star, logits, np.ones((1, 3), bool))
+        assert loss[0] >= 0.0
 
 
 def test_mirror_kl_gradient_matches_finite_differences(rng):
-    logits = rng.normal(size=(4, 6))
-    p_star = softmax_rows(rng.normal(size=(4, 6)))
+    logits = rng.normal(size=(1, 4, 6))
+    p_star = softmax_rows(rng.normal(size=(1, 4, 6)))
     positions = np.array([0, 2])
-    _, grad = mirror_kl_loss(p_star, logits, positions)
-    fd = finite_diff_grad(lambda l: mirror_kl_loss(p_star, l, positions)[0], logits, 1e-5)
+    predicted = _mask(positions, 4)
+    _, grad = mirror_kl_loss(p_star, logits, predicted)
+    fd = finite_diff_grad(lambda l: mirror_kl_loss(p_star, l, predicted)[0][0], logits, 1e-5)
     assert rel_err(grad, fd) <= 1e-5
     off = np.setdiff1d(np.arange(4), positions)
-    assert np.all(grad[off] == 0.0)
+    assert np.all(grad[0, off] == 0.0)
 
 
 def test_mirror_mse_identity_and_substitution(rng):
-    logits = rng.normal(size=(4, 6))
-    loss, grad = mirror_mse_loss(logits, logits, np.arange(4))
-    assert loss == 0.0 and np.all(grad == 0.0)
-    g = rng.normal(size=(4, 6))
+    logits = rng.normal(size=(1, 4, 6))
+    every = np.ones((1, 4), bool)
+    loss, grad = mirror_mse_loss(logits, logits, every)
+    assert loss[0] == 0.0 and np.all(grad == 0.0)
+    g = rng.normal(size=(1, 4, 6))
     eta = 0.3
-    loss, _ = mirror_mse_loss(logits + eta * g, logits, np.arange(4))
-    expected = eta**2 * float((g * g).sum(axis=1).mean())
-    assert abs(loss - expected) < 1e-12
+    loss, _ = mirror_mse_loss(logits + eta * g, logits, every)
+    expected = eta**2 * float((g * g).sum(axis=-1).mean())
+    assert abs(loss[0] - expected) < 1e-12
 
 
 def test_mirror_mse_gradient_and_masking(rng):
-    logits = rng.normal(size=(4, 6))
-    l_star = rng.normal(size=(4, 6))
-    positions = np.array([1, 3])
-    _, grad = mirror_mse_loss(l_star, logits, positions)
-    fd = finite_diff_grad(lambda l: mirror_mse_loss(l_star, l, positions)[0], logits, 1e-5)
+    logits = rng.normal(size=(1, 4, 6))
+    l_star = rng.normal(size=(1, 4, 6))
+    predicted = _mask([1, 3], 4)
+    _, grad = mirror_mse_loss(l_star, logits, predicted)
+    fd = finite_diff_grad(lambda l: mirror_mse_loss(l_star, l, predicted)[0][0], logits, 1e-5)
     assert rel_err(grad, fd) <= 1e-5
-    assert np.all(grad[np.array([0, 2])] == 0.0)
+    assert np.all(grad[0, np.array([0, 2])] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,34 +204,35 @@ def test_mirror_mse_gradient_and_masking(rng):
 
 
 def _batch(encoder, rng, n=3, lift=LiftKind.SOFT):
-    cleans, records, states = [], [], []
+    """``n`` sequences lifted together: clean ``[n, L]``, records and the batch state."""
+    cleans, records, logits = [], [], []
     for i in range(n):
         clean, record, state = _state(encoder, rng, record_seed=10 + i, lift=lift)
         cleans.append(clean)
         records.append(record)
-        states.append(state)
-    return cleans, records, states
+        logits.append(state.logits[0])
+    return np.stack(cleans), records, lift_and_encode(
+        encoder, np.stack(logits), *stack_records(records), lift
+    )
 
 
 def test_total_feature_l2_zero_drift_reduces_to_base(small_encoder, rng):
-    cleans, records, states = _batch(small_encoder, rng)
+    cleans, records, state = _batch(small_encoder, rng)
     zero = np.zeros((3, small_encoder.feature_dim))
-    plain = total_objective(ObjectiveKind(), states, zero, cleans, records)
+    plain = total_objective(ObjectiveKind(), state, zero, cleans)
     assert plain.loss == 0.0
     assert all(np.all(g == 0.0) for g in plain.grad_logits)
-    with_base = total_objective(
-        ObjectiveKind(with_base_loss=True), states, zero, cleans, records
-    )
-    for i, state in enumerate(states):
-        bl, bg = base_loss(state.logits, cleans[i], records[i].predicted_positions)
+    with_base = total_objective(ObjectiveKind(with_base_loss=True), state, zero, cleans)
+    for i in range(3):
+        bl, bg = base_loss(state.logits[i], cleans[i], records[i].predicted_positions)
         assert np.allclose(with_base.grad_logits[i], bg / 3.0, atol=1e-15)
 
 
 def test_total_mirror_kl_eta_zero_is_null(small_encoder, rng):
-    cleans, records, states = _batch(small_encoder, rng)
+    cleans, records, state = _batch(small_encoder, rng)
     drifts = rng.normal(size=(3, small_encoder.feature_dim))
     out = total_objective(
-        ObjectiveKind(variant=ObjectiveVariant.MIRROR_KL, eta=0.0), states, drifts, cleans, records
+        ObjectiveKind(variant=ObjectiveVariant.MIRROR_KL, eta=0.0), state, drifts, cleans
     )
     assert out.loss == 0.0
     assert all(np.all(g == 0.0) for g in out.grad_logits)
@@ -233,57 +250,55 @@ def test_total_mirror_kl_eta_zero_is_null(small_encoder, rng):
     ids=["feature", "feature+base", "kl", "mse", "kl+base"],
 )
 def test_total_gradient_matches_frozen_target_finite_differences(small_encoder, rng, kind):
-    cleans, records, states = _batch(small_encoder, rng)
+    cleans, records, state = _batch(small_encoder, rng)
     drifts = 0.5 * rng.normal(size=(3, small_encoder.feature_dim))
-    out = total_objective(kind, states, drifts, cleans, records)
+    out = total_objective(kind, state, drifts, cleans)
 
     # independent oracle: recompute the total loss with frozen targets
-    targets = [states[i].feature.values + kind.alpha * drifts[i] for i in range(3)]
-    teachers = []
-    for i in range(3):
-        g = pullback_to_logits(states[i], drifts[i])
-        if kind.variant == ObjectiveVariant.MIRROR_KL:
-            teachers.append(mirror_teacher(states[i].logits, g, kind.eta))
-        elif kind.variant == ObjectiveVariant.MIRROR_MSE:
-            teachers.append(states[i].logits + kind.eta * g)
+    targets = state.features + kind.alpha * drifts
+    g = pullback_to_logits(state, drifts)
+    if kind.variant == ObjectiveVariant.MIRROR_KL:
+        teachers = mirror_teacher(state.logits, g, kind.eta)
+    elif kind.variant == ObjectiveVariant.MIRROR_MSE:
+        teachers = state.logits + kind.eta * g
 
     def loss_at(i, logits):
-        state = lift_and_encode(small_encoder, logits, records[i], kind.lift)
+        one = _lift(small_encoder, logits, records[i], kind.lift)
+        predicted = one.predicted
         if kind.variant == ObjectiveVariant.FEATURE_L2:
-            diff = state.feature.values - targets[i]
+            diff = one.features[0] - targets[i]
             value = 0.5 * float(diff @ diff)
         elif kind.variant == ObjectiveVariant.MIRROR_KL:
-            value = mirror_kl_loss(teachers[i], logits, records[i].predicted_positions)[0]
+            value = mirror_kl_loss(teachers[i : i + 1], logits, predicted)[0][0]
         else:
-            value = mirror_mse_loss(teachers[i], logits, records[i].predicted_positions)[0]
+            value = mirror_mse_loss(teachers[i : i + 1], logits, predicted)[0][0]
         if kind.with_base_loss:
-            value += base_loss(logits, cleans[i], records[i].predicted_positions)[0]
+            value += base_loss(logits[0], cleans[i], records[i].predicted_positions)[0]
         return value
 
-    total_at_base = sum(loss_at(i, states[i].logits) for i in range(3)) / 3.0
+    total_at_base = sum(loss_at(i, state.logits[i : i + 1]) for i in range(3)) / 3.0
     assert abs(total_at_base - out.loss) <= 1e-10
     for i in range(3):
-        fd = finite_diff_grad(lambda l, i=i: loss_at(i, l) / 3.0, states[i].logits, 1e-5)
-        assert rel_err(out.grad_logits[i], fd) <= 1e-4
+        fd = finite_diff_grad(lambda l, i=i: loss_at(i, l) / 3.0, state.logits[i : i + 1], 1e-5)
+        assert rel_err(out.grad_logits[i], fd[0]) <= 1e-4
 
 
 def test_logit_pullback_identity(small_encoder, rng):
     # FeatureL2 gradient equals -alpha * J^T V composed independently
-    cleans, records, states = _batch(small_encoder, rng, n=2)
+    cleans, records, state = _batch(small_encoder, rng, n=2)
     drifts = rng.normal(size=(2, small_encoder.feature_dim))
     alpha = 1.3
-    out = total_objective(
-        ObjectiveKind(alpha=alpha), states, drifts, cleans, records
-    )
+    out = total_objective(ObjectiveKind(alpha=alpha), state, drifts, cleans)
     for i in range(2):
-        jt_v = pullback_to_logits(states[i], drifts[i])
+        one = _lift(small_encoder, state.logits[i : i + 1], records[i])
+        jt_v = pullback_to_logits(one, drifts[i : i + 1])[0]
         assert np.max(np.abs(out.grad_logits[i] - (-alpha * jt_v) / 2.0)) <= 1e-10
 
 
 def test_hard_st_total_uses_straight_through_gradient(small_encoder, rng):
-    cleans, records, states = _batch(small_encoder, rng, lift=LiftKind.HARD_ST)
+    cleans, records, state = _batch(small_encoder, rng, lift=LiftKind.HARD_ST)
     drifts = rng.normal(size=(3, small_encoder.feature_dim))
-    out = total_objective(ObjectiveKind(lift=LiftKind.HARD_ST), states, drifts, cleans, records)
+    out = total_objective(ObjectiveKind(lift=LiftKind.HARD_ST), state, drifts, cleans)
     # nonzero gradient flows despite the hard forward
     assert any(np.any(g != 0.0) for g in out.grad_logits)
 
@@ -303,9 +318,9 @@ def test_local_ascent_and_first_order_ratio(small_encoder, rng):
         )
         if record.predicted_positions.size == 0:
             continue
-        logits = rng.normal(size=(SMALL_MODEL.length, SMALL_MODEL.vocab_size))
-        state = lift_and_encode(small_encoder, logits, record)
-        v = rng.normal(size=small_encoder.feature_dim)
+        logits = rng.normal(size=(1, L, V))
+        state = _lift(small_encoder, logits, record)
+        v = rng.normal(size=(1, small_encoder.feature_dim))
         v /= np.linalg.norm(v)
         g = mirror_direction(state, v)
         g_norm_sq = float((g * g).sum())
@@ -313,7 +328,7 @@ def test_local_ascent_and_first_order_ratio(small_encoder, rng):
             continue
 
         def psi(l):
-            return float(v @ lift_and_encode(small_encoder, l, record).feature.values)
+            return float(np.sum(v * _lift(small_encoder, l, record).features))
 
         base = psi(logits)
         for eta in (1e-3, 1e-2):
@@ -327,18 +342,17 @@ def test_local_ascent_and_first_order_ratio(small_encoder, rng):
 
 def test_equilibrium_cascade_is_exact(small_encoder, rng):
     # V = 0 forces g = 0, teacher = p, all losses and grads exactly zero
-    cleans, records, states = _batch(small_encoder, rng)
+    cleans, records, state = _batch(small_encoder, rng)
     zero = np.zeros((3, small_encoder.feature_dim))
     for kind in (
         ObjectiveKind(),
         ObjectiveKind(variant=ObjectiveVariant.MIRROR_KL),
         ObjectiveKind(variant=ObjectiveVariant.MIRROR_MSE),
     ):
-        out = total_objective(kind, states, zero, cleans, records)
+        out = total_objective(kind, state, zero, cleans)
         assert out.loss == 0.0
         assert all(np.all(g == 0.0) for g in out.grad_logits)
-    for state in states:
-        g = mirror_direction(state, np.zeros(small_encoder.feature_dim))
-        assert np.all(g == 0.0)
-        p_star = mirror_teacher(state.logits, g, 1.0)
-        assert np.array_equal(p_star, state.probs)
+    g = mirror_direction(state, zero)
+    assert np.all(g == 0.0)
+    p_star = mirror_teacher(state.logits, g, 1.0)
+    assert np.array_equal(p_star, state.probs)

@@ -8,7 +8,7 @@ import pytest
 from driftlm.backbone import ModelConfig, param_items, params_to_vector
 from driftlm.corpus import banded_source, sample_sequences
 from driftlm.drift import DriftConfig, queue_push
-from driftlm.encoder import FeatureVec, encoder_param_bytes, real_feature
+from driftlm.encoder import encoder_param_bytes, real_features_batch
 from driftlm.numcore import InvalidInputError
 from driftlm.objectives import ObjectiveKind
 from driftlm.trainer import (
@@ -69,6 +69,22 @@ def test_config_validation():
         TrainConfig(t_min=0.5, t_max=0.4)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("micro_batch", 0),
+        ("micro_batch", -8),
+        ("batch_size", 0),
+        ("eval_samples", 0),
+        ("eval_nfes", ()),
+        ("queue_capacity", 0),
+    ],
+)
+def test_config_rejects_empty_sizes_naming_the_field(field, value):
+    with pytest.raises(InvalidInputError, match=field):
+        TrainConfig(**{field: value})
+
+
 @pytest.mark.parametrize("objective", [None, ObjectiveKind()], ids=["base", "drift"])
 def test_ten_steps_bit_identical(source, objective):
     cfg = tiny_config(objective=objective)
@@ -111,8 +127,6 @@ def test_base_phase_leaves_queues_empty(source):
 
 
 def test_pushed_features_are_pre_update(source):
-    from driftlm.encoder import real_features_batch
-
     cfg = tiny_config(objective=ObjectiveKind(), batch_size=2, micro_batch=2)
     state = init_state(cfg)
     batch = sample_sequences(source, cfg.batch_size, cfg.model.length, state.rng)
@@ -120,8 +134,7 @@ def test_pushed_features_are_pre_update(source):
     # real features in the queue correspond to the frozen encoder (init params),
     # not the updated generator
     expected = real_features_batch(state.encoder, batch)
-    for feat, want in zip(state.q_real.entries, expected):
-        assert np.array_equal(feat.values, want.values)
+    assert np.array_equal(state.q_real.rows, expected)
 
 
 def test_drift_metrics_reported(source):
@@ -166,18 +179,17 @@ def test_equilibrium_step_leaves_parameters_bit_identical(source):
 
     # one clean sequence; its real feature under the frozen encoder
     clean = sample_sequences(source, 1, cfg.model.length, rng)
-    u = real_feature(state.encoder, clean[0])
+    u = real_features_batch(state.encoder, clean)
 
     extras = []
     for _ in range(3):
         v = rng.normal(size=state.encoder.feature_dim)
         extras.append(v / np.linalg.norm(v))
+    extras = np.stack(extras)
     # positives will be [u, e0, e1, e2]; negatives (after self-exclusion)
     # must match element for element, in the same order
-    queue_push(state.q_real, [FeatureVec(e.copy()) for e in extras])
-    queue_push(
-        state.q_gen, [FeatureVec(u.values.copy())] + [FeatureVec(e.copy()) for e in extras]
-    )
+    queue_push(state.q_real, extras.copy())
+    queue_push(state.q_gen, np.concatenate([u, extras]))
 
     before = params_to_vector(state.params)
     metrics = train_step(state, clean, cfg)
