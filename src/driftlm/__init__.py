@@ -1,6 +1,6 @@
 """Desk-scale lab for drifting-objective refinement of discrete diffusion LMs."""
 
-from .backbone import CorruptionKind, CorruptionRecord, DenoiserParams, ModelConfig
+from .backbone import CorruptionKind, DenoiserParams, ModelConfig
 from .corpus import MarkovSource, banded_source
 from .drift import DriftConfig, ReferenceQueue
 from .encoder import FrozenEncoder, LiftKind
@@ -10,7 +10,6 @@ from .trainer import Checkpoint, TrainConfig, TrainState
 __all__ = [
     "Checkpoint",
     "CorruptionKind",
-    "CorruptionRecord",
     "DenoiserParams",
     "DriftConfig",
     "FrozenEncoder",

@@ -116,10 +116,6 @@ def copy_params(params: DenoiserParams) -> DenoiserParams:
     return params_from_items({name: arr.copy() for name, arr in param_items(params)})
 
 
-def zeros_like_params(params: DenoiserParams) -> dict[str, Array]:
-    return {name: np.zeros_like(arr) for name, arr in param_items(params)}
-
-
 def params_to_vector(params: DenoiserParams) -> Array:
     return np.concatenate([arr.ravel() for _, arr in param_items(params)])
 
@@ -160,40 +156,37 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, init_std: float = 0.
 # corruption
 
 
-@dataclass(frozen=True)
-class CorruptionRecord:
-    corrupted: Array            # [L] int64, may contain the mask symbol
-    level: float                # t in (0, 1)
-    predicted_positions: Array  # sorted int64 indices the model must predict
-
-
 def corrupt(
     clean: Array,
-    t: float,
+    levels: Array,
     kind: CorruptionKind,
     rng: np.random.Generator,
     vocab_size: int = 32,
-) -> CorruptionRecord:
-    """Independent per-position corruption at level ``t``."""
-    if not (0.0 < t < 1.0):
-        raise InvalidInputError(f"corruption level must lie in (0, 1), got {t}")
+) -> tuple[Array, Array]:
+    """Independent per-position corruption of each row ``clean[i]`` at level ``levels[i]``.
+
+    Returns the corrupted tokens ``[n, L]`` and the boolean ``predicted [n, L]``
+    mask of positions the model must predict: the masked positions for the
+    masked process, every position for the uniform one.  All hit uniforms
+    are drawn before any resampled token.
+    """
     seq = np.asarray(clean, dtype=np.int64)
+    t = np.asarray(levels, dtype=np.float64)
+    if seq.ndim != 2 or t.shape != seq.shape[:1]:
+        raise InvalidInputError("corrupt expects clean [n, L] and one level per row")
+    bad = np.flatnonzero(~((t > 0.0) & (t < 1.0)))
+    if bad.size:
+        raise InvalidInputError(
+            f"corruption level must lie in (0, 1), got {t[bad[0]]} in row {bad[0]}"
+        )
     mask_index = vocab_size - 1
     if np.any(seq < 0) or np.any(seq >= mask_index):
         raise InvalidInputError("clean sequence contains the mask symbol or bad indices")
-    hits = rng.random(seq.size) < t
+    hits = rng.random(seq.shape) < t[:, None]
     if kind == CorruptionKind.MASKED:
-        corrupted = np.where(hits, mask_index, seq)
-        predicted = np.flatnonzero(corrupted == mask_index)
-    else:
-        resampled = rng.integers(0, mask_index, size=seq.size)
-        corrupted = np.where(hits, resampled, seq)
-        predicted = np.arange(seq.size, dtype=np.int64)
-    return CorruptionRecord(
-        corrupted=corrupted.astype(np.int64),
-        level=float(t),
-        predicted_positions=predicted.astype(np.int64),
-    )
+        return np.where(hits, mask_index, seq), hits
+    resampled = rng.integers(0, mask_index, size=seq.shape)
+    return np.where(hits, resampled, seq), np.ones(seq.shape, dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +195,8 @@ def corrupt(
 
 @dataclass
 class BlockCache:
-    z: Array  # [N, L, 2d] concatenated (input ; pooled context)
+    x: Array  # [N, L, d] block input
+    c: Array  # [N, d] its mean over positions (the pooled context)
     u: Array  # [N*L, d_h] tanh activations
 
 
@@ -215,19 +209,26 @@ class ForwardCache:
 
 
 def run_blocks(params: DenoiserParams, e: Array) -> tuple[list[Array], list[BlockCache]]:
-    """Residual context-conditioned MLP stack on embeddings ``e`` of shape [N, L, d]."""
+    """Residual context-conditioned MLP stack on embeddings ``e`` of shape [N, L, d].
+
+    Each block applies ``w1`` to [h ; mean_L h] as two halves: ``h @ w1[:d]``
+    per position plus ``mean_L h @ w1[d:] + b1`` once per sequence.
+    """
     h = e
     n, length, d = h.shape
     hiddens: list[Array] = []
     caches: list[BlockCache] = []
     for blk in params.blocks:
         c = h.mean(axis=1)
-        z = np.concatenate([h, np.broadcast_to(c[:, None, :], h.shape)], axis=2)
-        a = z.reshape(n * length, 2 * d) @ blk.w1 + blk.b1
-        u = np.tanh(a)
-        h = h + (u @ blk.w2).reshape(n, length, d) + blk.b2
+        a = (h.reshape(n * length, d) @ blk.w1[:d]).reshape(n, length, -1)
+        a += (c @ blk.w1[d:] + blk.b1)[:, None, :]
+        u = np.tanh(a, out=a).reshape(n * length, -1)
+        caches.append(BlockCache(x=h, c=c, u=u))
+        out = (u @ blk.w2).reshape(n, length, d)
+        out += h
+        out += blk.b2
+        h = out
         hiddens.append(h)
-        caches.append(BlockCache(z=z, u=u))
     return hiddens, caches
 
 
@@ -243,7 +244,7 @@ def blocks_backward(
     output (pooling taps inject here); returns the cotangent at the input
     embeddings and, optionally, per-parameter gradients for the blocks.
     """
-    n, length, d = caches[0].z.shape[0], caches[0].z.shape[1], caches[0].z.shape[2] // 2
+    n, length, d = caches[0].x.shape
     gh = np.zeros((n, length, d))
     grads: dict[str, Array] = {}
     for b in range(len(params.blocks) - 1, -1, -1):
@@ -253,16 +254,20 @@ def blocks_backward(
         blk = params.blocks[b]
         cache = caches[b]
         g_flat = gh.reshape(n * length, d)
-        g_u = g_flat @ blk.w2.T
-        g_a = numcore.tanh_vjp_from_output(cache.u, g_u)
+        g_a = numcore.tanh_vjp_from_output(cache.u, g_flat @ blk.w2.T)
+        g_a_seq = g_a.reshape(n, length, -1).sum(axis=1)  # [N, d_h], per sequence
         if want_param_grads:
             grads[f"block{b + 1}.w2"] = cache.u.T @ g_flat
             grads[f"block{b + 1}.b2"] = g_flat.sum(axis=0)
-            grads[f"block{b + 1}.w1"] = cache.z.reshape(n * length, 2 * d).T @ g_a
-            grads[f"block{b + 1}.b1"] = g_a.sum(axis=0)
-        g_z = (g_a @ blk.w1.T).reshape(n, length, 2 * d)
-        # residual path + direct slice + mean-pool context path
-        gh = gh + g_z[..., :d] + g_z[..., d:].sum(axis=1, keepdims=True) / length
+            grads[f"block{b + 1}.w1"] = np.concatenate(
+                [cache.x.reshape(n * length, d).T @ g_a, cache.c.T @ g_a_seq]
+            )
+            grads[f"block{b + 1}.b1"] = g_a_seq.sum(axis=0)
+        # residual path + direct half + mean-pool context half
+        g_x = (g_a @ blk.w1[:d].T).reshape(n, length, d)
+        g_x += gh
+        g_x += (g_a_seq @ blk.w1[d:].T / length)[:, None, :]
+        gh = g_x
     return gh, (grads if want_param_grads else None)
 
 
@@ -298,55 +303,33 @@ def backward_tokens(
     g_e, block_grads = blocks_backward(params, cache.block_caches, grad_hiddens, True)
     grads.update(block_grads)
     grads["pos_embed"] = g_e.sum(axis=0)
-    g_embed = np.zeros_like(params.embed)
-    np.add.at(g_embed, tok.ravel(), g_e.reshape(n * length, d))
-    grads["embed"] = g_embed
+    onehot = (tok.reshape(-1, 1) == np.arange(params.vocab_size)).astype(np.float64)
+    grads["embed"] = onehot.T @ g_e.reshape(n * length, d)
     return grads
-
-
-@dataclass
-class DenoiserForward:
-    hidden1: Array  # [L, d] penultimate block output
-    hidden2: Array  # [L, d] final block output
-    logits: Array   # [L, V]
-    cache: ForwardCache
-
-
-def denoise_forward(params: DenoiserParams, corrupted: Array) -> DenoiserForward:
-    """Single-sequence forward pass returning per-layer hidden states and logits."""
-    logits, cache = forward_tokens(params, np.asarray(corrupted, dtype=np.int64)[None, :])
-    return DenoiserForward(
-        hidden1=cache.hiddens[-2][0],
-        hidden2=cache.hiddens[-1][0],
-        logits=logits[0],
-        cache=cache,
-    )
-
-
-def denoise_backward(
-    params: DenoiserParams, fwd: DenoiserForward, grad_logits: Array
-) -> dict[str, Array]:
-    return backward_tokens(params, fwd.cache, np.asarray(grad_logits)[None, :, :])
 
 
 # ---------------------------------------------------------------------------
 # base denoising loss
 
 
-def base_loss(logits: Array, clean: Array, positions: Array) -> tuple[float, Array]:
-    """Mean cross-entropy over the predicted positions, with its logit gradient."""
+def base_loss(logits: Array, clean: Array, predicted: Array) -> tuple[Array, Array]:
+    """Per-sequence mean cross-entropy over the predicted positions, with its logit gradient.
+
+    ``logits [n, L, V]``, ``clean [n, L]`` and the boolean ``predicted [n, L]``
+    give losses ``[n]`` and the gradient ``[n, L, V]`` of their sum; a row
+    with no predicted positions has zero loss and zero gradient.
+    """
     logits = np.asarray(logits, dtype=np.float64)
-    pos = np.asarray(positions, dtype=np.int64)
-    grad = np.zeros_like(logits)
-    if pos.size == 0:
-        return 0.0, grad
-    clean = np.asarray(clean, dtype=np.int64)
-    logp = numcore.log_softmax_rows(logits[pos])
-    targets = clean[pos]
-    loss = float(-logp[np.arange(pos.size), targets].mean())
+    predicted = np.asarray(predicted, dtype=bool)
+    seq_of, pos_of = np.nonzero(predicted)
+    count = np.maximum(predicted.sum(axis=1), 1)
+    logp = numcore.log_softmax_rows(logits[seq_of, pos_of])  # [K, V], one row per prediction
+    hit = (np.arange(seq_of.size), np.asarray(clean, dtype=np.int64)[seq_of, pos_of])
+    loss = np.bincount(seq_of, weights=-logp[hit], minlength=logits.shape[0]) / count
     g = np.exp(logp)
-    g[np.arange(pos.size), targets] -= 1.0
-    grad[pos] = g / pos.size
+    g[hit] -= 1.0
+    grad = np.zeros_like(logits)
+    grad[seq_of, pos_of] = g / count[seq_of, None]
     return loss, grad
 
 
@@ -363,6 +346,15 @@ def _categorical_rows(probs: Array, rng: np.random.Generator) -> Array:
     return picks.reshape(probs.shape[:-1])
 
 
+# Sequences per sampler forward.  At the default model a chunk's largest
+# array, the [256, 64] block activation, is 128 KB: a step's arrays stay in a
+# core's L2 cache and the allocator reuses their memory.  A whole-batch
+# forward at n = 2048 streams fresh 8-16 MB arrays through the shared cache
+# and faults their pages in again on every step, so its time follows the
+# host's memory traffic.
+SAMPLE_CHUNK = 16
+
+
 def sample_batch(
     params: DenoiserParams,
     kind: CorruptionKind,
@@ -376,7 +368,9 @@ def sample_batch(
     Masked: ancestral unmasking, committing a random subset of still-masked
     positions each step.  Uniform: iterated full resampling from the
     predictive rows.  Predictions are always restricted to the clean
-    vocabulary, so outputs never contain the mask symbol.
+    vocabulary, so outputs never contain the mask symbol.  Each step runs
+    the denoiser over chunks of ``SAMPLE_CHUNK`` sequences; the chunks draw
+    from ``rng`` in row order, so the draws equal a whole-batch step's.
     """
     if nfe < 1:
         raise InvalidInputError("nfe must be at least 1")
@@ -384,19 +378,20 @@ def sample_batch(
     mask_index = params.mask_index
     if kind == CorruptionKind.MASKED and nfe > length:
         raise InvalidInputError("masked sampling requires nfe <= sequence length")
+    chunks = [slice(lo, min(lo + SAMPLE_CHUNK, n)) for lo in range(0, n, SAMPLE_CHUNK)]
 
-    def _predictive(tokens: Array) -> Array:
-        logits, _ = forward_tokens(params, tokens)
-        if on_forward is not None:
-            on_forward(tokens.shape[0])
+    def _clean_probs(logits: Array) -> Array:
         probs = numcore.softmax_rows(logits)[..., :mask_index]
         return probs / probs.sum(axis=-1, keepdims=True)
 
     if kind == CorruptionKind.UNIFORM:
         tokens = rng.integers(0, mask_index, size=(n, length), dtype=np.int64)
         for _ in range(nfe):
-            probs = _predictive(tokens)
-            tokens = _categorical_rows(probs, rng).astype(np.int64)
+            for part in chunks:
+                logits, _ = forward_tokens(params, tokens[part])
+                tokens[part] = _categorical_rows(_clean_probs(logits), rng)
+            if on_forward is not None:
+                on_forward(n)
         return tokens
 
     tokens = np.full((n, length), mask_index, dtype=np.int64)
@@ -405,27 +400,20 @@ def sample_batch(
     for step in range(nfe):
         steps_left = nfe - step
         commit = -(-remaining // steps_left)  # ceil division
-        probs = _predictive(tokens)
         # random subset of masked positions, identical count per sequence
         keys = rng.random((n, length))
         keys[~still_masked] = 2.0  # unmasked positions sort last
         chosen = np.argsort(keys, axis=1)[:, :commit]
-        rows = np.repeat(np.arange(n), commit)
-        cols = chosen.ravel()
-        draws = _categorical_rows(probs[rows, cols], rng)
-        tokens[rows, cols] = draws.astype(np.int64)
-        still_masked[rows, cols] = False
+        for part in chunks:
+            logits, _ = forward_tokens(params, tokens[part])
+            rows = np.repeat(np.arange(logits.shape[0]), commit)
+            cols = chosen[part].ravel()
+            # only the committed rows are normalized and drawn from
+            tokens[part][rows, cols] = _categorical_rows(_clean_probs(logits[rows, cols]), rng)
+        if on_forward is not None:
+            on_forward(n)
+        still_masked[np.arange(n)[:, None], chosen] = False
         remaining -= commit
     if remaining != 0 or np.any(tokens == mask_index):
         raise RuntimeError("masked sampler failed to commit every position")
     return tokens
-
-
-def sample(
-    params: DenoiserParams,
-    kind: CorruptionKind,
-    nfe: int,
-    rng: np.random.Generator,
-    on_forward: Callable[[int], None] | None = None,
-) -> Array:
-    return sample_batch(params, kind, nfe, 1, rng, on_forward=on_forward)[0]

@@ -665,11 +665,11 @@ def _check_corrupt_boundaries():
     from .backbone import corrupt
 
     rng = np.random.default_rng(0)
-    clean = rng.integers(0, 31, size=16)
-    rec = corrupt(clean, 1.0 - 1e-12, CorruptionKind.MASKED, np.random.default_rng(1))
-    assert np.all(rec.corrupted == 31) and rec.predicted_positions.size == 16
-    rec = corrupt(clean, 1e-12, CorruptionKind.MASKED, np.random.default_rng(1))
-    assert np.array_equal(rec.corrupted, clean) and rec.predicted_positions.size == 0
+    clean = rng.integers(0, 31, size=(2, 16))
+    levels = np.array([1.0 - 1e-12, 1e-12])
+    corrupted, predicted = corrupt(clean, levels, CorruptionKind.MASKED, np.random.default_rng(1))
+    assert np.all(corrupted[0] == 31) and np.all(predicted[0])
+    assert np.array_equal(corrupted[1], clean[1]) and not np.any(predicted[1])
 
 
 def _check_sampler_contract():

@@ -142,7 +142,10 @@ def tanh_vjp(x: Array, upstream: Array) -> Array:
 
 
 def tanh_vjp_from_output(y: Array, upstream: Array) -> Array:
-    return upstream * (1.0 - y * y)
+    # one full-size temporary instead of three; same value as upstream * (1 - y*y)
+    slope = np.multiply(y, y)
+    np.subtract(1.0, slope, out=slope)
+    return np.multiply(upstream, slope, out=slope)
 
 
 def mean_pool_vjp(input_shape: Sequence[int], upstream: Array) -> Array:

@@ -114,11 +114,9 @@ def total_objective(
             l_star = state.logits + kind.eta * g
             losses, grad = mirror_mse_loss(l_star, state.logits, state.predicted)
     if kind.with_base_loss:
-        for i in range(n):
-            positions = np.flatnonzero(state.predicted[i])
-            bl, bg = base_loss(state.logits[i], clean_batch[i], positions)
-            losses[i] += bl
-            grad[i] += bg
+        base_losses, base_grad = base_loss(state.logits, clean_batch, state.predicted)
+        losses += base_losses
+        grad += base_grad
     return TotalObjective(
         loss=float(losses.sum() / n), grad_logits=grad / n, per_sample_loss=losses
     )

@@ -187,29 +187,19 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
     # corrupt the whole batch up front so the draw stream does not depend on
     # the micro-batch granularity
     levels = state.rng.uniform(config.t_min, config.t_max, size=batch.shape[0])
-    all_records = [
-        corrupt(batch[i], levels[i], config.corruption, state.rng, vocab)
-        for i in range(batch.shape[0])
-    ]
+    corrupted, predicted = corrupt(batch, levels, config.corruption, state.rng, vocab)
 
     for k in range(n_micro):
-        chunk = batch[k * mb : (k + 1) * mb]
-        records = all_records[k * mb : (k + 1) * mb]
-        tokens = np.stack([r.corrupted for r in records])
+        rows = slice(k * mb, (k + 1) * mb)
+        chunk, tokens = batch[rows], corrupted[rows]
         logits, cache = forward_tokens(state.params, tokens)
 
         if objective is None:
-            micro_loss = 0.0
-            grad_logits = np.zeros_like(logits)
-            for i in range(mb):
-                loss_i, grad_i = base_loss(logits[i], chunk[i], records[i].predicted_positions)
-                micro_loss += loss_i / mb
-                grad_logits[i] = grad_i / mb
+            losses, grad_logits = base_loss(logits, chunk, predicted[rows])
+            micro_loss = float(losses.sum() / mb)
+            grad_logits /= mb
         else:
-            predicted = np.zeros(tokens.shape, dtype=bool)
-            for i, r in enumerate(records):
-                predicted[i, r.predicted_positions] = True
-            lifted = lift_and_encode(state.encoder, logits, tokens, predicted, objective.lift)
+            lifted = lift_and_encode(state.encoder, logits, tokens, predicted[rows], objective.lift)
             gens = lifted.features
             reals = real_features_batch(state.encoder, chunk)
             positives, negatives = build_references(reals, gens, state.q_real, state.q_gen)
@@ -230,7 +220,7 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
                     "micro_batch": k,
                     "loss": micro_loss,
                     "corrupted": tokens.tolist(),
-                    "levels": [float(t) for t in levels[k * mb : (k + 1) * mb]],
+                    "levels": [float(t) for t in levels[rows]],
                 },
             )
         loss_total += micro_loss / n_micro

@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from driftlm.backbone import ModelConfig, init_params
+from driftlm.backbone import (
+    ForwardCache,
+    ModelConfig,
+    backward_tokens,
+    forward_tokens,
+    init_params,
+    sample_batch,
+)
 from driftlm.encoder import make_frozen_encoder
 
 settings.register_profile("ci", max_examples=30, deadline=None, derandomize=True)
@@ -36,13 +45,32 @@ def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def stack_records(records) -> tuple[np.ndarray, np.ndarray]:
-    """Corrupted tokens ``[n, L]`` and the predicted-position mask ``[n, L]`` of a record list."""
-    corrupted = np.stack([r.corrupted for r in records])
-    predicted = np.zeros(corrupted.shape, dtype=bool)
-    for i, r in enumerate(records):
-        predicted[i, r.predicted_positions] = True
-    return corrupted, predicted
+@dataclass
+class DenoiserForward:
+    hidden1: np.ndarray  # [L, d] penultimate block output
+    hidden2: np.ndarray  # [L, d] final block output
+    logits: np.ndarray   # [L, V]
+    cache: ForwardCache
+
+
+def denoise_forward(params, corrupted) -> DenoiserForward:
+    """Single-sequence forward pass returning per-layer hidden states and logits."""
+    logits, cache = forward_tokens(params, np.asarray(corrupted, dtype=np.int64)[None, :])
+    return DenoiserForward(
+        hidden1=cache.hiddens[-2][0],
+        hidden2=cache.hiddens[-1][0],
+        logits=logits[0],
+        cache=cache,
+    )
+
+
+def denoise_backward(params, fwd: DenoiserForward, grad_logits) -> dict[str, np.ndarray]:
+    return backward_tokens(params, fwd.cache, np.asarray(grad_logits)[None, :, :])
+
+
+def sample(params, kind, nfe: int, rng: np.random.Generator, on_forward=None) -> np.ndarray:
+    """One sequence ``[L]`` from the fixed-NFE sampler."""
+    return sample_batch(params, kind, nfe, 1, rng, on_forward=on_forward)[0]
 
 
 def rel_err(analytic: np.ndarray, reference: np.ndarray, atol: float = 1e-8) -> float:

@@ -55,8 +55,6 @@ from driftlm.objectives import (
 )
 from driftlm.evalcli import cli
 
-from conftest import stack_records
-
 DESK = ModelConfig()  # |V| = 32, L = 16, d = 32
 
 
@@ -79,14 +77,16 @@ def _desk_instance(rng, batch=4, kind=CorruptionKind.MASKED, require_predicted=T
     source = banded_source()
     while True:
         clean = sample_sequences(source, batch, DESK.length, rng)
-        records = [
-            corrupt(clean[i], float(rng.uniform(0.2, 0.9)), kind, rng, DESK.vocab_size)
+        # one row at a time: each row's level is drawn just before its corruption
+        rows = [
+            corrupt(clean[i : i + 1], rng.uniform(0.2, 0.9, size=1), kind, rng, DESK.vocab_size)
             for i in range(batch)
         ]
-        if not require_predicted or all(r.predicted_positions.size for r in records):
+        corrupted, predicted = (np.concatenate(parts) for parts in zip(*rows))
+        if not require_predicted or np.all(predicted.any(axis=1)):
             break
-    logits, cache = forward_tokens(params, np.stack([r.corrupted for r in records]))
-    state = lift_and_encode(encoder, logits, *stack_records(records))
+    logits, cache = forward_tokens(params, corrupted)
+    state = lift_and_encode(encoder, logits, corrupted, predicted)
     m = encoder.feature_dim
     q_real, q_gen = ReferenceQueue(6, m), ReferenceQueue(6, m)
     queue_push(q_real, np.stack([_unit(rng, m) for _ in range(6)]))
@@ -94,12 +94,12 @@ def _desk_instance(rng, batch=4, kind=CorruptionKind.MASKED, require_predicted=T
     reals = real_features_batch(encoder, clean)
     positives, negatives = build_references(reals, state.features, q_real, q_gen)
     drifts = drift_multi_temp(state.features, positives, negatives, DriftConfig())
-    return params, encoder, source, clean, records, logits, cache, state, drifts
+    return params, encoder, source, clean, corrupted, predicted, logits, cache, state, drifts
 
 
-def _lift_one(encoder, logits, record, lift=LiftKind.SOFT):
-    """``lift_and_encode`` of one sequence ``[L, V]`` as a batch of one."""
-    return lift_and_encode(encoder, logits[None], *stack_records([record]), lift)
+def _lift_one(encoder, logits, corrupted, predicted, lift=LiftKind.SOFT):
+    """``lift_and_encode`` of one sequence (logits ``[L, V]``, tokens and mask ``[L]``)."""
+    return lift_and_encode(encoder, logits[None], corrupted[None], predicted[None], lift)
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +116,17 @@ def test_criterion_1_gradient_oracle_suite():
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(100):
-        params, encoder, _, clean, records, logits, cache, state, drifts = _desk_instance(rng)
-        batch = len(records)
+        params, encoder, _, clean, corrupted, predicted, logits, cache, state, drifts = (
+            _desk_instance(rng)
+        )
+        batch = len(clean)
         kind = ObjectiveKind()  # FeatureL2, soft lift, alpha 1
         out = total_objective(kind, state, drifts, clean)
         targets = state.features + kind.alpha * drifts
 
         def sample_loss(i, sample_logits):
-            diff = _lift_one(encoder, sample_logits, records[i], kind.lift).features[0] - targets[i]
+            lifted = _lift_one(encoder, sample_logits, corrupted[i], predicted[i], kind.lift)
+            diff = lifted.features[0] - targets[i]
             return 0.5 * float(diff @ diff) / batch
 
         # logits: random coordinates of random samples
@@ -139,10 +142,11 @@ def test_criterion_1_gradient_oracle_suite():
 
         def total_loss(vec):
             p = params_from_vector(params, vec)
-            lg, _ = forward_tokens(p, np.stack([r.corrupted for r in records]))
+            lg, _ = forward_tokens(p, corrupted)
             value = 0.0
             for i in range(batch):
-                diff = _lift_one(encoder, lg[i], records[i], kind.lift).features[0] - targets[i]
+                lifted = _lift_one(encoder, lg[i], corrupted[i], predicted[i], kind.lift)
+                diff = lifted.features[0] - targets[i]
                 value += 0.5 * float(diff @ diff)
             return value / batch
 
@@ -167,29 +171,30 @@ def test_criterion_2_soft_lift_differentiable_hard_lift_piecewise_constant():
         params = init_params(DESK, rng)
         encoder = make_frozen_encoder(params)
         source = banded_source()
-        clean = sample_sequences(source, 1, DESK.length, rng)[0]
-        record = corrupt(clean, float(rng.uniform(0.3, 0.9)), CorruptionKind.MASKED, rng, 32)
-        if record.predicted_positions.size == 0:
+        clean = sample_sequences(source, 1, DESK.length, rng)
+        corrupted, predicted = corrupt(
+            clean, rng.uniform(0.3, 0.9, size=1), CorruptionKind.MASKED, rng, 32
+        )
+        if not np.any(predicted):
             nonzero += 1  # vacuously fine; no predicted positions to test
             continue
         logits = rng.normal(size=(DESK.length, DESK.vocab_size))
-        state = _lift_one(encoder, logits, record, LiftKind.SOFT)
+        state = _lift_one(encoder, logits, corrupted[0], predicted[0], LiftKind.SOFT)
         g = pullback_to_logits(state, _unit(rng, encoder.feature_dim)[None])[0]
-        if np.any(g[record.predicted_positions] != 0.0):
+        if np.any(g[predicted[0]] != 0.0):
             nonzero += 1
 
         # hard forward is bit-identical under argmax-preserving perturbation:
         # move mass toward the runner-up while the top entry stays largest
         probs = state.probs[0]
         bumped = probs.copy()
-        pos = record.predicted_positions[0]
+        pos = np.flatnonzero(predicted[0])[0]
         order = np.argsort(probs[pos])
         top, second = int(order[-1]), int(order[-2])
         shift = 0.25 * (probs[pos, top] - probs[pos, second])
         bumped[pos, second] += shift
         bumped[pos, top] -= shift
         assert int(bumped[pos].argmax()) == top
-        corrupted, predicted = stack_records([record])
         a = hard_st_lift(probs[None], corrupted, predicted, encoder.params.embed)
         b = hard_st_lift(bumped[None], corrupted, predicted, encoder.params.embed)
         assert a.tobytes() == b.tobytes()
@@ -218,9 +223,9 @@ def test_criterion_3_equilibrium_suite():
     encoder = make_frozen_encoder(params)
     source = banded_source()
     clean = sample_sequences(source, 2, DESK.length, rng)
-    records = [corrupt(clean[i], 0.5, CorruptionKind.MASKED, rng, 32) for i in range(2)]
-    logits, _ = forward_tokens(params, np.stack([r.corrupted for r in records]))
-    state = lift_and_encode(encoder, logits, *stack_records(records))
+    corrupted, predicted = corrupt(clean, np.full(2, 0.5), CorruptionKind.MASKED, rng, 32)
+    logits, _ = forward_tokens(params, corrupted)
+    state = lift_and_encode(encoder, logits, corrupted, predicted)
     zero = np.zeros((2, encoder.feature_dim))
 
     loss, grad = feature_fixed_point_loss(state.features, zero, 1.0)
@@ -323,12 +328,14 @@ def test_criterion_6_local_ascent():
         params = init_params(DESK, rng)
         encoder = make_frozen_encoder(params)
         source = banded_source()
-        clean = sample_sequences(source, 1, DESK.length, rng)[0]
-        record = corrupt(clean, float(rng.uniform(0.3, 0.9)), CorruptionKind.MASKED, rng, 32)
-        if record.predicted_positions.size == 0:
+        clean = sample_sequences(source, 1, DESK.length, rng)
+        corrupted, predicted = corrupt(
+            clean, rng.uniform(0.3, 0.9, size=1), CorruptionKind.MASKED, rng, 32
+        )
+        if not np.any(predicted):
             continue
         logits = rng.normal(size=(DESK.length, DESK.vocab_size))
-        state = _lift_one(encoder, logits, record)
+        state = _lift_one(encoder, logits, corrupted[0], predicted[0])
         v = _unit(rng, encoder.feature_dim)
         g = mirror_direction(state, v[None])[0]
         g_sq = float((g * g).sum())
@@ -336,7 +343,7 @@ def test_criterion_6_local_ascent():
             continue
 
         def psi(l):
-            return float(v @ _lift_one(encoder, l, record).features[0])
+            return float(v @ _lift_one(encoder, l, corrupted[0], predicted[0]).features[0])
 
         base = psi(logits)
         for eta in (1e-3, 1e-2):

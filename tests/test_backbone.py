@@ -7,23 +7,58 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from driftlm import backbone
 from driftlm.backbone import (
     CorruptionKind,
+    backward_tokens,
     base_loss,
     corrupt,
-    denoise_backward,
-    denoise_forward,
     forward_tokens,
     init_params,
     param_items,
     params_from_vector,
     params_to_vector,
-    sample,
     sample_batch,
 )
-from driftlm.numcore import InvalidInputError, finite_diff_grad, softmax_rows
+from driftlm.encoder import LiftKind, lift_and_encode, make_frozen_encoder
+from driftlm.numcore import InvalidInputError, finite_diff_grad, log_softmax_rows, softmax_rows
+from driftlm.objectives import ObjectiveKind, total_objective
 
-from conftest import SMALL_MODEL, rel_err
+from conftest import SMALL_MODEL, denoise_backward, denoise_forward, rel_err, sample
+
+
+# ---------------------------------------------------------------------------
+# per-sequence reference implementations
+
+
+def _corrupt_masked_oracle(clean, levels, rng, vocab_size=32):
+    """One ``rng.random(L)`` draw per sequence, in row order."""
+    mask_index = vocab_size - 1
+    corrupted = np.empty_like(clean)
+    predicted = np.zeros(clean.shape, dtype=bool)
+    for i, (seq, t) in enumerate(zip(clean, levels)):
+        hits = rng.random(seq.size) < t
+        corrupted[i] = np.where(hits, mask_index, seq)
+        predicted[i, np.flatnonzero(corrupted[i] == mask_index)] = True
+    return corrupted, predicted
+
+
+def _base_loss_oracle(logits, clean, positions):
+    """Mean cross-entropy of one sequence ``[L, V]`` over ``positions``, with its gradient."""
+    grad = np.zeros_like(logits)
+    if positions.size == 0:
+        return 0.0, grad
+    logp = log_softmax_rows(logits[positions])
+    targets = clean[positions]
+    loss = float(-logp[np.arange(positions.size), targets].mean())
+    g = np.exp(logp)
+    g[np.arange(positions.size), targets] -= 1.0
+    grad[positions] = g / positions.size
+    return loss, grad
+
+
+def _one(level):
+    return np.array([level])
 
 
 # ---------------------------------------------------------------------------
@@ -31,23 +66,25 @@ from conftest import SMALL_MODEL, rel_err
 
 
 def test_corrupt_masked_t_to_one(rng):
-    clean = rng.integers(0, 31, size=16)
-    rec = corrupt(clean, 1.0 - 1e-12, CorruptionKind.MASKED, np.random.default_rng(1))
-    assert np.all(rec.corrupted == 31)
-    assert rec.predicted_positions.tolist() == list(range(16))
+    clean = rng.integers(0, 31, size=(1, 16))
+    corrupted, predicted = corrupt(
+        clean, _one(1.0 - 1e-12), CorruptionKind.MASKED, np.random.default_rng(1)
+    )
+    assert np.all(corrupted == 31)
+    assert np.all(predicted)
 
 
 def test_corrupt_masked_t_to_zero(rng):
-    clean = rng.integers(0, 31, size=16)
-    rec = corrupt(clean, 1e-12, CorruptionKind.MASKED, np.random.default_rng(1))
-    assert np.array_equal(rec.corrupted, clean)
-    assert rec.predicted_positions.size == 0
+    clean = rng.integers(0, 31, size=(1, 16))
+    corrupted, predicted = corrupt(clean, _one(1e-12), CorruptionKind.MASKED, np.random.default_rng(1))
+    assert np.array_equal(corrupted, clean)
+    assert not np.any(predicted)
 
 
 def test_corrupt_masked_count_binomial():
-    clean = np.arange(16) % 31
+    clean = (np.arange(16) % 31)[None]
     counts = [
-        corrupt(clean, 0.5, CorruptionKind.MASKED, rng).predicted_positions.size
+        corrupt(clean, _one(0.5), CorruptionKind.MASKED, rng)[1].sum()
         for rng in [np.random.default_rng(s) for s in range(10_000)]
     ]
     mean = float(np.mean(counts))
@@ -56,29 +93,38 @@ def test_corrupt_masked_count_binomial():
 
 
 def test_corrupt_masked_never_alters_unmasked(rng):
-    clean = rng.integers(0, 31, size=16)
+    clean = rng.integers(0, 31, size=(1, 16))
     for seed in range(50):
-        rec = corrupt(clean, 0.5, CorruptionKind.MASKED, np.random.default_rng(seed))
-        untouched = rec.corrupted != 31
-        assert np.array_equal(rec.corrupted[untouched], clean[untouched])
+        corrupted, _ = corrupt(clean, _one(0.5), CorruptionKind.MASKED, np.random.default_rng(seed))
+        untouched = corrupted != 31
+        assert np.array_equal(corrupted[untouched], clean[untouched])
+
+
+def test_corrupt_masked_matches_per_sequence_oracle():
+    clean = np.random.default_rng(2).integers(0, 31, size=(64, 16))
+    levels = np.random.default_rng(3).uniform(0.05, 0.95, size=64)
+    rng_batch, rng_oracle = np.random.default_rng(4), np.random.default_rng(4)
+    corrupted, predicted = corrupt(clean, levels, CorruptionKind.MASKED, rng_batch)
+    ref_corrupted, ref_predicted = _corrupt_masked_oracle(clean, levels, rng_oracle)
+    assert np.array_equal(corrupted, ref_corrupted)
+    assert np.array_equal(predicted, ref_predicted)
+    # both consumed the same number of draws
+    assert rng_batch.random() == rng_oracle.random()
 
 
 def test_corrupt_uniform_predicts_everything(rng):
-    clean = rng.integers(0, 31, size=16)
-    rec = corrupt(clean, 0.3, CorruptionKind.UNIFORM, np.random.default_rng(0))
-    assert rec.predicted_positions.tolist() == list(range(16))
-    assert np.all(rec.corrupted < 31)
+    clean = rng.integers(0, 31, size=(1, 16))
+    corrupted, predicted = corrupt(clean, _one(0.3), CorruptionKind.UNIFORM, np.random.default_rng(0))
+    assert np.all(predicted)
+    assert np.all(corrupted < 31)
 
 
 def test_corrupt_uniform_resample_marginal_is_uniform():
     # chi-square over resampled values at t ~ 1
-    clean = np.zeros(16, dtype=np.int64)
-    rng = np.random.default_rng(7)
-    draws = []
-    while len(draws) < 100_000:
-        rec = corrupt(clean, 1.0 - 1e-12, CorruptionKind.UNIFORM, rng)
-        draws.extend(rec.corrupted.tolist())
-    counts = np.bincount(np.asarray(draws[:100_000]), minlength=31)
+    clean = np.zeros((100_000 // 16, 16), dtype=np.int64)
+    levels = np.full(clean.shape[0], 1.0 - 1e-12)
+    corrupted, _ = corrupt(clean, levels, CorruptionKind.UNIFORM, np.random.default_rng(7))
+    counts = np.bincount(corrupted.ravel(), minlength=31)
     expected = 100_000 / 31
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     # dof = 30; p > 0.001 corresponds to chi2 < 59.7
@@ -86,15 +132,15 @@ def test_corrupt_uniform_resample_marginal_is_uniform():
 
 
 def test_corrupt_rejects_bad_level(rng):
-    clean = rng.integers(0, 31, size=16)
-    for t in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(InvalidInputError):
-            corrupt(clean, t, CorruptionKind.MASKED, np.random.default_rng(0))
+    clean = rng.integers(0, 31, size=(3, 16))
+    for t in (0.0, 1.0, -0.5, 2.0, math.nan):
+        with pytest.raises(InvalidInputError, match="row 2"):
+            corrupt(clean, np.array([0.5, 0.5, t]), CorruptionKind.MASKED, np.random.default_rng(0))
 
 
 def test_corrupt_rejects_mask_in_clean():
     with pytest.raises(InvalidInputError):
-        corrupt(np.array([0, 31]), 0.5, CorruptionKind.MASKED, np.random.default_rng(0), 32)
+        corrupt(np.array([[0, 31]]), _one(0.5), CorruptionKind.MASKED, np.random.default_rng(0), 32)
 
 
 # ---------------------------------------------------------------------------
@@ -154,50 +200,110 @@ def test_forward_gradient_matches_finite_differences(small_params, rng):
     assert rel_err(analytic, fd) <= 1e-5
 
 
+def test_batch_gradient_matches_finite_differences_on_distinct_sequences(small_params, rng):
+    # n = 3 distinct rows: a context gradient pooled across sequences instead
+    # of within each one fails here but not at n = 1
+    cfg = SMALL_MODEL
+    tokens = rng.integers(0, cfg.vocab_size, size=(3, cfg.length))
+    assert len({row.tobytes() for row in tokens}) == 3
+    logits, cache = forward_tokens(small_params, tokens)
+    upstream = rng.normal(size=logits.shape)
+    grads = backward_tokens(small_params, cache, upstream)
+    analytic = np.concatenate([grads[name].ravel() for name, _ in param_items(small_params)])
+
+    def f(vec):
+        return float(np.sum(upstream * forward_tokens(params_from_vector(small_params, vec), tokens)[0]))
+
+    fd = finite_diff_grad(f, params_to_vector(small_params), step=1e-5)
+    assert rel_err(analytic, fd) <= 1e-5
+
+
 # ---------------------------------------------------------------------------
 # base loss
 
 
+def _mask(rows):
+    """Predicted-position mask ``[len(rows), L]`` from per-row position lists."""
+    predicted = np.zeros((len(rows), SMALL_MODEL.length), dtype=bool)
+    for i, positions in enumerate(rows):
+        predicted[i, positions] = True
+    return predicted
+
+
 def test_base_loss_uniform_logits(small_params):
     cfg = SMALL_MODEL
-    logits = np.zeros((cfg.length, cfg.vocab_size))
-    clean = np.arange(cfg.length) % cfg.clean_vocab
-    loss, _ = base_loss(logits, clean, np.arange(cfg.length))
-    assert abs(loss - math.log(cfg.vocab_size)) < 1e-12
+    logits = np.zeros((1, cfg.length, cfg.vocab_size))
+    clean = (np.arange(cfg.length) % cfg.clean_vocab)[None]
+    loss, _ = base_loss(logits, clean, np.ones((1, cfg.length), bool))
+    assert abs(loss[0] - math.log(cfg.vocab_size)) < 1e-12
 
 
 def test_base_loss_confident_prediction_is_tiny(rng):
     cfg = SMALL_MODEL
-    clean = rng.integers(0, cfg.clean_vocab, size=cfg.length)
-    logits = np.zeros((cfg.length, cfg.vocab_size))
-    logits[np.arange(cfg.length), clean] = 1e4
-    loss, grad = base_loss(logits, clean, np.arange(cfg.length))
-    assert loss < 1e-8
+    clean = rng.integers(0, cfg.clean_vocab, size=(1, cfg.length))
+    logits = np.zeros((1, cfg.length, cfg.vocab_size))
+    logits[0, np.arange(cfg.length), clean[0]] = 1e4
+    loss, grad = base_loss(logits, clean, np.ones((1, cfg.length), bool))
+    assert loss[0] < 1e-8
     assert np.max(np.abs(grad)) < 1e-4
 
 
 def test_base_loss_empty_positions():
-    loss, grad = base_loss(np.ones((4, 6)), np.zeros(4, dtype=int), np.array([], dtype=int))
-    assert loss == 0.0 and np.all(grad == 0.0)
+    loss, grad = base_loss(np.ones((1, 4, 6)), np.zeros((1, 4), dtype=int), np.zeros((1, 4), bool))
+    assert loss[0] == 0.0 and np.all(grad == 0.0)
 
 
 def test_base_loss_gradient_matches_finite_differences(rng):
     cfg = SMALL_MODEL
-    clean = rng.integers(0, cfg.clean_vocab, size=cfg.length)
-    positions = np.array([0, 2, 3])
-    logits = rng.normal(size=(cfg.length, cfg.vocab_size))
-    _, grad = base_loss(logits, clean, positions)
-    fd = finite_diff_grad(lambda l: base_loss(l, clean, positions)[0], logits, step=1e-5)
+    clean = rng.integers(0, cfg.clean_vocab, size=(2, cfg.length))
+    predicted = _mask([[0, 2, 3], [1, 4]])
+    logits = rng.normal(size=(2, cfg.length, cfg.vocab_size))
+    _, grad = base_loss(logits, clean, predicted)
+    fd = finite_diff_grad(lambda l: base_loss(l, clean, predicted)[0].sum(), logits, step=1e-5)
     assert rel_err(grad, fd) <= 1e-5
 
 
 def test_base_loss_grad_zero_off_positions(rng):
     cfg = SMALL_MODEL
-    clean = rng.integers(0, cfg.clean_vocab, size=cfg.length)
-    positions = np.array([1, 4])
-    _, grad = base_loss(rng.normal(size=(cfg.length, cfg.vocab_size)), clean, positions)
-    off = np.setdiff1d(np.arange(cfg.length), positions)
-    assert np.all(grad[off] == 0.0)
+    clean = rng.integers(0, cfg.clean_vocab, size=(1, cfg.length))
+    predicted = _mask([[1, 4]])
+    _, grad = base_loss(rng.normal(size=(1, cfg.length, cfg.vocab_size)), clean, predicted)
+    assert np.all(grad[~predicted] == 0.0)
+
+
+def test_base_loss_matches_per_sequence_oracle(rng):
+    cfg = SMALL_MODEL
+    n = 8
+    clean = rng.integers(0, cfg.clean_vocab, size=(n, cfg.length))
+    predicted = rng.random((n, cfg.length)) < 0.5
+    predicted[3] = False  # a row with nothing to predict
+    predicted[5] = True
+    logits = 3.0 * rng.normal(size=(n, cfg.length, cfg.vocab_size))
+    loss, grad = base_loss(logits, clean, predicted)
+    assert loss.shape == (n,) and grad.shape == logits.shape
+    for i in range(n):
+        ref_loss, ref_grad = _base_loss_oracle(logits[i], clean[i], np.flatnonzero(predicted[i]))
+        assert abs(loss[i] - ref_loss) <= 1e-12
+        assert np.max(np.abs(grad[i] - ref_grad)) <= 1e-12
+    assert loss[3] == 0.0 and np.all(grad[3] == 0.0)
+
+
+def test_total_objective_base_loss_matches_per_sequence_sum(small_params, rng):
+    cfg = SMALL_MODEL
+    n = 4
+    encoder = make_frozen_encoder(small_params)
+    clean = rng.integers(0, cfg.clean_vocab, size=(n, cfg.length))
+    levels = np.array([0.5, 1e-12, 0.7, 0.9])  # row 1 has nothing to predict
+    corrupted, predicted = corrupt(clean, levels, CorruptionKind.MASKED, rng, cfg.vocab_size)
+    logits = rng.normal(size=(n, cfg.length, cfg.vocab_size))
+    state = lift_and_encode(encoder, logits, corrupted, predicted, LiftKind.SOFT)
+    drifts = rng.normal(size=(n, encoder.feature_dim))
+    plain = total_objective(ObjectiveKind(), state, drifts, clean)
+    with_base = total_objective(ObjectiveKind(with_base_loss=True), state, drifts, clean)
+    for i in range(n):
+        ref_loss, ref_grad = _base_loss_oracle(logits[i], clean[i], np.flatnonzero(predicted[i]))
+        assert abs(with_base.per_sample_loss[i] - (plain.per_sample_loss[i] + ref_loss)) <= 1e-12
+        assert np.max(np.abs(with_base.grad_logits[i] - (plain.grad_logits[i] + ref_grad / n))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +346,16 @@ def test_sampler_rejects_bad_nfe(small_params):
         sample(small_params, CorruptionKind.MASKED, 0, np.random.default_rng(0))
     with pytest.raises(InvalidInputError):
         sample(small_params, CorruptionKind.MASKED, SMALL_MODEL.length + 1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind", [CorruptionKind.MASKED, CorruptionKind.UNIFORM])
+def test_sampler_chunks_draw_the_whole_batch_stream(small_params, kind, monkeypatch):
+    rng_whole, rng_chunked = np.random.default_rng(5), np.random.default_rng(5)
+    whole = sample_batch(small_params, kind, 3, 7, rng_whole)
+    monkeypatch.setattr(backbone, "SAMPLE_CHUNK", 3)
+    chunked = sample_batch(small_params, kind, 3, 7, rng_chunked)
+    assert np.array_equal(chunked, whole)
+    assert rng_chunked.random() == rng_whole.random()
 
 
 def test_sampler_deterministic_given_seed(small_params):

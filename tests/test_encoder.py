@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from driftlm.backbone import CorruptionKind, CorruptionRecord, corrupt, init_params
+from driftlm.backbone import CorruptionKind, corrupt, init_params
 from driftlm.encoder import (
     DegenerateFeatureError,
     LiftKind,
@@ -19,7 +19,7 @@ from driftlm.encoder import (
 )
 from driftlm.numcore import InvalidInputError, finite_diff_grad, softmax_rows
 
-from conftest import SMALL_MODEL, rel_err, stack_records
+from conftest import SMALL_MODEL, rel_err
 
 L, V = SMALL_MODEL.length, SMALL_MODEL.vocab_size
 
@@ -29,10 +29,9 @@ def _record(positions, length=SMALL_MODEL.length, rng=None):
     rng = rng or np.random.default_rng(0)
     corrupted = rng.integers(0, SMALL_MODEL.clean_vocab, size=length)
     corrupted[positions] = SMALL_MODEL.mask_index
-    record = CorruptionRecord(
-        corrupted=corrupted, level=0.5, predicted_positions=np.asarray(positions, dtype=np.int64)
-    )
-    return stack_records([record])
+    predicted = np.zeros(length, dtype=bool)
+    predicted[positions] = True
+    return corrupted[None], predicted[None]
 
 
 def _random_probs(rng, length=SMALL_MODEL.length, vocab=SMALL_MODEL.vocab_size):
@@ -156,6 +155,16 @@ def test_encode_vjp_matches_finite_differences(small_encoder, rng):
     assert rel_err(analytic, fd) <= 1e-5
 
 
+def test_encode_vjp_matches_finite_differences_on_distinct_sequences(small_encoder, rng):
+    # n = 3 distinct rows: a context cotangent pooled across sequences instead
+    # of within each one fails here but not at n = 1
+    x = rng.normal(size=(3, L, SMALL_MODEL.embed_dim))
+    c = rng.normal(size=(3, small_encoder.feature_dim))
+    analytic = encode_vjp(small_encoder, encode(small_encoder, x), c)
+    fd = finite_diff_grad(lambda e: float(np.sum(c * encode(small_encoder, e).features)), x, 1e-5)
+    assert rel_err(analytic, fd) <= 1e-5
+
+
 # ---------------------------------------------------------------------------
 # real features
 
@@ -209,8 +218,7 @@ def test_real_features_batch_matches_single(small_encoder, rng):
 def test_batched_lift_and_pullback_match_batch_of_one(small_encoder, rng, lift, kind):
     n = 5
     clean = rng.integers(0, SMALL_MODEL.clean_vocab, size=(n, L))
-    records = [corrupt(clean[i], 0.5, kind, rng, V) for i in range(n)]
-    corrupted, predicted = stack_records(records)
+    corrupted, predicted = corrupt(clean, np.full(n, 0.5), kind, rng, V)
     logits = rng.normal(size=(n, L, V))
     cotangent = rng.normal(size=(n, small_encoder.feature_dim))
     state = lift_and_encode(small_encoder, logits, corrupted, predicted, lift)
@@ -223,11 +231,11 @@ def test_batched_lift_and_pullback_match_batch_of_one(small_encoder, rng, lift, 
 
 
 def test_composed_soft_path_matches_finite_differences(small_encoder, rng):
-    clean = rng.integers(0, SMALL_MODEL.clean_vocab, size=L)
-    record = corrupt(clean, 0.6, CorruptionKind.MASKED, np.random.default_rng(3), V)
-    if record.predicted_positions.size == 0:
+    clean = rng.integers(0, SMALL_MODEL.clean_vocab, size=(1, L))
+    levels = np.array([0.6])
+    corrupted, predicted = corrupt(clean, levels, CorruptionKind.MASKED, np.random.default_rng(3), V)
+    if not np.any(predicted):
         pytest.skip("no predicted positions drawn")
-    corrupted, predicted = stack_records([record])
     logits = rng.normal(size=(1, L, V))
     c = rng.normal(size=(1, small_encoder.feature_dim))
     state = lift_and_encode(small_encoder, logits, corrupted, predicted, LiftKind.SOFT)
@@ -239,9 +247,8 @@ def test_composed_soft_path_matches_finite_differences(small_encoder, rng):
 
     fd = finite_diff_grad(f, logits, step=1e-5)[0]
     assert rel_err(analytic, fd) <= 1e-5
-    off = np.setdiff1d(np.arange(L), record.predicted_positions)
-    assert np.all(analytic[off] == 0.0)
-    assert np.any(analytic[record.predicted_positions] != 0.0)
+    assert np.all(analytic[~predicted[0]] == 0.0)
+    assert np.any(analytic[predicted[0]] != 0.0)
 
 
 def test_encoder_params_identical_after_use(small_encoder, rng):

@@ -19,21 +19,26 @@ from driftlm.objectives import (
     total_objective,
 )
 
-from conftest import SMALL_MODEL, rel_err, stack_records
+from conftest import SMALL_MODEL, rel_err
 
 L, V = SMALL_MODEL.length, SMALL_MODEL.vocab_size
 
 
 def _lift(encoder, logits, record, lift=LiftKind.SOFT):
-    """``lift_and_encode`` of one sequence as a batch of one."""
-    return lift_and_encode(encoder, logits, *stack_records([record]), lift)
+    """``lift_and_encode`` of one ``(corrupted [1, L], predicted [1, L])`` record."""
+    return lift_and_encode(encoder, logits, *record, lift)
+
+
+def _corrupt_one(clean, t, seed):
+    """Masked corruption of one sequence ``[L]`` as a batch of one."""
+    return corrupt(
+        clean[None], np.array([t]), CorruptionKind.MASKED, np.random.default_rng(seed), V
+    )
 
 
 def _state(encoder, rng, t=0.6, lift=LiftKind.SOFT, record_seed=3):
     clean = rng.integers(0, SMALL_MODEL.clean_vocab, size=SMALL_MODEL.length)
-    record = corrupt(
-        clean, t, CorruptionKind.MASKED, np.random.default_rng(record_seed), SMALL_MODEL.vocab_size
-    )
+    record = _corrupt_one(clean, t, record_seed)
     logits = rng.normal(size=(1, L, V))
     return clean, record, _lift(encoder, logits, record, lift)
 
@@ -211,8 +216,9 @@ def _batch(encoder, rng, n=3, lift=LiftKind.SOFT):
         cleans.append(clean)
         records.append(record)
         logits.append(state.logits[0])
+    corrupted, predicted = (np.concatenate(parts) for parts in zip(*records))
     return np.stack(cleans), records, lift_and_encode(
-        encoder, np.stack(logits), *stack_records(records), lift
+        encoder, np.stack(logits), corrupted, predicted, lift
     )
 
 
@@ -224,8 +230,8 @@ def test_total_feature_l2_zero_drift_reduces_to_base(small_encoder, rng):
     assert all(np.all(g == 0.0) for g in plain.grad_logits)
     with_base = total_objective(ObjectiveKind(with_base_loss=True), state, zero, cleans)
     for i in range(3):
-        bl, bg = base_loss(state.logits[i], cleans[i], records[i].predicted_positions)
-        assert np.allclose(with_base.grad_logits[i], bg / 3.0, atol=1e-15)
+        _, bg = base_loss(state.logits[i : i + 1], cleans[i : i + 1], records[i][1])
+        assert np.allclose(with_base.grad_logits[i], bg[0] / 3.0, atol=1e-15)
 
 
 def test_total_mirror_kl_eta_zero_is_null(small_encoder, rng):
@@ -273,7 +279,7 @@ def test_total_gradient_matches_frozen_target_finite_differences(small_encoder, 
         else:
             value = mirror_mse_loss(teachers[i : i + 1], logits, predicted)[0][0]
         if kind.with_base_loss:
-            value += base_loss(logits[0], cleans[i], records[i].predicted_positions)[0]
+            value += base_loss(logits, cleans[i : i + 1], records[i][1])[0][0]
         return value
 
     total_at_base = sum(loss_at(i, state.logits[i : i + 1]) for i in range(3)) / 3.0
@@ -313,10 +319,8 @@ def test_local_ascent_and_first_order_ratio(small_encoder, rng):
     while checked < 100 and trials < 300:
         trials += 1
         clean = rng.integers(0, SMALL_MODEL.clean_vocab, size=SMALL_MODEL.length)
-        record = corrupt(
-            clean, 0.6, CorruptionKind.MASKED, np.random.default_rng(trials), SMALL_MODEL.vocab_size
-        )
-        if record.predicted_positions.size == 0:
+        record = _corrupt_one(clean, 0.6, trials)
+        if not np.any(record[1]):
             continue
         logits = rng.normal(size=(1, L, V))
         state = _lift(small_encoder, logits, record)
