@@ -3,7 +3,7 @@
 A small banded Markov chain stands in for a text corpus: it is cheap to
 sample, has a closed-form entropy rate, and admits an exact per-sequence
 log-likelihood, which makes it usable as a generative-perplexity oracle for
-generated samples.  Plain-file corpus ingestion is included for offline data.
+generated samples.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ _STOCHASTIC_TOL = 1e-12
 
 
 class CorpusFormatError(ValueError):
-    """A corpus or source file failed to parse; message names the line."""
+    """A source file failed to parse; the message names the line."""
 
 
 @dataclass(frozen=True)
@@ -94,106 +94,62 @@ def sample_sequences(source: MarkovSource, n: int, length: int, rng: np.random.G
     return out
 
 
-def sample_sequence(source: MarkovSource, length: int, rng: np.random.Generator) -> Array:
-    return sample_sequences(source, 1, length, rng)[0]
+def token_rows(seqs, vocab_size: int | None = None) -> Array:
+    """``seqs`` as a nonempty ``[n, L]`` int64 token array, L >= 1.
 
-
-def _check_clean(source: MarkovSource, seq: Array) -> Array:
-    s = np.asarray(seq, dtype=np.int64)
-    if s.ndim != 1 or s.size == 0:
-        raise InvalidInputError("sequence must be a nonempty 1-D token array")
-    if np.any(s < 0) or np.any(s >= source.vocab_size):
+    Accepts an array or a sequence of equal-length 1-D rows.  Tokens must be
+    nonnegative and, when ``vocab_size`` is given, below it (so the mask
+    symbol is rejected).  Errors name the first bad row.
+    """
+    if not isinstance(seqs, np.ndarray):
+        seqs = list(seqs)
+        for i, row in enumerate(seqs):
+            if np.ndim(row) != 1 or np.size(row) != np.size(seqs[0]):
+                raise InvalidInputError(
+                    f"row {i}: expected a 1-D row of {np.size(seqs[0])} tokens, "
+                    f"got shape {np.shape(row)}"
+                )
+    s = np.asarray(seqs)
+    if s.ndim != 2 or s.shape[0] == 0:
         raise InvalidInputError(
-            "sequence contains indices outside the clean vocabulary (mask symbol?)"
+            f"sequences must form a nonempty [n, L] token array, got shape {s.shape}"
         )
-    return s
-
-
-def oracle_log_prob(source: MarkovSource, seq: Array) -> float:
-    """Exact log-likelihood in nats; -inf sentinel when any factor is zero."""
-    s = _check_clean(source, seq)
-    factors = np.empty(s.size, dtype=np.float64)
-    factors[0] = source.initial[s[0]]
-    if s.size > 1:
-        factors[1:] = source.transition[s[:-1], s[1:]]
-    if np.any(factors == 0.0):
-        return -math.inf
-    return float(np.log(factors).sum())
-
-
-def _floored_log_prob(source: MarkovSource, seq: Array, floor: float) -> float:
-    s = _check_clean(source, seq)
-    factors = np.empty(s.size, dtype=np.float64)
-    factors[0] = source.initial[s[0]]
-    if s.size > 1:
-        factors[1:] = source.transition[s[:-1], s[1:]]
-    # only genuinely impossible factors are floored
-    factors = np.where(factors == 0.0, floor, factors)
-    return float(np.log(factors).sum())
+    if s.shape[1] == 0:
+        raise InvalidInputError("row 0: empty sequence")
+    if not np.issubdtype(s.dtype, np.integer):
+        raise InvalidInputError(f"token indices must be integers, got dtype {s.dtype}")
+    bad = s < 0
+    if vocab_size is not None:
+        bad |= s >= vocab_size
+    bad_rows = np.flatnonzero(bad.any(axis=1))
+    if bad_rows.size:
+        i = int(bad_rows[0])
+        token = int(s[i][bad[i]][0])
+        bound = "nonnegative" if vocab_size is None else f"in [0, {vocab_size})"
+        raise InvalidInputError(f"row {i}: token index {token} is not {bound}")
+    return s.astype(np.int64, copy=False)
 
 
 def oracle_gen_ppl(source: MarkovSource, seqs, floor: float = 1e-12) -> float:
-    """exp of the mean per-token NLL over all sequences, zero factors floored."""
-    seqs = list(seqs)
-    if not seqs:
-        raise InvalidInputError("oracle_gen_ppl: empty sequence list")
-    total_lp = 0.0
-    total_tokens = 0
-    for seq in seqs:
-        s = np.asarray(seq, dtype=np.int64)
-        total_lp += _floored_log_prob(source, s, floor)
-        total_tokens += s.size
-    return float(math.exp(-total_lp / total_tokens))
+    """exp of the mean per-token NLL over all sequences, zero factors floored.
 
-
-def mean_token_nll(source: MarkovSource, length: int) -> float:
-    """Analytic E[-log p(x)] / L: initial entropy plus marginal-weighted row entropies."""
-    if length < 1:
-        raise InvalidInputError("length must be at least 1")
-
-    def _entropy(p: Array) -> float:
-        nz = p[p > 0.0]
-        return float(-(nz * np.log(nz)).sum())
-
-    total = _entropy(source.initial)
-    marginal = source.initial
-    for _ in range(length - 1):
-        total += float(sum(marginal[s] * _entropy(source.transition[s]) for s in range(source.vocab_size)))
-        marginal = marginal @ source.transition
-    return total / length
+    ``seqs`` is an ``[n, L]`` token array (see ``token_rows``).  Row
+    log-likelihoods are added left to right in row order (``cumsum``, not the
+    pairwise ``sum``), so the result is bit-identical to scoring one
+    sequence at a time.
+    """
+    s = token_rows(seqs, source.vocab_size)
+    factors = np.empty(s.shape, dtype=np.float64)
+    factors[:, 0] = source.initial[s[:, 0]]
+    factors[:, 1:] = source.transition[s[:, :-1], s[:, 1:]]
+    # only genuinely impossible factors are floored
+    factors[factors == 0.0] = floor
+    row_lp = np.log(factors).sum(axis=1)
+    return float(math.exp(-np.cumsum(row_lp)[-1] / s.size))
 
 
 # ---------------------------------------------------------------------------
 # file formats
-
-
-def load_corpus(path, length: int, vocab_size: int) -> list[Array]:
-    """One sequence per line, whitespace-separated decimal token indices.
-
-    Lines shorter than ``length`` are rejected; longer lines are truncated.
-    """
-    sequences: list[Array] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                tokens = [int(p) for p in parts]
-            except ValueError as exc:
-                raise CorpusFormatError(f"line {lineno}: non-integer token") from exc
-            if len(tokens) < length:
-                raise CorpusFormatError(
-                    f"line {lineno}: {len(tokens)} tokens, need at least {length}"
-                )
-            tokens = tokens[:length]
-            bad = [t for t in tokens if t < 0 or t >= vocab_size]
-            if bad:
-                raise CorpusFormatError(
-                    f"line {lineno}: token index {bad[0]} outside [0, {vocab_size})"
-                )
-            sequences.append(np.asarray(tokens, dtype=np.int64))
-    return sequences
 
 
 def save_source(source: MarkovSource, path) -> None:

@@ -98,18 +98,6 @@ def build_references(
 # drift estimation
 
 
-def joint_affinity_weights(
-    h: Array, positives: Array, negatives: Array, tau: float
-) -> tuple[Array, Array]:
-    """One softmax over the concatenated (positive ; negative) affinities of one anchor."""
-    d_pos = np.sum((positives - h) ** 2, axis=1)
-    d_neg = np.sum((negatives - h) ** 2, axis=1)
-    s = np.concatenate([-d_pos / tau, -d_neg / tau])
-    e = np.exp(s - s.max())
-    w = e / e.sum()
-    return w[: d_pos.size], w[d_pos.size :]
-
-
 def _sq_dists(anchors: Array, refs: Array) -> Array:
     """Squared distances ``[n, K]`` from each anchor ``[n, m]`` to its references ``[n, K, m]``.
 

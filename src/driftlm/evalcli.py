@@ -1,9 +1,8 @@
-"""Evaluation metrics, ablation harness, verification suite, and the CLI.
+"""Evaluation metrics, ablation harness, and the CLI.
 
 Generated samples are scored with the exact Markov-source oracle instead of
 an external language model, so only orderings and relative changes are
-meaningful, not absolute perplexities.  The `verify` subcommand re-runs the
-library's property checks end to end and fails loudly on any violation.
+meaningful, not absolute perplexities.
 """
 
 from __future__ import annotations
@@ -11,16 +10,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import numcore
 from .backbone import CorruptionKind, DenoiserParams, ModelConfig, sample_batch
-from .corpus import MarkovSource, banded_source, load_source, oracle_gen_ppl, save_source
+from .corpus import (
+    MarkovSource,
+    banded_source,
+    load_source,
+    oracle_gen_ppl,
+    save_source,
+    token_rows,
+)
 from .drift import DriftConfig
 from .encoder import LiftKind
 from .numcore import InvalidInputError
@@ -57,17 +61,18 @@ class EvalReport:
 
 
 def entropy_metric(seqs) -> float:
-    """Mean per-sequence Shannon entropy (nats) of each sequence's own histogram."""
-    seqs = list(seqs)
-    if not seqs:
-        raise InvalidInputError("entropy_metric: empty sequence list")
-    total = 0.0
-    for seq in seqs:
-        s = np.asarray(seq, dtype=np.int64)
-        counts = np.bincount(s)
-        p = counts[counts > 0] / s.size
-        total += float(-(p * np.log(p)).sum())
-    return total / len(seqs)
+    """Mean per-sequence Shannon entropy (nats) of each sequence's own histogram.
+
+    ``seqs`` is an ``[n, L]`` token array (see ``corpus.token_rows``).
+    """
+    s = token_rows(seqs)
+    n, length = s.shape
+    vocab = int(s.max()) + 1
+    # one bincount over row-offset tokens gives every row's histogram at once
+    counts = np.bincount((s + vocab * np.arange(n)[:, None]).ravel(), minlength=n * vocab)
+    p = counts.reshape(n, vocab) / length
+    plogp = p * np.log(np.where(p > 0.0, p, 1.0))
+    return float(-plogp.sum(axis=1).mean())
 
 
 def evaluate(
@@ -482,20 +487,6 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    results = run_verification()
-    failed = 0
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        line = f"[{status}] {name}"
-        if detail and not ok:
-            line += f": {detail}"
-        print(line)
-        failed += 0 if ok else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
-
-
 def cli(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="driftlm",
@@ -538,8 +529,6 @@ def cli(argv=None) -> int:
     p.add_argument("--grid", required=True, help="comma-separated axis values")
     p.add_argument("--seeds", default="0,1,2")
 
-    p = sub.add_parser("verify", help="run the full property/oracle suite")
-
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -557,305 +546,12 @@ def cli(argv=None) -> int:
         return _cmd_eval(args)
     if args.command == "ablate":
         return _cmd_ablate(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
     parser.print_usage()
     return 2
 
 
 def main() -> None:
     sys.exit(cli(sys.argv[1:]))
-
-
-# ---------------------------------------------------------------------------
-# verification suite (the `verify` subcommand)
-
-
-def run_verification() -> list[tuple[str, bool, str]]:
-    results = []
-    for name, check in _VERIFICATION_CHECKS:
-        try:
-            check()
-            results.append((name, True, ""))
-        except Exception as exc:  # noqa: BLE001 - report every failure kind
-            results.append((name, False, f"{type(exc).__name__}: {exc}"))
-    return results
-
-
-def _check_softmax_contract():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(6, 9))
-    p = numcore.softmax_rows(x)
-    assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
-    shifted = numcore.softmax_rows(x + 3.7)
-    assert np.max(np.abs(shifted - p)) <= 1e-12
-    big = numcore.softmax_rows(np.array([[1000.0, 1000.0]]))
-    assert np.allclose(big, 0.5)
-
-
-def _check_primitive_vjps():
-    rng = np.random.default_rng(1)
-    for name in numcore.primitive_names():
-        for _ in range(3):
-            _vjp_against_fd(name, rng)
-
-
-def _vjp_against_fd(name: str, rng: np.random.Generator):
-    if name == "softmax_rows":
-        inputs = (rng.normal(size=(3, 4)),)
-    elif name == "matmul":
-        inputs = (rng.normal(size=(3, 4)), rng.normal(size=(4, 2)))
-    elif name == "add":
-        a = rng.normal(size=(3, 4))
-        inputs = (a, rng.normal(size=(3, 4)))
-    elif name == "tanh":
-        inputs = (rng.normal(size=(3, 4)),)
-    elif name == "mean_pool":
-        inputs = (rng.normal(size=(5, 3)),)
-    elif name == "concat":
-        inputs = (rng.normal(size=4), rng.normal(size=3))
-    elif name == "l2_normalize":
-        inputs = (rng.normal(size=5) + 2.0,)
-    else:  # scalar_scale
-        inputs = (rng.normal(size=(3, 2)), 1.7)
-    out = numcore.apply_primitive(name, *inputs)
-    upstream = rng.normal(size=np.shape(out))
-    cotangents = numcore.vjp(name, inputs, upstream)
-    for idx, x in enumerate(inputs):
-        if np.isscalar(x) or np.ndim(x) == 0:
-            continue
-
-        def f(val, idx=idx):
-            probe = list(inputs)
-            probe[idx] = val
-            return float(np.sum(upstream * numcore.apply_primitive(name, *probe)))
-
-        fd = numcore.finite_diff_grad(f, np.asarray(x, dtype=np.float64), 1e-5)
-        an = np.asarray(cotangents[idx], dtype=np.float64)
-        err = np.max(np.abs(an - fd)) / max(1e-6, float(np.max(np.abs(fd))), 1.0)
-        assert err <= 1e-5, f"{name} input {idx}: rel err {err}"
-
-
-def _check_corpus_oracles():
-    from .corpus import oracle_log_prob
-
-    perm = np.zeros((4, 4))
-    for i in range(4):
-        perm[i, (i + 1) % 4] = 1.0
-    cycle = MarkovSource(4, np.array([1.0, 0, 0, 0]), perm)
-    assert oracle_log_prob(cycle, np.array([0, 1, 2, 3])) == 0.0
-    uniform = MarkovSource(4, np.full(4, 0.25), np.full((4, 4), 0.25))
-    rng = np.random.default_rng(0)
-    from .corpus import sample_sequences
-
-    seqs = sample_sequences(uniform, 16, 8, rng)
-    assert abs(oracle_gen_ppl(uniform, seqs) - 4.0) <= 1e-9
-
-
-def _check_sampling_determinism():
-    from .corpus import sample_sequences
-
-    src = banded_source()
-    a = sample_sequences(src, 4, 16, np.random.default_rng(7))
-    b = sample_sequences(src, 4, 16, np.random.default_rng(7))
-    assert np.array_equal(a, b)
-
-
-def _check_corrupt_boundaries():
-    from .backbone import corrupt
-
-    rng = np.random.default_rng(0)
-    clean = rng.integers(0, 31, size=(2, 16))
-    levels = np.array([1.0 - 1e-12, 1e-12])
-    corrupted, predicted = corrupt(clean, levels, CorruptionKind.MASKED, np.random.default_rng(1))
-    assert np.all(corrupted[0] == 31) and np.all(predicted[0])
-    assert np.array_equal(corrupted[1], clean[1]) and not np.any(predicted[1])
-
-
-def _check_sampler_contract():
-    from .backbone import init_params
-
-    cfg = ModelConfig()
-    params = init_params(cfg, np.random.default_rng(3))
-    calls = []
-    seqs = sample_batch(
-        params, CorruptionKind.MASKED, 16, 2, np.random.default_rng(0), on_forward=calls.append
-    )
-    assert len(calls) == 16
-    assert np.all(seqs < cfg.mask_index)
-
-
-def _check_encoder_contracts():
-    from .backbone import init_params
-    from .encoder import encode, make_frozen_encoder, real_features_batch, soft_token_lift
-
-    cfg = ModelConfig()
-    rng = np.random.default_rng(5)
-    enc = make_frozen_encoder(init_params(cfg, rng))
-    clean = rng.integers(0, cfg.clean_vocab, size=(2, cfg.length))
-    feats = real_features_batch(enc, clean)
-    assert np.all(np.abs(np.linalg.norm(feats, axis=1) - 1.0) <= 1e-9)
-    onehot = np.zeros((2, cfg.length, cfg.vocab_size))
-    onehot[np.arange(2)[:, None], np.arange(cfg.length), clean] = 1.0
-    lifted = soft_token_lift(onehot, clean, np.ones(clean.shape, bool), enc.params.embed)
-    assert np.array_equal(encode(enc, lifted).features, feats)
-
-
-def _check_drift_antisymmetry():
-    from .drift import drift_single_temp
-
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        h = rng.normal(size=(1, 8))
-        pos = rng.normal(size=(5, 8))
-        neg = rng.normal(size=(4, 8))
-        fwd = drift_single_temp(h, pos, neg[None], 0.05)
-        bwd = drift_single_temp(h, neg, pos[None], 0.05)
-        assert np.max(np.abs(fwd + bwd)) <= 1e-12
-
-
-def _check_drift_equilibrium():
-    from .drift import DriftConfig, drift_multi_temp, drift_single_temp
-
-    rng = np.random.default_rng(12)
-    refs = rng.normal(size=(6, 8))
-    anchors = rng.normal(size=(3, 8))
-    twins = np.repeat(refs[None], 3, axis=0)
-    for tau in (0.02, 0.05, 0.2):
-        assert np.all(drift_single_temp(anchors, refs, twins, tau) == 0.0)
-    assert np.all(drift_multi_temp(anchors, refs, twins, DriftConfig()) == 0.0)
-
-
-def _check_joint_weights():
-    from .drift import joint_affinity_weights
-
-    rng = np.random.default_rng(13)
-    w_pos, w_neg = joint_affinity_weights(
-        rng.normal(size=6), rng.normal(size=(4, 6)), rng.normal(size=(3, 6)), 0.05
-    )
-    assert abs(w_pos.sum() + w_neg.sum() - 1.0) <= 1e-12
-    tight_pos = np.zeros((1, 6))
-    far = np.ones((3, 6))
-    w_pos, w_neg = joint_affinity_weights(np.zeros(6) + 1e-4, tight_pos, far, 1e-6)
-    assert w_pos[0] > 1.0 - 1e-6
-
-
-def _check_rms_scale():
-    from .drift import DriftConfig, drift_multi_temp, drift_single_temp, rms_scale
-
-    rng = np.random.default_rng(14)
-    anchors = rng.normal(size=(4, 8))
-    anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
-    pos = rng.normal(size=(6, 8))
-    neg = np.repeat(rng.normal(size=(1, 5, 8)), 4, axis=0)
-    for tau in (0.02, 0.2):
-        per = drift_single_temp(anchors, pos, neg, tau)
-        normalized = per / rms_scale(per, 1e-8)
-        rms = math.sqrt(float(np.mean(np.sum(normalized * normalized, axis=1))))
-        assert abs(rms - 1.0) <= 1e-6
-    single = drift_multi_temp(anchors, pos, neg, DriftConfig(temperatures=(0.05,)))
-    per = np.concatenate(
-        [drift_single_temp(anchors[i : i + 1], pos, neg[i : i + 1], 0.05) for i in range(4)]
-    )
-    assert np.array_equal(single, per / rms_scale(per, 1e-8))
-
-
-def _check_queue_fifo():
-    from .drift import ReferenceQueue, queue_push
-
-    rows = np.eye(4)
-    q = ReferenceQueue(2, 4)
-    for i in range(3):
-        queue_push(q, rows[i : i + 1])
-    assert np.array_equal(q.rows, rows[1:3])
-
-
-def _check_objectives():
-    from .objectives import feature_fixed_point_loss
-
-    v = np.array([1.0, 0.0, 0.0])
-    loss, grad = feature_fixed_point_loss(None, v, 1.0)
-    assert loss == 0.5 and np.array_equal(grad, -v)
-    loss0, grad0 = feature_fixed_point_loss(None, np.zeros(3), 1.0)
-    assert loss0 == 0.0 and np.all(grad0 == 0.0)
-
-
-def _check_mirror_teacher():
-    from .objectives import mirror_teacher
-
-    p_star = mirror_teacher(np.log(np.array([[0.5, 0.5]])), np.array([[1.0, 0.0]]), math.log(2))
-    assert np.max(np.abs(p_star - np.array([[2 / 3, 1 / 3]]))) <= 1e-12
-    # variational check on a coarse grid
-    rng = np.random.default_rng(15)
-    logits = rng.normal(size=(1, 2))
-    g = rng.normal(size=(1, 2))
-    eta = 0.7
-    p = numcore.softmax_rows(logits)[0]
-    teacher = mirror_teacher(logits, g, eta)[0]
-
-    def objective(q):
-        terms = np.where(q > 0, q * np.log(np.where(q > 0, q, 1.0) / p), 0.0)
-        return float(q @ g[0] - terms.sum() / eta)
-
-    qs = np.linspace(0.0, 1.0, 1001)
-    grid_best = max(objective(np.array([q, 1 - q])) for q in qs)
-    assert objective(teacher) >= grid_best - 1e-9
-
-
-def _check_training_determinism():
-    from .backbone import params_to_vector
-    from .corpus import sample_sequences
-    from .trainer import init_state, train_step
-
-    cfg = TrainConfig(
-        batch_size=4,
-        micro_batch=2,
-        steps=3,
-        model=ModelConfig(vocab_size=8, length=6, embed_dim=8, hidden_dim=12),
-        queue_capacity=16,
-        objective=ObjectiveKind(),
-        eval_samples=4,
-    )
-    src = banded_source(vocab_size=7)
-    finals = []
-    for _ in range(2):
-        state = init_state(cfg)
-        for _ in range(cfg.steps):
-            batch = sample_sequences(src, cfg.batch_size, cfg.model.length, state.rng)
-            train_step(state, batch, cfg)
-        finals.append(params_to_vector(state.params))
-    assert np.array_equal(finals[0], finals[1])
-
-
-def _check_eval_determinism():
-    from .backbone import init_params
-
-    cfg = ModelConfig(vocab_size=8, length=6, embed_dim=8, hidden_dim=12)
-    params = init_params(cfg, np.random.default_rng(2))
-    src = banded_source(vocab_size=7)
-    a = evaluate(params, src, CorruptionKind.MASKED, nfes=(2, 3), n_samples=8, seed=5)
-    b = evaluate(params, src, CorruptionKind.MASKED, nfes=(2, 3), n_samples=8, seed=5)
-    assert a == b
-
-
-_VERIFICATION_CHECKS = [
-    ("softmax rows: sums, shift invariance, overflow safety", _check_softmax_contract),
-    ("numcore VJPs match the finite-difference oracle", _check_primitive_vjps),
-    ("corpus oracle: cycle / uniform-chain exactness", _check_corpus_oracles),
-    ("corpus sampling is seed-deterministic", _check_sampling_determinism),
-    ("corruption boundaries at t -> 0 and t -> 1", _check_corrupt_boundaries),
-    ("sampler: exact NFE count, mask-free output", _check_sampler_contract),
-    ("encoder: unit norm, real == hard one-hot lift", _check_encoder_contracts),
-    ("drift anti-symmetry within 1e-12", _check_drift_antisymmetry),
-    ("drift equilibrium: matched references give zero drift", _check_drift_equilibrium),
-    ("joint affinity weights sum to one; low-tau concentration", _check_joint_weights),
-    ("per-temperature RMS normalization", _check_rms_scale),
-    ("reference queue FIFO eviction", _check_queue_fifo),
-    ("fixed-point loss stop-gradient identity", _check_objectives),
-    ("mirror teacher closed form and variational optimality", _check_mirror_teacher),
-    ("training determinism over repeated runs", _check_training_determinism),
-    ("evaluation determinism given a seed", _check_eval_determinism),
-]
 
 
 if __name__ == "__main__":

@@ -12,14 +12,11 @@ from driftlm.corpus import (
     CorpusFormatError,
     MarkovSource,
     banded_source,
-    load_corpus,
     load_source,
-    mean_token_nll,
     oracle_gen_ppl,
-    oracle_log_prob,
-    sample_sequence,
     sample_sequences,
     save_source,
+    token_rows,
 )
 from driftlm.numcore import InvalidInputError
 
@@ -35,6 +32,54 @@ def cycle_source(k: int = 4) -> MarkovSource:
 
 def uniform_source(k: int = 4) -> MarkovSource:
     return MarkovSource(k, np.full(k, 1.0 / k), np.full((k, k), 1.0 / k))
+
+
+# ---------------------------------------------------------------------------
+# references: one sequence at a time
+
+
+def _factors(source: MarkovSource, s: np.ndarray) -> np.ndarray:
+    factors = np.empty(s.size, dtype=np.float64)
+    factors[0] = source.initial[s[0]]
+    if s.size > 1:
+        factors[1:] = source.transition[s[:-1], s[1:]]
+    return factors
+
+
+def oracle_log_prob(source: MarkovSource, seq) -> float:
+    """Exact log-likelihood in nats; -inf sentinel when any factor is zero."""
+    (s,) = token_rows([seq], source.vocab_size)
+    factors = _factors(source, s)
+    if np.any(factors == 0.0):
+        return -math.inf
+    return float(np.log(factors).sum())
+
+
+def loop_gen_ppl(source: MarkovSource, seqs, floor: float = 1e-12) -> float:
+    """Per-sequence Gen.-PPL loop; ``oracle_gen_ppl`` must match it bit for bit."""
+    total_lp = 0.0
+    total_tokens = 0
+    for s in seqs:
+        factors = _factors(source, s)
+        factors = np.where(factors == 0.0, floor, factors)
+        total_lp += float(np.log(factors).sum())
+        total_tokens += s.size
+    return float(math.exp(-total_lp / total_tokens))
+
+
+def mean_token_nll(source: MarkovSource, length: int) -> float:
+    """Analytic E[-log p(x)] / L: initial entropy plus marginal-weighted row entropies."""
+
+    def _entropy(p: np.ndarray) -> float:
+        nz = p[p > 0.0]
+        return float(-(nz * np.log(nz)).sum())
+
+    total = _entropy(source.initial)
+    marginal = source.initial
+    for _ in range(length - 1):
+        total += float(sum(marginal[s] * _entropy(source.transition[s]) for s in range(source.vocab_size)))
+        marginal = marginal @ source.transition
+    return total / length
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +109,7 @@ def test_banded_source_is_doubly_stochastic():
 
 def test_deterministic_cycle_trajectory():
     src = cycle_source()
-    seq = sample_sequence(src, 4, np.random.default_rng(0))
+    seq = sample_sequences(src, 1, 4, np.random.default_rng(0))[0]
     assert seq.tolist() == [0, 1, 2, 3]
 
 
@@ -89,7 +134,7 @@ def test_uniform_source_unigrams_close_to_uniform():
 
 def test_log_prob_uniform_chain():
     src = uniform_source(4)
-    seq = sample_sequence(src, 8, np.random.default_rng(0))
+    seq = sample_sequences(src, 1, 8, np.random.default_rng(0))[0]
     assert abs(oracle_log_prob(src, seq) - (-8 * math.log(4))) < 1e-12
 
 
@@ -149,6 +194,23 @@ def test_gen_ppl_empty_list_rejected():
         oracle_gen_ppl(uniform_source(4), [])
 
 
+@pytest.mark.parametrize("draw", ["sampled", "random-token"])
+def test_gen_ppl_bit_identical_to_per_sequence_loop(draw):
+    src = banded_source()
+    rng = np.random.default_rng(6)
+    if draw == "sampled":
+        seqs = sample_sequences(src, 2048, 32, rng)
+    else:  # mostly impossible transitions under the banded chain, so mostly floored
+        seqs = rng.integers(0, src.vocab_size, size=(2048, 32))
+    assert oracle_gen_ppl(src, seqs) == loop_gen_ppl(src, seqs)
+
+
+def test_gen_ppl_rejects_out_of_vocabulary_naming_the_row():
+    seqs = np.array([[0, 1, 2], [3, 4, 5], [0, 31, 1]])
+    with pytest.raises(InvalidInputError, match="row 2: token index 31"):
+        oracle_gen_ppl(banded_source(), seqs)
+
+
 @given(st.permutations(list(range(6))))
 def test_gen_ppl_invariant_under_sequence_permutation(order):
     src = banded_source(vocab_size=9, band=(0.5, 0.5))
@@ -184,33 +246,6 @@ def test_mean_token_nll_matches_enumeration():
 
 # ---------------------------------------------------------------------------
 # files
-
-
-def test_load_corpus_roundtrip(tmp_path):
-    path = tmp_path / "corpus.txt"
-    path.write_text("0 1 2 3\n4 5 6 7 8\n", encoding="utf-8")
-    seqs = load_corpus(path, length=4, vocab_size=31)
-    assert [s.tolist() for s in seqs] == [[0, 1, 2, 3], [4, 5, 6, 7]]
-
-
-def test_load_corpus_empty_file(tmp_path):
-    path = tmp_path / "corpus.txt"
-    path.write_text("", encoding="utf-8")
-    assert load_corpus(path, length=4, vocab_size=31) == []
-
-
-def test_load_corpus_out_of_range_names_line(tmp_path):
-    path = tmp_path / "corpus.txt"
-    path.write_text("0 1 2 3\n0 1 2 99\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="line 2"):
-        load_corpus(path, length=4, vocab_size=31)
-
-
-def test_load_corpus_short_line_rejected(tmp_path):
-    path = tmp_path / "corpus.txt"
-    path.write_text("0 1\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="line 1"):
-        load_corpus(path, length=4, vocab_size=31)
 
 
 def test_source_file_roundtrip(tmp_path):

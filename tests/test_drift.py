@@ -14,7 +14,6 @@ from driftlm.drift import (
     build_references,
     drift_multi_temp,
     drift_single_temp,
-    joint_affinity_weights,
     queue_push,
     rms_scale,
 )
@@ -25,6 +24,20 @@ from conftest import unit_rows
 vec8 = arrays(
     np.float64, 8, elements=st.floats(min_value=-3, max_value=3, allow_nan=False)
 ).filter(lambda v: np.linalg.norm(v) > 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# reference: one anchor's joint softmax over both sides
+
+
+def joint_affinity_weights(h, positives, negatives, tau):
+    """One softmax over the concatenated (positive ; negative) affinities of one anchor."""
+    d_pos = np.sum((positives - h) ** 2, axis=1)
+    d_neg = np.sum((negatives - h) ** 2, axis=1)
+    s = np.concatenate([-d_pos / tau, -d_neg / tau])
+    e = np.exp(s - s.max())
+    w = e / e.sum()
+    return w[: d_pos.size], w[d_pos.size :]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from driftlm.backbone import CorruptionKind, ModelConfig, init_params
-from driftlm.corpus import banded_source, load_source, save_source
+from driftlm.backbone import CorruptionKind, ModelConfig, init_params, sample_batch
+from driftlm.corpus import banded_source, load_source, oracle_gen_ppl, save_source
 from driftlm.evalcli import (
     AblationRow,
     ablate,
@@ -15,7 +15,6 @@ from driftlm.evalcli import (
     cli,
     entropy_metric,
     evaluate,
-    run_verification,
     train_config_from_dict,
     train_config_to_dict,
 )
@@ -67,6 +66,44 @@ def test_entropy_invariant_under_reordering(rng):
 def test_entropy_empty_rejected():
     with pytest.raises(InvalidInputError):
         entropy_metric([])
+
+
+def loop_entropy(seqs) -> float:
+    """Per-sequence entropy loop; ``entropy_metric`` must match it within 1e-12."""
+    total = 0.0
+    for s in seqs:
+        counts = np.bincount(s)
+        p = counts[counts > 0] / s.size
+        total += float(-(p * np.log(p)).sum())
+    return total / len(seqs)
+
+
+def test_entropy_matches_per_sequence_loop(small_params):
+    rng = np.random.default_rng(8)
+    sampled = sample_batch(small_params, CorruptionKind.MASKED, 4, 2048, rng)
+    random_tokens = rng.integers(0, 31, size=(2048, 32))
+    for seqs in (sampled, random_tokens):
+        assert abs(entropy_metric(seqs) - loop_entropy(seqs)) <= 1e-12
+
+
+BAD_SAMPLES = {
+    "no-rows": ([], "nonempty"),
+    "empty-row": ([np.array([], dtype=np.int64)], "row 0"),
+    "ragged": ([np.array([0, 1, 2]), np.array([0, 1, 2]), np.array([0, 1])], "row 2"),
+    "negative": ([np.array([0, 1]), np.array([-1, 0])], "row 1: token index -1"),
+    "not-2d": (np.array([0, 1, 2]), "shape"),
+    "float-tokens": (np.array([[0.0, 1.0]]), "integers"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SAMPLES))
+@pytest.mark.parametrize("metric", ["entropy", "gen_ppl"])
+def test_metrics_reject_bad_samples_naming_the_row(metric, case):
+    seqs, message = BAD_SAMPLES[case]
+    src = banded_source()
+    score = entropy_metric if metric == "entropy" else lambda s: oracle_gen_ppl(src, s)
+    with pytest.raises(InvalidInputError, match=message):
+        score(seqs)
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +429,3 @@ def test_cli_ablate_writes_table(cli_env, capsys):
     lines = (out / "ablation.csv").read_text().strip().split("\n")
     assert lines[0].startswith("axis,value,nfe")
     assert len(lines) == 1 + 2 * 2  # two grid values x two NFEs
-
-
-def test_verification_suite_passes():
-    results = run_verification()
-    failures = [(name, detail) for name, ok, detail in results if not ok]
-    assert not failures, failures
-
-
-def test_cli_verify_exit_zero(capsys):
-    assert cli(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS]" in out and "checks passed" in out

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -8,15 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftlm import numcore
 from driftlm.numcore import (
-    ContractViolationError,
     InvalidInputError,
     OracleFailureError,
     finite_diff_grad,
+    l2_normalize_vjp,
     softmax_rows,
-    tensor,
-    vjp,
+    softmax_vjp_from_probs,
+    tanh_vjp_from_output,
 )
 
 from conftest import rel_err
@@ -26,21 +26,6 @@ finite_rows = arrays(
     (3, 4),
     elements=st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),
 )
-
-
-# ---------------------------------------------------------------------------
-# tensor construction
-
-
-def test_tensor_validates_shape_and_finiteness():
-    t = tensor([1.0, 2.0, 3.0, 4.0], shape=(2, 2))
-    assert t.shape == (2, 2) and t.dtype == np.float64
-    with pytest.raises(InvalidInputError):
-        tensor([1.0, math.nan])
-    with pytest.raises(InvalidInputError):
-        tensor([1.0, 2.0], shape=(3,))
-    with pytest.raises(InvalidInputError):
-        tensor([1.0], shape=(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -87,82 +72,53 @@ def test_softmax_pure_bit_identical():
 # VJPs against the finite-difference oracle
 
 
-def _random_inputs(name: str, rng: np.random.Generator):
-    if name == "softmax_rows":
-        return (rng.normal(size=(3, 4)),)
-    if name == "matmul":
-        return (rng.normal(size=(3, 4)), rng.normal(size=(4, 2)))
-    if name == "add":
-        return (rng.normal(size=(2, 5)), rng.normal(size=(2, 5)))
-    if name == "tanh":
-        return (rng.normal(size=(4, 3)),)
-    if name == "mean_pool":
-        return (rng.normal(size=(5, 3)),)
-    if name == "concat":
-        return (rng.normal(size=4), rng.normal(size=3))
-    if name == "l2_normalize":
-        v = rng.normal(size=5)
-        return (v + np.sign(v.sum() or 1.0) * 2.0,)
-    if name == "scalar_scale":
-        return (rng.normal(size=(3, 2)), float(rng.normal()))
-    raise AssertionError(name)
+def _l2_normalize(v):
+    return v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
 
 
-@pytest.mark.parametrize("name", numcore.primitive_names())
+def _l2_input(rng):
+    v = rng.normal(size=5)
+    return v + np.sign(v.sum() or 1.0) * 2.0
+
+
+# name -> (forward, VJP worker given the input and upstream, input sampler)
+VJP_CASES = {
+    "softmax_rows": (
+        softmax_rows,
+        lambda x, u: softmax_vjp_from_probs(softmax_rows(x), u),
+        lambda rng: rng.normal(size=(3, 4)),
+    ),
+    "tanh": (
+        np.tanh,
+        lambda x, u: tanh_vjp_from_output(np.tanh(x), u),
+        lambda rng: rng.normal(size=(4, 3)),
+    ),
+    "l2_normalize": (_l2_normalize, l2_normalize_vjp, _l2_input),
+}
+
+
+@pytest.mark.parametrize("name", list(VJP_CASES))
 def test_vjp_matches_finite_differences(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    forward, worker, draw = VJP_CASES[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     for _ in range(100):
-        inputs = _random_inputs(name, rng)
-        out = numcore.apply_primitive(name, *inputs)
-        upstream = rng.normal(size=np.shape(out))
-        cotangents = vjp(name, inputs, upstream)
-        for idx, x in enumerate(inputs):
-            if np.ndim(x) == 0:
-                continue
-
-            def f(val, idx=idx):
-                probe = list(inputs)
-                probe[idx] = val
-                return float(np.sum(upstream * numcore.apply_primitive(name, *probe)))
-
-            fd = finite_diff_grad(f, np.asarray(x, dtype=np.float64), step=1e-5)
-            assert rel_err(cotangents[idx], fd) <= 1e-5
+        x = draw(rng)
+        upstream = rng.normal(size=np.shape(forward(x)))
+        fd = finite_diff_grad(lambda val: float(np.sum(upstream * forward(val))), x, step=1e-5)
+        assert rel_err(worker(x, upstream), fd) <= 1e-5
 
 
 def test_vjp_softmax_constant_upstream_is_zero():
     logits = np.zeros((2, 4))
-    (g,) = vjp("softmax_rows", (logits,), np.full((2, 4), 3.0))
+    g = softmax_vjp_from_probs(softmax_rows(logits), np.full((2, 4), 3.0))
     assert np.max(np.abs(g)) <= 1e-15
-
-
-def test_vjp_matmul_closed_form(rng):
-    a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
-    u = rng.normal(size=(3, 2))
-    ga, gb = vjp("matmul", (a, b), u)
-    assert np.allclose(ga, u @ b.T)
-    assert np.allclose(gb, a.T @ u)
 
 
 def test_vjp_l2_normalize_tangent_upstream_is_zero(rng):
     v = rng.normal(size=6)
     y = v / np.linalg.norm(v)
-    (g,) = vjp("l2_normalize", (y,), 2.5 * y)
+    g = l2_normalize_vjp(y, 2.5 * y)
     assert np.max(np.abs(g)) <= 1e-12
-
-
-def test_vjp_shape_mismatch_raises(rng):
-    with pytest.raises(ContractViolationError):
-        vjp("tanh", (rng.normal(size=(2, 2)),), rng.normal(size=(3, 2)))
-    with pytest.raises(ContractViolationError):
-        vjp("no-such-primitive", (rng.normal(size=2),), rng.normal(size=2))
-
-
-def test_scalar_scale_vjp_includes_scale_cotangent(rng):
-    x = rng.normal(size=(2, 3))
-    u = rng.normal(size=(2, 3))
-    gx, gc = vjp("scalar_scale", (x, 1.5), u)
-    assert np.allclose(gx, 1.5 * u)
-    assert abs(gc - float(np.sum(u * x))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
