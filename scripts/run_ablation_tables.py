@@ -10,13 +10,14 @@ scripts/run_directional_study.py or `driftlm base-train`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 
 from driftlm.backbone import CorruptionKind
 from driftlm.corpus import load_source
-from driftlm.evalcli import ablate, write_ablation_csv
+from driftlm.evalcli import ABLATION_HEADER, ablate
 from driftlm.objectives import ObjectiveKind
-from driftlm.trainer import TrainConfig, load_checkpoint
+from driftlm.trainer import TrainConfig, load_checkpoint, write_csv
 
 AXES = {
     "lift": ["soft", "hard-st"],
@@ -55,7 +56,7 @@ def main() -> None:
         print(f"== axis {axis}: grid {grid}, seeds {seeds}")
         rows = ablate(axis, grid, base_cfg, source, checkpoint, seeds=seeds)
         path = os.path.join(args.out, f"{axis}.csv")
-        write_ablation_csv(path, rows)
+        write_csv(path, ABLATION_HEADER, [dataclasses.asdict(r) for r in rows])
         for r in rows:
             print(
                 f"  {r.value:>8} nfe={r.nfe:>2}: gen_ppl {r.gen_ppl_mean:.4g} +/- {r.gen_ppl_sd:.3g}"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -202,10 +201,9 @@ class BlockCache:
 
 @dataclass
 class ForwardCache:
-    tokens: Array | None          # [N, L] or None when fed raw embeddings
+    tokens: Array                 # [N, L] token ids
     hiddens: list[Array]          # block outputs, each [N, L, d]
     block_caches: list[BlockCache]
-    logits: Array | None          # [N, L, V]
 
 
 def run_blocks(params: DenoiserParams, e: Array) -> tuple[list[Array], list[BlockCache]]:
@@ -284,7 +282,7 @@ def forward_tokens(params: DenoiserParams, tokens: Array) -> tuple[Array, Forwar
     logits = (hiddens[-1].reshape(n * length, d) @ params.out_proj).reshape(
         n, length, params.vocab_size
     )
-    return logits, ForwardCache(tokens=tok, hiddens=hiddens, block_caches=caches, logits=logits)
+    return logits, ForwardCache(tokens=tok, hiddens=hiddens, block_caches=caches)
 
 
 def backward_tokens(
@@ -361,7 +359,6 @@ def sample_batch(
     nfe: int,
     n: int,
     rng: np.random.Generator,
-    on_forward: Callable[[int], None] | None = None,
 ) -> Array:
     """Generate ``n`` sequences with exactly ``nfe`` denoiser calls each.
 
@@ -390,8 +387,6 @@ def sample_batch(
             for part in chunks:
                 logits, _ = forward_tokens(params, tokens[part])
                 tokens[part] = _categorical_rows(_clean_probs(logits), rng)
-            if on_forward is not None:
-                on_forward(n)
         return tokens
 
     tokens = np.full((n, length), mask_index, dtype=np.int64)
@@ -410,8 +405,6 @@ def sample_batch(
             cols = chosen[part].ravel()
             # only the committed rows are normalized and drawn from
             tokens[part][rows, cols] = _categorical_rows(_clean_probs(logits[rows, cols]), rng)
-        if on_forward is not None:
-            on_forward(n)
         still_masked[np.arange(n)[:, None], chosen] = False
         remaining -= commit
     if remaining != 0 or np.any(tokens == mask_index):

@@ -163,7 +163,6 @@ class LiftedEncoding:
     probs: Array
     embeddings: Array  # [n, L, d]
     encoded: Encoded
-    lift: LiftKind
 
     @property
     def features(self) -> Array:
@@ -190,7 +189,6 @@ def lift_and_encode(
         probs=probs,
         embeddings=embeddings,
         encoded=encode(encoder, embeddings),
-        lift=lift,
     )
 
 

@@ -1,8 +1,14 @@
-"""Evaluation metrics, ablation harness, and the CLI.
+"""Evaluation metrics, ablation harness, config JSON codec, and the CLI.
 
 Generated samples are scored with the exact Markov-source oracle instead of
 an external language model, so only orderings and relative changes are
 meaningful, not absolute perplexities.
+
+The config dataclasses (``TrainConfig`` and its ``DriftConfig``,
+``ObjectiveKind`` and ``ModelConfig`` sections) are the one list of config
+fields and defaults.  The JSON codec walks their fields and type hints, and
+the train flags and ablation axes are tables of dotted config paths applied
+by ``with_overrides``.
 """
 
 from __future__ import annotations
@@ -12,11 +18,14 @@ import dataclasses
 import json
 import os
 import sys
+import types
+import typing
 from dataclasses import dataclass, replace
+from enum import Enum
 
 import numpy as np
 
-from .backbone import CorruptionKind, DenoiserParams, ModelConfig, sample_batch
+from .backbone import CorruptionKind, DenoiserParams, sample_batch
 from .corpus import (
     MarkovSource,
     banded_source,
@@ -25,11 +34,10 @@ from .corpus import (
     save_source,
     token_rows,
 )
-from .drift import DriftConfig
 from .encoder import LiftKind
 from .numcore import InvalidInputError
 from .objectives import ObjectiveKind, ObjectiveVariant
-from .trainer import Checkpoint, TrainConfig, load_checkpoint, train_run
+from .trainer import Checkpoint, TrainConfig, load_checkpoint, train_run, write_csv
 
 
 @dataclass(frozen=True)
@@ -51,13 +59,7 @@ class EvalReport:
                 raise InvalidInputError("EvalReport metrics out of range")
 
     def to_dict(self) -> dict:
-        return {
-            "per_nfe": [
-                {"nfe": m.nfe, "gen_ppl": m.gen_ppl, "entropy": m.entropy} for m in self.per_nfe
-            ],
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
+        return jsonable(self)
 
 
 def entropy_metric(seqs) -> float:
@@ -104,7 +106,20 @@ def evaluate(
 # ablation harness
 
 
-ABLATION_AXES = ("lift", "objective", "queue_size", "att_rep_ratio", "temperature_set")
+# ablation axis -> the config overrides of one grid value, in the CLI's
+# --grid syntax: "hard-st", "feature-l2+base", "64", "1:0", "0.05/0.2"
+ABLATION_AXES = {
+    "lift": lambda v: {"objective.lift": v},
+    "objective": lambda v: {
+        "objective.variant": v.removesuffix("+base"),
+        "objective.with_base_loss": v.endswith("+base"),
+    },
+    "queue_size": lambda v: {"queue_capacity": int(v)},
+    "att_rep_ratio": lambda v: dict(
+        zip(("drift.w_plus", "drift.w_minus"), (float(w) for w in v.split(":")), strict=True)
+    ),
+    "temperature_set": lambda v: {"drift.temperatures": [float(t) for t in v.split("/")]},
+}
 
 
 @dataclass(frozen=True)
@@ -119,46 +134,19 @@ class AblationRow:
     n_seeds: int
 
 
-def apply_axis(config: TrainConfig, axis: str, value) -> TrainConfig:
-    """Return a config with one ablation axis set to ``value``."""
-    objective = config.objective if config.objective is not None else ObjectiveKind()
-    if axis == "lift":
-        return replace(config, objective=replace(objective, lift=LiftKind(value)))
-    if axis == "objective":
-        text = str(value)
-        with_base = text.endswith("+base")
-        variant = ObjectiveVariant(text.removesuffix("+base"))
-        return replace(
-            config, objective=replace(objective, variant=variant, with_base_loss=with_base)
-        )
-    if axis == "queue_size":
-        return replace(config, queue_capacity=int(value))
-    if axis == "att_rep_ratio":
-        if isinstance(value, str):
-            wp, wm = (float(v) for v in value.split(":"))
-        else:
-            wp, wm = (float(v) for v in value)
-        return replace(config, drift=replace(config.drift, w_plus=wp, w_minus=wm))
-    if axis == "temperature_set":
-        if isinstance(value, str):
-            temps = tuple(float(v) for v in value.split("/"))
-        else:
-            temps = tuple(float(v) for v in value)
-        return replace(config, drift=replace(config.drift, temperatures=temps))
-    raise InvalidInputError(f"unknown ablation axis {axis!r}; choose from {ABLATION_AXES}")
+ABLATION_HEADER = [f.name for f in dataclasses.fields(AblationRow)]
 
 
-def _axis_value_label(axis: str, value) -> str:
-    if axis == "att_rep_ratio" and not isinstance(value, str):
-        return ":".join(repr(float(v)).rstrip("0").rstrip(".") or "0" for v in value)
-    if axis == "temperature_set" and not isinstance(value, str):
-        return "/".join(str(v) for v in value)
-    return str(value)
+def apply_axis(config: TrainConfig, axis: str, value: str) -> TrainConfig:
+    """Return a config with one ablation axis set to the grid value ``value``."""
+    if axis not in ABLATION_AXES:
+        raise InvalidInputError(f"unknown ablation axis {axis!r}; choose from {[*ABLATION_AXES]}")
+    return with_overrides(config, ABLATION_AXES[axis](value))
 
 
 def ablate(
     axis: str,
-    grid,
+    grid: list[str],
     base_config: TrainConfig,
     source: MarkovSource,
     init_checkpoint: Checkpoint | None,
@@ -190,7 +178,7 @@ def ablate(
             rows.append(
                 AblationRow(
                     axis=axis,
-                    value=_axis_value_label(axis, value),
+                    value=value,
                     nfe=int(nfe),
                     gen_ppl_mean=float(ppl.mean()),
                     gen_ppl_sd=float(ppl.std(ddof=0)),
@@ -202,66 +190,83 @@ def ablate(
     return rows
 
 
-def write_ablation_csv(path, rows: list[AblationRow]) -> None:
-    header = "axis,value,nfe,gen_ppl_mean,gen_ppl_sd,entropy_mean,entropy_sd,n_seeds"
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r.axis},{r.value},{r.nfe},{r.gen_ppl_mean!r},{r.gen_ppl_sd!r},"
-            f"{r.entropy_mean!r},{r.entropy_sd!r},{r.n_seeds}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # config (de)serialization
 
 
-def train_config_to_dict(config: TrainConfig) -> dict:
-    d = dataclasses.asdict(config)
-    d["corruption"] = config.corruption.value
-    d["objective"] = None
-    if config.objective is not None:
-        d["objective"] = {
-            "variant": config.objective.variant.value,
-            "with_base_loss": config.objective.with_base_loss,
-            "lift": config.objective.lift.value,
-            "eta": config.objective.eta,
-            "alpha": config.objective.alpha,
-        }
-    d["drift"]["temperatures"] = list(config.drift.temperatures)
-    d["eval_nfes"] = list(config.eval_nfes)
-    return d
+def jsonable(value):
+    """``value`` as JSON data: dataclasses become dicts, enums values, tuples lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [jsonable(v) for v in value]
+    return value
 
 
-def _check_keys(section: str, doc: dict, cls) -> dict:
-    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise InvalidInputError(f"unknown {section} config keys: {sorted(unknown)}")
-    return doc
+train_config_to_dict = jsonable
+
+
+def _decode(tp, doc, path: str):
+    """The value of type ``tp`` that the JSON data ``doc`` found at ``path`` encodes.
+
+    Missing dataclass keys take the field defaults.  An unknown key, a wrong
+    type or a bad enum value raises ``InvalidInputError`` naming the path.
+    """
+    where = path or "top-level"
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(doc, dict):
+            raise InvalidInputError(f"config {where} must be an object, got {doc!r}")
+        prefix = f"{path}." if path else ""
+        unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(tp)})
+        if unknown:
+            keys = [prefix + k for k in unknown]
+            raise InvalidInputError(f"unknown {where} config keys: {keys}")
+        hints = typing.get_type_hints(tp)
+        return tp(**{k: _decode(hints[k], v, prefix + k) for k, v in doc.items()})
+    if typing.get_origin(tp) is types.UnionType:  # X | None
+        if doc is None:
+            return None
+        (tp,) = set(typing.get_args(tp)) - {type(None)}
+        return _decode(tp, doc, path)
+    if typing.get_origin(tp) is tuple:  # tuple[T, ...]
+        if not isinstance(doc, list):
+            raise InvalidInputError(f"config {where} must be a list, got {doc!r}")
+        (item, _) = typing.get_args(tp)
+        return tuple(_decode(item, v, f"{path}[{i}]") for i, v in enumerate(doc))
+    if issubclass(tp, Enum):
+        values = [m.value for m in tp]
+        if doc not in values:
+            raise InvalidInputError(f"config {where} must be one of {values}, got {doc!r}")
+        return tp(doc)
+    # an int may stand for a float, but a bool only for a bool
+    numeric = (int, float) if tp is float else tp
+    if isinstance(doc, bool) != (tp is bool) or not isinstance(doc, numeric):
+        raise InvalidInputError(f"config {where} must be {tp.__name__}, got {doc!r}")
+    return tp(doc)
 
 
 def train_config_from_dict(d: dict) -> TrainConfig:
-    d = _check_keys("top-level", dict(d), TrainConfig)
-    objective = d.get("objective")
-    if objective is not None:
-        objective = _check_keys("objective", objective, ObjectiveKind)
-        objective = ObjectiveKind(
-            variant=ObjectiveVariant(objective["variant"]),
-            with_base_loss=bool(objective["with_base_loss"]),
-            lift=LiftKind(objective["lift"]),
-            eta=float(objective["eta"]),
-            alpha=float(objective["alpha"]),
-        )
-    drift = _check_keys("drift", d.get("drift", {}), DriftConfig)
-    kwargs = dict(d)
-    kwargs["objective"] = objective
-    kwargs["drift"] = DriftConfig(**{**drift, "temperatures": tuple(drift.get("temperatures", (0.02, 0.05, 0.2)))})
-    kwargs["model"] = ModelConfig(**_check_keys("model", d.get("model", {}), ModelConfig))
-    kwargs["corruption"] = CorruptionKind(d.get("corruption", "masked"))
-    kwargs["eval_nfes"] = tuple(int(n) for n in d.get("eval_nfes", (4, 8, 16)))
-    return TrainConfig(**kwargs)
+    return _decode(TrainConfig, d, "")
+
+
+def with_overrides(config, overrides: dict):
+    """``config`` with the field at each dotted path (``"drift.w_plus"``) set, in order.
+
+    Values are typed or JSON data (``"hard-st"`` for a ``LiftKind``); a path
+    through a ``None`` section starts that section from its defaults.
+    """
+    doc = jsonable(config)
+    for path, value in overrides.items():
+        *sections, name = path.split(".")
+        node = doc
+        for section in sections:
+            if node.get(section) is None:
+                node[section] = {}
+            node = node[section]
+        node[name] = jsonable(value)
+    return _decode(type(config), doc, "")
 
 
 def _write_json(path, payload: dict) -> None:
@@ -270,9 +275,13 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir, command: str, payload: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "manifest.json"), {"command": command, **payload})
+def _write_manifest(args, payload: dict) -> None:
+    os.makedirs(args.out, exist_ok=True)
+    _write_json(os.path.join(args.out, "manifest.json"), {"command": args.command, **payload})
+
+
+def _flag_values(args) -> dict:
+    return {k: v for k, v in vars(args).items() if k not in ("command", "out")}
 
 
 # ---------------------------------------------------------------------------
@@ -287,38 +296,50 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
+# train flag -> (the config path it sets, argparse keywords); a flag left
+# unset keeps the value of --config or of the defaults
+TRAIN_FLAGS = {
+    "--seed": ("seed", dict(type=int)),
+    "--steps": ("steps", dict(type=int)),
+    "--lr": ("lr", dict(type=float)),
+    "--batch-size": ("batch_size", dict(type=int)),
+    "--micro-batch": ("micro_batch", dict(type=int)),
+    "--eval-every": ("eval_every", dict(type=int)),
+    "--samples": ("eval_samples", dict(type=int, help="samples per evaluation")),
+    "--nfe": ("eval_nfes", dict(type=_parse_int_list, help="comma list, e.g. 4,8,16")),
+    "--queue-capacity": ("queue_capacity", dict(type=int)),
+    "--corruption": ("corruption", dict(choices=[k.value for k in CorruptionKind])),
+}
+# the flags only drift-train and ablate take
+DRIFT_FLAGS = {
+    "--objective": ("objective.variant", dict(choices=[v.value for v in ObjectiveVariant])),
+    "--with-base-loss": ("objective.with_base_loss", dict(action="store_true")),
+    "--lift": ("objective.lift", dict(choices=[k.value for k in LiftKind])),
+    "--eta": ("objective.eta", dict(type=float)),
+    "--alpha": ("objective.alpha", dict(type=float)),
+    "--w-plus": ("drift.w_plus", dict(type=float)),
+    "--w-minus": ("drift.w_minus", dict(type=float)),
+    "--temperatures": ("drift.temperatures", dict(type=_parse_float_list)),
+    "--unrenormalized-barycenters": (
+        "drift.renormalize_sides",
+        dict(
+            action="store_const",
+            const=False,
+            help="use raw joint-softmax masses instead of per-side renormalization",
+        ),
+    ),
+}
+
+
 def _add_train_flags(p: argparse.ArgumentParser, drift_phase: bool) -> None:
     p.add_argument("--source", required=True, help="Markov source file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", default=None, help="JSON training config to start from")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--micro-batch", type=int, default=None)
-    p.add_argument("--eval-every", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None, help="samples per evaluation")
-    p.add_argument("--nfe", type=_parse_int_list, default=None, help="comma list, e.g. 4,8,16")
-    p.add_argument("--queue-capacity", type=int, default=None)
-    p.add_argument("--corruption", choices=[k.value for k in CorruptionKind], default=None)
+    for flag, (_, kwargs) in TRAIN_FLAGS.items():
+        p.add_argument(flag, default=None, **kwargs)
     p.add_argument("--init", required=drift_phase, default=None, help="initial checkpoint")
-    if drift_phase:
-        p.add_argument(
-            "--objective", choices=[v.value for v in ObjectiveVariant], default=None
-        )
-        p.add_argument("--with-base-loss", action="store_true", default=None)
-        p.add_argument("--lift", choices=[k.value for k in LiftKind], default=None)
-        p.add_argument("--eta", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--w-plus", type=float, default=None)
-        p.add_argument("--w-minus", type=float, default=None)
-        p.add_argument("--temperatures", type=_parse_float_list, default=None)
-        p.add_argument(
-            "--unrenormalized-barycenters",
-            action="store_true",
-            default=None,
-            help="use raw joint-softmax masses instead of per-side renormalization",
-        )
+    for flag, (_, kwargs) in (DRIFT_FLAGS if drift_phase else {}).items():
+        p.add_argument(flag, default=None, **kwargs)
 
 
 def _resolve_train_config(args, drift_phase: bool) -> TrainConfig:
@@ -326,52 +347,16 @@ def _resolve_train_config(args, drift_phase: bool) -> TrainConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = train_config_from_dict(json.load(fh))
     else:
-        lr = 3e-5 if (drift_phase or args.init) else 3e-4
-        config = TrainConfig(lr=lr)
-    simple = {
-        "seed": args.seed,
-        "steps": args.steps,
-        "lr": args.lr,
-        "batch_size": args.batch_size,
-        "micro_batch": args.micro_batch,
-        "eval_every": args.eval_every,
-        "eval_samples": args.samples,
-        "eval_nfes": args.nfe,
-        "queue_capacity": args.queue_capacity,
-    }
-    overrides = {k: v for k, v in simple.items() if v is not None}
-    if args.corruption is not None:
-        overrides["corruption"] = CorruptionKind(args.corruption)
-    config = replace(config, **overrides)
-    if drift_phase:
-        objective = config.objective if config.objective is not None else ObjectiveKind()
-        obj_overrides = {}
-        if args.objective is not None:
-            obj_overrides["variant"] = ObjectiveVariant(args.objective)
-        if args.with_base_loss:
-            obj_overrides["with_base_loss"] = True
-        if args.lift is not None:
-            obj_overrides["lift"] = LiftKind(args.lift)
-        if args.eta is not None:
-            obj_overrides["eta"] = args.eta
-        if args.alpha is not None:
-            obj_overrides["alpha"] = args.alpha
-        objective = replace(objective, **obj_overrides)
-        drift_overrides = {}
-        if args.w_plus is not None:
-            drift_overrides["w_plus"] = args.w_plus
-        if args.w_minus is not None:
-            drift_overrides["w_minus"] = args.w_minus
-        if args.temperatures is not None:
-            drift_overrides["temperatures"] = args.temperatures
-        if args.unrenormalized_barycenters:
-            drift_overrides["renormalize_sides"] = False
-        config = replace(
-            config, objective=objective, drift=replace(config.drift, **drift_overrides)
-        )
-    else:
-        config = replace(config, objective=None)
-    return config
+        # a drift phase, or training on from a checkpoint, defaults to a smaller lr
+        config = TrainConfig(lr=3e-5) if (drift_phase or args.init) else TrainConfig()
+    # base training has no drifting objective; a drift phase keeps the
+    # config's objective or starts from the default one
+    overrides = {"objective": (config.objective or ObjectiveKind()) if drift_phase else None}
+    for flag, (path, _) in {**TRAIN_FLAGS, **(DRIFT_FLAGS if drift_phase else {})}.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            overrides[path] = value
+    return with_overrides(config, overrides)
 
 
 def _cmd_make_source(args) -> int:
@@ -383,13 +368,12 @@ def _cmd_make_source(args) -> int:
     return 0
 
 
-def _cmd_train(args, drift_phase: bool) -> int:
-    config = _resolve_train_config(args, drift_phase)
+def _cmd_train(args) -> int:
+    config = _resolve_train_config(args, drift_phase=args.command == "drift-train")
     source = load_source(args.source)
     checkpoint = load_checkpoint(args.init) if args.init else None
     _write_manifest(
-        args.out,
-        "drift-train" if drift_phase else "base-train",
+        args,
         {
             "config": train_config_to_dict(config),
             "source": args.source,
@@ -413,17 +397,7 @@ def _cmd_sample(args) -> int:
     kind = CorruptionKind(args.corruption)
     rng = np.random.default_rng([args.seed, args.nfe])
     seqs = sample_batch(checkpoint.params, kind, args.nfe, args.samples, rng)
-    _write_manifest(
-        args.out,
-        "sample",
-        {
-            "init": args.init,
-            "nfe": args.nfe,
-            "samples": args.samples,
-            "seed": args.seed,
-            "corruption": kind.value,
-        },
-    )
+    _write_manifest(args, _flag_values(args))
     path = os.path.join(args.out, "samples.jsonl")
     with open(path, "w", encoding="utf-8") as fh:
         for seq in seqs:
@@ -439,18 +413,7 @@ def _cmd_eval(args) -> int:
     report = evaluate(
         checkpoint.params, source, kind, nfes=args.nfe, n_samples=args.samples, seed=args.seed
     )
-    _write_manifest(
-        args.out,
-        "eval",
-        {
-            "init": args.init,
-            "source": args.source,
-            "nfe": list(args.nfe),
-            "samples": args.samples,
-            "seed": args.seed,
-            "corruption": kind.value,
-        },
-    )
+    _write_manifest(args, _flag_values(args))
     _write_json(os.path.join(args.out, "report.json"), report.to_dict())
     for item in report.per_nfe:
         print(f"nfe={item.nfe} gen_ppl={item.gen_ppl!r} entropy={item.entropy!r}")
@@ -464,8 +427,7 @@ def _cmd_ablate(args) -> int:
     grid = [v for v in args.grid.split(",") if v]
     seeds = _parse_int_list(args.seeds)
     _write_manifest(
-        args.out,
-        "ablate",
+        args,
         {
             "axis": args.axis,
             "grid": grid,
@@ -477,7 +439,7 @@ def _cmd_ablate(args) -> int:
     )
     rows = ablate(args.axis, grid, config, source, checkpoint, seeds=seeds)
     path = os.path.join(args.out, "ablation.csv")
-    write_ablation_csv(path, rows)
+    write_csv(path, ABLATION_HEADER, [dataclasses.asdict(r) for r in rows])
     for r in rows:
         print(
             f"{r.axis}={r.value} nfe={r.nfe}: "
@@ -487,7 +449,7 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
-def cli(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driftlm",
         description="Desk-scale drifting-objective lab for discrete diffusion LMs",
@@ -528,26 +490,25 @@ def cli(argv=None) -> int:
     p.add_argument("--axis", required=True, choices=ABLATION_AXES)
     p.add_argument("--grid", required=True, help="comma-separated axis values")
     p.add_argument("--seeds", default="0,1,2")
+    return parser
 
+
+COMMANDS = {
+    "make-source": _cmd_make_source,
+    "base-train": _cmd_train,
+    "drift-train": _cmd_train,
+    "sample": _cmd_sample,
+    "eval": _cmd_eval,
+    "ablate": _cmd_ablate,
+}
+
+
+def cli(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    if args.command == "make-source":
-        return _cmd_make_source(args)
-    if args.command == "base-train":
-        return _cmd_train(args, drift_phase=False)
-    if args.command == "drift-train":
-        return _cmd_train(args, drift_phase=True)
-    if args.command == "sample":
-        return _cmd_sample(args)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    if args.command == "ablate":
-        return _cmd_ablate(args)
-    parser.print_usage()
-    return 2
+    return COMMANDS[args.command](args)
 
 
 def main() -> None:

@@ -11,6 +11,7 @@ drifting objective.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,13 @@ from .backbone import (
 )
 from .corpus import MarkovSource, sample_sequences
 from .drift import DriftConfig, ReferenceQueue, build_references, drift_multi_temp, queue_push
-from .encoder import FrozenEncoder, lift_and_encode, make_frozen_encoder, real_features_batch
+from .encoder import (
+    FrozenEncoder,
+    encoder_param_bytes,
+    lift_and_encode,
+    make_frozen_encoder,
+    real_features_batch,
+)
 from .numcore import Array, InvalidInputError
 from .objectives import ObjectiveKind, total_objective
 
@@ -124,19 +131,16 @@ def init_state(
     rng = np.random.default_rng(config.seed)
     if checkpoint is None:
         params = init_params(config.model, rng, init_std=config.init_std)
+    else:
+        params = copy_params(checkpoint.params)
+    if checkpoint is None or reset_optimizer:
         adam_m = {name: np.zeros_like(arr) for name, arr in param_items(params)}
         adam_v = {name: np.zeros_like(arr) for name, arr in param_items(params)}
         adam_t, step = 0, 0
     else:
-        params = copy_params(checkpoint.params)
-        if reset_optimizer:
-            adam_m = {name: np.zeros_like(arr) for name, arr in param_items(params)}
-            adam_v = {name: np.zeros_like(arr) for name, arr in param_items(params)}
-            adam_t, step = 0, 0
-        else:
-            adam_m = {k: v.copy() for k, v in checkpoint.adam_m.items()}
-            adam_v = {k: v.copy() for k, v in checkpoint.adam_v.items()}
-            adam_t, step = checkpoint.adam_t, checkpoint.step
+        adam_m = {k: v.copy() for k, v in checkpoint.adam_m.items()}
+        adam_v = {k: v.copy() for k, v in checkpoint.adam_v.items()}
+        adam_t, step = checkpoint.adam_t, checkpoint.step
     encoder = make_frozen_encoder(params)
     return TrainState(
         params=params,
@@ -256,21 +260,13 @@ def metrics_header(config: TrainConfig) -> list[str]:
     return cols
 
 
-def write_metrics_csv(path, config: TrainConfig, rows: list[dict]) -> None:
-    header = metrics_header(config)
+def write_csv(path, header: list[str], rows: list[dict]) -> None:
+    """``header`` and one line per row dict; a missing or ``None`` cell is empty."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_format_cell(row.get(col)) for col in header))
+        lines.append(",".join("" if row.get(col) is None else str(row[col]) for col in header))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def train_run(
@@ -289,7 +285,7 @@ def train_run(
     from .evalcli import evaluate  # deferred: evalcli imports this module
 
     state = init_state(config, checkpoint, reset_optimizer)
-    encoder_fingerprint = _encoder_fingerprint(state)
+    encoder_fingerprint = encoder_param_bytes(state.encoder)
     rows: list[dict] = []
     window = {"loss": 0.0, "drift_norm": 0.0, "grad_norm": 0.0, "n": 0}
 
@@ -323,22 +319,14 @@ def train_run(
         if step % config.eval_every == 0:
             rows.append(eval_row(step))
 
-    if _encoder_fingerprint(state) != encoder_fingerprint:
+    if encoder_param_bytes(state.encoder) != encoder_fingerprint:
         raise RuntimeError("frozen encoder parameters changed during training")
 
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
-        write_metrics_csv(os.path.join(out_dir, "metrics.csv"), config, rows)
+        write_csv(os.path.join(out_dir, "metrics.csv"), metrics_header(config), rows)
         save_checkpoint(state, os.path.join(out_dir, "checkpoint.json"))
     return state, rows
-
-
-def _encoder_fingerprint(state: TrainState) -> bytes:
-    from .encoder import encoder_param_bytes
-
-    return encoder_param_bytes(state.encoder)
 
 
 # ---------------------------------------------------------------------------

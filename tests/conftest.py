@@ -68,9 +68,9 @@ def denoise_backward(params, fwd: DenoiserForward, grad_logits) -> dict[str, np.
     return backward_tokens(params, fwd.cache, np.asarray(grad_logits)[None, :, :])
 
 
-def sample(params, kind, nfe: int, rng: np.random.Generator, on_forward=None) -> np.ndarray:
+def sample(params, kind, nfe: int, rng: np.random.Generator) -> np.ndarray:
     """One sequence ``[L]`` from the fixed-NFE sampler."""
-    return sample_batch(params, kind, nfe, 1, rng, on_forward=on_forward)[0]
+    return sample_batch(params, kind, nfe, 1, rng)[0]
 
 
 def rel_err(analytic: np.ndarray, reference: np.ndarray, atol: float = 1e-8) -> float:

@@ -310,17 +310,26 @@ def test_total_objective_base_loss_matches_per_sequence_sum(small_params, rng):
 # sampler
 
 
-def test_masked_sampler_full_nfe_commits_one_per_step(small_params):
+def count_forwards(monkeypatch) -> list[np.ndarray]:
+    """Record the token batch of every denoiser call the sampler makes."""
+    calls = []
+    forward = backbone.forward_tokens
+
+    def counting(params, tokens):
+        calls.append(np.array(tokens))
+        return forward(params, tokens)
+
+    monkeypatch.setattr(backbone, "forward_tokens", counting)
+    return calls
+
+
+def test_masked_sampler_full_nfe_commits_one_per_step(small_params, monkeypatch):
     length = SMALL_MODEL.length
-    counts = []
-    seq = sample(
-        small_params,
-        CorruptionKind.MASKED,
-        length,
-        np.random.default_rng(0),
-        on_forward=counts.append,
-    )
-    assert len(counts) == length
+    calls = count_forwards(monkeypatch)
+    seq = sample(small_params, CorruptionKind.MASKED, length, np.random.default_rng(0))
+    masked = [int((tokens == SMALL_MODEL.mask_index).sum()) for tokens in calls]
+    assert masked == list(range(length, 0, -1))
+    assert all(tokens.shape == (1, length) for tokens in calls)
     assert np.all(seq < SMALL_MODEL.mask_index)
 
 
@@ -331,12 +340,11 @@ def test_masked_sampler_single_step(small_params):
 
 @pytest.mark.parametrize("kind", [CorruptionKind.MASKED, CorruptionKind.UNIFORM])
 @pytest.mark.parametrize("nfe", [1, 2, 5])
-def test_sampler_exact_nfe_and_mask_free(small_params, kind, nfe):
-    calls = []
-    seqs = sample_batch(
-        small_params, kind, nfe, 3, np.random.default_rng(4), on_forward=calls.append
-    )
-    assert len(calls) == nfe
+def test_sampler_exact_nfe_and_mask_free(small_params, kind, nfe, monkeypatch):
+    calls = count_forwards(monkeypatch)
+    assert 3 <= backbone.SAMPLE_CHUNK  # one chunk: one call per step
+    seqs = sample_batch(small_params, kind, nfe, 3, np.random.default_rng(4))
+    assert [tokens.shape[0] for tokens in calls] == [3] * nfe
     assert np.all(seqs < SMALL_MODEL.mask_index)
     assert seqs.shape == (3, SMALL_MODEL.length)
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +12,12 @@ import pytest
 from driftlm.backbone import CorruptionKind, ModelConfig, init_params, sample_batch
 from driftlm.corpus import banded_source, load_source, oracle_gen_ppl, save_source
 from driftlm.evalcli import (
+    ABLATION_HEADER,
     AblationRow,
+    _resolve_train_config,
     ablate,
     apply_axis,
+    build_parser,
     cli,
     entropy_metric,
     evaluate,
@@ -22,7 +28,7 @@ from driftlm.drift import DriftConfig
 from driftlm.encoder import LiftKind
 from driftlm.numcore import InvalidInputError
 from driftlm.objectives import ObjectiveKind, ObjectiveVariant
-from driftlm.trainer import TrainConfig, checkpoint_of, init_state, save_checkpoint
+from driftlm.trainer import TrainConfig, checkpoint_of, init_state, save_checkpoint, write_csv
 
 TINY_MODEL = ModelConfig(vocab_size=8, length=6, embed_dim=8, hidden_dim=12)
 
@@ -166,7 +172,7 @@ def test_apply_axis_variants():
     temps = apply_axis(cfg, "temperature_set", "0.05/0.2")
     assert temps.drift.temperatures == (0.05, 0.2)
     with pytest.raises(InvalidInputError):
-        apply_axis(cfg, "nope", 1)
+        apply_axis(cfg, "nope", "1")
 
 
 def test_ablate_table_shape_and_zero_sd_single_seed():
@@ -181,6 +187,20 @@ def test_ablate_table_shape_and_zero_sd_single_seed():
     assert all(r.gen_ppl_sd == 0.0 and r.entropy_sd == 0.0 for r in rows)
     values = {(r.value, r.nfe) for r in rows}
     assert values == {("4", 2), ("4", 3), ("8", 2), ("8", 3)}
+
+
+def test_ablation_csv_bytes(tmp_path):
+    rows = [
+        AblationRow("att_rep_ratio", "1:1", 4, 12.5, 0.0, 2.25, 0.1, 1),
+        AblationRow("att_rep_ratio", "0:1", 8, 1e7 / 3, 1.5e-3, 2.0, 0.0, 3),
+    ]
+    path = tmp_path / "ablation.csv"
+    write_csv(path, ABLATION_HEADER, [dataclasses.asdict(r) for r in rows])
+    assert path.read_text(encoding="utf-8") == (
+        "axis,value,nfe,gen_ppl_mean,gen_ppl_sd,entropy_mean,entropy_sd,n_seeds\n"
+        "att_rep_ratio,1:1,4,12.5,0.0,2.25,0.1,1\n"
+        "att_rep_ratio,0:1,8,3333333.3333333335,0.0015,2.0,0.0,3\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +224,77 @@ def test_train_config_rejects_unknown_keys():
     doc["mystery"] = 1
     with pytest.raises(InvalidInputError):
         train_config_from_dict(doc)
+
+
+# every field away from its default, and its JSON form
+NON_DEFAULT_CONFIG = TrainConfig(
+    batch_size=12,
+    micro_batch=3,
+    steps=7,
+    lr=0.01,
+    adam_beta1=0.8,
+    adam_beta2=0.99,
+    adam_eps=1e-6,
+    seed=5,
+    objective=ObjectiveKind(
+        variant=ObjectiveVariant.MIRROR_MSE,
+        with_base_loss=True,
+        lift=LiftKind.HARD_ST,
+        eta=0.5,
+        alpha=2.5,
+    ),
+    drift=DriftConfig(
+        temperatures=(0.1, 0.3), eps=1e-6, w_plus=2.0, w_minus=0.5, renormalize_sides=False
+    ),
+    corruption=CorruptionKind.UNIFORM,
+    eval_every=3,
+    queue_capacity=9,
+    t_min=0.1,
+    t_max=0.9,
+    model=ModelConfig(vocab_size=8, length=6, embed_dim=8, hidden_dim=12, n_blocks=3),
+    eval_nfes=(2, 3),
+    eval_samples=6,
+    init_std=0.2,
+)
+NON_DEFAULT_JSON = {
+    "batch_size": 12,
+    "micro_batch": 3,
+    "steps": 7,
+    "lr": 0.01,
+    "adam_beta1": 0.8,
+    "adam_beta2": 0.99,
+    "adam_eps": 1e-06,
+    "seed": 5,
+    "objective": {
+        "variant": "mirror-mse",
+        "with_base_loss": True,
+        "lift": "hard-st",
+        "eta": 0.5,
+        "alpha": 2.5,
+    },
+    "drift": {
+        "temperatures": [0.1, 0.3],
+        "eps": 1e-06,
+        "w_plus": 2.0,
+        "w_minus": 0.5,
+        "renormalize_sides": False,
+    },
+    "corruption": "uniform",
+    "eval_every": 3,
+    "queue_capacity": 9,
+    "t_min": 0.1,
+    "t_max": 0.9,
+    "model": {"vocab_size": 8, "length": 6, "embed_dim": 8, "hidden_dim": 12, "n_blocks": 3},
+    "eval_nfes": [2, 3],
+    "eval_samples": 6,
+    "init_std": 0.2,
+}
+
+
+def test_train_config_json_golden():
+    # json.dumps, not ==: key order and int/float/bool types must match too
+    assert json.dumps(train_config_to_dict(NON_DEFAULT_CONFIG)) == json.dumps(NON_DEFAULT_JSON)
+    assert train_config_from_dict(NON_DEFAULT_JSON) == NON_DEFAULT_CONFIG
 
 
 @pytest.mark.parametrize(
@@ -429,3 +520,126 @@ def test_cli_ablate_writes_table(cli_env, capsys):
     lines = (out / "ablation.csv").read_text().strip().split("\n")
     assert lines[0].startswith("axis,value,nfe")
     assert len(lines) == 1 + 2 * 2  # two grid values x two NFEs
+
+
+def _with(path: str, value) -> dict:
+    """The tiny config's JSON with the value at a dotted path replaced."""
+    doc = train_config_to_dict(tiny_train_config())
+    *sections, name = path.split(".")
+    node = doc
+    for section in sections:
+        node = node[section]
+    node[name] = value
+    return doc
+
+
+BAD_CONFIGS = {
+    "drift-null": (_with("drift", None), "drift"),
+    "model-null": (_with("model", None), "model"),
+    "top-level-list": ([["steps", 10]], "top-level"),
+    "bad-enum": (_with("objective.variant", "bogus"), "objective.variant"),
+    "float-in-int-list": (_with("eval_nfes", [4.7, 8]), r"eval_nfes\[0\]"),
+    "string-int": (_with("steps", "10"), "steps"),
+    "float-for-int": (_with("batch_size", 32.0), "batch_size"),
+    "string-for-tuple": (_with("drift.temperatures", "0.1"), "drift.temperatures"),
+    "string-for-bool": (_with("objective.with_base_loss", "false"), "objective.with_base_loss"),
+    "bool-for-int": (_with("steps", True), "steps"),
+    "bool-for-float": (_with("drift.w_plus", True), "drift.w_plus"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_train_config_rejects_bad_values_naming_the_field(case):
+    doc, path = BAD_CONFIGS[case]
+    with pytest.raises(InvalidInputError, match=path):
+        train_config_from_dict(doc)
+
+
+def test_train_config_partial_sections_take_defaults():
+    doc = {"objective": {"variant": "mirror-kl"}, "drift": {"w_minus": 2}}
+    cfg = train_config_from_dict(doc)
+    assert cfg.objective == ObjectiveKind(variant=ObjectiveVariant.MIRROR_KL)
+    assert cfg.drift == DriftConfig(w_minus=2.0)
+    assert type(cfg.drift.w_minus) is float  # an int stands for a float
+    assert replace(cfg, objective=None, drift=DriftConfig()) == TrainConfig()
+
+
+# the parent surface of the training subcommands: (flags, choices, default, required)
+TRAIN_SURFACE = [
+    ("-h/--help", None, "==SUPPRESS==", False),
+    ("--source", None, None, True),
+    ("--out", None, None, True),
+    ("--config", None, None, False),
+    ("--seed", None, None, False),
+    ("--steps", None, None, False),
+    ("--lr", None, None, False),
+    ("--batch-size", None, None, False),
+    ("--micro-batch", None, None, False),
+    ("--eval-every", None, None, False),
+    ("--samples", None, None, False),
+    ("--nfe", None, None, False),
+    ("--queue-capacity", None, None, False),
+    ("--corruption", ["masked", "uniform"], None, False),
+]
+DRIFT_SURFACE = [
+    ("--objective", ["feature-l2", "mirror-kl", "mirror-mse"], None, False),
+    ("--with-base-loss", None, None, False),
+    ("--lift", ["soft", "hard-st"], None, False),
+    ("--eta", None, None, False),
+    ("--alpha", None, None, False),
+    ("--w-plus", None, None, False),
+    ("--w-minus", None, None, False),
+    ("--temperatures", None, None, False),
+    ("--unrenormalized-barycenters", None, None, False),
+]
+CLI_SURFACE = {
+    "base-train": TRAIN_SURFACE + [("--init", None, None, False)],
+    "drift-train": TRAIN_SURFACE + [("--init", None, None, True)] + DRIFT_SURFACE,
+    "ablate": TRAIN_SURFACE
+    + [("--init", None, None, True)]
+    + DRIFT_SURFACE
+    + [
+        (
+            "--axis",
+            ["lift", "objective", "queue_size", "att_rep_ratio", "temperature_set"],
+            None,
+            True,
+        ),
+        ("--grid", None, None, True),
+        ("--seeds", None, "0,1,2", False),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_SURFACE))
+def test_cli_train_flag_surface(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = [
+        ("/".join(a.option_strings), a.choices and list(a.choices), a.default, a.required)
+        for a in sub.choices[command]._actions
+    ]
+    assert surface == CLI_SURFACE[command]
+
+
+def resolve(*argv: str) -> TrainConfig:
+    args = build_parser().parse_args([*argv, "--source", "s", "--out", "o"])
+    return _resolve_train_config(args, drift_phase=args.command != "base-train")
+
+
+def test_cli_flags_override_config_paths(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(NON_DEFAULT_JSON), encoding="utf-8")
+    config = ("--config", str(config_path))
+    base = resolve("base-train", *config, "--lr", "0.5", "--nfe", "4,8")
+    assert base == replace(NON_DEFAULT_CONFIG, objective=None, lr=0.5, eval_nfes=(4, 8))
+    drift = resolve("drift-train", *config, "--init", "i", "--lift", "soft", "--w-plus", "3")
+    objective = replace(NON_DEFAULT_CONFIG.objective, lift=LiftKind.SOFT)
+    assert drift == replace(
+        NON_DEFAULT_CONFIG, objective=objective, drift=replace(NON_DEFAULT_CONFIG.drift, w_plus=3.0)
+    )
+    # without --config: the lr rule, and drifting starts from the default objective
+    assert resolve("base-train") == TrainConfig()
+    assert resolve("base-train", "--init", "i") == TrainConfig(lr=3e-5)
+    assert resolve("drift-train", "--init", "i") == TrainConfig(lr=3e-5, objective=ObjectiveKind())
+
