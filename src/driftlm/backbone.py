@@ -344,13 +344,15 @@ def _categorical_rows(probs: Array, rng: np.random.Generator) -> Array:
     return picks.reshape(probs.shape[:-1])
 
 
-# Sequences per sampler forward.  At the default model a chunk's largest
-# array, the [256, 64] block activation, is 128 KB: a step's arrays stay in a
-# core's L2 cache and the allocator reuses their memory.  A whole-batch
-# forward at n = 2048 streams fresh 8-16 MB arrays through the shared cache
-# and faults their pages in again on every step, so its time follows the
-# host's memory traffic.
-SAMPLE_CHUNK = 16
+# Sequences per denoiser forward in the sampler (``sample_batch``) and in a
+# base training step (``trainer.train_step``).  At the default model a chunk's
+# largest array, the [256, 64] block activation, is 128 KB: a step's arrays
+# stay in a core's L2 cache and the allocator reuses most of their memory.  A
+# whole-batch forward (2048 rows in the sampler, a 128-row micro-batch in
+# base training) streams fresh 1-16 MB arrays through the shared cache and
+# faults their pages in again on every call, so its time follows the host's
+# memory traffic.
+DENOISER_CHUNK = 16
 
 
 def sample_batch(
@@ -366,7 +368,7 @@ def sample_batch(
     positions each step.  Uniform: iterated full resampling from the
     predictive rows.  Predictions are always restricted to the clean
     vocabulary, so outputs never contain the mask symbol.  Each step runs
-    the denoiser over chunks of ``SAMPLE_CHUNK`` sequences; the chunks draw
+    the denoiser over chunks of ``DENOISER_CHUNK`` sequences; the chunks draw
     from ``rng`` in row order, so the draws equal a whole-batch step's.
     """
     if nfe < 1:
@@ -375,7 +377,7 @@ def sample_batch(
     mask_index = params.mask_index
     if kind == CorruptionKind.MASKED and nfe > length:
         raise InvalidInputError("masked sampling requires nfe <= sequence length")
-    chunks = [slice(lo, min(lo + SAMPLE_CHUNK, n)) for lo in range(0, n, SAMPLE_CHUNK)]
+    chunks = [slice(lo, min(lo + DENOISER_CHUNK, n)) for lo in range(0, n, DENOISER_CHUNK)]
 
     def _clean_probs(logits: Array) -> Array:
         probs = numcore.softmax_rows(logits)[..., :mask_index]

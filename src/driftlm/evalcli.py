@@ -342,21 +342,32 @@ def _add_train_flags(p: argparse.ArgumentParser, drift_phase: bool) -> None:
         p.add_argument(flag, default=None, **kwargs)
 
 
+class ConfigUsageError(InvalidInputError):
+    """A training command's config cannot be resolved; the CLI reports it as a usage error."""
+
+
 def _resolve_train_config(args, drift_phase: bool) -> TrainConfig:
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = train_config_from_dict(json.load(fh))
-    else:
-        # a drift phase, or training on from a checkpoint, defaults to a smaller lr
-        config = TrainConfig(lr=3e-5) if (drift_phase or args.init) else TrainConfig()
-    # base training has no drifting objective; a drift phase keeps the
-    # config's objective or starts from the default one
-    overrides = {"objective": (config.objective or ObjectiveKind()) if drift_phase else None}
-    for flag, (path, _) in {**TRAIN_FLAGS, **(DRIFT_FLAGS if drift_phase else {})}.items():
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None:
-            overrides[path] = value
-    return with_overrides(config, overrides)
+    try:
+        if args.config is not None:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                config = train_config_from_dict(json.load(fh))
+        else:
+            # a drift phase, or training on from a checkpoint, defaults to a smaller lr
+            config = TrainConfig(lr=3e-5) if (drift_phase or args.init) else TrainConfig()
+        # base training has no drifting objective; a drift phase keeps the
+        # config's objective or starts from the default one
+        overrides = {"objective": (config.objective or ObjectiveKind()) if drift_phase else None}
+        for flag, (path, _) in {**TRAIN_FLAGS, **(DRIFT_FLAGS if drift_phase else {})}.items():
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is not None:
+                overrides[path] = value
+        return with_overrides(config, overrides)
+    except OSError as exc:
+        raise ConfigUsageError(f"--config {args.config}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigUsageError(f"--config {args.config} is not valid JSON: {exc}") from exc
+    except InvalidInputError as exc:
+        raise ConfigUsageError(str(exc)) from exc
 
 
 def _cmd_make_source(args) -> int:
@@ -504,11 +515,16 @@ COMMANDS = {
 
 
 def cli(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except ConfigUsageError as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -1,11 +1,12 @@
 """Training loop: corruption, lift, drift, objective, Adam update, queues.
 
-One step processes the batch in micro-batches against a queue snapshot taken
-at step start, averages gradients across micro-batches, applies a single
-Adam update, and only then pushes the detached pre-update features into the
-reference queues.  ``objective=None`` trains on the base denoising loss
-alone (the base/continuation phases); an ``ObjectiveKind`` selects a
-drifting objective.
+One step corrupts the whole batch, runs it through the denoiser in row
+slices against a queue snapshot taken at step start, accumulates the
+gradients, applies a single Adam update, and only then pushes the detached
+pre-update features into the reference queues.  ``objective=None`` trains
+on the base denoising loss alone (the base/continuation phases) in
+``DENOISER_CHUNK``-sequence slices; an ``ObjectiveKind`` selects a drifting
+objective, run in ``micro_batch`` slices whose gradients are averaged.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backbone import (
+    DENOISER_CHUNK,
     CorruptionKind,
     DenoiserParams,
     ModelConfig,
@@ -50,7 +52,7 @@ class CheckpointError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite; carries a dump of the offending micro-batch."""
+    """Loss became non-finite; carries a dump of the offending rows."""
 
     def __init__(self, message: str, dump: dict):
         super().__init__(message)
@@ -60,7 +62,7 @@ class TrainingDivergedError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 32
-    micro_batch: int = 8
+    micro_batch: int = 8  # drift-phase micro-batch; the base path runs in DENOISER_CHUNK-sequence chunks
     steps: int = 2000
     lr: float = 3e-4
     adam_beta1: float = 0.9
@@ -172,14 +174,26 @@ def _adam_update(state: TrainState, grads: dict[str, Array], config: TrainConfig
 
 
 def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> dict[str, float]:
-    """One optimizer update over ``batch_size`` sequences; returns step metrics."""
+    """One optimizer update over ``batch_size`` sequences; returns step metrics.
+
+    The batch is corrupted whole, then run through the denoiser in row
+    slices.  A drift step slices by ``micro_batch``: a slice's generated
+    features are its anchors' negatives, so the slice size is part of the
+    objective, and the slice gradients are averaged.  The base loss is a
+    plain per-sequence mean, so a base step slices by ``DENOISER_CHUNK``
+    whatever ``micro_batch`` is and scales each slice by 1/B; a ragged last
+    slice is exact too.
+    """
     batch = np.asarray(clean_batch, dtype=np.int64)
-    if batch.shape[0] != config.batch_size:
+    n = batch.shape[0]
+    if n != config.batch_size:
         raise InvalidInputError("clean_batch size must equal config.batch_size")
-    mb = config.micro_batch
-    n_micro = batch.shape[0] // mb
     vocab = config.model.vocab_size
     objective = config.objective
+    if objective is None:
+        size, n_parts = DENOISER_CHUNK, 1  # slices are already scaled by 1/B
+    else:
+        size, n_parts = config.micro_batch, n // config.micro_batch
 
     grad_sum = {name: np.zeros_like(arr) for name, arr in param_items(state.params)}
     loss_total = 0.0
@@ -189,19 +203,20 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
     pushed_gen: list[Array] = []
 
     # corrupt the whole batch up front so the draw stream does not depend on
-    # the micro-batch granularity
-    levels = state.rng.uniform(config.t_min, config.t_max, size=batch.shape[0])
+    # the slice size
+    levels = state.rng.uniform(config.t_min, config.t_max, size=n)
     corrupted, predicted = corrupt(batch, levels, config.corruption, state.rng, vocab)
 
-    for k in range(n_micro):
-        rows = slice(k * mb, (k + 1) * mb)
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        rows = slice(lo, hi)
         chunk, tokens = batch[rows], corrupted[rows]
         logits, cache = forward_tokens(state.params, tokens)
 
         if objective is None:
             losses, grad_logits = base_loss(logits, chunk, predicted[rows])
-            micro_loss = float(losses.sum() / mb)
-            grad_logits /= mb
+            part_loss = float(losses.sum() / n)
+            grad_logits /= n
         else:
             lifted = lift_and_encode(state.encoder, logits, tokens, predicted[rows], objective.lift)
             gens = lifted.features
@@ -209,29 +224,29 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
             positives, negatives = build_references(reals, gens, state.q_real, state.q_gen)
             drifts = drift_multi_temp(gens, positives, negatives, config.drift)
             total = total_objective(objective, lifted, drifts, chunk)
-            micro_loss = total.loss
+            part_loss = total.loss
             grad_logits = total.grad_logits
             drift_norm_sum += float(np.linalg.norm(drifts, axis=1).sum())
-            drift_count += mb
+            drift_count += hi - lo
             pushed_real.append(reals)
             pushed_gen.append(gens)
 
-        if not np.isfinite(micro_loss):
+        if not np.isfinite(part_loss):
             raise TrainingDivergedError(
-                f"non-finite loss at step {state.step + 1}, micro-batch {k}",
+                f"non-finite loss at step {state.step + 1}, rows {lo}:{hi}",
                 dump={
                     "step": state.step + 1,
-                    "micro_batch": k,
-                    "loss": micro_loss,
+                    "rows": [lo, hi],
+                    "loss": part_loss,
                     "corrupted": tokens.tolist(),
                     "levels": [float(t) for t in levels[rows]],
                 },
             )
-        loss_total += micro_loss / n_micro
+        loss_total += part_loss / n_parts
         for name, g in backward_tokens(state.params, cache, grad_logits).items():
             grad_sum[name] += g
 
-    grads = {name: g / n_micro for name, g in grad_sum.items()}
+    grads = {name: g / n_parts for name, g in grad_sum.items()}
     grad_norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
     _adam_update(state, grads, config)
     state.step += 1

@@ -342,7 +342,7 @@ def test_masked_sampler_single_step(small_params):
 @pytest.mark.parametrize("nfe", [1, 2, 5])
 def test_sampler_exact_nfe_and_mask_free(small_params, kind, nfe, monkeypatch):
     calls = count_forwards(monkeypatch)
-    assert 3 <= backbone.SAMPLE_CHUNK  # one chunk: one call per step
+    assert 3 <= backbone.DENOISER_CHUNK  # one chunk: one call per step
     seqs = sample_batch(small_params, kind, nfe, 3, np.random.default_rng(4))
     assert [tokens.shape[0] for tokens in calls] == [3] * nfe
     assert np.all(seqs < SMALL_MODEL.mask_index)
@@ -360,7 +360,7 @@ def test_sampler_rejects_bad_nfe(small_params):
 def test_sampler_chunks_draw_the_whole_batch_stream(small_params, kind, monkeypatch):
     rng_whole, rng_chunked = np.random.default_rng(5), np.random.default_rng(5)
     whole = sample_batch(small_params, kind, 3, 7, rng_whole)
-    monkeypatch.setattr(backbone, "SAMPLE_CHUNK", 3)
+    monkeypatch.setattr(backbone, "DENOISER_CHUNK", 3)
     chunked = sample_batch(small_params, kind, 3, 7, rng_chunked)
     assert np.array_equal(chunked, whole)
     assert rng_chunked.random() == rng_whole.random()

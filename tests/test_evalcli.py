@@ -358,6 +358,25 @@ def test_cli_drift_train_requires_init(cli_env, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [('{"steps": "10"}', "steps"), ('{"steps": 10,', "config.json"), (None, "config.json")],
+    ids=["decoder-rejects", "truncated-json", "missing-file"],
+)
+def test_cli_bad_config_is_a_usage_error(cli_env, capsys, text, named):
+    tmp_path, source_path, _, _ = cli_env
+    config_path = tmp_path / "bad" / "config.json"
+    if text is not None:
+        config_path.parent.mkdir()
+        config_path.write_text(text, encoding="utf-8")
+    argv = ["base-train", "--source", str(source_path), "--out", str(tmp_path / "run")]
+    assert cli([*argv, "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0]
+    assert "Traceback" not in err
+
+
 def test_cli_base_then_drift_then_eval(cli_env, capsys):
     tmp_path, source_path, config_path, ckpt_path = cli_env
     base_out = tmp_path / "base"

@@ -1,11 +1,22 @@
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from driftlm.backbone import ModelConfig, param_items, params_to_vector
+from driftlm import trainer
+from driftlm.backbone import (
+    ModelConfig,
+    backward_tokens,
+    base_loss,
+    copy_params,
+    corrupt,
+    forward_tokens,
+    param_items,
+    params_to_vector,
+)
 from driftlm.corpus import banded_source, sample_sequences
 from driftlm.drift import DriftConfig, queue_push
 from driftlm.encoder import encoder_param_bytes, real_features_batch
@@ -101,9 +112,73 @@ def test_micro_batch_split_matches_full_batch(source):
     split = tiny_config(batch_size=8, micro_batch=2)
     state_whole, _ = run_steps(whole, source, 5)
     state_split, _ = run_steps(split, source, 5)
-    assert np.allclose(
-        params_to_vector(state_whole.params), params_to_vector(state_split.params), atol=1e-10
-    )
+    assert np.array_equal(params_to_vector(state_whole.params), params_to_vector(state_split.params))
+
+
+def count_forwards(monkeypatch) -> list[int]:
+    """Record the row count of every denoiser call ``train_step`` makes."""
+    calls = []
+    forward = trainer.forward_tokens
+
+    def counting(params, tokens):
+        calls.append(len(tokens))
+        return forward(params, tokens)
+
+    monkeypatch.setattr(trainer, "forward_tokens", counting)
+    return calls
+
+
+def test_base_step_chunks_equal_whole_batch_mean(source, monkeypatch):
+    # B = 40 runs as chunks of 16, 16 and a ragged 8
+    cfg = tiny_config(batch_size=40, micro_batch=40)
+    assert trainer.DENOISER_CHUNK == 16
+    state = init_state(cfg)
+    batch = sample_sequences(source, cfg.batch_size, cfg.model.length, state.rng)
+    params = copy_params(state.params)
+    rng = copy.deepcopy(state.rng)
+
+    seen = []
+    adam_update = trainer._adam_update
+
+    def recording(state, grads, config):
+        seen.append({name: g.copy() for name, g in grads.items()})
+        adam_update(state, grads, config)
+
+    monkeypatch.setattr(trainer, "_adam_update", recording)
+    metrics = train_step(state, batch, cfg)
+
+    # one unchunked forward / base_loss / backward over all 40 rows
+    levels = rng.uniform(cfg.t_min, cfg.t_max, size=cfg.batch_size)
+    corrupted, predicted = corrupt(batch, levels, cfg.corruption, rng, cfg.model.vocab_size)
+    logits, cache = forward_tokens(params, corrupted)
+    losses, grad_logits = base_loss(logits, batch, predicted)
+    expected = backward_tokens(params, cache, grad_logits / cfg.batch_size)
+    assert abs(metrics["loss"] - losses.sum() / cfg.batch_size) <= 1e-12
+    assert seen[0].keys() == expected.keys()
+    for name, g in expected.items():
+        assert np.max(np.abs(seen[0][name] - g)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("micro_batch", [40, 2])
+def test_base_step_forwards_are_chunked(source, monkeypatch, micro_batch):
+    cfg = tiny_config(batch_size=40, micro_batch=micro_batch)
+    calls = count_forwards(monkeypatch)
+    run_steps(cfg, source, 1)
+    chunk = trainer.DENOISER_CHUNK
+    assert len(calls) == -(-cfg.batch_size // chunk)
+    assert all(rows <= chunk for rows in calls) and sum(calls) == cfg.batch_size
+
+
+def test_drift_step_ignores_denoiser_chunk(source, monkeypatch):
+    cfg = tiny_config(objective=ObjectiveKind(), batch_size=8, micro_batch=4)
+    reference, _ = run_steps(cfg, source, 3)
+    for chunk in (1, 1000):
+        monkeypatch.setattr(trainer, "DENOISER_CHUNK", chunk)
+        calls = count_forwards(monkeypatch)
+        state, _ = run_steps(cfg, source, 3)
+        assert np.array_equal(params_to_vector(state.params), params_to_vector(reference.params))
+        assert calls == [cfg.micro_batch] * (3 * cfg.batch_size // cfg.micro_batch)
+        monkeypatch.undo()
 
 
 def test_one_adam_update_per_step(source):
