@@ -344,8 +344,9 @@ def _categorical_rows(probs: Array, rng: np.random.Generator) -> Array:
     return picks.reshape(probs.shape[:-1])
 
 
-# Sequences per denoiser forward in the sampler (``sample_batch``) and in a
-# base training step (``trainer.train_step``).  At the default model a chunk's
+# Sequences per denoiser forward in the sampler (``sample_batch``), in a base
+# training step and, rounded down to whole micro-batches (at least one), in a
+# drift step (both in ``trainer.train_step``).  At the default model a chunk's
 # largest array, the [256, 64] block activation, is 128 KB: a step's arrays
 # stay in a core's L2 cache and the allocator reuses most of their memory.  A
 # whole-batch forward (2048 rows in the sampler, a 128-row micro-batch in

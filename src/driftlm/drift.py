@@ -8,9 +8,11 @@ exactly anti-symmetric, which in turn forces a zero drift whenever the two
 reference multisets coincide.  Multi-temperature estimates are RMS-balanced
 per temperature before averaging so no scale dominates.
 
-Features are ``[n, m]`` float64 rows.  Positives are one ``[P, m]`` set
-shared by every anchor; negatives are ``[n, N, m]``, one set per anchor, so
-an anchor's own row can be left out of its negatives by index.
+Features are ``[n, m]`` float64 rows.  Positives ``[P, m]`` and negatives
+``[N, m]`` are two pools shared by every anchor of a micro-batch, current
+features first, then the queue snapshot.  Anchor ``i`` is row ``i`` of the
+negative pool and is left out of its own negatives by that index alone: its
+affinity there is -inf, so a value-twin elsewhere in the pool stays.
 """
 
 from __future__ import annotations
@@ -76,58 +78,67 @@ def queue_push(queue: ReferenceQueue, rows) -> None:
 def build_references(
     current_real: Array, current_gen: Array, q_real: ReferenceQueue, q_gen: ReferenceQueue
 ) -> tuple[Array, Array]:
-    """Positives ``[n_real + Q_real, m]`` and per-anchor negatives ``[n, n - 1 + Q_gen, m]``.
+    """Positive pool ``[n_real + Q_real, m]`` and negative pool ``[n + Q_gen, m]``.
 
     ``Q_real`` and ``Q_gen`` are the queue lengths.  Current features come
-    before the queue snapshots.  Anchor ``i`` is row ``i`` of
-    ``current_gen`` and is left out of its own negatives by index, so a
-    value-twin elsewhere in the pool stays.
+    before the queue snapshots, so anchor ``i`` (row ``i`` of
+    ``current_gen``) is row ``i`` of the negative pool; ``drift_multi_temp``
+    with ``exclude_self=True`` gives that one row weight 0, and a value-twin
+    elsewhere in the pool stays.
     """
     real = np.asarray(current_real, dtype=np.float64)
     gen = np.asarray(current_gen, dtype=np.float64)
     if real.ndim != 2 or gen.ndim != 2 or real.shape[0] == 0 or gen.shape[0] == 0:
         raise InvalidInputError("current features must be nonempty [n, m] arrays")
-    n, m = gen.shape
-    positives = np.concatenate([real, q_real.rows])
-    others = np.broadcast_to(gen, (n, n, m))[~np.eye(n, dtype=bool)].reshape(n, n - 1, m)
-    queued = np.broadcast_to(q_gen.rows, (n,) + q_gen.rows.shape)
-    return positives, np.concatenate([others, queued], axis=1)
+    return np.concatenate([real, q_real.rows]), np.concatenate([gen, q_gen.rows])
 
 
 # ---------------------------------------------------------------------------
 # drift estimation
+#
+# Every reduction over a pool runs over its rows in order, one term at a time
+# (plain ``np.einsum`` and ``np.cumsum``), so a reference's terms do not depend
+# on its position in the pool and a zero weight adds an exact zero.  A BLAS
+# product such as ``h @ pool.T`` blocks the pool by position: a pool with the
+# same references in shifted slots, which is what the masked self row gives
+# the negatives, then rounds differently and the drift at equilibrium is no
+# longer exactly zero.
 
 
-def _sq_dists(anchors: Array, refs: Array) -> Array:
-    """Squared distances ``[n, K]`` from each anchor ``[n, m]`` to its references ``[n, K, m]``.
+def _sq_dists(anchors: Array, pool: Array) -> Array:
+    """Squared distances ``[n, K]`` from anchors ``[n, m]`` to pool rows ``[K, m]``.
 
-    Gram form ||h||^2 + ||r||^2 - 2 h.r, clamped at zero; every operation
-    works row by row, so each anchor's distances do not depend on the rest
-    of the batch.
+    Gram form ||h||^2 + ||r||^2 - 2 h.r, clamped at zero; each entry depends
+    on its anchor and its pool row only.
     """
-    cross = np.matmul(refs, anchors[:, :, None])[:, :, 0]
+    cross = np.einsum("nm,km->nk", anchors, pool)
     h2 = np.einsum("nm,nm->n", anchors, anchors)
-    r2 = np.einsum("nkm,nkm->nk", refs, refs)
+    r2 = np.einsum("km,km->k", pool, pool)
     return np.maximum(h2[:, None] + r2 - 2.0 * cross, 0.0)
 
 
-def _weighted_sum(weights: Array, refs: Array) -> Array:
-    """Per-anchor ``weights [n, K] @ refs [n, K, m]``."""
-    return np.matmul(weights[:, None, :], refs)[:, 0, :]
+def _weighted_sum(weights: Array, pool: Array) -> Array:
+    """``weights [n, K] @ pool [K, m]``, summed over the pool in row order."""
+    return np.einsum("nk,km->nm", weights, pool)
 
 
-def _side_barycenter(affinities: Array, refs: Array) -> Array:
+def _softmax_weights(affinities: Array) -> Array:
+    """Row softmax whose normalizer is a sequential sum, as in ``_weighted_sum``."""
+    e = np.exp(affinities - affinities.max(axis=1, keepdims=True))
+    return e / np.cumsum(e, axis=1)[:, -1:]
+
+
+def _side_barycenter(affinities: Array, pool: Array) -> Array:
     """Renormalized barycenter of one side, as a stable per-side softmax.
 
     Dividing the joint-softmax masses by their per-side total cancels the
     shared normalizer, so the renormalized barycenter depends on this side's
     affinities alone; computing it that way also survives one side
-    underflowing in the joint view.
+    underflowing in the joint view.  An empty side has a zero barycenter.
     """
-    if refs.shape[1] == 0:
-        return np.zeros((refs.shape[0], refs.shape[2]))
-    e = np.exp(affinities - affinities.max(axis=1, keepdims=True))
-    return _weighted_sum(e / e.sum(axis=1, keepdims=True), refs)
+    if pool.shape[0] == 0:
+        return np.zeros((affinities.shape[0], pool.shape[1]))
+    return _weighted_sum(_softmax_weights(affinities), pool)
 
 
 def _drift_from_sq_dists(
@@ -144,32 +155,47 @@ def _drift_from_sq_dists(
         b_plus = _side_barycenter(-d_pos / tau, pos)
         b_minus = _side_barycenter(-d_neg / tau, neg)
     else:
-        s = np.concatenate([-d_pos / tau, -d_neg / tau], axis=1)
-        e = np.exp(s - s.max(axis=1, keepdims=True))
-        w = e / e.sum(axis=1, keepdims=True)
+        w = _softmax_weights(np.concatenate([-d_pos / tau, -d_neg / tau], axis=1))
         n_pos = d_pos.shape[1]
         b_plus = _weighted_sum(w[:, :n_pos], pos)
         b_minus = _weighted_sum(w[:, n_pos:], neg)
     return w_plus * b_plus - w_minus * b_minus
 
 
-def _references(anchors, positives, negatives, w_plus: float, w_minus: float):
-    """Validated anchors ``[n, m]``, positives as ``[n, P, m]`` and negatives ``[n, N, m]``."""
+def _pool_distances(
+    anchors, positives, negatives, w_plus: float, w_minus: float, exclude_self: bool
+):
+    """Validated anchors ``[n, m]``, both pools and their distances ``[n, P]``, ``[n, N]``.
+
+    With ``exclude_self`` the first ``n`` negative rows are the anchors, and
+    anchor ``i``'s distance to negative row ``i`` is +inf: its affinity is
+    -inf and its weight exactly 0.  A pool of one row then leaves its single
+    anchor no negatives, and the side is empty.
+    """
     h = np.asarray(anchors, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] == 0:
         raise InvalidInputError("anchors must be a nonempty [n, m] array")
     n, m = h.shape
     pos = np.asarray(positives, dtype=np.float64)
     neg = np.asarray(negatives, dtype=np.float64)
-    if pos.ndim != 2 or pos.shape[1] != m:
-        raise InvalidInputError(f"positives must have shape [P, {m}]")
-    if neg.ndim != 3 or neg.shape[0] != n or neg.shape[2] != m:
-        raise InvalidInputError(f"negatives must have shape [{n}, N, {m}]")
+    for name, pool in (("positives", pos), ("negatives", neg)):
+        if pool.ndim != 2 or pool.shape[1] != m:
+            raise InvalidInputError(f"{name} must have shape [K, {m}]")
+    if exclude_self:
+        if not np.array_equal(neg[:n], h):
+            raise InvalidInputError("exclude_self needs the anchors as the first negative rows")
+        if neg.shape[0] == 1:
+            neg = neg[:0]
     if w_plus > 0.0 and pos.shape[0] == 0:
         raise InvalidInputError("positives must be nonempty when w_plus > 0")
-    if w_minus > 0.0 and neg.shape[1] == 0:
-        raise InvalidInputError("negatives must be nonempty when w_minus > 0")
-    return h, np.broadcast_to(pos, (n,) + pos.shape), neg
+    if w_minus > 0.0 and neg.shape[0] == 0:
+        raise InvalidInputError(
+            "negatives must hold a row besides the anchor's own when w_minus > 0"
+        )
+    d_neg = _sq_dists(h, neg)
+    if exclude_self and neg.shape[0]:
+        np.fill_diagonal(d_neg, np.inf)
+    return h, pos, neg, _sq_dists(h, pos), d_neg
 
 
 def drift_single_temp(
@@ -180,33 +206,39 @@ def drift_single_temp(
     w_plus: float = 1.0,
     w_minus: float = 1.0,
     renormalize: bool = True,
+    exclude_self: bool = False,
 ) -> Array:
     """Temperature-``tau`` drift w_plus * b+ - w_minus * b- for each anchor row.
 
-    ``anchors`` is ``[n, m]``, ``positives`` ``[P, m]`` (shared) and
-    ``negatives`` ``[n, N, m]``.  Affinities are exp(-||h - r||^2 / tau),
-    normalized jointly across both sides.  A side whose ratio weight is zero
-    may be empty and contributes a zero barycenter; otherwise an empty side
-    is a contract violation.
+    ``anchors`` is ``[n, m]``; ``positives`` ``[P, m]`` and ``negatives``
+    ``[N, m]`` are pools shared by every anchor, and with ``exclude_self``
+    anchor ``i`` is negative row ``i`` and gets weight 0 there.  Affinities
+    are exp(-||h - r||^2 / tau), normalized jointly across both sides.  A side whose ratio weight is zero may be
+    empty and contributes a zero barycenter; otherwise an empty side is a
+    contract violation.
     """
     if tau <= 0.0:
         raise InvalidInputError("tau must be positive")
-    h, pos, neg = _references(anchors, positives, negatives, w_plus, w_minus)
-    return _drift_from_sq_dists(
-        _sq_dists(h, pos), _sq_dists(h, neg), pos, neg, tau, w_plus, w_minus, renormalize
+    h, pos, neg, d_pos, d_neg = _pool_distances(
+        anchors, positives, negatives, w_plus, w_minus, exclude_self
     )
+    return _drift_from_sq_dists(d_pos, d_neg, pos, neg, tau, w_plus, w_minus, renormalize)
 
 
-def drift_multi_temp(anchors, positives, negatives, config: DriftConfig) -> Array:
+def drift_multi_temp(
+    anchors, positives, negatives, config: DriftConfig, exclude_self: bool = False
+) -> Array:
     """RMS-balanced multi-temperature drift for anchors ``[n, m]``.
 
-    Positives ``[P, m]`` are shared; ``negatives[i]`` is anchor ``i``'s own
-    set (see ``build_references``).  All references are treated as
-    constants.  Squared distances are computed once; only the temperatures
-    are looped over.
+    ``positives [P, m]`` and ``negatives [N, m]`` are the pools of
+    ``build_references``; with ``exclude_self`` anchor ``i`` is negative row
+    ``i`` and gets weight 0 there.  All references are treated as constants.
+    The two distance matrices are computed once; only the temperatures are
+    looped over.
     """
-    h, pos, neg = _references(anchors, positives, negatives, config.w_plus, config.w_minus)
-    d_pos, d_neg = _sq_dists(h, pos), _sq_dists(h, neg)
+    h, pos, neg, d_pos, d_neg = _pool_distances(
+        anchors, positives, negatives, config.w_plus, config.w_minus, exclude_self
+    )
     out = np.zeros(h.shape)
     for tau in config.temperatures:
         per_tau = _drift_from_sq_dists(

@@ -1,12 +1,13 @@
 """Training loop: corruption, lift, drift, objective, Adam update, queues.
 
 One step corrupts the whole batch, runs it through the denoiser in row
-slices against a queue snapshot taken at step start, accumulates the
-gradients, applies a single Adam update, and only then pushes the detached
-pre-update features into the reference queues.  ``objective=None`` trains
-on the base denoising loss alone (the base/continuation phases) in
-``DENOISER_CHUNK``-sequence slices; an ``ObjectiveKind`` selects a drifting
-objective, run in ``micro_batch`` slices whose gradients are averaged.
+slices of about ``DENOISER_CHUNK`` sequences against a queue snapshot taken
+at step start, sums the slices' share of the batch-mean gradient, applies a
+single Adam update, and only then pushes the detached pre-update features
+into the reference queues.  ``objective=None`` trains on the base denoising
+loss alone (the base/continuation phases); an ``ObjectiveKind`` selects a
+drifting objective, whose slices hold whole micro-batches and whose drift
+field is computed once per ``micro_batch`` sequences.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class TrainingDivergedError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 32
-    micro_batch: int = 8  # drift-phase micro-batch; the base path runs in DENOISER_CHUNK-sequence chunks
+    micro_batch: int = 8  # sequences per drift field (each other's negatives); unused by base steps
     steps: int = 2000
     lr: float = 3e-4
     adam_beta1: float = 0.9
@@ -176,13 +177,17 @@ def _adam_update(state: TrainState, grads: dict[str, Array], config: TrainConfig
 def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> dict[str, float]:
     """One optimizer update over ``batch_size`` sequences; returns step metrics.
 
-    The batch is corrupted whole, then run through the denoiser in row
-    slices.  A drift step slices by ``micro_batch``: a slice's generated
-    features are its anchors' negatives, so the slice size is part of the
-    objective, and the slice gradients are averaged.  The base loss is a
-    plain per-sequence mean, so a base step slices by ``DENOISER_CHUNK``
-    whatever ``micro_batch`` is and scales each slice by 1/B; a ragged last
-    slice is exact too.
+    The batch is corrupted whole, then run through the denoiser, the lift,
+    the encoder, the objective and the backward pass in row slices; each
+    slice's loss and logit gradient are scaled by rows/B, so the slices sum
+    to the batch mean, a ragged last slice included.  A base step slices by
+    ``DENOISER_CHUNK`` whatever ``micro_batch`` is.  In a drift step a
+    micro-batch's generated features are its anchors' negatives, so the
+    micro-batch is part of the objective: a slice holds whole micro-batches
+    (``micro_batch * max(1, DENOISER_CHUNK // micro_batch)`` sequences), and
+    ``build_references`` and ``drift_multi_temp`` run once per micro-batch
+    inside it.  ``micro_batch=1`` with repulsion on needs a nonempty
+    generated queue: an anchor is never its own negative.
     """
     batch = np.asarray(clean_batch, dtype=np.int64)
     n = batch.shape[0]
@@ -190,15 +195,20 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
         raise InvalidInputError("clean_batch size must equal config.batch_size")
     vocab = config.model.vocab_size
     objective = config.objective
+    group = config.micro_batch
     if objective is None:
-        size, n_parts = DENOISER_CHUNK, 1  # slices are already scaled by 1/B
+        size = DENOISER_CHUNK
     else:
-        size, n_parts = config.micro_batch, n // config.micro_batch
+        size = group * max(1, DENOISER_CHUNK // group)
+        if group == 1 and config.drift.w_minus > 0.0 and len(state.q_gen) == 0:
+            raise InvalidInputError(
+                "micro_batch=1 leaves each anchor no negatives while the generated queue is "
+                "empty (w_minus > 0): use micro_batch >= 2 or fill the generated queue first"
+            )
 
     grad_sum = {name: np.zeros_like(arr) for name, arr in param_items(state.params)}
     loss_total = 0.0
     drift_norm_sum = 0.0
-    drift_count = 0
     pushed_real: list[Array] = []
     pushed_gen: list[Array] = []
 
@@ -215,22 +225,32 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
 
         if objective is None:
             losses, grad_logits = base_loss(logits, chunk, predicted[rows])
-            part_loss = float(losses.sum() / n)
             grad_logits /= n
         else:
             lifted = lift_and_encode(state.encoder, logits, tokens, predicted[rows], objective.lift)
             gens = lifted.features
             reals = real_features_batch(state.encoder, chunk)
-            positives, negatives = build_references(reals, gens, state.q_real, state.q_gen)
-            drifts = drift_multi_temp(gens, positives, negatives, config.drift)
+            # one drift field per micro-batch: its generated features are its
+            # anchors' negatives
+            parts = []
+            for j in range(0, hi - lo, group):
+                mb = slice(j, j + group)
+                positives, negatives = build_references(
+                    reals[mb], gens[mb], state.q_real, state.q_gen
+                )
+                drift = drift_multi_temp(
+                    gens[mb], positives, negatives, config.drift, exclude_self=True
+                )
+                parts.append(drift)
+            drifts = np.concatenate(parts)
             total = total_objective(objective, lifted, drifts, chunk)
-            part_loss = total.loss
-            grad_logits = total.grad_logits
+            losses = total.per_sample_loss
+            grad_logits = total.grad_logits * ((hi - lo) / n)
             drift_norm_sum += float(np.linalg.norm(drifts, axis=1).sum())
-            drift_count += hi - lo
             pushed_real.append(reals)
             pushed_gen.append(gens)
 
+        part_loss = float(losses.sum() / n)
         if not np.isfinite(part_loss):
             raise TrainingDivergedError(
                 f"non-finite loss at step {state.step + 1}, rows {lo}:{hi}",
@@ -242,13 +262,12 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
                     "levels": [float(t) for t in levels[rows]],
                 },
             )
-        loss_total += part_loss / n_parts
+        loss_total += part_loss
         for name, g in backward_tokens(state.params, cache, grad_logits).items():
             grad_sum[name] += g
 
-    grads = {name: g / n_parts for name, g in grad_sum.items()}
-    grad_norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
-    _adam_update(state, grads, config)
+    grad_norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grad_sum.values())))
+    _adam_update(state, grad_sum, config)
     state.step += 1
 
     # Algorithm order: the queue push is the final line of the step, and the
@@ -259,7 +278,7 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
 
     return {
         "loss": float(loss_total),
-        "drift_norm": drift_norm_sum / drift_count if drift_count else 0.0,
+        "drift_norm": drift_norm_sum / n if objective is not None else 0.0,
         "grad_norm": grad_norm,
     }
 

@@ -93,7 +93,9 @@ def _desk_instance(rng, batch=4, kind=CorruptionKind.MASKED, require_predicted=T
     queue_push(q_gen, np.stack([_unit(rng, m) for _ in range(6)]))
     reals = real_features_batch(encoder, clean)
     positives, negatives = build_references(reals, state.features, q_real, q_gen)
-    drifts = drift_multi_temp(state.features, positives, negatives, DriftConfig())
+    drifts = drift_multi_temp(
+        state.features, positives, negatives, DriftConfig(), exclude_self=True
+    )
     return params, encoder, source, clean, corrupted, predicted, logits, cache, state, drifts
 
 
@@ -215,8 +217,8 @@ def test_criterion_3_equilibrium_suite():
 
     for tau in DriftConfig().temperatures:
         for h in anchors:
-            assert np.all(drift_single_temp(h[None], refs, twins[None], tau) == 0.0)
-    drifts = drift_multi_temp(anchors, refs, np.repeat(twins[None], 4, axis=0), DriftConfig())
+            assert np.all(drift_single_temp(h[None], refs, twins, tau) == 0.0)
+    drifts = drift_multi_temp(anchors, refs, twins, DriftConfig())
     assert np.max(np.abs(drifts)) <= 1e-12
 
     params = init_params(DESK, rng)
@@ -261,8 +263,8 @@ def test_criterion_4_antisymmetry():
         pos = rng.normal(size=(int(rng.integers(1, 10)), m))
         neg = rng.normal(size=(int(rng.integers(1, 10)), m))
         tau = float(rng.choice([0.02, 0.05, 0.2]))
-        fwd = drift_single_temp(h[None], pos, neg[None], tau, 1.0, 1.0)
-        bwd = drift_single_temp(h[None], neg, pos[None], tau, 1.0, 1.0)
+        fwd = drift_single_temp(h[None], pos, neg, tau, 1.0, 1.0)
+        bwd = drift_single_temp(h[None], neg, pos, tau, 1.0, 1.0)
         worst = max(worst, float(np.max(np.abs(fwd + bwd))))
     assert worst <= 1e-12
     _report("4", f"max |V(P,N) + V(N,P)| = {worst:.2e} over 100 instances")
@@ -368,7 +370,7 @@ def test_criterion_7_rms_normalization():
         pos = rng.normal(size=(8, m))
         neg = rng.normal(size=(7, m))
         for tau in (0.02, 0.05, 0.2):
-            per = drift_single_temp(anchors, pos, np.repeat(neg[None], 6, axis=0), tau)
+            per = drift_single_temp(anchors, pos, neg, tau)
             assert float(np.sqrt(np.mean(np.sum(per * per, axis=1)))) > 1e-3
             normalized = per / rms_scale(per, 1e-8)
             rms = float(np.sqrt(np.mean(np.sum(normalized * normalized, axis=1))))

@@ -42,6 +42,21 @@ def joint_affinity_weights(h, positives, negatives, tau):
 
 # ---------------------------------------------------------------------------
 # reference: the per-anchor direct-difference drift loop the batched code replaced
+#
+# Its sums run over the references one at a time, in order, as the formulas
+# read.  Near-duplicates on both sides of an anchor leave a drift of about
+# 1e-6 that the RMS step scales by up to 1e4, so two float64 evaluations that
+# only sum in different orders already differ by about 1e-12 there (against a
+# long-double evaluation, both this loop and a BLAS one are about 1e-12 off);
+# summing in order makes the 1e-12 bound measure the pools and the masking.
+
+
+def _ordered_sum(weights, refs):
+    """sum_k weights[k] * refs[k], one reference at a time in pool order."""
+    total = np.zeros(refs.shape[1:])
+    for w, r in zip(weights, refs):
+        total = total + w * r
+    return total
 
 
 def _reference_drift(h, pos, neg, tau, w_plus, w_minus, renormalize):
@@ -52,7 +67,7 @@ def _reference_drift(h, pos, neg, tau, w_plus, w_minus, renormalize):
         if refs.shape[0] == 0:
             return np.zeros(h.size)
         e = np.exp(affinities - affinities.max())
-        return (e / e.sum()) @ refs
+        return _ordered_sum(e / _ordered_sum(e, np.ones(e.size)), refs)
 
     if renormalize:
         b_plus = barycenter(-d_pos / tau, pos)
@@ -60,13 +75,15 @@ def _reference_drift(h, pos, neg, tau, w_plus, w_minus, renormalize):
     else:
         s = np.concatenate([-d_pos / tau, -d_neg / tau])
         e = np.exp(s - s.max())
-        w = e / e.sum()
-        b_plus = w[: d_pos.size] @ pos if pos.shape[0] else np.zeros(h.size)
-        b_minus = w[d_pos.size :] @ neg if neg.shape[0] else np.zeros(h.size)
+        w = e / _ordered_sum(e, np.ones(e.size))
+        b_plus = _ordered_sum(w[: d_pos.size], pos)
+        b_minus = _ordered_sum(w[d_pos.size :], neg)
     return w_plus * b_plus - w_minus * b_minus
 
 
-def _reference_drift_multi_temp(anchors, positives, negatives, config):
+def _reference_drift_multi_temp(anchors, positives, negatives, config, exclude_self):
+    # anchor i's own negatives: the pool without row i when it is excluded
+    own = [np.delete(negatives, i, 0) if exclude_self else negatives for i in range(len(anchors))]
     out = np.zeros(anchors.shape)
     for tau in config.temperatures:
         per_tau = np.stack(
@@ -74,7 +91,7 @@ def _reference_drift_multi_temp(anchors, positives, negatives, config):
                 _reference_drift(
                     h, positives, neg, tau, config.w_plus, config.w_minus, config.renormalize_sides
                 )
-                for h, neg in zip(anchors, negatives)
+                for h, neg in zip(anchors, own)
             ]
         )
         out += per_tau / rms_scale(per_tau, config.eps)
@@ -99,18 +116,21 @@ def test_batched_drift_matches_per_anchor_reference(rng, config, near_duplicates
     for trial in range(100):
         n = int(rng.integers(1, 9))
         pos = unit_rows(rng, int(rng.integers(1, 40)), m)
-        neg = unit_rows(rng, n * int(rng.integers(1, 40)), m).reshape(n, -1, m)
         anchors = unit_rows(rng, n, m)
+        # pools as build_references lays them out: the anchors, then a queue
+        queued = unit_rows(rng, int(rng.integers(1, 40)), m)
+        exclude_self = trial % 4 != 3
         if near_duplicates and trial % 2:
-            # each anchor has a positive and a negative within 1e-9..1e-5 of
-            # it, where the Gram form cancels most digits
+            # each anchor has a positive and a queued negative within
+            # 1e-9..1e-5 of it, where the Gram form cancels most digits
             for i in range(n):
-                for refs in (pos, neg[i]):
+                for refs in (pos, queued):
                     j = int(rng.integers(len(refs)))
                     near = anchors[i] + 10.0 ** rng.uniform(-9, -5) * rng.normal(size=m)
                     refs[j] = near / np.linalg.norm(near)
-        got = drift_multi_temp(anchors, pos, neg, config)
-        want = _reference_drift_multi_temp(anchors, pos, neg, config)
+        neg = np.concatenate([anchors, queued]) if exclude_self else queued
+        got = drift_multi_temp(anchors, pos, neg, config, exclude_self=exclude_self)
+        want = _reference_drift_multi_temp(anchors, pos, neg, config, exclude_self)
         worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst <= 1e-12
 
@@ -199,7 +219,7 @@ def test_equal_distance_pair_gives_difference(rng):
     # place h equidistant from u and v = -u
     h = np.zeros((1, 8))
     v = -u
-    out = drift_single_temp(h, u, v[None], tau=0.1)
+    out = drift_single_temp(h, u, v, tau=0.1)
     assert np.allclose(out, u - v, atol=1e-12)
 
 
@@ -207,7 +227,7 @@ def test_positives_equal_negatives_zero_drift(rng):
     refs = unit_rows(rng, 6, 8)
     h = unit_rows(rng, 1, 8)
     for tau in (0.02, 0.05, 0.2):
-        out = drift_single_temp(h, refs, refs.copy()[None], tau)
+        out = drift_single_temp(h, refs, refs.copy(), tau)
         assert np.all(out == 0.0)
 
 
@@ -215,7 +235,7 @@ def test_permuted_multiset_equilibrium_within_tolerance(rng):
     refs = unit_rows(rng, 6, 8)
     perm = refs[[3, 1, 5, 0, 4, 2]]
     h = unit_rows(rng, 1, 8)
-    out = drift_single_temp(h, refs, perm[None], 0.05)
+    out = drift_single_temp(h, refs, perm, 0.05)
     assert np.max(np.abs(out)) <= 1e-12
 
 
@@ -224,8 +244,8 @@ def test_swap_negates_drift(rng):
         h = rng.normal(size=(1, 8))
         pos = rng.normal(size=(5, 8))
         neg = rng.normal(size=(3, 8))
-        fwd = drift_single_temp(h, pos, neg[None], 0.05)
-        bwd = drift_single_temp(h, neg, pos[None], 0.05)
+        fwd = drift_single_temp(h, pos, neg, 0.05)
+        bwd = drift_single_temp(h, neg, pos, 0.05)
         assert np.max(np.abs(fwd + bwd)) <= 1e-12
 
 
@@ -233,15 +253,15 @@ def test_swap_negates_drift_unrenormalized(rng):
     h = rng.normal(size=(1, 8))
     pos = rng.normal(size=(5, 8))
     neg = rng.normal(size=(3, 8))
-    fwd = drift_single_temp(h, pos, neg[None], 0.05, renormalize=False)
-    bwd = drift_single_temp(h, neg, pos[None], 0.05, renormalize=False)
+    fwd = drift_single_temp(h, pos, neg, 0.05, renormalize=False)
+    bwd = drift_single_temp(h, neg, pos, 0.05, renormalize=False)
     assert np.max(np.abs(fwd + bwd)) <= 1e-12
 
 
 @given(vec8, vec8, vec8)
 def test_antisymmetry_property(h, p, n):
-    fwd = drift_single_temp(h[None], p[None], n[None, None], 0.1)
-    bwd = drift_single_temp(h[None], n[None], p[None, None], 0.1)
+    fwd = drift_single_temp(h[None], p[None], n[None], 0.1)
+    bwd = drift_single_temp(h[None], n[None], p[None], 0.1)
     assert np.max(np.abs(fwd + bwd)) <= 1e-12
 
 
@@ -249,21 +269,19 @@ def test_empty_required_side_raises(rng):
     h = rng.normal(size=(1, 8))
     refs = rng.normal(size=(3, 8))
     with pytest.raises(InvalidInputError):
-        drift_single_temp(h, np.zeros((0, 8)), refs[None], 0.1)
+        drift_single_temp(h, np.zeros((0, 8)), refs, 0.1)
     with pytest.raises(InvalidInputError):
-        drift_single_temp(h, refs, np.zeros((1, 0, 8)), 0.1)
+        drift_single_temp(h, refs, np.zeros((0, 8)), 0.1)
 
 
 def test_zero_ratio_weight_allows_empty_side(rng):
     h = rng.normal(size=(1, 8))
     refs = rng.normal(size=(3, 8))
-    attraction_only = drift_single_temp(h, refs, np.zeros((1, 0, 8)), 0.1, w_plus=1.0, w_minus=0.0)
+    attraction_only = drift_single_temp(h, refs, np.zeros((0, 8)), 0.1, w_plus=1.0, w_minus=0.0)
     d = np.sum((refs - h) ** 2, axis=1)
     w = np.exp(-d / 0.1)
     assert np.allclose(attraction_only[0], (w / w.sum()) @ refs, atol=1e-12)
-    repulsion_only = drift_single_temp(
-        h, np.zeros((0, 8)), refs[None], 0.1, w_plus=0.0, w_minus=1.0
-    )
+    repulsion_only = drift_single_temp(h, np.zeros((0, 8)), refs, 0.1, w_plus=0.0, w_minus=1.0)
     assert np.allclose(repulsion_only[0], -(w / w.sum()) @ refs, atol=1e-12)
 
 
@@ -273,7 +291,7 @@ def test_renormalized_equals_joint_then_renormalize(rng):
     neg = rng.normal(size=(5, 8))
     w_pos, w_neg = joint_affinity_weights(h, pos, neg, 0.05)
     expected = (w_pos @ pos) / w_pos.sum() - (w_neg @ neg) / w_neg.sum()
-    out = drift_single_temp(h[None], pos, neg[None], 0.05)
+    out = drift_single_temp(h[None], pos, neg, 0.05)
     assert np.max(np.abs(out[0] - expected)) <= 1e-12
 
 
@@ -302,11 +320,12 @@ def test_low_temperature_concentrates_on_nearest(rng):
 def test_multi_temp_single_tau_equals_normalized_single(rng):
     anchors = unit_rows(rng, 4, 8)
     pos = unit_rows(rng, 5, 8)
-    negs = unit_rows(rng, 4 * 6, 8).reshape(4, 6, 8)
+    pool = np.concatenate([anchors, unit_rows(rng, 6, 8)])
     cfg = DriftConfig(temperatures=(0.05,))
-    out = drift_multi_temp(anchors, pos, negs, cfg)
+    out = drift_multi_temp(anchors, pos, pool, cfg, exclude_self=True)
+    # each anchor alone against the pool without its own row
     per = np.concatenate(
-        [drift_single_temp(anchors[i : i + 1], pos, negs[i : i + 1], 0.05) for i in range(4)]
+        [drift_single_temp(anchors[i : i + 1], pos, np.delete(pool, i, 0), 0.05) for i in range(4)]
     )
     expected = per / rms_scale(per, cfg.eps)
     assert np.array_equal(out, expected)
@@ -315,7 +334,7 @@ def test_multi_temp_single_tau_equals_normalized_single(rng):
 def test_multi_temp_rms_is_one_per_temperature(rng):
     anchors = unit_rows(rng, 4, 8)
     pos = rng.normal(size=(6, 8))
-    pool = np.repeat(unit_rows(rng, 5, 8)[None], 4, axis=0)
+    pool = unit_rows(rng, 5, 8)
     for tau in (0.02, 0.05, 0.2):
         per = drift_single_temp(anchors, pos, pool, tau)
         normalized = per / rms_scale(per, 1e-8)
@@ -326,8 +345,7 @@ def test_multi_temp_rms_is_one_per_temperature(rng):
 def test_multi_temp_zero_drifts_no_nan(rng):
     refs = unit_rows(rng, 5, 8)
     anchors = unit_rows(rng, 3, 8)
-    copies = np.repeat(refs.copy()[None], 3, axis=0)
-    out = drift_multi_temp(anchors, refs, copies, DriftConfig())
+    out = drift_multi_temp(anchors, refs, refs.copy(), DriftConfig())
     assert np.all(out == 0.0)
     assert np.all(np.isfinite(out))
 
@@ -337,29 +355,90 @@ def test_multi_temp_excludes_anchor_by_row_index(rng):
     other = unit_rows(rng, 1, 8)
     gens = np.concatenate([anchor, anchor.copy(), other])  # row 1 is a value-twin of row 0
     reals = unit_rows(rng, 3, 8)
-    pos, negs = build_references(reals, gens, ReferenceQueue(4, 8), ReferenceQueue(4, 8))
-    # anchor 0's own row is dropped, its value-twin stays
-    assert np.array_equal(negs[0], np.concatenate([anchor, other]))
-    out = drift_single_temp(gens, pos, negs, 0.05)
-    alone = drift_single_temp(anchor, pos, np.concatenate([anchor, other])[None], 0.05)
+    pos, neg = build_references(reals, gens, ReferenceQueue(4, 8), ReferenceQueue(4, 8))
+    # anchor 0's own row gets weight exactly 0, its value-twin stays
+    assert np.array_equal(neg, gens)
+    out = drift_single_temp(gens, pos, neg, 0.05, exclude_self=True)
+    alone = drift_single_temp(anchor, pos, np.concatenate([anchor, other]), 0.05)
     assert np.array_equal(out[:1], alone)
 
 
 def test_multi_temp_anchor_in_pool_changes_result(rng):
     gens = unit_rows(rng, 4, 8)
     pos = unit_rows(rng, 3, 8)
-    _, negs = build_references(pos, gens, ReferenceQueue(4, 8), ReferenceQueue(4, 8))
-    with_anchor = drift_multi_temp(gens[:1], pos, gens[None], DriftConfig())
-    excluded = drift_multi_temp(gens[:1], pos, negs[:1], DriftConfig())
-    without = drift_multi_temp(gens[:1], pos, gens[None, 1:], DriftConfig())
-    # build_references drops the anchor's own row; left in, it changes the drift
+    _, neg = build_references(pos, gens, ReferenceQueue(4, 8), ReferenceQueue(4, 8))
+    with_anchor = drift_multi_temp(gens[:1], pos, neg, DriftConfig())
+    excluded = drift_multi_temp(gens[:1], pos, neg, DriftConfig(), exclude_self=True)
+    without = drift_multi_temp(gens[:1], pos, gens[1:], DriftConfig())
+    # exclude_self drops the anchor's own row; left in, it changes the drift
     assert np.allclose(excluded, without, atol=1e-12)
     assert not np.allclose(with_anchor, without, atol=1e-6)
 
 
 def test_multi_temp_empty_anchor_batch_rejected():
     with pytest.raises(InvalidInputError):
-        drift_multi_temp(np.zeros((0, 8)), np.zeros((0, 8)), np.zeros((0, 0, 8)), DriftConfig())
+        drift_multi_temp(np.zeros((0, 8)), np.zeros((0, 8)), np.zeros((0, 8)), DriftConfig())
+
+
+def test_exclude_self_needs_anchors_as_leading_negative_rows(rng):
+    anchors = unit_rows(rng, 2, 8)
+    pos = unit_rows(rng, 3, 8)
+    with pytest.raises(InvalidInputError, match="exclude_self"):
+        drift_multi_temp(anchors, pos, unit_rows(rng, 5, 8), DriftConfig(), exclude_self=True)
+    with pytest.raises(InvalidInputError, match="exclude_self"):
+        drift_multi_temp(anchors, pos, anchors[:1], DriftConfig(), exclude_self=True)
+
+
+def test_own_row_only_pool(rng):
+    h = unit_rows(rng, 1, 8)
+    pos = unit_rows(rng, 3, 8)
+    # with repulsion on, a pool holding only the anchor's own row leaves it none
+    with pytest.raises(InvalidInputError, match="besides the anchor's own"):
+        drift_multi_temp(h, pos, h.copy(), DriftConfig(), exclude_self=True)
+    # with w_minus = 0 the repulsion is zero, not a NaN from an all -inf row
+    for renormalize in (True, False):
+        cfg = DriftConfig(w_minus=0.0, renormalize_sides=renormalize)
+        out = drift_multi_temp(h, pos, h.copy(), cfg, exclude_self=True)
+        attraction = drift_multi_temp(h, pos, np.zeros((0, 8)), cfg)
+        assert np.all(np.isfinite(out)) and np.array_equal(out, attraction)
+
+
+# ---------------------------------------------------------------------------
+# exact zero at equilibrium, whatever the references' positions in the pools
+
+
+@pytest.mark.parametrize("renormalize", [True, False], ids=["renormalized", "joint"])
+def test_equilibrium_exact_zero_at_benchmark_size(rng, renormalize):
+    # the drift-l2 shape: 8 anchors, 255 queued rows, self-exclusion on; the
+    # negatives equal the positives once each anchor's own row is masked,
+    # but every reference after it sits one slot later in its pool
+    m = 64
+    cfg = DriftConfig(renormalize_sides=renormalize)
+    for _ in range(20):
+        g, x = unit_rows(rng, 2, m)
+        queued = unit_rows(rng, 255, m)
+        anchors = np.repeat(g[None], 8, axis=0)
+        pos = np.concatenate([np.repeat(g[None], 7, axis=0), x[None], queued])
+        neg = np.concatenate([anchors, x[None], queued])
+        out = drift_multi_temp(anchors, pos, neg, cfg, exclude_self=True)
+        assert np.all(out == 0.0)
+
+
+@pytest.mark.parametrize("renormalize", [True, False], ids=["renormalized", "joint"])
+def test_equilibrium_exact_zero_per_anchor(rng, renormalize):
+    # distinct anchors: anchor i's positives are the negative pool without
+    # row i, so its drift is exactly zero at every temperature
+    for _ in range(30):
+        n, m = int(rng.integers(1, 9)), int(rng.choice([8, 16, 64]))
+        gens = unit_rows(rng, n, m)
+        neg = np.concatenate([gens, unit_rows(rng, int(rng.integers(1, 300)), m)])
+        for i in range(n):
+            pos = np.delete(neg, i, 0)
+            for tau in DriftConfig().temperatures:
+                out = drift_single_temp(
+                    gens, pos, neg, tau, renormalize=renormalize, exclude_self=True
+                )
+                assert np.all(out[i] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +452,12 @@ def test_build_references_cardinality(rng):
     queue_push(q_real, unit_rows(rng, 3, 8))
     queue_push(q_gen, unit_rows(rng, 3, 8))
     positives, negatives = build_references(cur_real, cur_gen, q_real, q_gen)
-    assert positives.shape == (7, 8) and negatives.shape == (4, 6, 8)
+    assert positives.shape == (7, 8) and negatives.shape == (7, 8)
     # current features come first, in order, then the queue snapshot
     assert np.array_equal(positives[:4], cur_real)
     assert np.array_equal(positives[4:], q_real.rows)
-    for i in range(4):
-        assert np.array_equal(negatives[i, :3], np.delete(cur_gen, i, axis=0))
-        assert np.array_equal(negatives[i, 3:], q_gen.rows)
+    assert np.array_equal(negatives[:4], cur_gen)
+    assert np.array_equal(negatives[4:], q_gen.rows)
 
 
 def test_build_references_empty_queues(rng):
@@ -388,14 +466,18 @@ def test_build_references_empty_queues(rng):
     positives, negatives = build_references(
         cur_real, cur_gen, ReferenceQueue(4, 8), ReferenceQueue(4, 8)
     )
-    assert np.array_equal(positives, cur_real) and negatives.shape == (1, 0, 8)
+    assert np.array_equal(positives, cur_real) and np.array_equal(negatives, cur_gen)
 
 
 def test_anchor_never_in_own_negatives(rng):
     cur_gen = unit_rows(rng, 4, 8)
     cur_real = unit_rows(rng, 4, 8)
     q_real, q_gen = ReferenceQueue(8, 8), ReferenceQueue(8, 8)
-    _, negatives = build_references(cur_real, cur_gen, q_real, q_gen)
-    for i, h in enumerate(cur_gen):
-        assert not any(np.array_equal(h, v) for v in negatives[i])
-        assert len(negatives[i]) == len(cur_gen) - 1
+    queue_push(q_gen, unit_rows(rng, 3, 8))
+    pos, neg = build_references(cur_real, cur_gen, q_real, q_gen)
+    # each anchor's drift is the one against the pool without its own row
+    for tau in DriftConfig().temperatures:
+        out = drift_single_temp(cur_gen, pos, neg, tau, exclude_self=True)
+        for i in range(len(cur_gen)):
+            alone = drift_single_temp(cur_gen[i : i + 1], pos, np.delete(neg, i, 0), tau)
+            assert np.array_equal(out[i], alone[0])

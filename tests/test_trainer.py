@@ -18,10 +18,10 @@ from driftlm.backbone import (
     params_to_vector,
 )
 from driftlm.corpus import banded_source, sample_sequences
-from driftlm.drift import DriftConfig, queue_push
-from driftlm.encoder import encoder_param_bytes, real_features_batch
+from driftlm.drift import DriftConfig, build_references, drift_multi_temp, queue_push
+from driftlm.encoder import encoder_param_bytes, lift_and_encode, real_features_batch
 from driftlm.numcore import InvalidInputError
-from driftlm.objectives import ObjectiveKind
+from driftlm.objectives import ObjectiveKind, ObjectiveVariant, total_objective
 from driftlm.trainer import (
     CheckpointError,
     TrainConfig,
@@ -169,16 +169,92 @@ def test_base_step_forwards_are_chunked(source, monkeypatch, micro_batch):
     assert all(rows <= chunk for rows in calls) and sum(calls) == cfg.batch_size
 
 
-def test_drift_step_ignores_denoiser_chunk(source, monkeypatch):
-    cfg = tiny_config(objective=ObjectiveKind(), batch_size=8, micro_batch=4)
-    reference, _ = run_steps(cfg, source, 3)
-    for chunk in (1, 1000):
-        monkeypatch.setattr(trainer, "DENOISER_CHUNK", chunk)
-        calls = count_forwards(monkeypatch)
-        state, _ = run_steps(cfg, source, 3)
-        assert np.array_equal(params_to_vector(state.params), params_to_vector(reference.params))
-        assert calls == [cfg.micro_batch] * (3 * cfg.batch_size // cfg.micro_batch)
-        monkeypatch.undo()
+def per_micro_batch_step(state, batch, cfg):
+    """Loss and gradients of one drift step, one micro-batch at a time.
+
+    The loop drift steps ran before they were grouped into 16-sequence
+    slices: forward, lift, references, drift, objective and backward per
+    micro-batch, and the micro-batch means averaged.  Draws from a copy of
+    the state's generator and pushes nothing, so ``state`` is left as it was.
+    """
+    rng = copy.deepcopy(state.rng)
+    n, mb = cfg.batch_size, cfg.micro_batch
+    levels = rng.uniform(cfg.t_min, cfg.t_max, size=n)
+    corrupted, predicted = corrupt(batch, levels, cfg.corruption, rng, cfg.model.vocab_size)
+    grads = {name: np.zeros_like(arr) for name, arr in param_items(state.params)}
+    loss = 0.0
+    for lo in range(0, n, mb):
+        rows = slice(lo, lo + mb)
+        logits, cache = forward_tokens(state.params, corrupted[rows])
+        lifted = lift_and_encode(
+            state.encoder, logits, corrupted[rows], predicted[rows], cfg.objective.lift
+        )
+        reals = real_features_batch(state.encoder, batch[rows])
+        pos, neg = build_references(reals, lifted.features, state.q_real, state.q_gen)
+        drifts = drift_multi_temp(lifted.features, pos, neg, cfg.drift, exclude_self=True)
+        total = total_objective(cfg.objective, lifted, drifts, batch[rows])
+        loss += total.loss / (n // mb)
+        for name, g in backward_tokens(state.params, cache, total.grad_logits).items():
+            grads[name] += g
+    return loss, {name: g / (n // mb) for name, g in grads.items()}
+
+
+@pytest.mark.parametrize(
+    "variant", [ObjectiveVariant.FEATURE_L2, ObjectiveVariant.MIRROR_KL], ids=lambda v: v.value
+)
+@pytest.mark.parametrize(
+    "micro_batch, batch_size, forwards",
+    # slices of 16 (4 micro-batches) and 12 (2 micro-batches), each with a
+    # ragged last slice
+    [(4, 24, [16, 8]), (6, 30, [12, 12, 6])],
+    ids=["mb4", "mb6"],
+)
+def test_drift_step_matches_per_micro_batch_loop(
+    source, monkeypatch, variant, micro_batch, batch_size, forwards
+):
+    cfg = tiny_config(
+        objective=ObjectiveKind(variant=variant), batch_size=batch_size, micro_batch=micro_batch
+    )
+    state, _ = run_steps(cfg, source, 2)  # fill the queues part way
+    batch = sample_sequences(source, cfg.batch_size, cfg.model.length, state.rng)
+    want_loss, want = per_micro_batch_step(state, batch, cfg)
+
+    seen = []
+    adam_update = trainer._adam_update
+
+    def recording(state, grads, config):
+        seen.append({name: g.copy() for name, g in grads.items()})
+        adam_update(state, grads, config)
+
+    monkeypatch.setattr(trainer, "_adam_update", recording)
+    calls = count_forwards(monkeypatch)
+    metrics = train_step(state, batch, cfg)
+
+    # every forward covers whole micro-batches
+    assert calls == forwards
+    assert all(rows % micro_batch == 0 for rows in calls[:-1])
+    assert abs(metrics["loss"] - want_loss) <= 1e-12
+    assert seen[0].keys() == want.keys()
+    for name, g in want.items():
+        assert np.max(np.abs(seen[0][name] - g)) <= 1e-12, name
+
+
+def test_single_sequence_micro_batch_needs_generated_queue(source):
+    cfg = tiny_config(objective=ObjectiveKind(), batch_size=4, micro_batch=1)
+    state = init_state(cfg)
+    batch = sample_sequences(source, cfg.batch_size, cfg.model.length, state.rng)
+    draws = copy.deepcopy(state.rng)
+    with pytest.raises(InvalidInputError, match="micro_batch=1.*generated queue"):
+        train_step(state, batch, cfg)
+    # rejected before the step draws or updates anything
+    assert state.step == 0 and state.adam_t == 0
+    assert state.rng.random() == draws.random()
+    # without repulsion the empty queue is fine
+    no_repulsion = tiny_config(
+        objective=ObjectiveKind(), batch_size=4, micro_batch=1, drift=DriftConfig(w_minus=0.0)
+    )
+    _, metrics = run_steps(no_repulsion, source, 1)
+    assert np.isfinite(metrics[0]["loss"])
 
 
 def test_one_adam_update_per_step(source):
@@ -222,8 +298,6 @@ def test_drift_metrics_reported(source):
 
 
 def test_nonfinite_loss_aborts_with_dump(source):
-    from driftlm.objectives import ObjectiveVariant
-
     # an astronomically large mirror step overflows the teacher logits, which
     # is the one spot where a non-finite loss can appear with finite inputs
     cfg = tiny_config(
