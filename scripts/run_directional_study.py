@@ -43,7 +43,7 @@ def main() -> None:
     nfes = tuple(int(n) for n in args.nfe.split(","))
     source = banded_source()
     os.makedirs(args.out, exist_ok=True)
-    save_source(source, os.path.join(args.out, "source.txt"))
+    save_source(source, os.path.join(args.out, "source.json"))
 
     kinds = (
         [CorruptionKind(args.corruption)]

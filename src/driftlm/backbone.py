@@ -9,6 +9,7 @@ VJP rules, so gradients are exact and framework-free.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 
@@ -92,27 +93,8 @@ def param_items(params: DenoiserParams) -> list[tuple[str, Array]]:
     return items
 
 
-def params_from_items(items: dict[str, Array]) -> DenoiserParams:
-    n_blocks = sum(1 for name in items if name.endswith(".w1"))
-    blocks = tuple(
-        BlockParams(
-            w1=items[f"block{b}.w1"],
-            b1=items[f"block{b}.b1"],
-            w2=items[f"block{b}.w2"],
-            b2=items[f"block{b}.b2"],
-        )
-        for b in range(1, n_blocks + 1)
-    )
-    return DenoiserParams(
-        embed=items["embed"],
-        pos_embed=items["pos_embed"],
-        blocks=blocks,
-        out_proj=items["out_proj"],
-    )
-
-
 def copy_params(params: DenoiserParams) -> DenoiserParams:
-    return params_from_items({name: arr.copy() for name, arr in param_items(params)})
+    return copy.deepcopy(params)
 
 
 def params_to_vector(params: DenoiserParams) -> Array:
@@ -120,16 +102,13 @@ def params_to_vector(params: DenoiserParams) -> Array:
 
 
 def params_from_vector(template: DenoiserParams, vector: Array) -> DenoiserParams:
-    out: dict[str, Array] = {}
-    offset = 0
-    for name, arr in param_items(template):
-        out[name] = np.asarray(vector[offset : offset + arr.size], dtype=np.float64).reshape(
-            arr.shape
-        )
-        offset += arr.size
-    if offset != vector.size:
+    sizes = [arr.size for _, arr in param_items(template)]
+    if sum(sizes) != vector.size:
         raise InvalidInputError("parameter vector has the wrong size")
-    return params_from_items(out)
+    params = copy_params(template)
+    for (_, arr), part in zip(param_items(params), np.split(vector, np.cumsum(sizes)[:-1])):
+        arr[...] = part.reshape(arr.shape)
+    return params
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator, init_std: float = 0.02) -> DenoiserParams:

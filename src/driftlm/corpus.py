@@ -3,7 +3,9 @@
 A small banded Markov chain stands in for a text corpus: it is cheap to
 sample, has a closed-form entropy rate, and admits an exact per-sequence
 log-likelihood, which makes it usable as a generative-perplexity oracle for
-generated samples.
+generated samples.  A source file is the JSON of a ``MarkovSource``, written
+and read by the ``codec`` module, and ``MarkovSource.__post_init__`` checks
+what it decodes to.
 """
 
 from __future__ import annotations
@@ -13,13 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import dump, load
 from .numcore import Array, InvalidInputError
 
 _STOCHASTIC_TOL = 1e-12
-
-
-class CorpusFormatError(ValueError):
-    """A source file failed to parse; the message names the line."""
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,6 @@ class MarkovSource:
     vocab_size: int
     initial: Array
     transition: Array
-    seed: int = 0
 
     def __post_init__(self):
         initial = np.asarray(self.initial, dtype=np.float64)
@@ -41,8 +39,8 @@ class MarkovSource:
             raise InvalidInputError("vocab_size must be positive")
         if initial.shape != (k,) or transition.shape != (k, k):
             raise InvalidInputError("initial/transition shapes inconsistent with vocab_size")
-        if np.any(initial < 0.0) or np.any(transition < 0.0):
-            raise InvalidInputError("probabilities must be nonnegative")
+        if not (np.all(initial >= 0.0) and np.all(transition >= 0.0)):
+            raise InvalidInputError("probabilities must be nonnegative numbers")
         if abs(initial.sum() - 1.0) > _STOCHASTIC_TOL:
             raise InvalidInputError("initial distribution must sum to 1")
         row_err = np.abs(transition.sum(axis=1) - 1.0).max()
@@ -53,7 +51,6 @@ class MarkovSource:
 def banded_source(
     vocab_size: int = 31,
     band: tuple[float, ...] = (0.4, 0.3, 0.2, 0.1),
-    seed: int = 0,
 ) -> MarkovSource:
     """Cyclic banded chain: state i steps to i+1..i+len(band) with the band weights.
 
@@ -67,7 +64,7 @@ def banded_source(
         for j, p in enumerate(band, start=1):
             transition[i, (i + j) % vocab_size] = p
     initial = np.full(vocab_size, 1.0 / vocab_size, dtype=np.float64)
-    return MarkovSource(vocab_size=vocab_size, initial=initial, transition=transition, seed=seed)
+    return MarkovSource(vocab_size=vocab_size, initial=initial, transition=transition)
 
 
 # ---------------------------------------------------------------------------
@@ -149,55 +146,12 @@ def oracle_gen_ppl(source: MarkovSource, seqs, floor: float = 1e-12) -> float:
 
 
 # ---------------------------------------------------------------------------
-# file formats
+# source files
 
 
 def save_source(source: MarkovSource, path) -> None:
-    """Plain-text key-value source file; floats stored with full precision."""
-    lines = [
-        f"vocab_size: {source.vocab_size}",
-        f"seed: {source.seed}",
-        "initial: " + " ".join(repr(float(v)) for v in source.initial),
-        "transition:",
-    ]
-    for row in source.transition:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    dump(source, path)
 
 
 def load_source(path) -> MarkovSource:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [line.rstrip("\n") for line in fh]
-    fields: dict[str, str] = {}
-    rows: list[list[float]] = []
-    in_matrix = False
-    for lineno, line in enumerate(raw, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if in_matrix:
-            try:
-                rows.append([float(v) for v in stripped.split()])
-            except ValueError as exc:
-                raise CorpusFormatError(f"line {lineno}: bad transition row") from exc
-            continue
-        if stripped == "transition:":
-            in_matrix = True
-            continue
-        if ":" not in stripped:
-            raise CorpusFormatError(f"line {lineno}: expected 'key: value'")
-        key, value = stripped.split(":", 1)
-        fields[key.strip()] = value.strip()
-    try:
-        vocab_size = int(fields["vocab_size"])
-        seed = int(fields.get("seed", "0"))
-        initial = np.asarray([float(v) for v in fields["initial"].split()], dtype=np.float64)
-    except KeyError as exc:
-        raise CorpusFormatError(f"missing field {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise CorpusFormatError("bad numeric value in source file") from exc
-    if len(rows) != vocab_size:
-        raise CorpusFormatError(f"expected {vocab_size} transition rows, got {len(rows)}")
-    transition = np.asarray(rows, dtype=np.float64)
-    return MarkovSource(vocab_size=vocab_size, initial=initial, transition=transition, seed=seed)
+    return load(MarkovSource, path)

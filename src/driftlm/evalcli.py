@@ -1,4 +1,4 @@
-"""Evaluation metrics, ablation harness, config JSON codec, and the CLI.
+"""Evaluation metrics, the ablation harness and the CLI.
 
 Generated samples are scored with the exact Markov-source oracle instead of
 an external language model, so only orderings and relative changes are
@@ -6,9 +6,12 @@ meaningful, not absolute perplexities.
 
 The config dataclasses (``TrainConfig`` and its ``DriftConfig``,
 ``ObjectiveKind`` and ``ModelConfig`` sections) are the one list of config
-fields and defaults.  The JSON codec walks their fields and type hints, and
-the train flags and ablation axes are tables of dotted config paths applied
-by ``with_overrides``.
+fields and defaults.  The ``codec`` module walks their fields and type
+hints, and the train flags and ablation axes are tables of dotted config
+paths applied by ``with_overrides``.  Every ``--config``, ``--source`` and
+``--init`` file is read through ``_read``, so a missing, malformed or
+undecodable one ends the command with a one-line usage error naming the
+flag and the file.
 """
 
 from __future__ import annotations
@@ -18,14 +21,13 @@ import dataclasses
 import json
 import os
 import sys
-import types
-import typing
 from dataclasses import dataclass, replace
-from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .backbone import CorruptionKind, DenoiserParams, sample_batch
+from .codec import decode, dump, jsonable, load
 from .corpus import (
     MarkovSource,
     banded_source,
@@ -37,7 +39,7 @@ from .corpus import (
 from .encoder import LiftKind
 from .numcore import InvalidInputError
 from .objectives import ObjectiveKind, ObjectiveVariant
-from .trainer import Checkpoint, TrainConfig, load_checkpoint, train_run, write_csv
+from .trainer import Checkpoint, CheckpointError, TrainConfig, load_checkpoint, train_run, write_csv
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,11 @@ def evaluate(
     """Sample at each NFE budget and score with the exact oracle; seed-deterministic."""
     if n_samples < 1:
         raise InvalidInputError("n_samples must be at least 1")
+    if params.vocab_size != source.vocab_size + 1:
+        raise InvalidInputError(
+            f"the denoiser's vocabulary of {params.vocab_size} tokens must be the source's "
+            f"{source.vocab_size} tokens plus the mask symbol"
+        )
     per_nfe = []
     for nfe in nfes:
         rng = np.random.default_rng([seed, int(nfe)])
@@ -191,64 +198,14 @@ def ablate(
 
 
 # ---------------------------------------------------------------------------
-# config (de)serialization
-
-
-def jsonable(value):
-    """``value`` as JSON data: dataclasses become dicts, enums values, tuples lists."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (tuple, list)):
-        return [jsonable(v) for v in value]
-    return value
+# configs
 
 
 train_config_to_dict = jsonable
 
 
-def _decode(tp, doc, path: str):
-    """The value of type ``tp`` that the JSON data ``doc`` found at ``path`` encodes.
-
-    Missing dataclass keys take the field defaults.  An unknown key, a wrong
-    type or a bad enum value raises ``InvalidInputError`` naming the path.
-    """
-    where = path or "top-level"
-    if dataclasses.is_dataclass(tp):
-        if not isinstance(doc, dict):
-            raise InvalidInputError(f"config {where} must be an object, got {doc!r}")
-        prefix = f"{path}." if path else ""
-        unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(tp)})
-        if unknown:
-            keys = [prefix + k for k in unknown]
-            raise InvalidInputError(f"unknown {where} config keys: {keys}")
-        hints = typing.get_type_hints(tp)
-        return tp(**{k: _decode(hints[k], v, prefix + k) for k, v in doc.items()})
-    if typing.get_origin(tp) is types.UnionType:  # X | None
-        if doc is None:
-            return None
-        (tp,) = set(typing.get_args(tp)) - {type(None)}
-        return _decode(tp, doc, path)
-    if typing.get_origin(tp) is tuple:  # tuple[T, ...]
-        if not isinstance(doc, list):
-            raise InvalidInputError(f"config {where} must be a list, got {doc!r}")
-        (item, _) = typing.get_args(tp)
-        return tuple(_decode(item, v, f"{path}[{i}]") for i, v in enumerate(doc))
-    if issubclass(tp, Enum):
-        values = [m.value for m in tp]
-        if doc not in values:
-            raise InvalidInputError(f"config {where} must be one of {values}, got {doc!r}")
-        return tp(doc)
-    # an int may stand for a float, but a bool only for a bool
-    numeric = (int, float) if tp is float else tp
-    if isinstance(doc, bool) != (tp is bool) or not isinstance(doc, numeric):
-        raise InvalidInputError(f"config {where} must be {tp.__name__}, got {doc!r}")
-    return tp(doc)
-
-
 def train_config_from_dict(d: dict) -> TrainConfig:
-    return _decode(TrainConfig, d, "")
+    return decode(TrainConfig, d)
 
 
 def with_overrides(config, overrides: dict):
@@ -266,18 +223,12 @@ def with_overrides(config, overrides: dict):
                 node[section] = {}
             node = node[section]
         node[name] = jsonable(value)
-    return _decode(type(config), doc, "")
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    return decode(type(config), doc)
 
 
 def _write_manifest(args, payload: dict) -> None:
     os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "manifest.json"), {"command": args.command, **payload})
+    dump({"command": args.command, **payload}, os.path.join(args.out, "manifest.json"))
 
 
 def _flag_values(args) -> dict:
@@ -342,38 +293,43 @@ def _add_train_flags(p: argparse.ArgumentParser, drift_phase: bool) -> None:
         p.add_argument(flag, default=None, **kwargs)
 
 
-class ConfigUsageError(InvalidInputError):
-    """A training command's config cannot be resolved; the CLI reports it as a usage error."""
+class UsageError(InvalidInputError):
+    """A command's input file or flag is unusable; the CLI reports it as a usage error."""
+
+
+def _read(flag: str, path, load_file):
+    """``load_file(path)``, a missing, unreadable or undecodable file being a usage error."""
+    try:
+        return load_file(path)
+    except OSError as exc:
+        raise UsageError(f"{flag} {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{flag} {path} is not valid JSON: {exc}") from exc
+    except (ValueError, CheckpointError) as exc:  # undecodable text, or a bad value
+        raise UsageError(f"{flag} {path}: {exc}") from exc
 
 
 def _resolve_train_config(args, drift_phase: bool) -> TrainConfig:
+    if args.config is not None:
+        config = _read("--config", args.config, partial(load, TrainConfig))
+    else:
+        # a drift phase, or training on from a checkpoint, defaults to a smaller lr
+        config = TrainConfig(lr=3e-5) if (drift_phase or args.init) else TrainConfig()
+    # base training has no drifting objective; a drift phase keeps the
+    # config's objective or starts from the default one
+    overrides = {"objective": (config.objective or ObjectiveKind()) if drift_phase else None}
+    for flag, (path, _) in {**TRAIN_FLAGS, **(DRIFT_FLAGS if drift_phase else {})}.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            overrides[path] = value
     try:
-        if args.config is not None:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = train_config_from_dict(json.load(fh))
-        else:
-            # a drift phase, or training on from a checkpoint, defaults to a smaller lr
-            config = TrainConfig(lr=3e-5) if (drift_phase or args.init) else TrainConfig()
-        # base training has no drifting objective; a drift phase keeps the
-        # config's objective or starts from the default one
-        overrides = {"objective": (config.objective or ObjectiveKind()) if drift_phase else None}
-        for flag, (path, _) in {**TRAIN_FLAGS, **(DRIFT_FLAGS if drift_phase else {})}.items():
-            value = getattr(args, flag[2:].replace("-", "_"))
-            if value is not None:
-                overrides[path] = value
         return with_overrides(config, overrides)
-    except OSError as exc:
-        raise ConfigUsageError(f"--config {args.config}: {exc.strerror}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigUsageError(f"--config {args.config} is not valid JSON: {exc}") from exc
     except InvalidInputError as exc:
-        raise ConfigUsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_make_source(args) -> int:
-    source = banded_source(
-        vocab_size=args.vocab_size, band=tuple(args.band), seed=args.seed
-    )
+    source = banded_source(vocab_size=args.vocab_size, band=tuple(args.band))
     save_source(source, args.out)
     print(f"wrote banded source with |V_data|={source.vocab_size} to {args.out}")
     return 0
@@ -381,8 +337,8 @@ def _cmd_make_source(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _resolve_train_config(args, drift_phase=args.command == "drift-train")
-    source = load_source(args.source)
-    checkpoint = load_checkpoint(args.init) if args.init else None
+    source = _read("--source", args.source, load_source)
+    checkpoint = _read("--init", args.init, load_checkpoint) if args.init else None
     _write_manifest(
         args,
         {
@@ -404,7 +360,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    checkpoint = load_checkpoint(args.init)
+    checkpoint = _read("--init", args.init, load_checkpoint)
     kind = CorruptionKind(args.corruption)
     rng = np.random.default_rng([args.seed, args.nfe])
     seqs = sample_batch(checkpoint.params, kind, args.nfe, args.samples, rng)
@@ -418,14 +374,14 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    checkpoint = load_checkpoint(args.init)
-    source = load_source(args.source)
+    checkpoint = _read("--init", args.init, load_checkpoint)
+    source = _read("--source", args.source, load_source)
     kind = CorruptionKind(args.corruption)
     report = evaluate(
         checkpoint.params, source, kind, nfes=args.nfe, n_samples=args.samples, seed=args.seed
     )
     _write_manifest(args, _flag_values(args))
-    _write_json(os.path.join(args.out, "report.json"), report.to_dict())
+    dump(report, os.path.join(args.out, "report.json"))
     for item in report.per_nfe:
         print(f"nfe={item.nfe} gen_ppl={item.gen_ppl!r} entropy={item.entropy!r}")
     return 0
@@ -433,8 +389,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     config = _resolve_train_config(args, drift_phase=True)
-    source = load_source(args.source)
-    checkpoint = load_checkpoint(args.init)
+    source = _read("--source", args.source, load_source)
+    checkpoint = _read("--init", args.init, load_checkpoint)
     grid = [v for v in args.grid.split(",") if v]
     seeds = _parse_int_list(args.seeds)
     _write_manifest(
@@ -471,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-size", type=int, default=31)
     p.add_argument("--band", type=_parse_float_list, default=(0.4, 0.3, 0.2, 0.1))
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("base-train", help="train with the base denoising loss")
     _add_train_flags(p, drift_phase=False)
@@ -522,7 +477,7 @@ def cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args)
-    except ConfigUsageError as exc:
+    except UsageError as exc:
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

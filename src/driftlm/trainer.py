@@ -8,13 +8,18 @@ into the reference queues.  ``objective=None`` trains on the base denoising
 loss alone (the base/continuation phases); an ``ObjectiveKind`` selects a
 drifting objective, whose slices hold whole micro-batches and whose drift
 field is computed once per ``micro_batch`` sequences.
+
+A checkpoint file is ``codec.jsonable`` of a ``Checkpoint`` under a
+``format``/``version`` header, and ``codec.decode`` reads it back, so a
+field added to ``Checkpoint`` is saved and restored with no other change.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,8 +35,8 @@ from .backbone import (
     backward_tokens,
     init_params,
     param_items,
-    params_from_items,
 )
+from .codec import decode, jsonable
 from .corpus import MarkovSource, sample_sequences
 from .drift import DriftConfig, ReferenceQueue, build_references, drift_multi_temp, queue_push
 from .encoder import (
@@ -45,7 +50,7 @@ from .numcore import Array, InvalidInputError
 from .objectives import ObjectiveKind, total_objective
 
 CHECKPOINT_FORMAT = "driftlm-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -99,25 +104,32 @@ class TrainConfig:
 
 
 @dataclass
-class TrainState:
+class Checkpoint:
+    """What a checkpoint file holds: its JSON is ``codec.jsonable`` of this."""
+
     params: DenoiserParams
     adam_m: dict[str, Array]
     adam_v: dict[str, Array]
     adam_t: int
     step: int
+
+    def __post_init__(self):
+        shapes = {name: arr.shape for name, arr in param_items(self.params)}
+        for name in ("adam_m", "adam_v"):
+            moments = {k: v.shape for k, v in getattr(self, name).items()}
+            bad = sorted(k for k in shapes | moments if shapes.get(k) != moments.get(k))
+            if bad:
+                raise InvalidInputError(f"{name} does not match the parameters at {bad}")
+
+
+@dataclass
+class TrainState(Checkpoint):
+    """A checkpoint's fields, and the run's queues, generator and frozen encoder."""
+
     q_real: ReferenceQueue
     q_gen: ReferenceQueue
     rng: np.random.Generator
     encoder: FrozenEncoder
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    params: DenoiserParams
-    adam_m: dict[str, Array]
-    adam_v: dict[str, Array]
-    adam_t: int
-    step: int
 
 
 def init_state(
@@ -132,25 +144,18 @@ def init_state(
     semantic encoder for the whole run.
     """
     rng = np.random.default_rng(config.seed)
-    if checkpoint is None:
-        params = init_params(config.model, rng, init_std=config.init_std)
+    if checkpoint is not None and not reset_optimizer:
+        start = checkpoint_of(checkpoint)
     else:
-        params = copy_params(checkpoint.params)
-    if checkpoint is None or reset_optimizer:
-        adam_m = {name: np.zeros_like(arr) for name, arr in param_items(params)}
-        adam_v = {name: np.zeros_like(arr) for name, arr in param_items(params)}
-        adam_t, step = 0, 0
-    else:
-        adam_m = {k: v.copy() for k, v in checkpoint.adam_m.items()}
-        adam_v = {k: v.copy() for k, v in checkpoint.adam_v.items()}
-        adam_t, step = checkpoint.adam_t, checkpoint.step
-    encoder = make_frozen_encoder(params)
+        if checkpoint is None:
+            params = init_params(config.model, rng, init_std=config.init_std)
+        else:
+            params = copy_params(checkpoint.params)
+        zeros = {name: np.zeros_like(arr) for name, arr in param_items(params)}
+        start = Checkpoint(params, zeros, copy.deepcopy(zeros), adam_t=0, step=0)
+    encoder = make_frozen_encoder(start.params)
     return TrainState(
-        params=params,
-        adam_m=adam_m,
-        adam_v=adam_v,
-        adam_t=adam_t,
-        step=step,
+        **vars(start),
         q_real=ReferenceQueue(config.queue_capacity, encoder.feature_dim),
         q_gen=ReferenceQueue(config.queue_capacity, encoder.feature_dim),
         rng=rng,
@@ -367,27 +372,15 @@ def train_run(
 # checkpoints
 
 
-def _tensor_doc(arr: Array) -> dict:
-    return {"shape": list(arr.shape), "values": [float(v) for v in arr.ravel()]}
+def _checkpoint_fields(state: Checkpoint) -> Checkpoint:
+    """A ``Checkpoint`` of the same arrays, without a ``TrainState``'s run-time fields."""
+    return Checkpoint(**{f.name: getattr(state, f.name) for f in fields(Checkpoint)})
 
 
-def _tensor_from_doc(doc: dict) -> Array:
-    arr = np.asarray(doc["values"], dtype=np.float64)
-    return arr.reshape(doc["shape"])
-
-
-def save_checkpoint(state: TrainState | Checkpoint, path) -> None:
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "step": state.step,
-        "params": {name: _tensor_doc(arr) for name, arr in param_items(state.params)},
-        "adam": {
-            "t": state.adam_t,
-            "m": {name: _tensor_doc(arr) for name, arr in state.adam_m.items()},
-            "v": {name: _tensor_doc(arr) for name, arr in state.adam_v.items()},
-        },
-    }
+def save_checkpoint(state: Checkpoint, path) -> None:
+    """The header, then ``jsonable`` of the ``Checkpoint`` fields, streamed by ``json.dump``."""
+    doc = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION}
+    doc.update(jsonable(_checkpoint_fields(state)))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
 
@@ -397,35 +390,16 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not text
         raise CheckpointError(f"checkpoint parse error in {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.pop("format", None) != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {doc.get('version')} != supported {CHECKPOINT_VERSION}"
-        )
-    try:
-        params = params_from_items(
-            {name: _tensor_from_doc(t) for name, t in doc["params"].items()}
-        )
-        adam = doc["adam"]
-        return Checkpoint(
-            params=params,
-            adam_m={name: _tensor_from_doc(t) for name, t in adam["m"].items()},
-            adam_v={name: _tensor_from_doc(t) for name, t in adam["v"].items()},
-            adam_t=int(adam["t"]),
-            step=int(doc["step"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint {path} is missing fields: {exc}") from exc
+    version = doc.pop("version", None)
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"checkpoint version {version} != supported {CHECKPOINT_VERSION}")
+    return decode(Checkpoint, doc)
 
 
-def checkpoint_of(state: TrainState) -> Checkpoint:
-    return Checkpoint(
-        params=copy_params(state.params),
-        adam_m={k: v.copy() for k, v in state.adam_m.items()},
-        adam_v={k: v.copy() for k, v in state.adam_v.items()},
-        adam_t=state.adam_t,
-        step=state.step,
-    )
+def checkpoint_of(state: Checkpoint) -> Checkpoint:
+    """A deep copy of the ``Checkpoint`` fields of ``state`` (a ``TrainState`` too)."""
+    return copy.deepcopy(_checkpoint_fields(state))

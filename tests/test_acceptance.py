@@ -387,7 +387,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     from driftlm.trainer import TrainConfig, init_state, save_checkpoint
     from driftlm.evalcli import train_config_to_dict
 
-    source_path = tmp_path / "source.txt"
+    source_path = tmp_path / "source.json"
     save_source(banded_source(), source_path)
     config = TrainConfig(
         batch_size=8,

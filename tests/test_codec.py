@@ -1,0 +1,291 @@
+"""The JSON codec: bitwise round trips and errors that name the dotted path."""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from conftest import SMALL_MODEL
+from driftlm.backbone import CorruptionKind, ModelConfig, init_params, param_items
+from driftlm.codec import decode, jsonable
+from driftlm.corpus import MarkovSource, banded_source
+from driftlm.drift import DriftConfig
+from driftlm.encoder import LiftKind
+from driftlm.numcore import InvalidInputError
+from driftlm.objectives import ObjectiveKind, ObjectiveVariant
+from driftlm.trainer import (
+    CHECKPOINT_FORMAT,
+    Checkpoint,
+    CheckpointError,
+    TrainConfig,
+    checkpoint_of,
+    init_state,
+    load_checkpoint,
+)
+
+# signed zeros, the smallest and the largest subnormal, and +-1e308
+TINY = [0.0, -0.0, 5e-324, 2.225073858507201e-308]
+SPECIAL = TINY + [-5e-324, -2.225073858507201e-308, 1e308, -1e308]
+
+
+def floats(ok=lambda x: True):
+    return (st.sampled_from(SPECIAL) | st.floats(allow_nan=False, allow_infinity=False)).filter(ok)
+
+
+def roundtrip(tp, value):
+    return decode(tp, json.loads(json.dumps(jsonable(value))))
+
+
+def assert_same(a, b):
+    """Equal types and values, floats and arrays bit for bit."""
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for k in a:
+            assert_same(a[k], b[k])
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    elif isinstance(a, float):
+        assert struct.pack("<d", a) == struct.pack("<d", b)
+    else:
+        assert a == b
+
+
+# ---------------------------------------------------------------------------
+# round trips
+
+
+@st.composite
+def markov_sources(draw):
+    # a probability is never negative or above 1, so +-1e308 cannot appear;
+    # -0.0 and subnormals can, and leave every sum within the tolerance
+    k = draw(st.integers(1, 5))
+    weights = draw(arrays(np.float64, (k + 1, k), elements=st.floats(0.01, 1.0)))
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    mask = draw(arrays(np.bool_, probs.shape))
+    probs[mask] = draw(st.sampled_from(TINY))
+    probs[:, 0] += 1.0 - probs.sum(axis=1)
+    return MarkovSource(vocab_size=k, initial=probs[0], transition=probs[1:])
+
+
+@given(markov_sources())
+def test_markov_source_roundtrip_is_bitwise(source):
+    assert_same(roundtrip(MarkovSource, source), source)
+
+
+@st.composite
+def checkpoints(draw):
+    model = ModelConfig(
+        vocab_size=draw(st.integers(3, 5)),
+        length=draw(st.integers(1, 3)),
+        embed_dim=draw(st.integers(3, 4)),
+        hidden_dim=draw(st.integers(1, 3)),
+        n_blocks=draw(st.integers(2, 3)),
+    )
+    params = init_params(model, np.random.default_rng(0))
+    shapes = [(name, arr.shape) for name, arr in param_items(params)]
+
+    def tensors():
+        return {name: draw(arrays(np.float64, shape, elements=floats())) for name, shape in shapes}
+
+    for (_, arr), values in zip(param_items(params), tensors().values()):
+        arr[...] = values
+    params.embed.flat[: len(SPECIAL)] = SPECIAL
+    return Checkpoint(params=params, adam_m=tensors(), adam_v=tensors(),
+                      adam_t=draw(st.integers(0, 2**53)), step=draw(st.integers(0, 2**53)))
+
+
+@given(checkpoints())
+def test_checkpoint_roundtrip_is_bitwise(checkpoint):
+    assert_same(roundtrip(Checkpoint, checkpoint), checkpoint)
+
+
+@st.composite
+def train_configs(draw):
+    micro_batch = draw(st.integers(1, 8))
+    t_min, t_max = sorted(
+        draw(
+            st.lists(
+                st.sampled_from(TINY[2:])
+                | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                min_size=2,
+                max_size=2,
+                unique=True,
+            )
+        )
+    )
+    w_plus = draw(floats(lambda x: x >= 0.0))
+    w_minus = draw(floats(lambda x: x > 0.0)) if w_plus == 0.0 else draw(floats(lambda x: x >= 0.0))
+    objective = ObjectiveKind(
+        variant=draw(st.sampled_from(ObjectiveVariant)),
+        with_base_loss=draw(st.booleans()),
+        lift=draw(st.sampled_from(LiftKind)),
+        eta=draw(floats(lambda x: x >= 0.0)),
+        alpha=draw(floats(lambda x: x > 0.0)),
+    )
+    return TrainConfig(
+        batch_size=micro_batch * draw(st.integers(1, 4)),
+        micro_batch=micro_batch,
+        steps=draw(st.integers(0, 10**6)),
+        lr=draw(floats(lambda x: x > 0.0)),
+        adam_beta1=draw(floats()),
+        adam_beta2=draw(floats()),
+        adam_eps=draw(floats()),
+        seed=draw(st.integers(0, 2**63)),
+        objective=draw(st.none() | st.just(objective)),
+        drift=DriftConfig(
+            temperatures=tuple(
+                draw(st.lists(floats(lambda x: x > 0.0), min_size=1, max_size=4, unique=True))
+            ),
+            eps=draw(floats(lambda x: x > 0.0)),
+            w_plus=w_plus,
+            w_minus=w_minus,
+            renormalize_sides=draw(st.booleans()),
+        ),
+        corruption=draw(st.sampled_from(CorruptionKind)),
+        eval_every=draw(st.integers(1, 1000)),
+        queue_capacity=draw(st.integers(1, 1024)),
+        t_min=t_min,
+        t_max=t_max,
+        model=ModelConfig(
+            vocab_size=draw(st.integers(2, 64)),
+            length=draw(st.integers(1, 64)),
+            embed_dim=draw(st.integers(1, 64)),
+            hidden_dim=draw(st.integers(1, 64)),
+            n_blocks=draw(st.integers(2, 4)),
+        ),
+        eval_nfes=tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=4))),
+        eval_samples=draw(st.integers(1, 4096)),
+        init_std=draw(floats(lambda x: x > 0.0)),
+    )
+
+
+@given(train_configs())
+def test_train_config_roundtrip_is_bitwise(config):
+    assert_same(roundtrip(TrainConfig, config), config)
+
+
+def test_checkpoint_roundtrip_keeps_the_special_values():
+    checkpoint = checkpoint_of(init_state(TrainConfig(model=SMALL_MODEL)))
+    checkpoint.params.embed.flat[: len(SPECIAL)] = SPECIAL
+    text = json.dumps(jsonable(checkpoint))
+    assert all(repr(v) in text for v in SPECIAL)
+    assert_same(roundtrip(Checkpoint, checkpoint), checkpoint)
+
+
+# ---------------------------------------------------------------------------
+# errors name the dotted path
+
+
+def source_doc() -> dict:
+    return jsonable(banded_source(vocab_size=4, band=(0.5, 0.5)))
+
+
+def checkpoint_doc() -> dict:
+    state = init_state(TrainConfig(model=SMALL_MODEL))
+    return json.loads(json.dumps(jsonable(checkpoint_of(state))))
+
+
+def test_ragged_transition_row_names_transition():
+    doc = source_doc()
+    doc["transition"][1].pop()
+    with pytest.raises(InvalidInputError, match="transition must be a rectangular list"):
+        decode(MarkovSource, doc)
+
+
+def test_string_inside_params_embed_names_params_embed():
+    doc = checkpoint_doc()
+    doc["params"]["embed"][2][1] = "0.5"
+    message = r"params\.embed must hold only numbers, found \['str'\]"
+    with pytest.raises(InvalidInputError, match=message):
+        decode(Checkpoint, doc)
+
+
+def test_missing_adam_t_is_named():
+    doc = checkpoint_doc()
+    del doc["adam_t"]
+    with pytest.raises(InvalidInputError, match=r"missing top-level keys: \['adam_t'\]"):
+        decode(Checkpoint, doc)
+
+
+def test_unknown_key_under_a_block_is_named():
+    doc = checkpoint_doc()
+    doc["params"]["blocks"][0]["w3"] = [[0.0]]
+    message = r"unknown params\.blocks\[0\] keys: \['params\.blocks\[0\]\.w3'\]"
+    with pytest.raises(InvalidInputError, match=message):
+        decode(Checkpoint, doc)
+
+
+# (keys down to one array item, the value put there, the expected message)
+BAD_ARRAY_ITEMS = {
+    "bool": (
+        ("params", "blocks", 1, "w2", 0, 0),
+        True,
+        r"params\.blocks\[1\]\.w2 must hold only numbers, found \['bool'\]",
+    ),
+    "null": (
+        ("adam_m", "out_proj", 1, 1),
+        None,
+        r"adam_m\['out_proj'\] must hold only numbers, found \['NoneType'\]",
+    ),
+    "ragged-depth": (
+        ("adam_v", "embed", 0, 0),
+        [1.0],
+        r"adam_v\['embed'\] must be a rectangular list of numbers",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ARRAY_ITEMS))
+def test_bad_array_items_are_named(case):
+    (*keys, last), value, message = BAD_ARRAY_ITEMS[case]
+    doc = checkpoint_doc()
+    node = doc
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(InvalidInputError, match=message):
+        decode(Checkpoint, doc)
+
+
+def test_scalar_for_an_array_is_named():
+    doc = source_doc()
+    doc["initial"] = 0.25
+    with pytest.raises(InvalidInputError, match="initial must be a list of numbers, got 0.25"):
+        decode(MarkovSource, doc)
+
+
+def test_moments_must_match_the_parameters():
+    doc = checkpoint_doc()
+    doc["adam_v"]["block2.b1"] = doc["adam_v"]["block2.b1"][:-1]
+    message = r"adam_v does not match the parameters at \['block2\.b1'\]"
+    with pytest.raises(InvalidInputError, match=message):
+        decode(Checkpoint, doc)
+
+
+def test_nan_probability_is_rejected():
+    doc = source_doc()
+    doc["initial"][0] = float("nan")
+    with pytest.raises(InvalidInputError, match="nonnegative numbers"):
+        decode(MarkovSource, json.loads(json.dumps(doc)))
+
+
+def test_version_1_checkpoint_is_rejected(tmp_path):
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps({"format": CHECKPOINT_FORMAT, "version": 1, **checkpoint_doc()}))
+    with pytest.raises(CheckpointError, match="version 1 != supported 2"):
+        load_checkpoint(path)

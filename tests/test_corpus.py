@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from driftlm.corpus import (
-    CorpusFormatError,
     MarkovSource,
     banded_source,
     load_source,
@@ -249,17 +249,18 @@ def test_mean_token_nll_matches_enumeration():
 
 
 def test_source_file_roundtrip(tmp_path):
-    src = banded_source(seed=3)
-    path = tmp_path / "source.txt"
+    src = banded_source()
+    path = tmp_path / "source.json"
     save_source(src, path)
     loaded = load_source(path)
-    assert loaded.vocab_size == src.vocab_size and loaded.seed == 3
+    assert loaded.vocab_size == src.vocab_size
     assert np.array_equal(loaded.initial, src.initial)
     assert np.array_equal(loaded.transition, src.transition)
 
 
 def test_load_source_rejects_bad_row_count(tmp_path):
-    path = tmp_path / "source.txt"
-    path.write_text("vocab_size: 3\ninitial: 0.5 0.25 0.25\ntransition:\n1 0 0\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError):
+    path = tmp_path / "source.json"
+    doc = {"vocab_size": 3, "initial": [0.5, 0.25, 0.25], "transition": [[1, 0, 0]]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InvalidInputError, match="shapes"):
         load_source(path)

@@ -157,6 +157,26 @@ def test_report_dict_shape(small_params):
     assert doc["per_nfe"][0]["gen_ppl"] >= 1.0
 
 
+@pytest.mark.parametrize("source_vocab", [40, 20], ids=["source-larger", "source-smaller"])
+def test_vocabulary_mismatch_names_both_sizes(tmp_path, source_vocab):
+    # the default model has 32 tokens: 31 source tokens and the mask
+    with pytest.raises(InvalidInputError, match=f"32 tokens.*source's {source_vocab} tokens"):
+        evaluate(
+            init_params(ModelConfig(), np.random.default_rng(0)),
+            banded_source(vocab_size=source_vocab),
+            CorruptionKind.MASKED,
+            nfes=(2,),
+            n_samples=4,
+        )
+    # the CLI reaches evaluate() before its first training step
+    source_path = tmp_path / "source.json"
+    save_source(banded_source(vocab_size=source_vocab), source_path)
+    argv = ["base-train", "--source", str(source_path), "--out", str(tmp_path / "run")]
+    with pytest.raises(InvalidInputError, match=f"32 tokens.*source's {source_vocab} tokens"):
+        cli([*argv, "--batch-size", "4", "--micro-batch", "2", "--samples", "4", "--nfe", "2"])
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # ablation harness
 
@@ -316,7 +336,7 @@ def test_train_config_rejects_unknown_nested_keys_by_name(section, key):
 
 @pytest.fixture
 def cli_env(tmp_path):
-    source_path = tmp_path / "source.txt"
+    source_path = tmp_path / "source.json"
     save_source(banded_source(vocab_size=TINY_MODEL.clean_vocab), source_path)
     config_path = tmp_path / "config.json"
     config_path.write_text(
@@ -328,7 +348,7 @@ def cli_env(tmp_path):
 
 
 def test_cli_make_source_roundtrip(tmp_path, capsys):
-    out = tmp_path / "src.txt"
+    out = tmp_path / "src.json"
     assert cli(["make-source", "--out", str(out), "--vocab-size", "9"]) == 0
     src = load_source(out)
     assert src.vocab_size == 9
@@ -375,6 +395,62 @@ def test_cli_bad_config_is_a_usage_error(cli_env, capsys, text, named):
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and named in errors[0]
     assert "Traceback" not in err
+
+
+# the argv of every command that reads --source or --init, with the files
+# left as {source} and {init} slots
+BOTH = ["--source", "{source}", "--init", "{init}"]
+INPUT_COMMANDS = {
+    "base-train": ["base-train", *BOTH],
+    "drift-train": ["drift-train", *BOTH],
+    "eval": ["eval", *BOTH],
+    "sample": ["sample", "--init", "{init}"],
+    "ablate": ["ablate", *BOTH, "--axis", "lift", "--grid", "soft"],
+}
+
+
+def _bad_value(flag: str, good_path) -> str:
+    """JSON that decodes to a bad value: a transition row summing to 0.8, or
+    Adam moments of the wrong shape."""
+    doc = json.loads(good_path.read_text(encoding="utf-8"))
+    if flag == "--source":
+        doc["transition"][0][1] -= 0.2
+    else:
+        doc["adam_m"]["embed"].pop()
+    return json.dumps(doc)
+
+
+# what a bad input file holds, from the flag and a good file; None: no file
+BAD_INPUTS = {
+    "missing-file": lambda flag, good_path: None,
+    "not-json": lambda flag, good_path: good_path.read_text(encoding="utf-8")[:40],
+    "bad-value": _bad_value,
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+@pytest.mark.parametrize(
+    "command, flag",
+    [(cmd, flag) for cmd, argv in INPUT_COMMANDS.items() for flag in BOTH[::2] if flag in argv],
+)
+def test_cli_bad_input_file_is_a_usage_error(cli_env, capsys, command, flag, case):
+    tmp_path, source_path, config_path, ckpt_path = cli_env
+    bad_path = tmp_path / "bad" / "input.json"
+    text = BAD_INPUTS[case](flag, source_path if flag == "--source" else ckpt_path)
+    if text is not None:
+        bad_path.parent.mkdir()
+        bad_path.write_text(text, encoding="utf-8")
+    files = {"source": source_path, "init": ckpt_path, flag[2:]: bad_path}
+    argv = [a.format(**files) for a in INPUT_COMMANDS[command]]
+    out = tmp_path / "run"
+    if command not in ("eval", "sample"):  # tiny runs, should a bad file be accepted
+        argv += ["--config", str(config_path)]
+    assert cli([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"{flag} {bad_path}" in errors[0], err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_base_then_drift_then_eval(cli_env, capsys):
