@@ -10,14 +10,13 @@ scripts/run_directional_study.py or `driftlm base-train`.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 
 from driftlm.backbone import CorruptionKind
 from driftlm.corpus import load_source
-from driftlm.evalcli import ABLATION_HEADER, ablate
+from driftlm.evalcli import ABLATION_HEADER, ablate, ablation_line, write_csv
 from driftlm.objectives import ObjectiveKind
-from driftlm.trainer import TrainConfig, load_checkpoint, write_csv
+from driftlm.trainer import TrainConfig, load_checkpoint
 
 AXES = {
     "lift": ["soft", "hard-st"],
@@ -56,12 +55,9 @@ def main() -> None:
         print(f"== axis {axis}: grid {grid}, seeds {seeds}")
         rows = ablate(axis, grid, base_cfg, source, checkpoint, seeds=seeds)
         path = os.path.join(args.out, f"{axis}.csv")
-        write_csv(path, ABLATION_HEADER, [dataclasses.asdict(r) for r in rows])
-        for r in rows:
-            print(
-                f"  {r.value:>8} nfe={r.nfe:>2}: gen_ppl {r.gen_ppl_mean:.4g} +/- {r.gen_ppl_sd:.3g}"
-                f"  entropy {r.entropy_mean:.3f} +/- {r.entropy_sd:.3f}"
-            )
+        write_csv(path, ABLATION_HEADER, rows)
+        for row in rows:
+            print(f"  {ablation_line(row)}")
         print(f"  wrote {path}")
 
 

@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import argparse
 import os
+
 import numpy as np
 
 from driftlm.backbone import CorruptionKind
 from driftlm.corpus import banded_source, save_source
-from driftlm.evalcli import evaluate
+from driftlm.evalcli import evaluate, train_run, write_csv
 from driftlm.objectives import ObjectiveKind
-from driftlm.trainer import TrainConfig, checkpoint_of, train_run
+from driftlm.trainer import TrainConfig, checkpoint_of
 
-
-def eval_ppls(params, source, kind, nfes, n_samples, seed):
-    report = evaluate(params, source, kind, nfes=nfes, n_samples=n_samples, seed=seed)
-    return {m.nfe: m.gen_ppl for m in report.per_nfe}, {m.nfe: m.entropy for m in report.per_nfe}
+# summary method, run directory tag, objective of the continual phase
+PHASES = (("continuation", "cont", None), ("drift", "drift", ObjectiveKind()))
 
 
 def main() -> None:
@@ -66,58 +65,41 @@ def main() -> None:
         state, _ = train_run(base_cfg, source, out_dir=base_dir)
         base = checkpoint_of(state)
 
-        rows = ["method,seed," + ",".join(f"gen_ppl_nfe{n}" for n in nfes)]
-        results: dict[str, list[dict[int, float]]] = {"base": [], "continuation": [], "drift": []}
-        for seed in seeds:
-            ppl, _ = eval_ppls(base.params, source, kind, nfes, args.samples, seed)
-            results["base"].append(ppl)
-            rows.append(f"base,{seed}," + ",".join(repr(ppl[n]) for n in nfes))
-        for seed in seeds:
-            cfg = TrainConfig(
-                seed=seed,
-                steps=args.phase_steps,
-                lr=args.phase_lr,
-                corruption=kind,
-                eval_every=args.phase_steps,
-                eval_samples=256,
-            )
-            st, _ = train_run(
-                cfg, source, checkpoint=base, reset_optimizer=True,
-                out_dir=os.path.join(args.out, f"{kind.value}-cont-s{seed}"),
-            )
-            ppl, _ = eval_ppls(st.params, source, kind, nfes, args.samples, seed)
-            results["continuation"].append(ppl)
-            rows.append(f"continuation,{seed}," + ",".join(repr(ppl[n]) for n in nfes))
-            print(f"[{kind.value}] continuation seed {seed}: ppl@{nfes[0]}={ppl[nfes[0]]:.4g}")
-        for seed in seeds:
-            cfg = TrainConfig(
-                seed=seed,
-                steps=args.phase_steps,
-                lr=args.phase_lr,
-                corruption=kind,
-                objective=ObjectiveKind(),
-                eval_every=args.phase_steps,
-                eval_samples=256,
-            )
-            st, _ = train_run(
-                cfg, source, checkpoint=base, reset_optimizer=True,
-                out_dir=os.path.join(args.out, f"{kind.value}-drift-s{seed}"),
-            )
-            ppl, _ = eval_ppls(st.params, source, kind, nfes, args.samples, seed)
-            results["drift"].append(ppl)
-            rows.append(f"drift,{seed}," + ",".join(repr(ppl[n]) for n in nfes))
-            print(f"[{kind.value}] drift seed {seed}: ppl@{nfes[0]}={ppl[nfes[0]]:.4g}")
+        def summary_row(method: str, seed: int, params) -> dict:
+            report = evaluate(params, source, kind, nfes=nfes, n_samples=args.samples, seed=seed)
+            scores = report.columns()
+            shown = ", ".join(f"{k}={v:.4g}" for k, v in scores.items())
+            print(f"[{kind.value}] {method} seed {seed}: {shown}")
+            return {"method": method, "seed": seed, **scores}
+
+        rows = [summary_row("base", seed, base.params) for seed in seeds]
+        for method, tag, objective in PHASES:
+            for seed in seeds:
+                cfg = TrainConfig(
+                    seed=seed,
+                    steps=args.phase_steps,
+                    lr=args.phase_lr,
+                    corruption=kind,
+                    objective=objective,
+                    eval_every=args.phase_steps,
+                    eval_samples=256,
+                )
+                st, _ = train_run(
+                    cfg, source, checkpoint=base, reset_optimizer=True,
+                    out_dir=os.path.join(args.out, f"{kind.value}-{tag}-s{seed}"),
+                )
+                rows.append(summary_row(method, seed, st.params))
 
         table = os.path.join(args.out, f"{kind.value}-summary.csv")
-        with open(table, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
-        means = {
-            name: {n: float(np.mean([p[n] for p in ppls])) for n in nfes}
-            for name, ppls in results.items()
-        }
-        n0 = nfes[0]
-        print(f"[{kind.value}] mean gen_ppl@{n0}: base {means['base'][n0]:.4g}, "
-              f"continuation {means['continuation'][n0]:.4g}, drift {means['drift'][n0]:.4g}")
+        header = list(rows[0])
+        write_csv(table, header, rows)
+        for col in header[2:]:
+            means = {
+                method: np.mean([r[col] for r in rows if r["method"] == method])
+                for method in dict.fromkeys(r["method"] for r in rows)
+            }
+            shown = ", ".join(f"{m} {v:.4g}" for m, v in means.items())
+            print(f"[{kind.value}] mean {col}: {shown}")
         print(f"[{kind.value}] wrote {table}")
 
 

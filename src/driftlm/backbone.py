@@ -62,6 +62,24 @@ class DenoiserParams:
     blocks: tuple[BlockParams, ...]
     out_proj: Array   # [d, V]
 
+    def __post_init__(self):
+        """Shapes only (a checkpoint may hold any values); ``embed`` fixes V and d."""
+        if len(self.blocks) < 2:
+            raise InvalidInputError(f"blocks: need at least two, got {len(self.blocks)}")
+        tensors = [("embed", self.embed, "V d"), ("pos_embed", self.pos_embed, "L d")]
+        for b, blk in enumerate(self.blocks):
+            dims = {"w1": "2d h", "b1": "h", "w2": "h d", "b2": "d"}
+            tensors += [(f"blocks[{b}].{k}", getattr(blk, k), v) for k, v in dims.items()]
+        tensors.append(("out_proj", self.out_proj, "d V"))
+        sizes = dict(zip(("V", "d"), np.shape(self.embed)))
+        sizes["2d"] = 2 * sizes.get("d", 0)
+        for name, arr, dims in tensors:  # L and h take the first size seen
+            want, shape = dims.split(), np.shape(arr)
+            fits = all(sizes.setdefault(s, n) == n for s, n in zip(want, shape))
+            if len(shape) != len(want) or not fits:
+                expected = ", ".join(f"{s}={sizes[s]}" if s in sizes else s for s in want)
+                raise InvalidInputError(f"{name} has shape {shape}, expected [{expected}]")
+
     @property
     def vocab_size(self) -> int:
         return self.embed.shape[0]

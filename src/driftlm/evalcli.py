@@ -1,8 +1,15 @@
-"""Evaluation metrics, the ablation harness and the CLI.
+"""Evaluation metrics, full training runs, the ablation harness and the CLI.
 
 Generated samples are scored with the exact Markov-source oracle instead of
 an external language model, so only orderings and relative changes are
 meaningful, not absolute perplexities.
+
+The fields of ``NfeMetrics`` after ``nfe`` are the one list of evaluation
+metrics.  ``metrics.csv`` and the study summary name them
+``<metric>_nfe<n>`` (by metric, then NFE), and the ablation CSV
+``<metric>_mean``/``<metric>_sd``, so a metric added there reaches every
+table.  ``train_run`` evaluates at step 0, every ``eval_every`` steps and
+after the last step, and ``ablate`` aggregates each run's final row.
 
 The config dataclasses (``TrainConfig`` and its ``DriftConfig``,
 ``ObjectiveKind`` and ``ModelConfig`` sections) are the one list of config
@@ -33,20 +40,35 @@ from .corpus import (
     banded_source,
     load_source,
     oracle_gen_ppl,
+    sample_sequences,
     save_source,
     token_rows,
 )
-from .encoder import LiftKind
+from .encoder import LiftKind, encoder_param_bytes
 from .numcore import InvalidInputError
 from .objectives import ObjectiveKind, ObjectiveVariant
-from .trainer import Checkpoint, CheckpointError, TrainConfig, load_checkpoint, train_run, write_csv
+from .trainer import (
+    Checkpoint,
+    CheckpointError,
+    TrainConfig,
+    TrainState,
+    init_state,
+    load_checkpoint,
+    save_checkpoint,
+    train_step,
+)
 
 
 @dataclass(frozen=True)
 class NfeMetrics:
+    """The scores of one NFE budget; every field after ``nfe`` is a table column."""
+
     nfe: int
     gen_ppl: float
     entropy: float
+
+
+METRICS = tuple(f.name for f in dataclasses.fields(NfeMetrics))[1:]
 
 
 @dataclass(frozen=True)
@@ -62,6 +84,10 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return jsonable(self)
+
+    def columns(self) -> dict[str, float]:
+        """``<metric>_nfe<n>`` -> score, by metric, then NFE."""
+        return {f"{m}_nfe{item.nfe}": getattr(item, m) for m in METRICS for item in self.per_nfe}
 
 
 def entropy_metric(seqs) -> float:
@@ -110,6 +136,72 @@ def evaluate(
 
 
 # ---------------------------------------------------------------------------
+# full runs
+
+
+def metrics_header(config: TrainConfig) -> list[str]:
+    cols = ["step", "loss", "drift_norm", "grad_norm"]  # the loss columns: train_step's metrics
+    return cols + [f"{m}_nfe{n}" for m in METRICS for n in config.eval_nfes]
+
+
+def write_csv(path, header: list[str], rows: list[dict]) -> None:
+    """``header`` and one line per row dict; a missing or ``None`` cell is empty."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join("" if row.get(col) is None else str(row[col]) for col in header))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def train_run(
+    config: TrainConfig,
+    source: MarkovSource,
+    checkpoint: Checkpoint | None = None,
+    out_dir=None,
+    reset_optimizer: bool = False,
+) -> tuple[TrainState, list[dict]]:
+    """Run ``config.steps`` updates with evaluation rows.
+
+    Evaluation happens at step 0, every ``eval_every`` steps and after the
+    last step; the loss columns of a row are means over the steps since the
+    previous row.  Writes ``metrics.csv`` and ``checkpoint.json`` into
+    ``out_dir`` if given.
+    """
+    state = init_state(config, checkpoint, reset_optimizer)
+    encoder_fingerprint = encoder_param_bytes(state.encoder)
+    rows: list[dict] = []
+    window: dict[str, float] = {}  # train_step metrics summed over the n steps since the last row
+    n = 0
+    for step in range(config.steps + 1):
+        if step > 0:
+            batch = sample_sequences(source, config.batch_size, config.model.length, state.rng)
+            for key, value in train_step(state, batch, config).items():
+                window[key] = window.get(key, 0.0) + value
+            n += 1
+        if step % config.eval_every == 0 or step == config.steps:
+            report = evaluate(
+                state.params,
+                source,
+                config.corruption,
+                nfes=config.eval_nfes,
+                n_samples=config.eval_samples,
+                seed=config.seed,
+            )
+            means = {key: total / n for key, total in window.items()}
+            rows.append({"step": step, **means, **report.columns()})
+            window, n = {}, 0
+
+    if encoder_param_bytes(state.encoder) != encoder_fingerprint:
+        raise RuntimeError("frozen encoder parameters changed during training")
+
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        write_csv(os.path.join(out_dir, "metrics.csv"), metrics_header(config), rows)
+        save_checkpoint(state, os.path.join(out_dir, "checkpoint.json"))
+    return state, rows
+
+
+# ---------------------------------------------------------------------------
 # ablation harness
 
 
@@ -129,19 +221,9 @@ ABLATION_AXES = {
 }
 
 
-@dataclass(frozen=True)
-class AblationRow:
-    axis: str
-    value: str
-    nfe: int
-    gen_ppl_mean: float
-    gen_ppl_sd: float
-    entropy_mean: float
-    entropy_sd: float
-    n_seeds: int
-
-
-ABLATION_HEADER = [f.name for f in dataclasses.fields(AblationRow)]
+ABLATION_HEADER = [
+    "axis", "value", "nfe", *(f"{m}_{stat}" for m in METRICS for stat in ("mean", "sd")), "n_seeds"
+]
 
 
 def apply_axis(config: TrainConfig, axis: str, value: str) -> TrainConfig:
@@ -158,43 +240,31 @@ def ablate(
     source: MarkovSource,
     init_checkpoint: Checkpoint | None,
     seeds=(0, 1, 2),
-) -> list[AblationRow]:
-    """Train one run per (grid value, seed) and aggregate mean +/- SD per NFE."""
-    rows: list[AblationRow] = []
+) -> list[dict]:
+    """Train one run per (grid value, seed); per NFE, each metric's mean and SD
+    over the seeds' final rows, as ``ABLATION_HEADER`` rows."""
+    rows: list[dict] = []
     for value in grid:
-        cfg_value = apply_axis(base_config, axis, value)
-        per_nfe_ppl: dict[int, list[float]] = {n: [] for n in cfg_value.eval_nfes}
-        per_nfe_ent: dict[int, list[float]] = {n: [] for n in cfg_value.eval_nfes}
+        cfg = apply_axis(base_config, axis, value)
+        finals = []
         for seed in seeds:
-            cfg = replace(cfg_value, seed=int(seed))
-            state, _ = train_run(cfg, source, checkpoint=init_checkpoint, reset_optimizer=True)
-            report = evaluate(
-                state.params,
-                source,
-                cfg.corruption,
-                nfes=cfg.eval_nfes,
-                n_samples=cfg.eval_samples,
-                seed=int(seed),
-            )
-            for item in report.per_nfe:
-                per_nfe_ppl[item.nfe].append(item.gen_ppl)
-                per_nfe_ent[item.nfe].append(item.entropy)
-        for nfe in cfg_value.eval_nfes:
-            ppl = np.asarray(per_nfe_ppl[nfe])
-            ent = np.asarray(per_nfe_ent[nfe])
-            rows.append(
-                AblationRow(
-                    axis=axis,
-                    value=value,
-                    nfe=int(nfe),
-                    gen_ppl_mean=float(ppl.mean()),
-                    gen_ppl_sd=float(ppl.std(ddof=0)),
-                    entropy_mean=float(ent.mean()),
-                    entropy_sd=float(ent.std(ddof=0)),
-                    n_seeds=len(list(seeds)),
-                )
-            )
+            run_cfg = replace(cfg, seed=int(seed))
+            _, run_rows = train_run(run_cfg, source, init_checkpoint, reset_optimizer=True)
+            finals.append(run_rows[-1])
+        for nfe in cfg.eval_nfes:
+            row = {"axis": axis, "value": value, "nfe": int(nfe), "n_seeds": len(finals)}
+            for m in METRICS:
+                scores = np.asarray([final[f"{m}_nfe{nfe}"] for final in finals])
+                row[f"{m}_mean"] = float(scores.mean())
+                row[f"{m}_sd"] = float(scores.std(ddof=0))
+            rows.append(row)
     return rows
+
+
+def ablation_line(row: dict) -> str:
+    """``<value> nfe=<n>: <metric> <mean> +/- <sd>, ...`` for one ``ablate`` row."""
+    scores = ", ".join(f"{m} {row[f'{m}_mean']:.4g} +/- {row[f'{m}_sd']:.3g}" for m in METRICS)
+    return f"{row['value']} nfe={row['nfe']}: {scores}"
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +418,12 @@ def _cmd_train(args) -> int:
             "reset_optimizer": bool(args.init),
         },
     )
-    state, rows = train_run(
+    _, rows = train_run(
         config, source, checkpoint=checkpoint, out_dir=args.out, reset_optimizer=bool(args.init)
     )
-    final = rows[-1]
     print(
         f"finished {config.steps} steps; "
-        + ", ".join(f"{k}={final[k]!r}" for k in sorted(final) if k.startswith("gen_ppl"))
+        + ", ".join(f"{k}={v!r}" for k, v in rows[-1].items() if k != "step")
     )
     return 0
 
@@ -383,7 +452,7 @@ def _cmd_eval(args) -> int:
     _write_manifest(args, _flag_values(args))
     dump(report, os.path.join(args.out, "report.json"))
     for item in report.per_nfe:
-        print(f"nfe={item.nfe} gen_ppl={item.gen_ppl!r} entropy={item.entropy!r}")
+        print(" ".join(f"{k}={v!r}" for k, v in dataclasses.asdict(item).items()))
     return 0
 
 
@@ -406,13 +475,9 @@ def _cmd_ablate(args) -> int:
     )
     rows = ablate(args.axis, grid, config, source, checkpoint, seeds=seeds)
     path = os.path.join(args.out, "ablation.csv")
-    write_csv(path, ABLATION_HEADER, [dataclasses.asdict(r) for r in rows])
-    for r in rows:
-        print(
-            f"{r.axis}={r.value} nfe={r.nfe}: "
-            f"gen_ppl {r.gen_ppl_mean:.4g} +/- {r.gen_ppl_sd:.3g}, "
-            f"entropy {r.entropy_mean:.4g} +/- {r.entropy_sd:.3g}"
-        )
+    write_csv(path, ABLATION_HEADER, rows)
+    for row in rows:
+        print(f"{row['axis']}={ablation_line(row)}")
     return 0
 
 

@@ -1,4 +1,7 @@
-"""Training loop: corruption, lift, drift, objective, Adam update, queues.
+"""Training state, one training step, Adam and checkpoints.
+
+Full runs with periodic evaluation (``train_run`` and ``metrics.csv``) live
+in ``evalcli``, next to ``evaluate``; this module imports nothing from it.
 
 One step corrupts the whole batch, runs it through the denoiser in row
 slices of about ``DENOISER_CHUNK`` sequences against a queue snapshot taken
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import copy
 import json
-import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -37,15 +39,8 @@ from .backbone import (
     param_items,
 )
 from .codec import decode, jsonable
-from .corpus import MarkovSource, sample_sequences
 from .drift import DriftConfig, ReferenceQueue, build_references, drift_multi_temp, queue_push
-from .encoder import (
-    FrozenEncoder,
-    encoder_param_bytes,
-    lift_and_encode,
-    make_frozen_encoder,
-    real_features_batch,
-)
+from .encoder import FrozenEncoder, lift_and_encode, make_frozen_encoder, real_features_batch
 from .numcore import Array, InvalidInputError
 from .objectives import ObjectiveKind, total_objective
 
@@ -286,86 +281,6 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
         "drift_norm": drift_norm_sum / n if objective is not None else 0.0,
         "grad_norm": grad_norm,
     }
-
-
-# ---------------------------------------------------------------------------
-# full runs
-
-
-def metrics_header(config: TrainConfig) -> list[str]:
-    cols = ["step", "loss", "drift_norm", "grad_norm"]
-    cols += [f"gen_ppl_nfe{n}" for n in config.eval_nfes]
-    cols.append(f"entropy_nfe{config.eval_nfes[-1]}")
-    return cols
-
-
-def write_csv(path, header: list[str], rows: list[dict]) -> None:
-    """``header`` and one line per row dict; a missing or ``None`` cell is empty."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if row.get(col) is None else str(row[col]) for col in header))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def train_run(
-    config: TrainConfig,
-    source: MarkovSource,
-    checkpoint: Checkpoint | None = None,
-    out_dir=None,
-    reset_optimizer: bool = False,
-) -> tuple[TrainState, list[dict]]:
-    """Run ``config.steps`` updates with periodic evaluation rows.
-
-    Evaluation happens at step 0 and every ``eval_every`` steps; the loss
-    columns of an evaluation row are window means since the previous row.
-    Writes ``metrics.csv`` and ``checkpoint.json`` into ``out_dir`` if given.
-    """
-    from .evalcli import evaluate  # deferred: evalcli imports this module
-
-    state = init_state(config, checkpoint, reset_optimizer)
-    encoder_fingerprint = encoder_param_bytes(state.encoder)
-    rows: list[dict] = []
-    window = {"loss": 0.0, "drift_norm": 0.0, "grad_norm": 0.0, "n": 0}
-
-    def eval_row(step: int) -> dict:
-        report = evaluate(
-            state.params,
-            source,
-            config.corruption,
-            nfes=config.eval_nfes,
-            n_samples=config.eval_samples,
-            seed=config.seed,
-        )
-        row: dict = {"step": step}
-        if window["n"]:
-            for key in ("loss", "drift_norm", "grad_norm"):
-                row[key] = window[key] / window["n"]
-        for item in report.per_nfe:
-            row[f"gen_ppl_nfe{item.nfe}"] = item.gen_ppl
-        row[f"entropy_nfe{config.eval_nfes[-1]}"] = report.per_nfe[-1].entropy
-        window.update({"loss": 0.0, "drift_norm": 0.0, "grad_norm": 0.0, "n": 0})
-        return row
-
-    rows.append(eval_row(0))
-    length = config.model.length
-    for step in range(1, config.steps + 1):
-        batch = sample_sequences(source, config.batch_size, length, state.rng)
-        metrics = train_step(state, batch, config)
-        for key in ("loss", "drift_norm", "grad_norm"):
-            window[key] += metrics[key]
-        window["n"] += 1
-        if step % config.eval_every == 0:
-            rows.append(eval_row(step))
-
-    if encoder_param_bytes(state.encoder) != encoder_fingerprint:
-        raise RuntimeError("frozen encoder parameters changed during training")
-
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_csv(os.path.join(out_dir, "metrics.csv"), metrics_header(config), rows)
-        save_checkpoint(state, os.path.join(out_dir, "checkpoint.json"))
-    return state, rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +13,7 @@ from driftlm.backbone import CorruptionKind, ModelConfig, init_params, sample_ba
 from driftlm.corpus import banded_source, load_source, oracle_gen_ppl, save_source
 from driftlm.evalcli import (
     ABLATION_HEADER,
-    AblationRow,
+    METRICS,
     _resolve_train_config,
     ablate,
     apply_axis,
@@ -23,12 +23,14 @@ from driftlm.evalcli import (
     evaluate,
     train_config_from_dict,
     train_config_to_dict,
+    train_run,
+    write_csv,
 )
 from driftlm.drift import DriftConfig
 from driftlm.encoder import LiftKind
 from driftlm.numcore import InvalidInputError
 from driftlm.objectives import ObjectiveKind, ObjectiveVariant
-from driftlm.trainer import TrainConfig, checkpoint_of, init_state, save_checkpoint, write_csv
+from driftlm.trainer import TrainConfig, checkpoint_of, init_state, load_checkpoint, save_checkpoint
 
 TINY_MODEL = ModelConfig(vocab_size=8, length=6, embed_dim=8, hidden_dim=12)
 
@@ -198,24 +200,30 @@ def test_apply_axis_variants():
 def test_ablate_table_shape_and_zero_sd_single_seed():
     source = banded_source(vocab_size=TINY_MODEL.clean_vocab)
     cfg = tiny_train_config()
-    base_state = init_state(tiny_train_config(objective=None))
-    rows = ablate(
-        "queue_size", ["4", "8"], cfg, source, checkpoint_of(base_state), seeds=(0,)
-    )
+    base = checkpoint_of(init_state(tiny_train_config(objective=None)))
+    rows = ablate("queue_size", ["4", "8"], cfg, source, base, seeds=(0,))
     assert len(rows) == 2 * len(cfg.eval_nfes)
-    assert all(isinstance(r, AblationRow) for r in rows)
-    assert all(r.gen_ppl_sd == 0.0 and r.entropy_sd == 0.0 for r in rows)
-    values = {(r.value, r.nfe) for r in rows}
+    assert all(set(r) == set(ABLATION_HEADER) for r in rows)
+    assert all(r["gen_ppl_sd"] == 0.0 and r["entropy_sd"] == 0.0 for r in rows)
+    values = {(r["value"], r["nfe"]) for r in rows}
     assert values == {("4", 2), ("4", 3), ("8", 2), ("8", 3)}
+    # one seed: each mean is evaluate() of the run's final model
+    for value in ("4", "8"):
+        run_cfg = apply_axis(cfg, "queue_size", value)
+        state, _ = train_run(run_cfg, source, base, reset_optimizer=True)
+        report = evaluate(state.params, source, cfg.corruption, cfg.eval_nfes, cfg.eval_samples, 0)
+        for item in report.per_nfe:
+            (row,) = [r for r in rows if (r["value"], r["nfe"]) == (value, item.nfe)]
+            assert all(row[f"{m}_mean"] == getattr(item, m) for m in METRICS)
 
 
 def test_ablation_csv_bytes(tmp_path):
     rows = [
-        AblationRow("att_rep_ratio", "1:1", 4, 12.5, 0.0, 2.25, 0.1, 1),
-        AblationRow("att_rep_ratio", "0:1", 8, 1e7 / 3, 1.5e-3, 2.0, 0.0, 3),
+        dict(zip(ABLATION_HEADER, ("att_rep_ratio", "1:1", 4, 12.5, 0.0, 2.25, 0.1, 1))),
+        dict(zip(ABLATION_HEADER, ("att_rep_ratio", "0:1", 8, 1e7 / 3, 1.5e-3, 2.0, 0.0, 3))),
     ]
     path = tmp_path / "ablation.csv"
-    write_csv(path, ABLATION_HEADER, [dataclasses.asdict(r) for r in rows])
+    write_csv(path, ABLATION_HEADER, rows)
     assert path.read_text(encoding="utf-8") == (
         "axis,value,nfe,gen_ppl_mean,gen_ppl_sd,entropy_mean,entropy_sd,n_seeds\n"
         "att_rep_ratio,1:1,4,12.5,0.0,2.25,0.1,1\n"
@@ -521,6 +529,62 @@ def test_cli_base_then_drift_then_eval(cli_env, capsys):
     report = json.loads((eval_out / "report.json").read_text())
     assert [m["nfe"] for m in report["per_nfe"]] == [2, 3]
     assert report["seed"] == 5
+
+
+def test_cli_train_prints_the_final_row(cli_env, capsys):
+    tmp_path, source_path, config_path, _ = cli_env
+    out = tmp_path / "base"
+    argv = ["base-train", "--source", str(source_path), "--out", str(out)]
+    assert cli([*argv, "--config", str(config_path), "--steps", "5", "--eval-every", "2"]) == 0
+    header, *lines = (out / "metrics.csv").read_text().splitlines()
+    final = dict(zip(header.split(","), lines[-1].split(",")))
+    assert final["step"] == "5"
+    shown = ", ".join(f"{k}={v}" for k, v in final.items() if k != "step")
+    assert capsys.readouterr().out.splitlines()[-1] == f"finished 5 steps; {shown}"
+
+
+def _cut_pos_embed(doc: dict) -> None:
+    for part in (doc["params"], doc["adam_m"], doc["adam_v"]):
+        part["pos_embed"] = [row[:4] for row in part["pos_embed"]]
+
+
+def _cut_second_w2(doc: dict) -> None:
+    doc["params"]["blocks"][1]["w2"] = [row[:4] for row in doc["params"]["blocks"][1]["w2"]]
+    for moments in (doc["adam_m"], doc["adam_v"]):
+        moments["block2.w2"] = [row[:4] for row in moments["block2.w2"]]
+
+
+def _keep_one_block(doc: dict) -> None:
+    doc["params"]["blocks"] = doc["params"]["blocks"][:1]
+    for moments in (doc["adam_m"], doc["adam_v"]):
+        for name in [k for k in moments if k.startswith("block2.")]:
+            del moments[name]
+
+
+# a checkpoint edit whose moments still match its parameters, and the field
+# the error must name
+BAD_SHAPES = {
+    "narrow-pos-embed": (_cut_pos_embed, r"pos_embed has shape \(6, 4\), expected \[L=6, d=8\]"),
+    "narrow-w2": (_cut_second_w2, r"blocks\[1\]\.w2 has shape \(12, 4\), expected \[h=12, d=8\]"),
+    "one-block": (_keep_one_block, "blocks: need at least two, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SHAPES))
+def test_inconsistent_checkpoint_shapes_are_rejected(cli_env, capsys, case):
+    tmp_path, _, _, ckpt_path = cli_env
+    edit, message = BAD_SHAPES[case]
+    doc = json.loads(ckpt_path.read_text(encoding="utf-8"))
+    edit(doc)
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InvalidInputError, match=message):
+        load_checkpoint(bad_path)
+    assert cli(["sample", "--init", str(bad_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "Traceback" not in err
+    assert re.search(message, errors[0])
 
 
 def test_cli_alpha_sets_only_the_objective(cli_env, capsys):

@@ -20,6 +20,7 @@ from driftlm.backbone import (
 from driftlm.corpus import banded_source, sample_sequences
 from driftlm.drift import DriftConfig, build_references, drift_multi_temp, queue_push
 from driftlm.encoder import encoder_param_bytes, lift_and_encode, real_features_batch
+from driftlm.evalcli import evaluate, metrics_header, train_run
 from driftlm.numcore import InvalidInputError
 from driftlm.objectives import ObjectiveKind, ObjectiveVariant, total_objective
 from driftlm.trainer import (
@@ -30,7 +31,6 @@ from driftlm.trainer import (
     init_state,
     load_checkpoint,
     save_checkpoint,
-    train_run,
     train_step,
 )
 
@@ -432,15 +432,15 @@ def test_metrics_rows_count_and_header(source, tmp_path):
     _, rows = train_run(cfg, source, out_dir=out)
     assert len(rows) == 6 // 2 + 1
     lines = (out / "metrics.csv").read_text().strip().split("\n")
-    assert lines[0] == "step,loss,drift_norm,grad_norm,gen_ppl_nfe2,gen_ppl_nfe3,entropy_nfe3"
+    assert lines[0] == (
+        "step,loss,drift_norm,grad_norm,gen_ppl_nfe2,gen_ppl_nfe3,entropy_nfe2,entropy_nfe3"
+    )
     assert len(lines) == 1 + len(rows)
     # step-0 row has empty loss columns
     assert lines[1].split(",")[1] == ""
 
 
 def test_default_header_matches_contract():
-    from driftlm.trainer import metrics_header
-
     assert metrics_header(TrainConfig()) == [
         "step",
         "loss",
@@ -449,8 +449,23 @@ def test_default_header_matches_contract():
         "gen_ppl_nfe4",
         "gen_ppl_nfe8",
         "gen_ppl_nfe16",
+        "entropy_nfe4",
+        "entropy_nfe8",
         "entropy_nfe16",
     ]
+
+
+def test_final_step_is_evaluated_when_not_a_multiple(source):
+    cfg = tiny_config(objective=ObjectiveKind(), steps=5, eval_every=2)
+    state, rows = train_run(cfg, source)
+    assert [row["step"] for row in rows] == [0, 2, 4, 5]
+    _, metrics = run_steps(cfg, source, 5)
+    assert rows[-1]["loss"] == metrics[-1]["loss"]
+    assert rows[-1]["drift_norm"] == metrics[-1]["drift_norm"]
+    report = evaluate(
+        state.params, source, cfg.corruption, cfg.eval_nfes, cfg.eval_samples, cfg.seed
+    )
+    assert {k: rows[-1][k] for k in report.columns()} == report.columns()
 
 
 def test_frozen_encoder_bytes_stable_across_run(source):
