@@ -199,27 +199,36 @@ class BlockCache:
 @dataclass
 class ForwardCache:
     tokens: Array                 # [N, L] token ids
-    hiddens: list[Array]          # block outputs, each [N, L, d]
+    hiddens: list[Array]          # block outputs, each [N, L, d] (the last [N, k, d] with ``at``)
     block_caches: list[BlockCache]
+    at: Array | None = None       # [N, k] columns of a forward-only pass, else None
 
 
-def run_blocks(params: DenoiserParams, e: Array) -> tuple[list[Array], list[BlockCache]]:
+def run_blocks(
+    params: DenoiserParams, e: Array, at: Array | None = None
+) -> tuple[list[Array], list[BlockCache]]:
     """Residual context-conditioned MLP stack on embeddings ``e`` of shape [N, L, d].
 
     Each block applies ``w1`` to [h ; mean_L h] as two halves: ``h @ w1[:d]``
-    per position plus ``mean_L h @ w1[d:] + b1`` once per sequence.
+    per position plus ``mean_L h @ w1[d:] + b1`` once per sequence.  With
+    ``at`` ([N, k] column indices) the last block pools its context over all
+    L positions but runs its per-position half only at the ``at`` columns,
+    so its output is [N, k, d].
     """
     h = e
     n, length, d = h.shape
     hiddens: list[Array] = []
     caches: list[BlockCache] = []
-    for blk in params.blocks:
+    for b, blk in enumerate(params.blocks):
         c = h.mean(axis=1)
-        a = (h.reshape(n * length, d) @ blk.w1[:d]).reshape(n, length, -1)
+        if at is not None and b == len(params.blocks) - 1:
+            h = h[np.arange(n)[:, None], at]
+        rows = h.shape[1]
+        a = (h.reshape(n * rows, d) @ blk.w1[:d]).reshape(n, rows, -1)
         a += (c @ blk.w1[d:] + blk.b1)[:, None, :]
-        u = np.tanh(a, out=a).reshape(n * length, -1)
+        u = np.tanh(a, out=a).reshape(n * rows, -1)
         caches.append(BlockCache(x=h, c=c, u=u))
-        out = (u @ blk.w2).reshape(n, length, d)
+        out = (u @ blk.w2).reshape(n, rows, d)
         out += h
         out += blk.b2
         h = out
@@ -266,26 +275,43 @@ def blocks_backward(
     return gh, (grads if want_param_grads else None)
 
 
-def forward_tokens(params: DenoiserParams, tokens: Array) -> tuple[Array, ForwardCache]:
-    """Batched forward pass on token ids of shape [N, L]."""
+def forward_tokens(
+    params: DenoiserParams, tokens: Array, at: Array | None = None
+) -> tuple[Array, ForwardCache]:
+    """Batched forward pass on token ids of shape [N, L]: logits [N, L, V].
+
+    With ``at`` ([N, k] column indices in [0, L)) only the logits at those
+    columns are computed, ``logits[i, j] == full[i, at[i, j]]`` bit for bit,
+    as [N, k, V]; the cache of such a pass cannot be fed to ``backward_tokens``.
+    """
     tok = np.asarray(tokens, dtype=np.int64)
     if tok.ndim != 2 or tok.shape[1] != params.length:
         raise InvalidInputError(f"tokens must have shape [N, {params.length}]")
     if np.any(tok < 0) or np.any(tok >= params.vocab_size):
         raise InvalidInputError("token index outside the model vocabulary")
+    if at is not None:
+        at = np.asarray(at)
+        if at.ndim != 2 or at.shape[0] != tok.shape[0] or at.dtype.kind not in "iu":
+            raise InvalidInputError(
+                f"at must be integer columns of shape [{tok.shape[0]}, k], got {at.dtype} {at.shape}"
+            )
+        if np.any(at < 0) or np.any(at >= params.length):
+            raise InvalidInputError(f"at holds a column outside [0, {params.length})")
     e = params.embed[tok] + params.pos_embed
-    hiddens, caches = run_blocks(params, e)
-    n, length, d = e.shape
-    logits = (hiddens[-1].reshape(n * length, d) @ params.out_proj).reshape(
-        n, length, params.vocab_size
+    hiddens, caches = run_blocks(params, e, at)
+    n, rows, d = hiddens[-1].shape
+    logits = (hiddens[-1].reshape(n * rows, d) @ params.out_proj).reshape(
+        n, rows, params.vocab_size
     )
-    return logits, ForwardCache(tokens=tok, hiddens=hiddens, block_caches=caches)
+    return logits, ForwardCache(tokens=tok, hiddens=hiddens, block_caches=caches, at=at)
 
 
 def backward_tokens(
     params: DenoiserParams, cache: ForwardCache, grad_logits: Array
 ) -> dict[str, Array]:
     """Gradients of a scalar loss w.r.t. every parameter, given d loss / d logits."""
+    if cache.at is not None:
+        raise InvalidInputError("backward_tokens needs a full forward cache, not one made with at")
     tok = cache.tokens
     n, length = tok.shape
     d = params.embed_dim
@@ -360,14 +386,17 @@ def sample_batch(
     n: int,
     rng: np.random.Generator,
 ) -> Array:
-    """Generate ``n`` sequences with exactly ``nfe`` denoiser calls each.
+    """Generate ``n`` sequences in ``nfe`` denoising steps.
 
     Masked: ancestral unmasking, committing a random subset of still-masked
-    positions each step.  Uniform: iterated full resampling from the
-    predictive rows.  Predictions are always restricted to the clean
-    vocabulary, so outputs never contain the mask symbol.  Each step runs
-    the denoiser over chunks of ``DENOISER_CHUNK`` sequences; the chunks draw
-    from ``rng`` in row order, so the draws equal a whole-batch step's.
+    positions each step.  Every row of step 0 is the all-mask sequence, so
+    its logits come from one one-row forward per call; each later step runs
+    the denoiser over chunks of ``DENOISER_CHUNK`` sequences and computes
+    logits only at the positions it commits.  Uniform: iterated full
+    resampling from the predictive rows, every step over the chunks.
+    Predictions are always restricted to the clean vocabulary, so outputs
+    never contain the mask symbol.  The chunks draw from ``rng`` in row
+    order, so the draws equal a whole-batch step's.
     """
     if nfe < 1:
         raise InvalidInputError("nfe must be at least 1")
@@ -390,6 +419,7 @@ def sample_batch(
         return tokens
 
     tokens = np.full((n, length), mask_index, dtype=np.int64)
+    all_mask = forward_tokens(params, np.full((1, length), mask_index))[0][0]  # [L, V]
     still_masked = np.ones((n, length), dtype=bool)
     remaining = length
     for step in range(nfe):
@@ -400,11 +430,13 @@ def sample_batch(
         keys[~still_masked] = 2.0  # unmasked positions sort last
         chosen = np.argsort(keys, axis=1)[:, :commit]
         for part in chunks:
-            logits, _ = forward_tokens(params, tokens[part])
-            rows = np.repeat(np.arange(logits.shape[0]), commit)
-            cols = chosen[part].ravel()
-            # only the committed rows are normalized and drawn from
-            tokens[part][rows, cols] = _categorical_rows(_clean_probs(logits[rows, cols]), rng)
+            cols = chosen[part]
+            if step == 0:
+                logits = all_mask[cols]
+            else:
+                logits, _ = forward_tokens(params, tokens[part], at=cols)
+            rows = np.arange(cols.shape[0])[:, None]
+            tokens[part][rows, cols] = _categorical_rows(_clean_probs(logits), rng)
         still_masked[np.arange(n)[:, None], chosen] = False
         remaining -= commit
     if remaining != 0 or np.any(tokens == mask_index):

@@ -9,7 +9,8 @@ metrics.  ``metrics.csv`` and the study summary name them
 ``<metric>_nfe<n>`` (by metric, then NFE), and the ablation CSV
 ``<metric>_mean``/``<metric>_sd``, so a metric added there reaches every
 table.  ``train_run`` evaluates at step 0, every ``eval_every`` steps and
-after the last step, and ``ablate`` aggregates each run's final row.
+after the last step, and ``ablate`` evaluates and aggregates each run's
+final model alone.
 
 The config dataclasses (``TrainConfig`` and its ``DriftConfig``,
 ``ObjectiveKind`` and ``ModelConfig`` sections) are the one list of config
@@ -159,13 +160,15 @@ def train_run(
     checkpoint: Checkpoint | None = None,
     out_dir=None,
     reset_optimizer: bool = False,
+    *,
+    final_only: bool = False,
 ) -> tuple[TrainState, list[dict]]:
     """Run ``config.steps`` updates with evaluation rows.
 
     Evaluation happens at step 0, every ``eval_every`` steps and after the
-    last step; the loss columns of a row are means over the steps since the
-    previous row.  Writes ``metrics.csv`` and ``checkpoint.json`` into
-    ``out_dir`` if given.
+    last step, or with ``final_only`` after the last step alone; the loss
+    columns of a row are means over the steps since the previous row.
+    Writes ``metrics.csv`` and ``checkpoint.json`` into ``out_dir`` if given.
     """
     state = init_state(config, checkpoint, reset_optimizer)
     encoder_fingerprint = encoder_param_bytes(state.encoder)
@@ -178,7 +181,7 @@ def train_run(
             for key, value in train_step(state, batch, config).items():
                 window[key] = window.get(key, 0.0) + value
             n += 1
-        if step % config.eval_every == 0 or step == config.steps:
+        if step == config.steps or (step % config.eval_every == 0 and not final_only):
             report = evaluate(
                 state.params,
                 source,
@@ -249,7 +252,9 @@ def ablate(
         finals = []
         for seed in seeds:
             run_cfg = replace(cfg, seed=int(seed))
-            _, run_rows = train_run(run_cfg, source, init_checkpoint, reset_optimizer=True)
+            _, run_rows = train_run(
+                run_cfg, source, init_checkpoint, reset_optimizer=True, final_only=True
+            )
             finals.append(run_rows[-1])
         for nfe in cfg.eval_nfes:
             row = {"axis": axis, "value": value, "nfe": int(nfe), "n_seeds": len(finals)}

@@ -293,11 +293,22 @@ def _checkpoint_fields(state: Checkpoint) -> Checkpoint:
 
 
 def save_checkpoint(state: Checkpoint, path) -> None:
-    """The header, then ``jsonable`` of the ``Checkpoint`` fields, streamed by ``json.dump``."""
+    """The header, then ``jsonable`` of the ``Checkpoint`` fields: the bytes of
+    ``json.dump(doc, fh, sort_keys=True)``.
+
+    ``json.dump`` streams through the pure-Python encoder.  One ``json.dumps``
+    per top-level key uses the C encoder, about half the time, and holds
+    only one section's text (the largest, ``adam_v``, is a third of the
+    file) in memory instead of the whole document's.
+    """
     doc = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION}
     doc.update(jsonable(_checkpoint_fields(state)))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        sep = "{"
+        for key in sorted(doc):
+            fh.write(f"{sep}{json.dumps(key)}: {json.dumps(doc[key], sort_keys=True)}")
+            sep = ", "
+        fh.write("}")
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -24,7 +24,7 @@ from driftlm.encoder import LiftKind, lift_and_encode, make_frozen_encoder
 from driftlm.numcore import InvalidInputError, finite_diff_grad, log_softmax_rows, softmax_rows
 from driftlm.objectives import ObjectiveKind, total_objective
 
-from conftest import SMALL_MODEL, denoise_backward, denoise_forward, rel_err, sample
+from conftest import DESK_MODEL, SMALL_MODEL, denoise_backward, denoise_forward, rel_err, sample
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +218,49 @@ def test_batch_gradient_matches_finite_differences_on_distinct_sequences(small_p
     assert rel_err(analytic, fd) <= 1e-5
 
 
+def _params_for(model):
+    return init_params(model, np.random.default_rng(9), init_std=0.5)
+
+
+def _tokens_with_mask(rng, model, n):
+    tokens = rng.integers(0, model.vocab_size, size=(n, model.length))
+    tokens[rng.random(tokens.shape) < 0.4] = model.mask_index
+    return tokens
+
+
+@pytest.mark.parametrize("model", [SMALL_MODEL, DESK_MODEL], ids=["small", "default"])
+@pytest.mark.parametrize("k", [1, 3, "L"])
+def test_forward_at_columns_equals_the_gathered_full_forward(model, k, rng):
+    k = model.length if k == "L" else k
+    params = _params_for(model)
+    tokens = _tokens_with_mask(rng, model, 7)
+    assert np.any(tokens == model.mask_index)
+    cols = np.argsort(rng.random(tokens.shape), axis=1)[:, :k]
+    full, _ = forward_tokens(params, tokens)
+    picked, cache = forward_tokens(params, tokens, at=cols)
+    assert picked.shape == (7, k, model.vocab_size)
+    assert np.array_equal(picked, full[np.arange(7)[:, None], cols])
+    with pytest.raises(InvalidInputError, match="at"):
+        backward_tokens(params, cache, picked)
+
+
+@pytest.mark.parametrize(
+    "at, match",
+    [
+        (np.zeros((2, 1), dtype=np.int64), r"at must be .*shape \[3, k\]"),
+        (np.zeros(3, dtype=np.int64), r"at must be .*shape \[3, k\]"),
+        (np.zeros((3, 1)), r"at must be integer"),
+        (np.full((3, 1), SMALL_MODEL.length), r"at holds a column outside"),
+        (np.full((3, 1), -1), r"at holds a column outside"),
+    ],
+    ids=["rows", "ndim", "float", "past-end", "negative"],
+)
+def test_forward_rejects_bad_at(small_params, at, match):
+    tokens = np.zeros((3, SMALL_MODEL.length), dtype=np.int64)
+    with pytest.raises(InvalidInputError, match=match):
+        forward_tokens(small_params, tokens, at=at)
+
+
 # ---------------------------------------------------------------------------
 # base loss
 
@@ -310,14 +353,14 @@ def test_total_objective_base_loss_matches_per_sequence_sum(small_params, rng):
 # sampler
 
 
-def count_forwards(monkeypatch) -> list[np.ndarray]:
-    """Record the token batch of every denoiser call the sampler makes."""
+def count_forwards(monkeypatch) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Record the token batch and the ``at`` columns of every denoiser call the sampler makes."""
     calls = []
     forward = backbone.forward_tokens
 
-    def counting(params, tokens):
-        calls.append(np.array(tokens))
-        return forward(params, tokens)
+    def counting(params, tokens, at=None):
+        calls.append((np.array(tokens), None if at is None else np.array(at)))
+        return forward(params, tokens, at=at)
 
     monkeypatch.setattr(backbone, "forward_tokens", counting)
     return calls
@@ -327,9 +370,12 @@ def test_masked_sampler_full_nfe_commits_one_per_step(small_params, monkeypatch)
     length = SMALL_MODEL.length
     calls = count_forwards(monkeypatch)
     seq = sample(small_params, CorruptionKind.MASKED, length, np.random.default_rng(0))
-    masked = [int((tokens == SMALL_MODEL.mask_index).sum()) for tokens in calls]
+    masked = [int((tokens == SMALL_MODEL.mask_index).sum()) for tokens, _ in calls]
     assert masked == list(range(length, 0, -1))
-    assert all(tokens.shape == (1, length) for tokens in calls)
+    assert all(tokens.shape == (1, length) for tokens, _ in calls)
+    # step 0 is the full all-mask forward; each later step computes one column
+    assert calls[0][1] is None
+    assert all(at.shape == (1, 1) for _, at in calls[1:])
     assert np.all(seq < SMALL_MODEL.mask_index)
 
 
@@ -344,7 +390,9 @@ def test_sampler_exact_nfe_and_mask_free(small_params, kind, nfe, monkeypatch):
     calls = count_forwards(monkeypatch)
     assert 3 <= backbone.DENOISER_CHUNK  # one chunk: one call per step
     seqs = sample_batch(small_params, kind, nfe, 3, np.random.default_rng(4))
-    assert [tokens.shape[0] for tokens in calls] == [3] * nfe
+    # a masked run forwards its all-mask first step once, as one row
+    first = 1 if kind == CorruptionKind.MASKED else 3
+    assert [tokens.shape[0] for tokens, _ in calls] == [first] + [3] * (nfe - 1)
     assert np.all(seqs < SMALL_MODEL.mask_index)
     assert seqs.shape == (3, SMALL_MODEL.length)
 
@@ -364,6 +412,45 @@ def test_sampler_chunks_draw_the_whole_batch_stream(small_params, kind, monkeypa
     chunked = sample_batch(small_params, kind, 3, 7, rng_chunked)
     assert np.array_equal(chunked, whole)
     assert rng_chunked.random() == rng_whole.random()
+
+
+def _masked_sampler_reference(params, nfe, n, rng):
+    """The masked sampler with full forwards: every step forwards every chunk
+    over all L positions, then gathers the committed rows of its logits."""
+    length, mask_index = params.length, params.mask_index
+    chunk = backbone.DENOISER_CHUNK
+    tokens = np.full((n, length), mask_index, dtype=np.int64)
+    still_masked = np.ones((n, length), dtype=bool)
+    remaining = length
+    for step in range(nfe):
+        commit = -(-remaining // (nfe - step))
+        keys = rng.random((n, length))
+        keys[~still_masked] = 2.0
+        chosen = np.argsort(keys, axis=1)[:, :commit]
+        for lo in range(0, n, chunk):
+            part = slice(lo, min(lo + chunk, n))
+            logits, _ = forward_tokens(params, tokens[part])
+            rows = np.repeat(np.arange(logits.shape[0]), commit)
+            cols = chosen[part].ravel()
+            probs = softmax_rows(logits[rows, cols])[..., :mask_index]
+            probs = probs / probs.sum(axis=-1, keepdims=True)
+            tokens[part][rows, cols] = backbone._categorical_rows(probs, rng)
+        still_masked[np.arange(n)[:, None], chosen] = False
+        remaining -= commit
+    return tokens
+
+
+@pytest.mark.parametrize("model", [SMALL_MODEL, DESK_MODEL], ids=["small", "default"])
+@pytest.mark.parametrize("nfe", [1, 2, "L"])
+def test_masked_sampler_equals_the_full_forward_reference(model, nfe, monkeypatch):
+    nfe = model.length if nfe == "L" else nfe
+    params = _params_for(model)
+    monkeypatch.setattr(backbone, "DENOISER_CHUNK", 3)  # chunks of 3, 3 and a ragged 1
+    rng_ref, rng = np.random.default_rng(6), np.random.default_rng(6)
+    want = _masked_sampler_reference(params, nfe, 7, rng_ref)
+    got = sample_batch(params, CorruptionKind.MASKED, nfe, 7, rng)
+    assert np.array_equal(got, want)
+    assert rng.random() == rng_ref.random()
 
 
 def test_sampler_deterministic_given_seed(small_params):

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from driftlm import evalcli
 from driftlm.backbone import CorruptionKind, ModelConfig, init_params, sample_batch
 from driftlm.corpus import banded_source, load_source, oracle_gen_ppl, save_source
 from driftlm.evalcli import (
@@ -195,6 +196,41 @@ def test_apply_axis_variants():
     assert temps.drift.temperatures == (0.05, 0.2)
     with pytest.raises(InvalidInputError):
         apply_axis(cfg, "nope", "1")
+
+
+def test_ablate_evaluates_each_final_model_once(monkeypatch):
+    source = banded_source(vocab_size=TINY_MODEL.clean_vocab)
+    cfg = tiny_train_config()
+    base = checkpoint_of(init_state(tiny_train_config(objective=None)))
+    grid, seeds = ["4", "8", "16"], (0, 1)
+    calls = []
+    real_evaluate = evalcli.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(evalcli, "evaluate", counting)
+    rows = ablate("queue_size", grid, cfg, source, base, seeds=seeds)
+    assert len(calls) == len(grid) * len(seeds)
+    monkeypatch.undo()
+    # reference: the final rows of full runs, which also evaluate at step 0
+    finals = {
+        (value, seed): train_run(
+            replace(apply_axis(cfg, "queue_size", value), seed=seed),
+            source,
+            base,
+            reset_optimizer=True,
+        )[1][-1]
+        for value in grid
+        for seed in seeds
+    }
+    assert len(rows) == len(grid) * len(cfg.eval_nfes)
+    for row in rows:
+        for m in METRICS:
+            scores = np.asarray([finals[row["value"], s][f"{m}_nfe{row['nfe']}"] for s in seeds])
+            assert row[f"{m}_mean"] == float(scores.mean())
+            assert row[f"{m}_sd"] == float(scores.std(ddof=0))
 
 
 def test_ablate_table_shape_and_zero_sd_single_seed():

@@ -17,6 +17,7 @@ from driftlm.backbone import (
     param_items,
     params_to_vector,
 )
+from driftlm.codec import jsonable
 from driftlm.corpus import banded_source, sample_sequences
 from driftlm.drift import DriftConfig, build_references, drift_multi_temp, queue_push
 from driftlm.encoder import encoder_param_bytes, lift_and_encode, real_features_batch
@@ -363,6 +364,20 @@ def test_checkpoint_roundtrip_bit_identical(source, tmp_path):
         assert np.array_equal(state.adam_m[name], loaded.adam_m[name])
         assert np.array_equal(state.adam_v[name], loaded.adam_v[name])
     assert loaded.adam_t == state.adam_t and loaded.step == state.step
+
+
+def test_checkpoint_file_bytes_equal_the_streaming_writer(source, tmp_path):
+    cfg = tiny_config(objective=ObjectiveKind())
+    state, _ = run_steps(cfg, source, 3)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(state, path)
+    # reference: the streaming writer, json.dump of the same document
+    doc = {"format": trainer.CHECKPOINT_FORMAT, "version": trainer.CHECKPOINT_VERSION}
+    doc.update(jsonable(checkpoint_of(state)))
+    reference = tmp_path / "reference.json"
+    with open(reference, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_checkpoint_truncated_file_rejected(tmp_path, source):
