@@ -4,7 +4,9 @@
 Reproduces the main directional experiment on the banded Markov source:
 ordinary continuation barely changes the base checkpoint while the drifting
 objective improves oracle Gen.-PPL at small NFE budgets.  Writes one summary
-CSV per backbone plus all run artifacts under --out.
+CSV per backbone plus all run artifacts under --out.  Each summary row is the
+final evaluation of its run, with --samples samples at the --nfe budgets, so
+every model is evaluated once; a phase's metrics.csv holds that one row.
 """
 
 from __future__ import annotations
@@ -16,12 +18,17 @@ import numpy as np
 
 from driftlm.backbone import CorruptionKind
 from driftlm.corpus import banded_source, save_source
-from driftlm.evalcli import evaluate, train_run, write_csv
+from driftlm.evalcli import METRICS, train_run, write_csv
 from driftlm.objectives import ObjectiveKind
 from driftlm.trainer import TrainConfig, checkpoint_of
 
-# summary method, run directory tag, objective of the continual phase
-PHASES = (("continuation", "cont", None), ("drift", "drift", ObjectiveKind()))
+# summary method, run directory tag, objective of the continual phase; the
+# base rows are zero-step runs from the base checkpoint and are not saved
+PHASES = (
+    ("base", None, None),
+    ("continuation", "cont", None),
+    ("drift", "drift", ObjectiveKind()),
+)
 
 
 def main() -> None:
@@ -64,31 +71,29 @@ def main() -> None:
         print(f"[{kind.value}] base training ({args.base_steps} steps, B={args.base_batch})")
         state, _ = train_run(base_cfg, source, out_dir=base_dir)
         base = checkpoint_of(state)
+        columns = [f"{m}_nfe{n}" for m in METRICS for n in nfes]
 
-        def summary_row(method: str, seed: int, params) -> dict:
-            report = evaluate(params, source, kind, nfes=nfes, n_samples=args.samples, seed=seed)
-            scores = report.columns()
-            shown = ", ".join(f"{k}={v:.4g}" for k, v in scores.items())
-            print(f"[{kind.value}] {method} seed {seed}: {shown}")
-            return {"method": method, "seed": seed, **scores}
-
-        rows = [summary_row("base", seed, base.params) for seed in seeds]
+        rows = []
         for method, tag, objective in PHASES:
             for seed in seeds:
                 cfg = TrainConfig(
                     seed=seed,
-                    steps=args.phase_steps,
+                    steps=args.phase_steps if tag else 0,
                     lr=args.phase_lr,
                     corruption=kind,
                     objective=objective,
-                    eval_every=args.phase_steps,
-                    eval_samples=256,
+                    eval_nfes=nfes,
+                    eval_samples=args.samples,
                 )
-                st, _ = train_run(
-                    cfg, source, checkpoint=base, reset_optimizer=True,
-                    out_dir=os.path.join(args.out, f"{kind.value}-{tag}-s{seed}"),
+                out_dir = os.path.join(args.out, f"{kind.value}-{tag}-s{seed}") if tag else None
+                _, run_rows = train_run(
+                    cfg, source, checkpoint=base, reset_optimizer=True, out_dir=out_dir,
+                    final_only=True,
                 )
-                rows.append(summary_row(method, seed, st.params))
+                scores = {col: run_rows[-1][col] for col in columns}
+                shown = ", ".join(f"{k}={v:.4g}" for k, v in scores.items())
+                print(f"[{kind.value}] {method} seed {seed}: {shown}")
+                rows.append({"method": method, "seed": seed, **scores})
 
         table = os.path.join(args.out, f"{kind.value}-summary.csv")
         header = list(rows[0])

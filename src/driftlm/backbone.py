@@ -390,13 +390,14 @@ def sample_batch(
 
     Masked: ancestral unmasking, committing a random subset of still-masked
     positions each step.  Every row of step 0 is the all-mask sequence, so
-    its logits come from one one-row forward per call; each later step runs
-    the denoiser over chunks of ``DENOISER_CHUNK`` sequences and computes
-    logits only at the positions it commits.  Uniform: iterated full
-    resampling from the predictive rows, every step over the chunks.
-    Predictions are always restricted to the clean vocabulary, so outputs
-    never contain the mask symbol.  The chunks draw from ``rng`` in row
-    order, so the draws equal a whole-batch step's.
+    its probabilities come from one one-row forward, normalised once per
+    call; each later step runs the denoiser over chunks of
+    ``DENOISER_CHUNK`` sequences and computes logits only at the positions
+    it commits.  Uniform: iterated full resampling from the predictive
+    rows, every step over the chunks.  Predictions are always restricted to
+    the clean vocabulary, so outputs never contain the mask symbol.  The
+    chunks draw from ``rng`` in row order, so the draws equal a whole-batch
+    step's.
     """
     if nfe < 1:
         raise InvalidInputError("nfe must be at least 1")
@@ -419,7 +420,7 @@ def sample_batch(
         return tokens
 
     tokens = np.full((n, length), mask_index, dtype=np.int64)
-    all_mask = forward_tokens(params, np.full((1, length), mask_index))[0][0]  # [L, V]
+    all_mask_probs = _clean_probs(forward_tokens(params, np.full((1, length), mask_index))[0][0])
     still_masked = np.ones((n, length), dtype=bool)
     remaining = length
     for step in range(nfe):
@@ -432,11 +433,11 @@ def sample_batch(
         for part in chunks:
             cols = chosen[part]
             if step == 0:
-                logits = all_mask[cols]
+                probs = all_mask_probs[cols]
             else:
-                logits, _ = forward_tokens(params, tokens[part], at=cols)
+                probs = _clean_probs(forward_tokens(params, tokens[part], at=cols)[0])
             rows = np.arange(cols.shape[0])[:, None]
-            tokens[part][rows, cols] = _categorical_rows(_clean_probs(logits), rng)
+            tokens[part][rows, cols] = _categorical_rows(probs, rng)
         still_masked[np.arange(n)[:, None], chosen] = False
         remaining -= commit
     if remaining != 0 or np.any(tokens == mask_index):

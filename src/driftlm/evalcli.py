@@ -279,10 +279,6 @@ def ablation_line(row: dict) -> str:
 train_config_to_dict = jsonable
 
 
-def train_config_from_dict(d: dict) -> TrainConfig:
-    return decode(TrainConfig, d)
-
-
 def with_overrides(config, overrides: dict):
     """``config`` with the field at each dotted path (``"drift.w_plus"``) set, in order.
 

@@ -7,6 +7,9 @@ instead convert the drift into a detached teacher distribution via an
 exponentiated-gradient step in logit space and match it with KL or MSE.
 Every function takes a whole micro-batch: features and drifts ``[n, m]``,
 logits ``[n, L, V]`` and a boolean ``predicted [n, L]`` position mask.
+Every loss returns per-sequence losses ``[n]`` and the gradient of their
+sum, as ``backbone.base_loss`` does, so terms add up row by row and the
+trainer takes the batch mean once.
 """
 
 from __future__ import annotations
@@ -87,21 +90,17 @@ def mirror_mse_loss(l_star: Array, logits: Array, predicted: Array) -> tuple[Arr
     return (diff * diff).sum(axis=(1, 2)) / count, 2.0 * diff / count[:, None, None]
 
 
-@dataclass
-class TotalObjective:
-    loss: float
-    grad_logits: Array  # [n, L, V] gradient of the batch-mean loss
-    per_sample_loss: Array  # [n]
-
-
 def total_objective(
     kind: ObjectiveKind, state: LiftedEncoding, drifts: Array, clean_batch: Array
-) -> TotalObjective:
-    """Batch-mean objective of one lifted micro-batch with its analytic logit gradient."""
+) -> tuple[Array, Array]:
+    """Per-sequence losses ``[n]`` of one lifted slice and the logit gradient of their sum.
+
+    The drift term's loss, plus the base denoising loss if ``kind`` asks for
+    it; the caller divides the gradient by its batch size.
+    """
     drifts = np.asarray(drifts, dtype=np.float64)
     if drifts.shape != state.features.shape:
         raise InvalidInputError("drifts must match the lifted features' shape")
-    n = drifts.shape[0]
     if kind.variant == ObjectiveVariant.FEATURE_L2:
         losses, grad_h = feature_fixed_point_loss(state.features, drifts, kind.alpha)
         grad = pullback_to_logits(state, grad_h)
@@ -117,6 +116,4 @@ def total_objective(
         base_losses, base_grad = base_loss(state.logits, clean_batch, state.predicted)
         losses += base_losses
         grad += base_grad
-    return TotalObjective(
-        loss=float(losses.sum() / n), grad_logits=grad / n, per_sample_loss=losses
-    )
+    return losses, grad

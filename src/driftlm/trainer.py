@@ -5,12 +5,13 @@ in ``evalcli``, next to ``evaluate``; this module imports nothing from it.
 
 One step corrupts the whole batch, runs it through the denoiser in row
 slices of about ``DENOISER_CHUNK`` sequences against a queue snapshot taken
-at step start, sums the slices' share of the batch-mean gradient, applies a
-single Adam update, and only then pushes the detached pre-update features
-into the reference queues.  ``objective=None`` trains on the base denoising
-loss alone (the base/continuation phases); an ``ObjectiveKind`` selects a
-drifting objective, whose slices hold whole micro-batches and whose drift
-field is computed once per ``micro_batch`` sequences.
+at step start, sums the slices' share of the batch-mean gradient (each
+slice's loss-sum gradient over B), applies a single Adam update, and only
+then pushes the detached pre-update features into the reference queues.
+``objective=None`` trains on the base denoising loss alone (the
+base/continuation phases); an ``ObjectiveKind`` selects a drifting
+objective, whose slices hold whole micro-batches and whose drift field is
+computed once per ``micro_batch`` sequences.
 
 A checkpoint file is ``codec.jsonable`` of a ``Checkpoint`` under a
 ``format``/``version`` header, and ``codec.decode`` reads it back, so a
@@ -178,16 +179,17 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
     """One optimizer update over ``batch_size`` sequences; returns step metrics.
 
     The batch is corrupted whole, then run through the denoiser, the lift,
-    the encoder, the objective and the backward pass in row slices; each
-    slice's loss and logit gradient are scaled by rows/B, so the slices sum
-    to the batch mean, a ragged last slice included.  A base step slices by
-    ``DENOISER_CHUNK`` whatever ``micro_batch`` is.  In a drift step a
-    micro-batch's generated features are its anchors' negatives, so the
-    micro-batch is part of the objective: a slice holds whole micro-batches
-    (``micro_batch * max(1, DENOISER_CHUNK // micro_batch)`` sequences), and
-    ``build_references`` and ``drift_multi_temp`` run once per micro-batch
-    inside it.  ``micro_batch=1`` with repulsion on needs a nonempty
-    generated queue: an anchor is never its own negative.
+    the encoder, the objective and the backward pass in row slices; both
+    losses give per-sequence values and the logit gradient of their sum,
+    divided by B once, so the slices sum to the batch mean, a ragged last
+    slice included.  A base step slices by ``DENOISER_CHUNK`` whatever
+    ``micro_batch`` is.  In a drift step a micro-batch's generated features
+    are its anchors' negatives, so the micro-batch is part of the objective:
+    a slice holds whole micro-batches (``micro_batch * max(1,
+    DENOISER_CHUNK // micro_batch)`` sequences), and ``build_references``
+    and ``drift_multi_temp`` run once per micro-batch inside it.
+    ``micro_batch=1`` with repulsion on needs a nonempty generated queue:
+    an anchor is never its own negative.
     """
     batch = np.asarray(clean_batch, dtype=np.int64)
     n = batch.shape[0]
@@ -225,7 +227,6 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
 
         if objective is None:
             losses, grad_logits = base_loss(logits, chunk, predicted[rows])
-            grad_logits /= n
         else:
             lifted = lift_and_encode(state.encoder, logits, tokens, predicted[rows], objective.lift)
             gens = lifted.features
@@ -243,12 +244,11 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
                 )
                 parts.append(drift)
             drifts = np.concatenate(parts)
-            total = total_objective(objective, lifted, drifts, chunk)
-            losses = total.per_sample_loss
-            grad_logits = total.grad_logits * ((hi - lo) / n)
+            losses, grad_logits = total_objective(objective, lifted, drifts, chunk)
             drift_norm_sum += float(np.linalg.norm(drifts, axis=1).sum())
             pushed_real.append(reals)
             pushed_gen.append(gens)
+        grad_logits /= n
 
         part_loss = float(losses.sum() / n)
         if not np.isfinite(part_loss):
@@ -278,7 +278,7 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
 
     return {
         "loss": float(loss_total),
-        "drift_norm": drift_norm_sum / n if objective is not None else 0.0,
+        "drift_norm": drift_norm_sum / n,
         "grad_norm": grad_norm,
     }
 

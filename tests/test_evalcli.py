@@ -11,6 +11,7 @@ import pytest
 
 from driftlm import evalcli
 from driftlm.backbone import CorruptionKind, ModelConfig, init_params, sample_batch
+from driftlm.codec import decode
 from driftlm.corpus import banded_source, load_source, oracle_gen_ppl, save_source
 from driftlm.evalcli import (
     ABLATION_HEADER,
@@ -22,7 +23,6 @@ from driftlm.evalcli import (
     cli,
     entropy_metric,
     evaluate,
-    train_config_from_dict,
     train_config_to_dict,
     train_run,
     write_csv,
@@ -279,7 +279,7 @@ def test_train_config_dict_roundtrip():
         drift=DriftConfig(temperatures=(0.1, 0.4), w_plus=2.0, renormalize_sides=False),
         corruption=CorruptionKind.UNIFORM,
     )
-    rebuilt = train_config_from_dict(json.loads(json.dumps(train_config_to_dict(cfg))))
+    rebuilt = decode(TrainConfig, json.loads(json.dumps(train_config_to_dict(cfg))))
     assert rebuilt == cfg
 
 
@@ -287,7 +287,7 @@ def test_train_config_rejects_unknown_keys():
     doc = train_config_to_dict(tiny_train_config())
     doc["mystery"] = 1
     with pytest.raises(InvalidInputError):
-        train_config_from_dict(doc)
+        decode(TrainConfig, doc)
 
 
 # every field away from its default, and its JSON form
@@ -358,7 +358,7 @@ NON_DEFAULT_JSON = {
 def test_train_config_json_golden():
     # json.dumps, not ==: key order and int/float/bool types must match too
     assert json.dumps(train_config_to_dict(NON_DEFAULT_CONFIG)) == json.dumps(NON_DEFAULT_JSON)
-    assert train_config_from_dict(NON_DEFAULT_JSON) == NON_DEFAULT_CONFIG
+    assert decode(TrainConfig, NON_DEFAULT_JSON) == NON_DEFAULT_CONFIG
 
 
 @pytest.mark.parametrize(
@@ -371,7 +371,7 @@ def test_train_config_rejects_unknown_nested_keys_by_name(section, key):
     assert key not in doc[section]
     doc[section][key] = 1.0
     with pytest.raises(InvalidInputError, match=f"{section}.*{key}"):
-        train_config_from_dict(doc)
+        decode(TrainConfig, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -747,12 +747,12 @@ BAD_CONFIGS = {
 def test_train_config_rejects_bad_values_naming_the_field(case):
     doc, path = BAD_CONFIGS[case]
     with pytest.raises(InvalidInputError, match=path):
-        train_config_from_dict(doc)
+        decode(TrainConfig, doc)
 
 
 def test_train_config_partial_sections_take_defaults():
     doc = {"objective": {"variant": "mirror-kl"}, "drift": {"w_minus": 2}}
-    cfg = train_config_from_dict(doc)
+    cfg = decode(TrainConfig, doc)
     assert cfg.objective == ObjectiveKind(variant=ObjectiveVariant.MIRROR_KL)
     assert cfg.drift == DriftConfig(w_minus=2.0)
     assert type(cfg.drift.w_minus) is float  # an int stands for a float

@@ -193,9 +193,9 @@ def per_micro_batch_step(state, batch, cfg):
         reals = real_features_batch(state.encoder, batch[rows])
         pos, neg = build_references(reals, lifted.features, state.q_real, state.q_gen)
         drifts = drift_multi_temp(lifted.features, pos, neg, cfg.drift, exclude_self=True)
-        total = total_objective(cfg.objective, lifted, drifts, batch[rows])
-        loss += total.loss / (n // mb)
-        for name, g in backward_tokens(state.params, cache, total.grad_logits).items():
+        losses, grad = total_objective(cfg.objective, lifted, drifts, batch[rows])
+        loss += losses.sum() / mb / (n // mb)
+        for name, g in backward_tokens(state.params, cache, grad / mb).items():
             grads[name] += g
     return loss, {name: g / (n // mb) for name, g in grads.items()}
 
@@ -238,6 +238,64 @@ def test_drift_step_matches_per_micro_batch_loop(
     assert seen[0].keys() == want.keys()
     for name, g in want.items():
         assert np.max(np.abs(seen[0][name] - g)) <= 1e-12, name
+
+
+def slice_mean_step_gradients(state, batch, cfg):
+    """Gradients of one drift step, each slice's gradient scaled as ``(g / s) * (s / B)``.
+
+    ``train_step``'s slices of whole micro-batches and its drift fields, but
+    each slice's logit gradient is first averaged over its ``s`` rows and
+    then weighted by the slice's share of the batch.  Draws from a copy of
+    the state's generator and pushes nothing.
+    """
+    rng = copy.deepcopy(state.rng)
+    n, mb = cfg.batch_size, cfg.micro_batch
+    size = mb * max(1, trainer.DENOISER_CHUNK // mb)
+    levels = rng.uniform(cfg.t_min, cfg.t_max, size=n)
+    corrupted, predicted = corrupt(batch, levels, cfg.corruption, rng, cfg.model.vocab_size)
+    grads = {name: np.zeros_like(arr) for name, arr in param_items(state.params)}
+    for lo in range(0, n, size):
+        rows = slice(lo, lo + size)
+        s = len(batch[rows])
+        logits, cache = forward_tokens(state.params, corrupted[rows])
+        lifted = lift_and_encode(
+            state.encoder, logits, corrupted[rows], predicted[rows], cfg.objective.lift
+        )
+        gens, reals = lifted.features, real_features_batch(state.encoder, batch[rows])
+        drifts = []
+        for j in range(0, s, mb):
+            mbs = slice(j, j + mb)
+            pos, neg = build_references(reals[mbs], gens[mbs], state.q_real, state.q_gen)
+            drifts.append(drift_multi_temp(gens[mbs], pos, neg, cfg.drift, exclude_self=True))
+        _, g = total_objective(cfg.objective, lifted, np.concatenate(drifts), batch[rows])
+        for name, gp in backward_tokens(state.params, cache, (g / s) * (s / n)).items():
+            grads[name] += gp
+    return grads
+
+
+@pytest.mark.parametrize(
+    "variant", [ObjectiveVariant.FEATURE_L2, ObjectiveVariant.MIRROR_KL], ids=lambda v: v.value
+)
+def test_drift_step_divides_by_the_batch_once(source, monkeypatch, variant):
+    # at B = 32 and 16-sequence slices, g / 32 and (g / 16) * (16 / 32) are
+    # the same power-of-two scaling, so the gradients are bitwise equal
+    cfg = tiny_config(objective=ObjectiveKind(variant=variant), batch_size=32, micro_batch=8)
+    state, _ = run_steps(cfg, source, 2)
+    batch = sample_sequences(source, cfg.batch_size, cfg.model.length, state.rng)
+    want = slice_mean_step_gradients(state, batch, cfg)
+
+    seen = []
+    adam_update = trainer._adam_update
+
+    def recording(state, grads, config):
+        seen.append({name: g.copy() for name, g in grads.items()})
+        adam_update(state, grads, config)
+
+    monkeypatch.setattr(trainer, "_adam_update", recording)
+    train_step(state, batch, cfg)
+    assert seen[0].keys() == want.keys()
+    for name, g in want.items():
+        assert np.array_equal(seen[0][name], g), name
 
 
 def test_single_sequence_micro_batch_needs_generated_queue(source):
