@@ -1,16 +1,19 @@
 """Discrete diffusion backbone: corruption processes, denoiser, base loss, sampler.
 
 The denoiser is deliberately tiny: token + positional embeddings followed by
-two residual MLP blocks, each conditioned on the mean-pooled context of its
-input, and a linear readout to vocabulary logits.  Forward passes keep the
-intermediates needed for an analytic backward pass built from the numcore
-VJP rules, so gradients are exact and framework-free.
+a stack of residual MLP blocks (two by default), each conditioned on the
+mean-pooled context of its input, and a linear readout to vocabulary logits.
+Its parameters are seven arrays, the block weights stacked along a leading
+block axis; their field names also key the gradients, the Adam moments and
+the checkpoint entries.  Forward passes keep the intermediates needed for an
+analytic backward pass built from the numcore VJP rules, so gradients are
+exact and framework-free.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -48,37 +51,31 @@ class ModelConfig:
 
 
 @dataclass
-class BlockParams:
-    w1: Array  # [2d, d_h]
-    b1: Array  # [d_h]
-    w2: Array  # [d_h, d]
-    b2: Array  # [d]
-
-
-@dataclass
 class DenoiserParams:
+    """The block weights stack along a leading block axis: block ``b`` is index ``b``."""
+
     embed: Array      # [V, d]
     pos_embed: Array  # [L, d]
-    blocks: tuple[BlockParams, ...]
+    w1: Array         # [B, 2d, h]
+    b1: Array         # [B, h]
+    w2: Array         # [B, h, d]
+    b2: Array         # [B, d]
     out_proj: Array   # [d, V]
 
     def __post_init__(self):
         """Shapes only (a checkpoint may hold any values); ``embed`` fixes V and d."""
-        if len(self.blocks) < 2:
-            raise InvalidInputError(f"blocks: need at least two, got {len(self.blocks)}")
-        tensors = [("embed", self.embed, "V d"), ("pos_embed", self.pos_embed, "L d")]
-        for b, blk in enumerate(self.blocks):
-            dims = {"w1": "2d h", "b1": "h", "w2": "h d", "b2": "d"}
-            tensors += [(f"blocks[{b}].{k}", getattr(blk, k), v) for k, v in dims.items()]
-        tensors.append(("out_proj", self.out_proj, "d V"))
+        dims = {"embed": "V d", "pos_embed": "L d", "w1": "B 2d h", "b1": "B h",
+                "w2": "B h d", "b2": "B d", "out_proj": "d V"}
         sizes = dict(zip(("V", "d"), np.shape(self.embed)))
         sizes["2d"] = 2 * sizes.get("d", 0)
-        for name, arr, dims in tensors:  # L and h take the first size seen
-            want, shape = dims.split(), np.shape(arr)
+        for name, arr in param_items(self):  # L, B and h take the first size seen
+            want, shape = dims[name].split(), np.shape(arr)
             fits = all(sizes.setdefault(s, n) == n for s, n in zip(want, shape))
             if len(shape) != len(want) or not fits:
                 expected = ", ".join(f"{s}={sizes[s]}" if s in sizes else s for s in want)
                 raise InvalidInputError(f"{name} has shape {shape}, expected [{expected}]")
+        if sizes["B"] < 2:
+            raise InvalidInputError(f"w1 stacks {sizes['B']} block(s), need at least two")
 
     @property
     def vocab_size(self) -> int:
@@ -98,21 +95,8 @@ class DenoiserParams:
 
 
 def param_items(params: DenoiserParams) -> list[tuple[str, Array]]:
-    """Named parameter tensors in a fixed order (checkpoint / optimizer order)."""
-    items = [("embed", params.embed), ("pos_embed", params.pos_embed)]
-    for b, blk in enumerate(params.blocks, start=1):
-        items += [
-            (f"block{b}.w1", blk.w1),
-            (f"block{b}.b1", blk.b1),
-            (f"block{b}.w2", blk.w2),
-            (f"block{b}.b2", blk.b2),
-        ]
-    items.append(("out_proj", params.out_proj))
-    return items
-
-
-def copy_params(params: DenoiserParams) -> DenoiserParams:
-    return copy.deepcopy(params)
+    """Named parameter tensors in field order (checkpoint / optimizer order)."""
+    return [(f.name, getattr(params, f.name)) for f in fields(params)]
 
 
 def params_to_vector(params: DenoiserParams) -> Array:
@@ -123,27 +107,27 @@ def params_from_vector(template: DenoiserParams, vector: Array) -> DenoiserParam
     sizes = [arr.size for _, arr in param_items(template)]
     if sum(sizes) != vector.size:
         raise InvalidInputError("parameter vector has the wrong size")
-    params = copy_params(template)
+    params = copy.deepcopy(template)
     for (_, arr), part in zip(param_items(params), np.split(vector, np.cumsum(sizes)[:-1])):
         arr[...] = part.reshape(arr.shape)
     return params
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator, init_std: float = 0.02) -> DenoiserParams:
-    d, dh = cfg.embed_dim, cfg.hidden_dim
-    blocks = tuple(
-        BlockParams(
-            w1=rng.normal(0.0, init_std, (2 * d, dh)),
-            b1=np.zeros(dh),
-            w2=rng.normal(0.0, init_std, (dh, d)),
-            b2=np.zeros(d),
-        )
-        for _ in range(cfg.n_blocks)
-    )
+    """Normal(0, init_std) weights, zero biases; draws ``w1`` then ``w2`` block by
+    block, then ``embed``, ``pos_embed`` and ``out_proj``, as seeded runs always have."""
+    d, dh, n_blocks = cfg.embed_dim, cfg.hidden_dim, cfg.n_blocks
+    w1, w2 = np.empty((n_blocks, 2 * d, dh)), np.empty((n_blocks, dh, d))
+    for b in range(n_blocks):
+        w1[b] = rng.normal(0.0, init_std, (2 * d, dh))
+        w2[b] = rng.normal(0.0, init_std, (dh, d))
     return DenoiserParams(
         embed=rng.normal(0.0, init_std, (cfg.vocab_size, d)),
         pos_embed=rng.normal(0.0, init_std, (cfg.length, d)),
-        blocks=blocks,
+        w1=w1,
+        b1=np.zeros((n_blocks, dh)),
+        w2=w2,
+        b2=np.zeros((n_blocks, d)),
         out_proj=rng.normal(0.0, init_std, (d, cfg.vocab_size)),
     )
 
@@ -219,18 +203,19 @@ def run_blocks(
     n, length, d = h.shape
     hiddens: list[Array] = []
     caches: list[BlockCache] = []
-    for b, blk in enumerate(params.blocks):
+    n_blocks = len(params.w1)
+    for b in range(n_blocks):
         c = h.mean(axis=1)
-        if at is not None and b == len(params.blocks) - 1:
+        if at is not None and b == n_blocks - 1:
             h = h[np.arange(n)[:, None], at]
         rows = h.shape[1]
-        a = (h.reshape(n * rows, d) @ blk.w1[:d]).reshape(n, rows, -1)
-        a += (c @ blk.w1[d:] + blk.b1)[:, None, :]
+        a = (h.reshape(n * rows, d) @ params.w1[b, :d]).reshape(n, rows, -1)
+        a += (c @ params.w1[b, d:] + params.b1[b])[:, None, :]
         u = np.tanh(a, out=a).reshape(n * rows, -1)
         caches.append(BlockCache(x=h, c=c, u=u))
-        out = (u @ blk.w2).reshape(n, rows, d)
+        out = (u @ params.w2[b]).reshape(n, rows, d)
         out += h
-        out += blk.b2
+        out += params.b2[b]
         h = out
         hiddens.append(h)
     return hiddens, caches
@@ -246,31 +231,31 @@ def blocks_backward(
 
     ``grad_hiddens[b]`` is the cotangent arriving directly at block ``b``'s
     output (pooling taps inject here); returns the cotangent at the input
-    embeddings and, optionally, per-parameter gradients for the blocks.
+    embeddings and, optionally, the gradients of the stacked block weights
+    ``w1``, ``b1``, ``w2`` and ``b2``.
     """
     n, length, d = caches[0].x.shape
     gh = np.zeros((n, length, d))
-    grads: dict[str, Array] = {}
-    for b in range(len(params.blocks) - 1, -1, -1):
+    names = ("w1", "b1", "w2", "b2") if want_param_grads else ()
+    grads = {name: np.empty_like(getattr(params, name)) for name in names}
+    for b in range(len(params.w1) - 1, -1, -1):
         inject = grad_hiddens[b]
         if inject is not None:
             gh = gh + inject
-        blk = params.blocks[b]
         cache = caches[b]
         g_flat = gh.reshape(n * length, d)
-        g_a = numcore.tanh_vjp_from_output(cache.u, g_flat @ blk.w2.T)
+        g_a = numcore.tanh_vjp_from_output(cache.u, g_flat @ params.w2[b].T)
         g_a_seq = g_a.reshape(n, length, -1).sum(axis=1)  # [N, d_h], per sequence
         if want_param_grads:
-            grads[f"block{b + 1}.w2"] = cache.u.T @ g_flat
-            grads[f"block{b + 1}.b2"] = g_flat.sum(axis=0)
-            grads[f"block{b + 1}.w1"] = np.concatenate(
-                [cache.x.reshape(n * length, d).T @ g_a, cache.c.T @ g_a_seq]
-            )
-            grads[f"block{b + 1}.b1"] = g_a_seq.sum(axis=0)
+            grads["w2"][b] = cache.u.T @ g_flat
+            grads["b2"][b] = g_flat.sum(axis=0)
+            grads["w1"][b, :d] = cache.x.reshape(n * length, d).T @ g_a
+            grads["w1"][b, d:] = cache.c.T @ g_a_seq
+            grads["b1"][b] = g_a_seq.sum(axis=0)
         # residual path + direct half + mean-pool context half
-        g_x = (g_a @ blk.w1[:d].T).reshape(n, length, d)
+        g_x = (g_a @ params.w1[b, :d].T).reshape(n, length, d)
         g_x += gh
-        g_x += (g_a_seq @ blk.w1[d:].T / length)[:, None, :]
+        g_x += (g_a_seq @ params.w1[b, d:].T / length)[:, None, :]
         gh = g_x
     return gh, (grads if want_param_grads else None)
 
@@ -319,7 +304,7 @@ def backward_tokens(
     h_final = cache.hiddens[-1].reshape(n * length, d)
     grads = {"out_proj": h_final.T @ gl.reshape(n * length, -1)}
     g_h = (gl.reshape(n * length, -1) @ params.out_proj.T).reshape(n, length, d)
-    grad_hiddens: list[Array | None] = [None] * len(params.blocks)
+    grad_hiddens: list[Array | None] = [None] * len(params.w1)
     grad_hiddens[-1] = g_h
     g_e, block_grads = blocks_backward(params, cache.block_caches, grad_hiddens, True)
     grads.update(block_grads)

@@ -3,7 +3,7 @@
 ``jsonable`` turns dataclasses into objects, enums into their values,
 tuples into lists and float64 arrays into nested lists; ``decode`` inverts
 it from the dataclass type hints.  A bad document fails with an
-``InvalidInputError`` naming the dotted path (``params.blocks[1].w2``), and
+``InvalidInputError`` naming the dotted path (``params.w2``), and
 a decoded dataclass still runs its own ``__post_init__`` checks.
 """
 

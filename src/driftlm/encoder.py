@@ -13,6 +13,7 @@ that keeps the soft backward rule but feeds argmax embeddings forward.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,7 +24,6 @@ from .backbone import (
     BlockCache,
     DenoiserParams,
     blocks_backward,
-    copy_params,
     param_items,
     run_blocks,
 )
@@ -49,7 +49,7 @@ class FrozenEncoder:
 
 def make_frozen_encoder(params: DenoiserParams) -> FrozenEncoder:
     """Deep-copy a checkpoint and freeze it; arrays are made read-only."""
-    snapshot = copy_params(params)
+    snapshot = copy.deepcopy(params)
     for _, arr in param_items(snapshot):
         arr.setflags(write=False)
     return FrozenEncoder(params=snapshot, feature_dim=2 * snapshot.embed_dim)
@@ -130,7 +130,7 @@ def encode_vjp(encoder: FrozenEncoder, encoded: Encoded, grad_features: Array) -
     g_pooled = numcore.l2_normalize_vjp(encoded.pooled, np.asarray(grad_features, np.float64))
     d, length = p.embed_dim, p.length
     shape = (g_pooled.shape[0], length, d)
-    grad_hiddens: list[Array | None] = [None] * len(p.blocks)
+    grad_hiddens: list[Array | None] = [None] * len(p.w1)
     grad_hiddens[-2] = np.broadcast_to((g_pooled[:, :d] / length)[:, None, :], shape)
     grad_hiddens[-1] = np.broadcast_to((g_pooled[:, d:] / length)[:, None, :], shape)
     g_e, _ = blocks_backward(p, encoded.block_caches, grad_hiddens, want_param_grads=False)

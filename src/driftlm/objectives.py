@@ -46,8 +46,9 @@ class ObjectiveKind:
             raise InvalidInputError("alpha must be positive")
 
 
-def feature_fixed_point_loss(h, drift: Array, alpha: float) -> tuple[Array, Array]:
-    """Per-row 1/2 ||h - sg(h + alpha V)||^2 with its exact feature gradient -alpha V."""
+def feature_fixed_point_loss(drift: Array, alpha: float) -> tuple[Array, Array]:
+    """Per-row 1/2 ||h - sg(h + alpha V)||^2 with its exact feature gradient -alpha V;
+    at the current features h both depend on the drift V alone."""
     step = alpha * np.asarray(drift, dtype=np.float64)
     return 0.5 * np.sum(step * step, axis=-1), -step
 
@@ -102,7 +103,7 @@ def total_objective(
     if drifts.shape != state.features.shape:
         raise InvalidInputError("drifts must match the lifted features' shape")
     if kind.variant == ObjectiveVariant.FEATURE_L2:
-        losses, grad_h = feature_fixed_point_loss(state.features, drifts, kind.alpha)
+        losses, grad_h = feature_fixed_point_loss(drifts, kind.alpha)
         grad = pullback_to_logits(state, grad_h)
     else:
         g = mirror_direction(state, drifts)

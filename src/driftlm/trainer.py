@@ -32,7 +32,6 @@ from .backbone import (
     DenoiserParams,
     ModelConfig,
     base_loss,
-    copy_params,
     corrupt,
     forward_tokens,
     backward_tokens,
@@ -46,7 +45,7 @@ from .numcore import Array, InvalidInputError
 from .objectives import ObjectiveKind, total_objective
 
 CHECKPOINT_FORMAT = "driftlm-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -146,7 +145,7 @@ def init_state(
         if checkpoint is None:
             params = init_params(config.model, rng, init_std=config.init_std)
         else:
-            params = copy_params(checkpoint.params)
+            params = copy.deepcopy(checkpoint.params)
         zeros = {name: np.zeros_like(arr) for name, arr in param_items(params)}
         start = Checkpoint(params, zeros, copy.deepcopy(zeros), adam_t=0, step=0)
     encoder = make_frozen_encoder(start.params)

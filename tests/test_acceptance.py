@@ -230,7 +230,7 @@ def test_criterion_3_equilibrium_suite():
     state = lift_and_encode(encoder, logits, corrupted, predicted)
     zero = np.zeros((2, encoder.feature_dim))
 
-    loss, grad = feature_fixed_point_loss(state.features, zero, 1.0)
+    loss, grad = feature_fixed_point_loss(zero, 1.0)
     assert np.all(loss == 0.0) and np.all(grad == 0.0)
     g = mirror_direction(state, zero)
     assert np.all(g == 0.0)

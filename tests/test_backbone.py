@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,21 +201,24 @@ def test_forward_gradient_matches_finite_differences(small_params, rng):
     assert rel_err(analytic, fd) <= 1e-5
 
 
-def test_batch_gradient_matches_finite_differences_on_distinct_sequences(small_params, rng):
+@pytest.mark.parametrize("n_blocks", [2, 3], ids=["2-blocks", "3-blocks"])
+def test_batch_gradient_matches_finite_differences_on_distinct_sequences(n_blocks, rng):
     # n = 3 distinct rows: a context gradient pooled across sequences instead
-    # of within each one fails here but not at n = 1
-    cfg = SMALL_MODEL
+    # of within each one fails here but not at n = 1.  Three blocks have a
+    # middle block, and the stacked gradients of every block are checked.
+    cfg = replace(SMALL_MODEL, n_blocks=n_blocks)
+    params = init_params(cfg, np.random.default_rng(42))
     tokens = rng.integers(0, cfg.vocab_size, size=(3, cfg.length))
     assert len({row.tobytes() for row in tokens}) == 3
-    logits, cache = forward_tokens(small_params, tokens)
+    logits, cache = forward_tokens(params, tokens)
     upstream = rng.normal(size=logits.shape)
-    grads = backward_tokens(small_params, cache, upstream)
-    analytic = np.concatenate([grads[name].ravel() for name, _ in param_items(small_params)])
+    grads = backward_tokens(params, cache, upstream)
+    analytic = np.concatenate([grads[name].ravel() for name, _ in param_items(params)])
 
     def f(vec):
-        return float(np.sum(upstream * forward_tokens(params_from_vector(small_params, vec), tokens)[0]))
+        return float(np.sum(upstream * forward_tokens(params_from_vector(params, vec), tokens)[0]))
 
-    fd = finite_diff_grad(f, params_to_vector(small_params), step=1e-5)
+    fd = finite_diff_grad(f, params_to_vector(params), step=1e-5)
     assert rel_err(analytic, fd) <= 1e-5
 
 
@@ -469,6 +473,28 @@ def test_params_vector_roundtrip(small_params):
     for (name_a, a), (name_b, b) in zip(param_items(small_params), param_items(rebuilt)):
         assert name_a == name_b
         assert np.array_equal(a, b)
+
+
+def test_init_params_draws_block_by_block():
+    # the draw order of a per-block layout: w1 then w2 for each block, then
+    # embed, pos_embed and out_proj; the block weights stack in block order
+    cfg = replace(SMALL_MODEL, n_blocks=3)
+    params = init_params(cfg, np.random.default_rng(5), init_std=0.3)
+    rng = np.random.default_rng(5)
+    d, h, v = cfg.embed_dim, cfg.hidden_dim, cfg.vocab_size
+    blocks = [(rng.normal(0.0, 0.3, (2 * d, h)), rng.normal(0.0, 0.3, (h, d))) for _ in range(3)]
+    expected = {
+        "embed": rng.normal(0.0, 0.3, (v, d)),
+        "pos_embed": rng.normal(0.0, 0.3, (cfg.length, d)),
+        "w1": np.stack([w1 for w1, _ in blocks]),
+        "b1": np.zeros((3, h)),
+        "w2": np.stack([w2 for _, w2 in blocks]),
+        "b2": np.zeros((3, d)),
+        "out_proj": rng.normal(0.0, 0.3, (d, v)),
+    }
+    assert [name for name, _ in param_items(params)] == list(expected)
+    for name, arr in param_items(params):
+        assert np.array_equal(arr, expected[name]), name
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -223,9 +223,10 @@ def test_missing_adam_t_is_named():
 
 
 def test_unknown_key_under_a_block_is_named():
+    # the block weights are the stacked w1, b1, w2 and b2 under params
     doc = checkpoint_doc()
-    doc["params"]["blocks"][0]["w3"] = [[0.0]]
-    message = r"unknown params\.blocks\[0\] keys: \['params\.blocks\[0\]\.w3'\]"
+    doc["params"]["w3"] = [[[0.0]]]
+    message = r"unknown params keys: \['params\.w3'\]"
     with pytest.raises(InvalidInputError, match=message):
         decode(Checkpoint, doc)
 
@@ -233,9 +234,9 @@ def test_unknown_key_under_a_block_is_named():
 # (keys down to one array item, the value put there, the expected message)
 BAD_ARRAY_ITEMS = {
     "bool": (
-        ("params", "blocks", 1, "w2", 0, 0),
+        ("params", "w2", 1, 0, 0),
         True,
-        r"params\.blocks\[1\]\.w2 must hold only numbers, found \['bool'\]",
+        r"params\.w2 must hold only numbers, found \['bool'\]",
     ),
     "null": (
         ("adam_m", "out_proj", 1, 1),
@@ -271,8 +272,8 @@ def test_scalar_for_an_array_is_named():
 
 def test_moments_must_match_the_parameters():
     doc = checkpoint_doc()
-    doc["adam_v"]["block2.b1"] = doc["adam_v"]["block2.b1"][:-1]
-    message = r"adam_v does not match the parameters at \['block2\.b1'\]"
+    doc["adam_v"]["b1"] = doc["adam_v"]["b1"][:-1]  # one block short
+    message = r"adam_v does not match the parameters at \['b1'\]"
     with pytest.raises(InvalidInputError, match=message):
         decode(Checkpoint, doc)
 
@@ -284,8 +285,11 @@ def test_nan_probability_is_rejected():
         decode(MarkovSource, json.loads(json.dumps(doc)))
 
 
-def test_version_1_checkpoint_is_rejected(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_checkpoint_version_is_rejected(tmp_path, version):
+    # version 2 keyed the block weights per block (params.blocks, block1.w1)
     path = tmp_path / "ckpt.json"
-    path.write_text(json.dumps({"format": CHECKPOINT_FORMAT, "version": 1, **checkpoint_doc()}))
-    with pytest.raises(CheckpointError, match="version 1 != supported 2"):
+    doc = {"format": CHECKPOINT_FORMAT, "version": version, **checkpoint_doc()}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=f"version {version} != supported 3"):
         load_checkpoint(path)

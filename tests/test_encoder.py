@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -157,12 +159,17 @@ def test_encode_vjp_matches_finite_differences(small_encoder, rng):
 
 def test_encode_vjp_matches_finite_differences_on_distinct_sequences(small_encoder, rng):
     # n = 3 distinct rows: a context cotangent pooled across sequences instead
-    # of within each one fails here but not at n = 1
-    x = rng.normal(size=(3, L, SMALL_MODEL.embed_dim))
-    c = rng.normal(size=(3, small_encoder.feature_dim))
-    analytic = encode_vjp(small_encoder, encode(small_encoder, x), c)
-    fd = finite_diff_grad(lambda e: float(np.sum(c * encode(small_encoder, e).features)), x, 1e-5)
-    assert rel_err(analytic, fd) <= 1e-5
+    # of within each one fails here but not at n = 1.  With three blocks the
+    # penultimate pooling tap sits on the middle block, not on block 0.
+    three_blocks = make_frozen_encoder(
+        init_params(replace(SMALL_MODEL, n_blocks=3), np.random.default_rng(42))
+    )
+    for encoder in (small_encoder, three_blocks):
+        x = rng.normal(size=(3, L, SMALL_MODEL.embed_dim))
+        c = rng.normal(size=(3, encoder.feature_dim))
+        analytic = encode_vjp(encoder, encode(encoder, x), c)
+        fd = finite_diff_grad(lambda e: float(np.sum(c * encode(encoder, e).features)), x, 1e-5)
+        assert rel_err(analytic, fd) <= 1e-5, len(encoder.params.w1)
 
 
 # ---------------------------------------------------------------------------

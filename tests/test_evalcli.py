@@ -584,25 +584,23 @@ def _cut_pos_embed(doc: dict) -> None:
         part["pos_embed"] = [row[:4] for row in part["pos_embed"]]
 
 
-def _cut_second_w2(doc: dict) -> None:
-    doc["params"]["blocks"][1]["w2"] = [row[:4] for row in doc["params"]["blocks"][1]["w2"]]
-    for moments in (doc["adam_m"], doc["adam_v"]):
-        moments["block2.w2"] = [row[:4] for row in moments["block2.w2"]]
+def _cut_w2(doc: dict) -> None:
+    for part in (doc["params"], doc["adam_m"], doc["adam_v"]):
+        part["w2"] = [[row[:4] for row in block] for block in part["w2"]]
 
 
 def _keep_one_block(doc: dict) -> None:
-    doc["params"]["blocks"] = doc["params"]["blocks"][:1]
-    for moments in (doc["adam_m"], doc["adam_v"]):
-        for name in [k for k in moments if k.startswith("block2.")]:
-            del moments[name]
+    for part in (doc["params"], doc["adam_m"], doc["adam_v"]):
+        for name in ("w1", "b1", "w2", "b2"):
+            part[name] = part[name][:1]
 
 
 # a checkpoint edit whose moments still match its parameters, and the field
 # the error must name
 BAD_SHAPES = {
     "narrow-pos-embed": (_cut_pos_embed, r"pos_embed has shape \(6, 4\), expected \[L=6, d=8\]"),
-    "narrow-w2": (_cut_second_w2, r"blocks\[1\]\.w2 has shape \(12, 4\), expected \[h=12, d=8\]"),
-    "one-block": (_keep_one_block, "blocks: need at least two, got 1"),
+    "narrow-w2": (_cut_w2, r"w2 has shape \(2, 12, 4\), expected \[B=2, h=12, d=8\]"),
+    "one-block": (_keep_one_block, r"w1 stacks 1 block\(s\), need at least two"),
 }
 
 

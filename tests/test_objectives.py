@@ -55,21 +55,21 @@ def _mask(positions, n_rows):
 
 
 def test_fixed_point_zero_drift():
-    loss, grad = feature_fixed_point_loss(None, np.zeros(5), alpha=1.0)
+    loss, grad = feature_fixed_point_loss(np.zeros(5), alpha=1.0)
     assert loss == 0.0 and np.all(grad == 0.0)
 
 
 def test_fixed_point_unit_drift():
     v = np.array([1.0, 0.0, 0.0])
-    loss, grad = feature_fixed_point_loss(None, v, alpha=1.0)
+    loss, grad = feature_fixed_point_loss(v, alpha=1.0)
     assert loss == 0.5
     assert np.array_equal(grad, np.array([-1.0, 0.0, 0.0]))
 
 
 def test_fixed_point_alpha_homogeneity(rng):
     v = rng.normal(size=6)
-    loss1, grad1 = feature_fixed_point_loss(None, v, alpha=1.0)
-    loss2, grad2 = feature_fixed_point_loss(None, v, alpha=2.0)
+    loss1, grad1 = feature_fixed_point_loss(v, alpha=1.0)
+    loss2, grad2 = feature_fixed_point_loss(v, alpha=2.0)
     assert abs(loss2 - 4.0 * loss1) < 1e-12
     assert np.allclose(grad2, 2.0 * grad1)
 
@@ -77,7 +77,7 @@ def test_fixed_point_alpha_homogeneity(rng):
 def test_fixed_point_gradient_is_exactly_minus_alpha_v(rng):
     v = rng.normal(size=8)
     alpha = 1.7
-    _, grad = feature_fixed_point_loss(None, v, alpha)
+    _, grad = feature_fixed_point_loss(v, alpha)
     assert np.array_equal(grad, -(alpha * v))  # bit-level stop-gradient identity
 
 

@@ -11,7 +11,6 @@ from driftlm.backbone import (
     ModelConfig,
     backward_tokens,
     base_loss,
-    copy_params,
     corrupt,
     forward_tokens,
     param_items,
@@ -135,7 +134,7 @@ def test_base_step_chunks_equal_whole_batch_mean(source, monkeypatch):
     assert trainer.DENOISER_CHUNK == 16
     state = init_state(cfg)
     batch = sample_sequences(source, cfg.batch_size, cfg.model.length, state.rng)
-    params = copy_params(state.params)
+    params = copy.deepcopy(state.params)
     rng = copy.deepcopy(state.rng)
 
     seen = []
