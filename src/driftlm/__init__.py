@@ -2,7 +2,7 @@
 
 from .backbone import CorruptionKind, DenoiserParams, ModelConfig
 from .corpus import MarkovSource, banded_source
-from .drift import DriftConfig, ReferenceQueue
+from .drift import DriftConfig
 from .encoder import FrozenEncoder, LiftKind
 from .objectives import ObjectiveKind, ObjectiveVariant
 from .trainer import Checkpoint, TrainConfig, TrainState
@@ -18,7 +18,6 @@ __all__ = [
     "ModelConfig",
     "ObjectiveKind",
     "ObjectiveVariant",
-    "ReferenceQueue",
     "TrainConfig",
     "TrainState",
     "banded_source",

@@ -183,25 +183,26 @@ class BlockCache:
 @dataclass
 class ForwardCache:
     tokens: Array                 # [N, L] token ids
-    hiddens: list[Array]          # block outputs, each [N, L, d] (the last [N, k, d] with ``at``)
+    out: Array                    # [N, L, d] last block output ([N, k, d] with ``at``)
     block_caches: list[BlockCache]
     at: Array | None = None       # [N, k] columns of a forward-only pass, else None
 
 
 def run_blocks(
     params: DenoiserParams, e: Array, at: Array | None = None
-) -> tuple[list[Array], list[BlockCache]]:
+) -> tuple[Array, list[BlockCache]]:
     """Residual context-conditioned MLP stack on embeddings ``e`` of shape [N, L, d].
 
-    Each block applies ``w1`` to [h ; mean_L h] as two halves: ``h @ w1[:d]``
-    per position plus ``mean_L h @ w1[d:] + b1`` once per sequence.  With
-    ``at`` ([N, k] column indices) the last block pools its context over all
-    L positions but runs its per-position half only at the ``at`` columns,
-    so its output is [N, k, d].
+    Returns the last block's output [N, L, d] and one cache per block, whose
+    ``x`` is the block's input and ``c`` its mean over positions (so the
+    penultimate output's mean is ``caches[-1].c``).  Each block applies ``w1``
+    to [h ; mean_L h] as two halves: ``h @ w1[:d]`` per position plus
+    ``mean_L h @ w1[d:] + b1`` once per sequence.  With ``at`` ([N, k] column
+    indices) the last block pools its context over all L positions but runs
+    its per-position half only at the ``at`` columns, so its output is [N, k, d].
     """
     h = e
     n, length, d = h.shape
-    hiddens: list[Array] = []
     caches: list[BlockCache] = []
     n_blocks = len(params.w1)
     for b in range(n_blocks):
@@ -217,31 +218,32 @@ def run_blocks(
         out += h
         out += params.b2[b]
         h = out
-        hiddens.append(h)
-    return hiddens, caches
+    return h, caches
 
 
 def blocks_backward(
     params: DenoiserParams,
     caches: list[BlockCache],
-    grad_hiddens: list[Array | None],
+    grad_out: Array,
+    grad_context: Array | None = None,
     want_param_grads: bool = True,
 ) -> tuple[Array, dict[str, Array] | None]:
     """Backward through the block stack.
 
-    ``grad_hiddens[b]`` is the cotangent arriving directly at block ``b``'s
-    output (pooling taps inject here); returns the cotangent at the input
-    embeddings and, optionally, the gradients of the stacked block weights
-    ``w1``, ``b1``, ``w2`` and ``b2``.
+    ``grad_out`` [N, L, d] is the cotangent at the last block's output and
+    ``grad_context`` [N, d], if given, the one at the penultimate block's
+    output pooled over positions (``caches[-1].c``): it enters block B-2's
+    output as ``grad_context / L`` at every position.  Returns the cotangent
+    at the input embeddings and, optionally, the gradients of the stacked
+    block weights ``w1``, ``b1``, ``w2`` and ``b2``.
     """
     n, length, d = caches[0].x.shape
-    gh = np.zeros((n, length, d))
+    gh = grad_out
     names = ("w1", "b1", "w2", "b2") if want_param_grads else ()
     grads = {name: np.empty_like(getattr(params, name)) for name in names}
     for b in range(len(params.w1) - 1, -1, -1):
-        inject = grad_hiddens[b]
-        if inject is not None:
-            gh = gh + inject
+        if grad_context is not None and b == len(params.w1) - 2:
+            gh = gh + (grad_context / length)[:, None, :]
         cache = caches[b]
         g_flat = gh.reshape(n * length, d)
         g_a = numcore.tanh_vjp_from_output(cache.u, g_flat @ params.w2[b].T)
@@ -283,12 +285,10 @@ def forward_tokens(
         if np.any(at < 0) or np.any(at >= params.length):
             raise InvalidInputError(f"at holds a column outside [0, {params.length})")
     e = params.embed[tok] + params.pos_embed
-    hiddens, caches = run_blocks(params, e, at)
-    n, rows, d = hiddens[-1].shape
-    logits = (hiddens[-1].reshape(n * rows, d) @ params.out_proj).reshape(
-        n, rows, params.vocab_size
-    )
-    return logits, ForwardCache(tokens=tok, hiddens=hiddens, block_caches=caches, at=at)
+    out, caches = run_blocks(params, e, at)
+    n, rows, d = out.shape
+    logits = (out.reshape(n * rows, d) @ params.out_proj).reshape(n, rows, params.vocab_size)
+    return logits, ForwardCache(tokens=tok, out=out, block_caches=caches, at=at)
 
 
 def backward_tokens(
@@ -301,12 +301,10 @@ def backward_tokens(
     n, length = tok.shape
     d = params.embed_dim
     gl = np.asarray(grad_logits, dtype=np.float64).reshape(n, length, params.vocab_size)
-    h_final = cache.hiddens[-1].reshape(n * length, d)
+    h_final = cache.out.reshape(n * length, d)
     grads = {"out_proj": h_final.T @ gl.reshape(n * length, -1)}
     g_h = (gl.reshape(n * length, -1) @ params.out_proj.T).reshape(n, length, d)
-    grad_hiddens: list[Array | None] = [None] * len(params.w1)
-    grad_hiddens[-1] = g_h
-    g_e, block_grads = blocks_backward(params, cache.block_caches, grad_hiddens, True)
+    g_e, block_grads = blocks_backward(params, cache.block_caches, g_h)
     grads.update(block_grads)
     grads["pos_embed"] = g_e.sum(axis=0)
     onehot = (tok.reshape(-1, 1) == np.arange(params.vocab_size)).astype(np.float64)

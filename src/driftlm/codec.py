@@ -4,7 +4,8 @@
 tuples into lists and float64 arrays into nested lists; ``decode`` inverts
 it from the dataclass type hints.  A bad document fails with an
 ``InvalidInputError`` naming the dotted path (``params.w2``), and
-a decoded dataclass still runs its own ``__post_init__`` checks.
+a decoded dataclass still runs its own ``__post_init__`` checks, whose
+errors a nested one prefixes with its path (``params: w2 has shape ...``).
 """
 
 from __future__ import annotations
@@ -77,7 +78,13 @@ def decode(tp, doc, path: str = ""):
         if missing:
             raise InvalidInputError(f"missing {where} keys: {missing}")
         hints = _type_hints(tp)
-        return tp(**{k: decode(hints[k], v, prefix + k) for k, v in doc.items()})
+        kwargs = {k: decode(hints[k], v, prefix + k) for k, v in doc.items()}
+        try:
+            return tp(**kwargs)
+        except InvalidInputError as exc:
+            if not path:
+                raise
+            raise InvalidInputError(f"{path}: {exc}") from exc
     origin = typing.get_origin(tp)
     if origin is types.UnionType:  # X | None
         if doc is None:

@@ -10,9 +10,10 @@ per temperature before averaging so no scale dominates.
 
 Features are ``[n, m]`` float64 rows.  Positives ``[P, m]`` and negatives
 ``[N, m]`` are two pools shared by every anchor of a micro-batch, current
-features first, then the queue snapshot.  Anchor ``i`` is row ``i`` of the
-negative pool and is left out of its own negatives by that index alone: its
-affinity there is -inf, so a value-twin elsewhere in the pool stays.
+features first, then the queue, a read-only array whose oldest row comes
+first.  Anchor ``i`` is row ``i`` of the negative pool and is left out of its
+own negatives by that index alone: its affinity there is -inf, so a
+value-twin elsewhere in the pool stays.
 """
 
 from __future__ import annotations
@@ -49,39 +50,29 @@ class DriftConfig:
             raise InvalidInputError("at least one of w_plus, w_minus must be positive")
 
 
-class ReferenceQueue:
-    """Bounded FIFO of detached unit feature rows ``[<= capacity, dim]``, oldest first."""
-
-    def __init__(self, capacity: int, dim: int):
-        if capacity < 1:
-            raise InvalidInputError("queue capacity must be positive")
-        self.capacity = capacity
-        self.rows: Array = np.zeros((0, dim))
-
-    def __len__(self) -> int:
-        return self.rows.shape[0]
-
-
-def queue_push(queue: ReferenceQueue, rows) -> None:
-    """Append copies of unit feature rows ``[k, dim]``, keeping the newest ``capacity``."""
+def queue_push(queue: Array, rows, capacity: int) -> Array:
+    """The FIFO ``queue [<= capacity, m]`` (oldest first) with copies of the unit
+    feature rows ``[k, m]`` appended and only the newest ``capacity`` kept, read-only."""
+    if capacity < 1:
+        raise InvalidInputError("queue capacity must be positive")
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != queue.rows.shape[1]:
-        raise InvalidInputError(f"queue rows must have shape [k, {queue.rows.shape[1]}]")
+    if rows.ndim != 2 or rows.shape[1] != queue.shape[1]:
+        raise InvalidInputError(f"queue rows must have shape [k, {queue.shape[1]}]")
     norms = np.linalg.norm(rows, axis=1)
     if not np.all(np.abs(norms - 1.0) <= _UNIT_NORM_TOL):
         raise InvalidInputError("queue rows must be finite unit vectors")
-    joined = np.concatenate([queue.rows, rows])[-queue.capacity :]
+    joined = np.concatenate([queue, rows])[-capacity:]
     joined.setflags(write=False)
-    queue.rows = joined
+    return joined
 
 
 def build_references(
-    current_real: Array, current_gen: Array, q_real: ReferenceQueue, q_gen: ReferenceQueue
+    current_real: Array, current_gen: Array, q_real: Array, q_gen: Array
 ) -> tuple[Array, Array]:
     """Positive pool ``[n_real + Q_real, m]`` and negative pool ``[n + Q_gen, m]``.
 
-    ``Q_real`` and ``Q_gen`` are the queue lengths.  Current features come
-    before the queue snapshots, so anchor ``i`` (row ``i`` of
+    ``q_real [Q_real, m]`` and ``q_gen [Q_gen, m]`` are the queues.  Current
+    features come before the queue snapshots, so anchor ``i`` (row ``i`` of
     ``current_gen``) is row ``i`` of the negative pool; ``drift_multi_temp``
     with ``exclude_self=True`` gives that one row weight 0, and a value-twin
     elsewhere in the pool stays.
@@ -90,7 +81,7 @@ def build_references(
     gen = np.asarray(current_gen, dtype=np.float64)
     if real.ndim != 2 or gen.ndim != 2 or real.shape[0] == 0 or gen.shape[0] == 0:
         raise InvalidInputError("current features must be nonempty [n, m] arrays")
-    return np.concatenate([real, q_real.rows]), np.concatenate([gen, q_gen.rows])
+    return np.concatenate([real, q_real]), np.concatenate([gen, q_gen])
 
 
 # ---------------------------------------------------------------------------

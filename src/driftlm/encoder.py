@@ -114,8 +114,8 @@ def encode(encoder: FrozenEncoder, embeddings: Array) -> Encoded:
         raise InvalidInputError(f"embeddings must have shape [n, {p.length}, {p.embed_dim}]")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("encode: non-finite embeddings")
-    hiddens, caches = run_blocks(p, x + p.pos_embed)
-    pooled = np.concatenate([hiddens[-2].mean(axis=1), hiddens[-1].mean(axis=1)], axis=1)
+    out, caches = run_blocks(p, x + p.pos_embed)
+    pooled = np.concatenate([caches[-1].c, out.mean(axis=1)], axis=1)
     norms = np.linalg.norm(pooled, axis=1, keepdims=True)
     if np.any(norms < _DEGENERATE_NORM):
         raise DegenerateFeatureError(
@@ -130,10 +130,10 @@ def encode_vjp(encoder: FrozenEncoder, encoded: Encoded, grad_features: Array) -
     g_pooled = numcore.l2_normalize_vjp(encoded.pooled, np.asarray(grad_features, np.float64))
     d, length = p.embed_dim, p.length
     shape = (g_pooled.shape[0], length, d)
-    grad_hiddens: list[Array | None] = [None] * len(p.w1)
-    grad_hiddens[-2] = np.broadcast_to((g_pooled[:, :d] / length)[:, None, :], shape)
-    grad_hiddens[-1] = np.broadcast_to((g_pooled[:, d:] / length)[:, None, :], shape)
-    g_e, _ = blocks_backward(p, encoded.block_caches, grad_hiddens, want_param_grads=False)
+    grad_out = np.broadcast_to((g_pooled[:, d:] / length)[:, None, :], shape)
+    g_e, _ = blocks_backward(
+        p, encoded.block_caches, grad_out, g_pooled[:, :d], want_param_grads=False
+    )
     return g_e
 
 
@@ -161,7 +161,6 @@ class LiftedEncoding:
     predicted: Array  # [n, L] bool
     logits: Array  # [n, L, V]
     probs: Array
-    embeddings: Array  # [n, L, d]
     encoded: Encoded
 
     @property
@@ -187,7 +186,6 @@ def lift_and_encode(
         predicted=predicted,
         logits=logits,
         probs=probs,
-        embeddings=embeddings,
         encoded=encode(encoder, embeddings),
     )
 

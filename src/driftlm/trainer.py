@@ -39,7 +39,7 @@ from .backbone import (
     param_items,
 )
 from .codec import decode, jsonable
-from .drift import DriftConfig, ReferenceQueue, build_references, drift_multi_temp, queue_push
+from .drift import DriftConfig, build_references, drift_multi_temp, queue_push
 from .encoder import FrozenEncoder, lift_and_encode, make_frozen_encoder, real_features_batch
 from .numcore import Array, InvalidInputError
 from .objectives import ObjectiveKind, total_objective
@@ -119,10 +119,11 @@ class Checkpoint:
 
 @dataclass
 class TrainState(Checkpoint):
-    """A checkpoint's fields, and the run's queues, generator and frozen encoder."""
+    """A checkpoint's fields, the run's queues (read-only ``[<= queue_capacity, m]``
+    arrays, oldest row first, replaced by each drift step), generator and frozen encoder."""
 
-    q_real: ReferenceQueue
-    q_gen: ReferenceQueue
+    q_real: Array
+    q_gen: Array
     rng: np.random.Generator
     encoder: FrozenEncoder
 
@@ -151,8 +152,8 @@ def init_state(
     encoder = make_frozen_encoder(start.params)
     return TrainState(
         **vars(start),
-        q_real=ReferenceQueue(config.queue_capacity, encoder.feature_dim),
-        q_gen=ReferenceQueue(config.queue_capacity, encoder.feature_dim),
+        q_real=np.zeros((0, encoder.feature_dim)),
+        q_gen=np.zeros((0, encoder.feature_dim)),
         rng=rng,
         encoder=encoder,
     )
@@ -272,8 +273,8 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
     # Algorithm order: the queue push is the final line of the step, and the
     # pushed features are the pre-update ones already computed.
     if pushed_real:
-        queue_push(state.q_real, np.concatenate(pushed_real))
-        queue_push(state.q_gen, np.concatenate(pushed_gen))
+        state.q_real = queue_push(state.q_real, np.concatenate(pushed_real), config.queue_capacity)
+        state.q_gen = queue_push(state.q_gen, np.concatenate(pushed_gen), config.queue_capacity)
 
     return {
         "loss": float(loss_total),

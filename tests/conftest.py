@@ -57,8 +57,8 @@ def denoise_forward(params, corrupted) -> DenoiserForward:
     """Single-sequence forward pass returning per-layer hidden states and logits."""
     logits, cache = forward_tokens(params, np.asarray(corrupted, dtype=np.int64)[None, :])
     return DenoiserForward(
-        hidden1=cache.hiddens[-2][0],
-        hidden2=cache.hiddens[-1][0],
+        hidden1=cache.block_caches[-1].x[0],
+        hidden2=cache.out[0],
         logits=logits[0],
         cache=cache,
     )

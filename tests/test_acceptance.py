@@ -27,7 +27,6 @@ from driftlm.backbone import (
 from driftlm.corpus import banded_source, sample_sequences
 from driftlm.drift import (
     DriftConfig,
-    ReferenceQueue,
     build_references,
     drift_multi_temp,
     drift_single_temp,
@@ -88,9 +87,8 @@ def _desk_instance(rng, batch=4, kind=CorruptionKind.MASKED, require_predicted=T
     logits, cache = forward_tokens(params, corrupted)
     state = lift_and_encode(encoder, logits, corrupted, predicted)
     m = encoder.feature_dim
-    q_real, q_gen = ReferenceQueue(6, m), ReferenceQueue(6, m)
-    queue_push(q_real, np.stack([_unit(rng, m) for _ in range(6)]))
-    queue_push(q_gen, np.stack([_unit(rng, m) for _ in range(6)]))
+    q_real = queue_push(np.zeros((0, m)), np.stack([_unit(rng, m) for _ in range(6)]), 6)
+    q_gen = queue_push(np.zeros((0, m)), np.stack([_unit(rng, m) for _ in range(6)]), 6)
     reals = real_features_batch(encoder, clean)
     positives, negatives = build_references(reals, state.features, q_real, q_gen)
     drifts = drift_multi_temp(

@@ -231,6 +231,22 @@ def test_unknown_key_under_a_block_is_named():
         decode(Checkpoint, doc)
 
 
+def test_nested_post_init_error_is_prefixed_with_its_path():
+    # a nested dataclass's own checks run after its keys decoded; the path
+    # goes in front of the message once, and a top-level check stays as it is
+    model = ModelConfig(embed_dim=8, hidden_dim=12)
+    params = jsonable(init_params(model, np.random.default_rng(0)))
+    params["w2"] = [[row[:4] for row in block] for block in params["w2"]]
+    doc = {"params": params, "adam_m": {}, "adam_v": {}, "adam_t": 0, "step": 0}
+    message = r"^params: w2 has shape \(2, 12, 4\), expected \[B=2, h=12, d=8\]$"
+    with pytest.raises(InvalidInputError, match=message):
+        decode(Checkpoint, doc)
+    with pytest.raises(InvalidInputError, match="^drift: temperatures must be distinct$"):
+        decode(TrainConfig, {"drift": {"temperatures": [0.1, 0.1]}})
+    with pytest.raises(InvalidInputError, match="^batch_size must be >= 1, got 0$"):
+        decode(TrainConfig, {"batch_size": 0})
+
+
 # (keys down to one array item, the value put there, the expected message)
 BAD_ARRAY_ITEMS = {
     "bool": (

@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from driftlm.drift import (
     DriftConfig,
-    ReferenceQueue,
     build_references,
     drift_multi_temp,
     drift_single_temp,
@@ -151,63 +150,65 @@ def test_drift_config_validation():
 
 
 def test_queue_fifo_eviction(rng):
-    q = ReferenceQueue(2, 4)
+    q = np.zeros((0, 4))
     a, b, c = unit_rows(rng, 3, 4)
-    queue_push(q, a[None])
-    queue_push(q, b[None])
-    queue_push(q, c[None])
-    assert np.array_equal(q.rows, np.stack([b, c]))
+    q = queue_push(q, a[None], 2)
+    q = queue_push(q, b[None], 2)
+    q = queue_push(q, c[None], 2)
+    assert np.array_equal(q, np.stack([b, c]))
 
 
 def test_queue_push_longer_than_capacity(rng):
-    q = ReferenceQueue(3, 4)
     items = unit_rows(rng, 7, 4)
-    queue_push(q, items)
-    assert np.array_equal(q.rows, items[-3:])
+    q = queue_push(np.zeros((0, 4)), items, 3)
+    assert np.array_equal(q, items[-3:])
 
 
 def test_queue_empty_push_no_change(rng):
-    q = ReferenceQueue(2, 4)
     a = unit_rows(rng, 1, 4)
-    queue_push(q, a)
-    queue_push(q, np.zeros((0, 4)))
-    assert np.array_equal(q.rows, a)
+    q = queue_push(np.zeros((0, 4)), a, 2)
+    q = queue_push(q, np.zeros((0, 4)), 2)
+    assert np.array_equal(q, a)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=9), min_size=0, max_size=30))
 def test_queue_keeps_last_capacity_items(pushes):
-    q = ReferenceQueue(5, 4)
+    q = np.zeros((0, 4))
     sent = np.zeros((0, 4))
     rng = np.random.default_rng(0)
     for group_size in pushes:
         group = unit_rows(rng, group_size, 4)
         sent = np.concatenate([sent, group])
-        queue_push(q, group)
-    assert np.array_equal(q.rows, sent[-5:])
+        q = queue_push(q, group, 5)
+    assert np.array_equal(q, sent[-5:])
     assert len(q) <= 5
 
 
 def test_queue_rows_do_not_alias_pushed_array(rng):
-    q = ReferenceQueue(4, 4)
     rows = unit_rows(rng, 2, 4)
-    queue_push(q, rows)
+    q = queue_push(np.zeros((0, 4)), rows, 4)
     rows[0] = -rows[0]
-    assert np.array_equal(q.rows[0], -rows[0])
+    assert np.array_equal(q[0], -rows[0])
     with pytest.raises(ValueError):
-        q.rows[0, 0] = 1.0
+        q[0, 0] = 1.0
 
 
 def test_queue_push_rejects_non_unit_rows(rng):
-    q = ReferenceQueue(4, 6)
+    q = np.zeros((0, 6))
     v = unit_rows(rng, 1, 6)
     with pytest.raises(InvalidInputError):
-        queue_push(q, 2.0 * v)
+        queue_push(q, 2.0 * v, 4)
     with pytest.raises(InvalidInputError):
-        queue_push(q, np.full((1, 6), np.nan))
+        queue_push(q, np.full((1, 6), np.nan), 4)
     with pytest.raises(InvalidInputError):
-        queue_push(q, unit_rows(rng, 1, 5))
-    queue_push(q, v)
+        queue_push(q, unit_rows(rng, 1, 5), 4)
+    q = queue_push(q, v, 4)
     assert len(q) == 1
+
+
+def test_queue_push_rejects_nonpositive_capacity(rng):
+    with pytest.raises(InvalidInputError, match="capacity must be positive"):
+        queue_push(np.zeros((0, 4)), unit_rows(rng, 1, 4), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +356,7 @@ def test_multi_temp_excludes_anchor_by_row_index(rng):
     other = unit_rows(rng, 1, 8)
     gens = np.concatenate([anchor, anchor.copy(), other])  # row 1 is a value-twin of row 0
     reals = unit_rows(rng, 3, 8)
-    pos, neg = build_references(reals, gens, ReferenceQueue(4, 8), ReferenceQueue(4, 8))
+    pos, neg = build_references(reals, gens, np.zeros((0, 8)), np.zeros((0, 8)))
     # anchor 0's own row gets weight exactly 0, its value-twin stays
     assert np.array_equal(neg, gens)
     out = drift_single_temp(gens, pos, neg, 0.05, exclude_self=True)
@@ -366,7 +367,7 @@ def test_multi_temp_excludes_anchor_by_row_index(rng):
 def test_multi_temp_anchor_in_pool_changes_result(rng):
     gens = unit_rows(rng, 4, 8)
     pos = unit_rows(rng, 3, 8)
-    _, neg = build_references(pos, gens, ReferenceQueue(4, 8), ReferenceQueue(4, 8))
+    _, neg = build_references(pos, gens, np.zeros((0, 8)), np.zeros((0, 8)))
     with_anchor = drift_multi_temp(gens[:1], pos, neg, DriftConfig())
     excluded = drift_multi_temp(gens[:1], pos, neg, DriftConfig(), exclude_self=True)
     without = drift_multi_temp(gens[:1], pos, gens[1:], DriftConfig())
@@ -448,23 +449,22 @@ def test_equilibrium_exact_zero_per_anchor(rng, renormalize):
 def test_build_references_cardinality(rng):
     cur_real = unit_rows(rng, 4, 8)
     cur_gen = unit_rows(rng, 4, 8)
-    q_real, q_gen = ReferenceQueue(8, 8), ReferenceQueue(8, 8)
-    queue_push(q_real, unit_rows(rng, 3, 8))
-    queue_push(q_gen, unit_rows(rng, 3, 8))
+    q_real = queue_push(np.zeros((0, 8)), unit_rows(rng, 3, 8), 8)
+    q_gen = queue_push(np.zeros((0, 8)), unit_rows(rng, 3, 8), 8)
     positives, negatives = build_references(cur_real, cur_gen, q_real, q_gen)
     assert positives.shape == (7, 8) and negatives.shape == (7, 8)
     # current features come first, in order, then the queue snapshot
     assert np.array_equal(positives[:4], cur_real)
-    assert np.array_equal(positives[4:], q_real.rows)
+    assert np.array_equal(positives[4:], q_real)
     assert np.array_equal(negatives[:4], cur_gen)
-    assert np.array_equal(negatives[4:], q_gen.rows)
+    assert np.array_equal(negatives[4:], q_gen)
 
 
 def test_build_references_empty_queues(rng):
     cur_real = unit_rows(rng, 1, 8)
     cur_gen = unit_rows(rng, 1, 8)
     positives, negatives = build_references(
-        cur_real, cur_gen, ReferenceQueue(4, 8), ReferenceQueue(4, 8)
+        cur_real, cur_gen, np.zeros((0, 8)), np.zeros((0, 8))
     )
     assert np.array_equal(positives, cur_real) and np.array_equal(negatives, cur_gen)
 
@@ -472,8 +472,8 @@ def test_build_references_empty_queues(rng):
 def test_anchor_never_in_own_negatives(rng):
     cur_gen = unit_rows(rng, 4, 8)
     cur_real = unit_rows(rng, 4, 8)
-    q_real, q_gen = ReferenceQueue(8, 8), ReferenceQueue(8, 8)
-    queue_push(q_gen, unit_rows(rng, 3, 8))
+    q_real = np.zeros((0, 8))
+    q_gen = queue_push(np.zeros((0, 8)), unit_rows(rng, 3, 8), 8)
     pos, neg = build_references(cur_real, cur_gen, q_real, q_gen)
     # each anchor's drift is the one against the pool without its own row
     for tau in DriftConfig().temperatures:

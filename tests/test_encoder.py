@@ -123,7 +123,7 @@ def test_hard_lift_shares_soft_vjp(small_encoder, rng):
     logits = rng.normal(size=(1, L, V))
     soft_state = lift_and_encode(small_encoder, logits, corrupted, predicted, LiftKind.SOFT)
     hard_state = lift_and_encode(small_encoder, logits, corrupted, predicted, LiftKind.HARD_ST)
-    g_e = rng.normal(size=soft_state.embeddings.shape)
+    g_e = rng.normal(size=corrupted.shape + (SMALL_MODEL.embed_dim,))
     g_soft = lift_vjp(soft_state.predicted, small_encoder.params.embed, g_e)
     g_hard = lift_vjp(hard_state.predicted, small_encoder.params.embed, g_e)
     assert np.array_equal(g_soft, g_hard)
@@ -146,6 +146,29 @@ def test_encode_degenerate_zero_configuration():
     enc = make_frozen_encoder(zeros)
     with pytest.raises(DegenerateFeatureError):
         encode(enc, np.zeros((1, L, SMALL_MODEL.embed_dim)))
+
+
+def _reference_block_outputs(params, x):
+    """Each block's output ``[n, L, d]`` on embedding rows ``x``, one plain block at a time."""
+    h = x + params.pos_embed
+    outputs = []
+    for b in range(len(params.w1)):
+        context = np.broadcast_to(h.mean(axis=1, keepdims=True), h.shape)
+        a = np.concatenate([h, context], axis=-1) @ params.w1[b] + params.b1[b]
+        h = h + np.tanh(a) @ params.w2[b] + params.b2[b]
+        outputs.append(h)
+    return outputs
+
+
+@pytest.mark.parametrize("n_blocks", [2, 3])
+def test_encode_pools_penultimate_and_last_block_outputs(rng, n_blocks):
+    params = init_params(replace(SMALL_MODEL, n_blocks=n_blocks), rng, init_std=0.3)
+    encoder = make_frozen_encoder(params)
+    x = rng.normal(size=(4, L, SMALL_MODEL.embed_dim))
+    outputs = _reference_block_outputs(params, x)
+    pooled = np.concatenate([outputs[-2].mean(axis=1), outputs[-1].mean(axis=1)], axis=1)
+    expected = pooled / np.linalg.norm(pooled, axis=1, keepdims=True)
+    assert np.max(np.abs(encode(encoder, x).features - expected)) <= 1e-12
 
 
 def test_encode_vjp_matches_finite_differences(small_encoder, rng):

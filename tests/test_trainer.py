@@ -343,7 +343,7 @@ def test_pushed_features_are_pre_update(source):
     # real features in the queue correspond to the frozen encoder (init params),
     # not the updated generator
     expected = real_features_batch(state.encoder, batch)
-    assert np.array_equal(state.q_real.rows, expected)
+    assert np.array_equal(state.q_real, expected)
 
 
 def test_drift_metrics_reported(source):
@@ -395,8 +395,8 @@ def test_equilibrium_step_leaves_parameters_bit_identical(source):
     extras = np.stack(extras)
     # positives will be [u, e0, e1, e2]; negatives (after self-exclusion)
     # must match element for element, in the same order
-    queue_push(state.q_real, extras.copy())
-    queue_push(state.q_gen, np.concatenate([u, extras]))
+    state.q_real = queue_push(state.q_real, extras.copy(), cfg.queue_capacity)
+    state.q_gen = queue_push(state.q_gen, np.concatenate([u, extras]), cfg.queue_capacity)
 
     before = params_to_vector(state.params)
     metrics = train_step(state, clean, cfg)
