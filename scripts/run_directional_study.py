@@ -7,6 +7,7 @@ objective improves oracle Gen.-PPL at small NFE budgets.  Writes one summary
 CSV per backbone plus all run artifacts under --out.  Each summary row is the
 final evaluation of its run, with --samples samples at the --nfe budgets, so
 every model is evaluated once; a phase's metrics.csv holds that one row.
+Prints the mean +/- SD over the seeds per method and NFE.
 """
 
 from __future__ import annotations
@@ -14,21 +15,16 @@ from __future__ import annotations
 import argparse
 import os
 
-import numpy as np
-
 from driftlm.backbone import CorruptionKind
 from driftlm.corpus import banded_source, save_source
-from driftlm.evalcli import METRICS, train_run, write_csv
+from driftlm.evalcli import METRICS, ablation_line, compare, seed_stats, train_run, write_csv
 from driftlm.objectives import ObjectiveKind
 from driftlm.trainer import TrainConfig, checkpoint_of
 
-# summary method, run directory tag, objective of the continual phase; the
-# base rows are zero-step runs from the base checkpoint and are not saved
-PHASES = (
-    ("base", None, None),
-    ("continuation", "cont", None),
-    ("drift", "drift", ObjectiveKind()),
-)
+# summary method -> its overrides of the phase config; the base rows are
+# zero-step runs from the base checkpoint and are not saved
+PHASES = {"base": {"steps": 0}, "continuation": {}, "drift": {"objective": ObjectiveKind()}}
+RUN_TAGS = {"continuation": "cont", "drift": "drift"}  # method -> run directory tag
 
 
 def main() -> None:
@@ -71,40 +67,21 @@ def main() -> None:
         print(f"[{kind.value}] base training ({args.base_steps} steps, B={args.base_batch})")
         state, _ = train_run(base_cfg, source, out_dir=base_dir)
         base = checkpoint_of(state)
-        columns = [f"{m}_nfe{n}" for m in METRICS for n in nfes]
-
-        rows = []
-        for method, tag, objective in PHASES:
-            for seed in seeds:
-                cfg = TrainConfig(
-                    seed=seed,
-                    steps=args.phase_steps if tag else 0,
-                    lr=args.phase_lr,
-                    corruption=kind,
-                    objective=objective,
-                    eval_nfes=nfes,
-                    eval_samples=args.samples,
-                )
-                out_dir = os.path.join(args.out, f"{kind.value}-{tag}-s{seed}") if tag else None
-                _, run_rows = train_run(
-                    cfg, source, checkpoint=base, reset_optimizer=True, out_dir=out_dir,
-                    final_only=True,
-                )
-                scores = {col: run_rows[-1][col] for col in columns}
-                shown = ", ".join(f"{k}={v:.4g}" for k, v in scores.items())
-                print(f"[{kind.value}] {method} seed {seed}: {shown}")
-                rows.append({"method": method, "seed": seed, **scores})
+        phase_cfg = TrainConfig(
+            steps=args.phase_steps,
+            lr=args.phase_lr,
+            corruption=kind,
+            eval_nfes=nfes,
+            eval_samples=args.samples,
+        )
+        out_dirs = {m: os.path.join(args.out, f"{kind.value}-{t}") for m, t in RUN_TAGS.items()}
+        rows = compare(PHASES, phase_cfg, source, base, seeds, out_dirs)
 
         table = os.path.join(args.out, f"{kind.value}-summary.csv")
-        header = list(rows[0])
-        write_csv(table, header, rows)
-        for col in header[2:]:
-            means = {
-                method: np.mean([r[col] for r in rows if r["method"] == method])
-                for method in dict.fromkeys(r["method"] for r in rows)
-            }
-            shown = ", ".join(f"{m} {v:.4g}" for m, v in means.items())
-            print(f"[{kind.value}] mean {col}: {shown}")
+        columns = [f"{m}_nfe{n}" for m in METRICS for n in nfes]
+        write_csv(table, ["method", "seed", *columns], [{"method": r["variant"], **r} for r in rows])
+        for row in seed_stats(rows, nfes):
+            print(f"[{kind.value}] {ablation_line(row)}")
         print(f"[{kind.value}] wrote {table}")
 
 

@@ -1,4 +1,4 @@
-"""Evaluation metrics, full training runs, the ablation harness and the CLI.
+"""Evaluation metrics, full training runs, the comparison harness and the CLI.
 
 Generated samples are scored with the exact Markov-source oracle instead of
 an external language model, so only orderings and relative changes are
@@ -9,8 +9,10 @@ metrics.  ``metrics.csv`` and the study summary name them
 ``<metric>_nfe<n>`` (by metric, then NFE), and the ablation CSV
 ``<metric>_mean``/``<metric>_sd``, so a metric added there reaches every
 table.  ``train_run`` evaluates at step 0, every ``eval_every`` steps and
-after the last step, and ``ablate`` evaluates and aggregates each run's
-final model alone.
+after the last step.  ``compare`` is the one loop behind the ablations and
+the directional study: one run per (variant, seed) from a checkpoint, each
+evaluating its final model alone, reduced by ``seed_stats`` to the mean and
+SD over the seeds.
 
 The config dataclasses (``TrainConfig`` and its ``DriftConfig``,
 ``ObjectiveKind`` and ``ModelConfig`` sections) are the one list of config
@@ -159,18 +161,19 @@ def train_run(
     source: MarkovSource,
     checkpoint: Checkpoint | None = None,
     out_dir=None,
-    reset_optimizer: bool = False,
     *,
     final_only: bool = False,
 ) -> tuple[TrainState, list[dict]]:
     """Run ``config.steps`` updates with evaluation rows.
 
-    Evaluation happens at step 0, every ``eval_every`` steps and after the
-    last step, or with ``final_only`` after the last step alone; the loss
-    columns of a row are means over the steps since the previous row.
-    Writes ``metrics.csv`` and ``checkpoint.json`` into ``out_dir`` if given.
+    A run from ``checkpoint`` starts from its parameters with fresh Adam
+    moments at step 0.  Evaluation happens at step 0, every ``eval_every``
+    steps and after the last step, or with ``final_only`` after the last step
+    alone; the loss columns of a row are means over the steps since the
+    previous row.  Writes ``metrics.csv`` and ``checkpoint.json`` into
+    ``out_dir`` if given.
     """
-    state = init_state(config, checkpoint, reset_optimizer)
+    state = init_state(config, checkpoint, reset_optimizer=True)
     encoder_fingerprint = encoder_param_bytes(state.encoder)
     rows: list[dict] = []
     window: dict[str, float] = {}  # train_step metrics summed over the n steps since the last row
@@ -205,7 +208,46 @@ def train_run(
 
 
 # ---------------------------------------------------------------------------
-# ablation harness
+# comparisons and the ablation harness
+
+
+def compare(
+    variants: dict[str, dict],
+    config: TrainConfig,
+    source: MarkovSource,
+    init: Checkpoint | None,
+    seeds,
+    out_dirs: dict[str, str] | None = None,
+) -> list[dict]:
+    """The final row of one ``final_only`` run from ``init`` per (variant, seed),
+    tagged ``variant`` and ``seed``.  ``variants`` maps a name to ``with_overrides``
+    paths on ``config``, all resolved before the first run; a variant named in
+    ``out_dirs`` writes its seed-``s`` run to ``<out_dirs[name]>-s<s>``."""
+    configs = {name: with_overrides(config, paths) for name, paths in variants.items()}
+    out_dirs = out_dirs or {}
+    finals = []
+    for name, cfg in configs.items():
+        for seed in map(int, seeds):
+            out_dir = f"{out_dirs[name]}-s{seed}" if name in out_dirs else None
+            _, rows = train_run(replace(cfg, seed=seed), source, init, out_dir, final_only=True)
+            finals.append({"variant": name, "seed": seed, **rows[-1]})
+    return finals
+
+
+def seed_stats(finals: list[dict], nfes) -> list[dict]:
+    """Per variant (as ``value``) and NFE of ``compare`` rows, each metric's mean
+    and SD over the seeds."""
+    rows = []
+    for name in dict.fromkeys(final["variant"] for final in finals):
+        runs = [final for final in finals if final["variant"] == name]
+        for nfe in nfes:
+            row = {"value": name, "nfe": int(nfe), "n_seeds": len(runs)}
+            for m in METRICS:
+                scores = np.asarray([run[f"{m}_nfe{nfe}"] for run in runs])
+                row[f"{m}_mean"] = float(scores.mean())
+                row[f"{m}_sd"] = float(scores.std(ddof=0))
+            rows.append(row)
+    return rows
 
 
 # ablation axis -> the config overrides of one grid value, in the CLI's
@@ -229,13 +271,6 @@ ABLATION_HEADER = [
 ]
 
 
-def apply_axis(config: TrainConfig, axis: str, value: str) -> TrainConfig:
-    """Return a config with one ablation axis set to the grid value ``value``."""
-    if axis not in ABLATION_AXES:
-        raise InvalidInputError(f"unknown ablation axis {axis!r}; choose from {[*ABLATION_AXES]}")
-    return with_overrides(config, ABLATION_AXES[axis](value))
-
-
 def ablate(
     axis: str,
     grid: list[str],
@@ -244,26 +279,15 @@ def ablate(
     init_checkpoint: Checkpoint | None,
     seeds=(0, 1, 2),
 ) -> list[dict]:
-    """Train one run per (grid value, seed); per NFE, each metric's mean and SD
-    over the seeds' final rows, as ``ABLATION_HEADER`` rows."""
-    rows: list[dict] = []
-    for value in grid:
-        cfg = apply_axis(base_config, axis, value)
-        finals = []
-        for seed in seeds:
-            run_cfg = replace(cfg, seed=int(seed))
-            _, run_rows = train_run(
-                run_cfg, source, init_checkpoint, reset_optimizer=True, final_only=True
-            )
-            finals.append(run_rows[-1])
-        for nfe in cfg.eval_nfes:
-            row = {"axis": axis, "value": value, "nfe": int(nfe), "n_seeds": len(finals)}
-            for m in METRICS:
-                scores = np.asarray([final[f"{m}_nfe{nfe}"] for final in finals])
-                row[f"{m}_mean"] = float(scores.mean())
-                row[f"{m}_sd"] = float(scores.std(ddof=0))
-            rows.append(row)
-    return rows
+    """``compare`` the grid values of one axis over the seeds, as ``seed_stats``
+    rows with an ``axis`` column (``ABLATION_HEADER``)."""
+    if axis not in ABLATION_AXES:
+        raise InvalidInputError(f"unknown ablation axis {axis!r}; choose from {[*ABLATION_AXES]}")
+    variants = {value: ABLATION_AXES[axis](value) for value in grid}
+    if len(variants) < len(grid):
+        raise InvalidInputError(f"repeated ablation grid value in {grid}")
+    finals = compare(variants, base_config, source, init_checkpoint, seeds)
+    return [{"axis": axis, **row} for row in seed_stats(finals, base_config.eval_nfes)]
 
 
 def ablation_line(row: dict) -> str:
@@ -419,9 +443,7 @@ def _cmd_train(args) -> int:
             "reset_optimizer": bool(args.init),
         },
     )
-    _, rows = train_run(
-        config, source, checkpoint=checkpoint, out_dir=args.out, reset_optimizer=bool(args.init)
-    )
+    _, rows = train_run(config, source, checkpoint=checkpoint, out_dir=args.out)
     print(
         f"finished {config.steps} steps; "
         + ", ".join(f"{k}={v!r}" for k, v in rows[-1].items() if k != "step")
@@ -461,7 +483,14 @@ def _cmd_ablate(args) -> int:
     config = _resolve_train_config(args, drift_phase=True)
     source = _read("--source", args.source, load_source)
     checkpoint = _read("--init", args.init, load_checkpoint)
-    grid = [v for v in args.grid.split(",") if v]
+    grid = args.grid.split(",")
+    for value in grid:  # every grid value resolves before anything is written
+        try:
+            if not value or grid.count(value) > 1:
+                raise InvalidInputError("repeated value" if value else "empty value")
+            with_overrides(config, ABLATION_AXES[args.axis](value))
+        except ValueError as exc:
+            raise UsageError(f"--grid {value}: {exc}") from exc
     seeds = _parse_int_list(args.seeds)
     _write_manifest(
         args,

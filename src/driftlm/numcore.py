@@ -77,21 +77,9 @@ def finite_diff_grad(f: Callable[[Array], float], x: Array, step: float = 1e-5) 
     """Central-difference gradient of a scalar function; double precision only."""
     if step <= 0.0:
         raise InvalidInputError("finite_diff_grad: step must be positive")
-    base = np.array(x, dtype=np.float64)
-    grad = np.zeros_like(base)
-    flat = base.ravel()
-    gflat = grad.ravel()
-    for k in range(flat.size):
-        orig = flat[k]
-        flat[k] = orig + step
-        fp = float(f(base))
-        flat[k] = orig - step
-        fm = float(f(base))
-        flat[k] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise OracleFailureError(f"non-finite function value at coordinate {k}")
-        gflat[k] = (fp - fm) / (2.0 * step)
-    return grad
+    base = np.asarray(x, dtype=np.float64)
+    grad = [finite_diff_coordinate(f, base, k, step) for k in range(base.size)]
+    return np.array(grad, dtype=np.float64).reshape(base.shape)
 
 
 def finite_diff_coordinate(

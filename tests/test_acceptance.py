@@ -3,7 +3,7 @@
 Criteria 1-7 and 10 are analytic/property checks at desk scale.  Criteria 8
 and 9, the paper's directional claims (drifting vs. continuation training,
 and the ablation orderings), are not gated yet: they need real training
-runs and are open item 1 in ROADMAP.md.
+runs and are open item 3 in ROADMAP.md.
 """
 
 from __future__ import annotations

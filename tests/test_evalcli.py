@@ -14,17 +14,20 @@ from driftlm.backbone import CorruptionKind, ModelConfig, init_params, sample_ba
 from driftlm.codec import decode
 from driftlm.corpus import banded_source, load_source, oracle_gen_ppl, save_source
 from driftlm.evalcli import (
+    ABLATION_AXES,
     ABLATION_HEADER,
     METRICS,
     _resolve_train_config,
     ablate,
-    apply_axis,
     build_parser,
     cli,
+    compare,
     entropy_metric,
     evaluate,
+    seed_stats,
     train_config_to_dict,
     train_run,
+    with_overrides,
     write_csv,
 )
 from driftlm.drift import DriftConfig
@@ -181,21 +184,98 @@ def test_vocabulary_mismatch_names_both_sizes(tmp_path, source_vocab):
 
 
 # ---------------------------------------------------------------------------
-# ablation harness
+# comparisons and the ablation harness
+
+
+def _axis(cfg, axis, value):
+    return with_overrides(cfg, ABLATION_AXES[axis](value))
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of ``evalcli.<name>`` in the returned list."""
+    calls = []
+    real = getattr(evalcli, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evalcli, name, counting)
+    return calls
 
 
 def test_apply_axis_variants():
     cfg = tiny_train_config()
-    assert apply_axis(cfg, "lift", "hard-st").objective.lift == LiftKind.HARD_ST
-    assert apply_axis(cfg, "objective", "mirror-kl").objective.variant == ObjectiveVariant.MIRROR_KL
-    assert apply_axis(cfg, "objective", "feature-l2+base").objective.with_base_loss
-    assert apply_axis(cfg, "queue_size", "4").queue_capacity == 4
-    ratio = apply_axis(cfg, "att_rep_ratio", "0:1")
+    assert _axis(cfg, "lift", "hard-st").objective.lift == LiftKind.HARD_ST
+    assert _axis(cfg, "objective", "mirror-kl").objective.variant == ObjectiveVariant.MIRROR_KL
+    assert _axis(cfg, "objective", "feature-l2+base").objective.with_base_loss
+    assert _axis(cfg, "queue_size", "4").queue_capacity == 4
+    ratio = _axis(cfg, "att_rep_ratio", "0:1")
     assert ratio.drift.w_plus == 0.0 and ratio.drift.w_minus == 1.0
-    temps = apply_axis(cfg, "temperature_set", "0.05/0.2")
+    temps = _axis(cfg, "temperature_set", "0.05/0.2")
     assert temps.drift.temperatures == (0.05, 0.2)
-    with pytest.raises(InvalidInputError):
-        apply_axis(cfg, "nope", "1")
+    with pytest.raises(InvalidInputError, match="unknown ablation axis"):
+        ablate("nope", ["1"], cfg, banded_source(vocab_size=TINY_MODEL.clean_vocab), None)
+
+
+def _compare_setup():
+    source = banded_source(vocab_size=TINY_MODEL.clean_vocab)
+    base = checkpoint_of(init_state(tiny_train_config(objective=None)))
+    return source, base, tiny_train_config(objective=None)
+
+
+def test_compare_rows_are_final_rows_of_direct_runs(monkeypatch):
+    source, base, cfg = _compare_setup()
+    variants = {"base": {"steps": 0}, "cont": {}, "drift": {"objective": ObjectiveKind()}}
+    seeds = (0, 1)
+    calls = _counting(monkeypatch, "evaluate")
+    rows = compare(variants, cfg, source, base, seeds)
+    assert len(calls) == len(variants) * len(seeds)  # the final model of each run, once
+    monkeypatch.undo()
+    assert [(r["variant"], r["seed"]) for r in rows] == [(v, s) for v in variants for s in seeds]
+    for row in rows:
+        run_cfg = replace(with_overrides(cfg, variants[row["variant"]]), seed=row["seed"])
+        _, direct = train_run(run_cfg, source, base, final_only=True)
+        assert row == {"variant": row["variant"], "seed": row["seed"], **direct[-1]}
+    # a zero-step variant scores the initial model itself
+    for row in rows[:2]:
+        seed = row["seed"]
+        report = evaluate(base.params, source, cfg.corruption, cfg.eval_nfes, cfg.eval_samples, seed)
+        assert {k: row[k] for k in report.columns()} == report.columns()
+
+
+def test_compare_writes_only_the_named_variants(tmp_path):
+    source, base, cfg = _compare_setup()
+    variants = {"base": {"steps": 0}, "cont": {"steps": 1}}
+    compare(variants, cfg, source, base, (0, 3), out_dirs={"cont": str(tmp_path / "run-cont")})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run-cont-s0", "run-cont-s3"]
+    for seed in (0, 3):
+        lines = (tmp_path / f"run-cont-s{seed}" / "metrics.csv").read_text().splitlines()
+        assert len(lines) == 2  # the header and the final row
+        assert load_checkpoint(tmp_path / f"run-cont-s{seed}" / "checkpoint.json").step == 1
+
+
+def test_compare_resolves_every_variant_before_the_first_run(monkeypatch, tmp_path):
+    source, base, cfg = _compare_setup()
+    calls = _counting(monkeypatch, "train_run")
+    variants = {"ok": {}, "bad": {"queue_capacity": 0}}
+    with pytest.raises(InvalidInputError, match="queue_capacity"):
+        compare(variants, cfg, source, base, (0,), out_dirs={"ok": str(tmp_path / "ok")})
+    assert calls == [] and not any(tmp_path.iterdir())
+
+
+def test_seed_stats_reduces_per_variant_and_nfe():
+    finals = [
+        {"variant": "a", "seed": 0, "gen_ppl_nfe4": 2.0, "entropy_nfe4": 1.0},
+        {"variant": "a", "seed": 1, "gen_ppl_nfe4": 4.0, "entropy_nfe4": 1.0},
+        {"variant": "b", "seed": 0, "gen_ppl_nfe4": 8.0, "entropy_nfe4": 0.5},
+    ]
+    assert seed_stats(finals, (4,)) == [
+        dict(value="a", nfe=4, n_seeds=2, gen_ppl_mean=3.0, gen_ppl_sd=1.0,
+             entropy_mean=1.0, entropy_sd=0.0),
+        dict(value="b", nfe=4, n_seeds=1, gen_ppl_mean=8.0, gen_ppl_sd=0.0,
+             entropy_mean=0.5, entropy_sd=0.0),
+    ]
 
 
 def test_ablate_evaluates_each_final_model_once(monkeypatch):
@@ -203,34 +283,27 @@ def test_ablate_evaluates_each_final_model_once(monkeypatch):
     cfg = tiny_train_config()
     base = checkpoint_of(init_state(tiny_train_config(objective=None)))
     grid, seeds = ["4", "8", "16"], (0, 1)
-    calls = []
-    real_evaluate = evalcli.evaluate
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real_evaluate(*args, **kwargs)
-
-    monkeypatch.setattr(evalcli, "evaluate", counting)
+    calls = _counting(monkeypatch, "evaluate")
     rows = ablate("queue_size", grid, cfg, source, base, seeds=seeds)
     assert len(calls) == len(grid) * len(seeds)
     monkeypatch.undo()
     # reference: the final rows of full runs, which also evaluate at step 0
-    finals = {
-        (value, seed): train_run(
-            replace(apply_axis(cfg, "queue_size", value), seed=seed),
-            source,
-            base,
-            reset_optimizer=True,
-        )[1][-1]
-        for value in grid
-        for seed in seeds
-    }
+    def final_row(value, seed):
+        return train_run(replace(_axis(cfg, "queue_size", value), seed=seed), source, base)[1][-1]
+
+    finals = {(value, seed): final_row(value, seed) for value in grid for seed in seeds}
     assert len(rows) == len(grid) * len(cfg.eval_nfes)
     for row in rows:
         for m in METRICS:
             scores = np.asarray([finals[row["value"], s][f"{m}_nfe{row['nfe']}"] for s in seeds])
             assert row[f"{m}_mean"] == float(scores.mean())
             assert row[f"{m}_sd"] == float(scores.std(ddof=0))
+
+
+def test_ablate_rejects_a_repeated_grid_value():
+    source, base, cfg = _compare_setup()
+    with pytest.raises(InvalidInputError, match="repeated"):
+        ablate("queue_size", ["4", "4"], cfg, source, base, seeds=(0,))
 
 
 def test_ablate_table_shape_and_zero_sd_single_seed():
@@ -245,8 +318,7 @@ def test_ablate_table_shape_and_zero_sd_single_seed():
     assert values == {("4", 2), ("4", 3), ("8", 2), ("8", 3)}
     # one seed: each mean is evaluate() of the run's final model
     for value in ("4", "8"):
-        run_cfg = apply_axis(cfg, "queue_size", value)
-        state, _ = train_run(run_cfg, source, base, reset_optimizer=True)
+        state, _ = train_run(_axis(cfg, "queue_size", value), source, base)
         report = evaluate(state.params, source, cfg.corruption, cfg.eval_nfes, cfg.eval_samples, 0)
         for item in report.per_nfe:
             (row,) = [r for r in rows if (r["value"], r["nfe"]) == (value, item.nfe)]
@@ -713,6 +785,31 @@ def test_cli_ablate_writes_table(cli_env, capsys):
     lines = (out / "ablation.csv").read_text().strip().split("\n")
     assert lines[0].startswith("axis,value,nfe")
     assert len(lines) == 1 + 2 * 2  # two grid values x two NFEs
+
+
+@pytest.mark.parametrize(
+    "axis,grid,line",
+    [
+        ("queue_size", "abc", "--grid abc: invalid literal for int()"),
+        ("att_rep_ratio", "1", "--grid 1: zip() argument 2 is shorter"),
+        ("lift", "nope", "--grid nope: objective.lift must be one of"),
+        ("temperature_set", "0.1/0.1", "--grid 0.1/0.1: drift: temperatures must be distinct"),
+        ("queue_size", "0", "--grid 0: queue_capacity must be >= 1"),
+        ("queue_size", "4,abc", "--grid abc: invalid literal for int()"),
+        ("queue_size", "4,4", "--grid 4: repeated value"),
+        ("queue_size", "4,", "--grid : empty value"),
+    ],
+)
+def test_cli_ablate_bad_grid_is_a_usage_error(cli_env, capsys, monkeypatch, axis, grid, line):
+    tmp_path, source_path, config_path, ckpt_path = cli_env
+    calls = _counting(monkeypatch, "train_run")
+    out = tmp_path / "ablation"
+    argv = ["ablate", "--source", str(source_path), "--config", str(config_path)]
+    argv += ["--init", str(ckpt_path), "--out", str(out), "--axis", axis, "--grid", grid]
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"driftlm ablate: error: {line}") and err.count("\n") == 1
+    assert calls == [] and not out.exists()
 
 
 def _with(path: str, value) -> dict:

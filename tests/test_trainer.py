@@ -493,9 +493,13 @@ def test_zero_step_run_preserves_checkpoint(source, tmp_path):
     assert len(rows) == 1
     reloaded = load_checkpoint(out / "checkpoint.json")
     assert np.array_equal(params_to_vector(reloaded.params), params_to_vector(ckpt.params))
+    # a run starts with fresh moments; init_state alone keeps the checkpoint's
+    assert reloaded.step == 0 and reloaded.adam_t == 0
+    resumed = init_state(cfg, ckpt)
     for name in ckpt.adam_m:
-        assert np.array_equal(reloaded.adam_m[name], ckpt.adam_m[name])
-    assert reloaded.step == ckpt.step
+        assert np.array_equal(resumed.adam_m[name], ckpt.adam_m[name])
+        assert np.array_equal(resumed.adam_v[name], ckpt.adam_v[name])
+    assert (resumed.adam_t, resumed.step) == (ckpt.adam_t, ckpt.step) != (0, 0)
 
 
 def test_metrics_rows_count_and_header(source, tmp_path):
