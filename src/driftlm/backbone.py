@@ -189,7 +189,7 @@ class ForwardCache:
 
 
 def run_blocks(
-    params: DenoiserParams, e: Array, at: Array | None = None
+    params: DenoiserParams, e: Array, at: Array | None = None, first: Array | None = None
 ) -> tuple[Array, list[BlockCache]]:
     """Residual context-conditioned MLP stack on embeddings ``e`` of shape [N, L, d].
 
@@ -200,17 +200,23 @@ def run_blocks(
     ``mean_L h @ w1[d:] + b1`` once per sequence.  With ``at`` ([N, k] column
     indices) the last block pools its context over all L positions but runs
     its per-position half only at the ``at`` columns, so its output is [N, k, d].
+    ``first`` [N, L, h], if given, is block 0's per-position half ``e @ w1[0, :d]``,
+    already computed; it is added to in place, so it must not be a view of
+    anything the caller keeps.
     """
     h = e
     n, length, d = h.shape
     caches: list[BlockCache] = []
     n_blocks = len(params.w1)
     for b in range(n_blocks):
-        c = h.mean(axis=1)
+        c = h.sum(axis=1) / length  # the bits of h.mean(axis=1)
         if at is not None and b == n_blocks - 1:
             h = h[np.arange(n)[:, None], at]
         rows = h.shape[1]
-        a = (h.reshape(n * rows, d) @ params.w1[b, :d]).reshape(n, rows, -1)
+        if first is not None and b == 0:
+            a = first
+        else:
+            a = (h.reshape(n * rows, d) @ params.w1[b, :d]).reshape(n, rows, -1)
         a += (c @ params.w1[b, d:] + params.b1[b])[:, None, :]
         u = np.tanh(a, out=a).reshape(n * rows, -1)
         caches.append(BlockCache(x=h, c=c, u=u))
@@ -262,19 +268,38 @@ def blocks_backward(
     return gh, (grads if want_param_grads else None)
 
 
+def token_tables(params: DenoiserParams) -> tuple[Array, Array]:
+    """Every (token, position) pair's embedding and block 0 per-position half.
+
+    Row ``v * L + l`` of the first table [V*L, d] is ``embed[v] + pos_embed[l]``
+    and of the second [V*L, h] that row ``@ w1[0, :d]``; ``forward_tokens``
+    gathers both instead of recomputing them.  Valid until ``params`` change.
+    """
+    e = (params.embed[:, None, :] + params.pos_embed).reshape(-1, params.embed_dim)
+    return e, e @ params.w1[0, : params.embed_dim]
+
+
 def forward_tokens(
-    params: DenoiserParams, tokens: Array, at: Array | None = None
+    params: DenoiserParams,
+    tokens: Array,
+    at: Array | None = None,
+    tables: tuple[Array, Array] | None = None,
 ) -> tuple[Array, ForwardCache]:
     """Batched forward pass on token ids of shape [N, L]: logits [N, L, V].
 
     With ``at`` ([N, k] column indices in [0, L)) only the logits at those
     columns are computed, ``logits[i, j] == full[i, at[i, j]]`` bit for bit,
     as [N, k, V]; the cache of such a pass cannot be fed to ``backward_tokens``.
+    With ``tables`` (``token_tables(params)``) the embeddings and block 0's
+    per-position half are gathered by (token, position) row, giving the same
+    bits as computing them: BLAS forms each row of a product from that row
+    alone.
     """
     tok = np.asarray(tokens, dtype=np.int64)
-    if tok.ndim != 2 or tok.shape[1] != params.length:
-        raise InvalidInputError(f"tokens must have shape [N, {params.length}]")
-    if np.any(tok < 0) or np.any(tok >= params.vocab_size):
+    length = params.length
+    if tok.ndim != 2 or tok.shape[1] != length:
+        raise InvalidInputError(f"tokens must have shape [N, {length}]")
+    if tok.size and (tok.min() < 0 or tok.max() >= params.vocab_size):
         raise InvalidInputError("token index outside the model vocabulary")
     if at is not None:
         at = np.asarray(at)
@@ -282,10 +307,13 @@ def forward_tokens(
             raise InvalidInputError(
                 f"at must be integer columns of shape [{tok.shape[0]}, k], got {at.dtype} {at.shape}"
             )
-        if np.any(at < 0) or np.any(at >= params.length):
-            raise InvalidInputError(f"at holds a column outside [0, {params.length})")
-    e = params.embed[tok] + params.pos_embed
-    out, caches = run_blocks(params, e, at)
+        if at.size and (at.min() < 0 or at.max() >= length):
+            raise InvalidInputError(f"at holds a column outside [0, {length})")
+    if tables is None:
+        out, caches = run_blocks(params, params.embed[tok] + params.pos_embed, at)
+    else:
+        pair = tok * length + np.arange(length)  # take copies the rows
+        out, caches = run_blocks(params, tables[0].take(pair, 0), at, tables[1].take(pair, 0))
     n, rows, d = out.shape
     logits = (out.reshape(n * rows, d) @ params.out_proj).reshape(n, rows, params.vocab_size)
     return logits, ForwardCache(tokens=tok, out=out, block_caches=caches, at=at)
@@ -350,16 +378,26 @@ def _categorical_rows(probs: Array, rng: np.random.Generator) -> Array:
     return picks.reshape(probs.shape[:-1])
 
 
-# Sequences per denoiser forward in the sampler (``sample_batch``), in a base
-# training step and, rounded down to whole micro-batches (at least one), in a
-# drift step (both in ``trainer.train_step``).  At the default model a chunk's
-# largest array, the [256, 64] block activation, is 128 KB: a step's arrays
-# stay in a core's L2 cache and the allocator reuses most of their memory.  A
-# whole-batch forward (2048 rows in the sampler, a 128-row micro-batch in
-# base training) streams fresh 1-16 MB arrays through the shared cache and
-# faults their pages in again on every call, so its time follows the host's
-# memory traffic.
+# Sequences per denoiser forward in a base training step and, rounded down to
+# whole micro-batches (at least one), in a drift step (both in
+# ``trainer.train_step``), and per forward in the sampler (``sample_batch``).
+# At the default model a 16-sequence chunk's largest array, the [256, 64]
+# block activation, is 128 KB: a step's arrays stay in a core's L2 cache and
+# the allocator reuses most of their memory, where a whole-batch forward
+# streams fresh 1-16 MB arrays through the shared cache and faults their pages
+# in again on every call.  Training keeps 16, because the order of its chunk
+# sums sets the gradient's bits.  The sampler's chunks only split rows, so it
+# takes the fastest size that adds no page faults.  Masked / uniform
+# ``evaluate`` at 2048 samples, NFE 4/8/16 (fastest of several runs, one BLAS
+# thread, 2-vCPU KVM guest; minor faults per uniform call from ``getrusage``),
+# before the token tables:
+#   chunk 16:  666 / 1271 ms,   1,392 faults
+#   chunk 32:  558 / 1247 ms,   1,392 faults
+#   chunk 48:  530 / 1278 ms,  16,048 faults
+#   chunk 64:  560 / 1692 ms, 217,904 faults
+# Past 32 rows glibc trims and refaults the heap top on every uniform chunk.
 DENOISER_CHUNK = 16
+SAMPLER_CHUNK = 32
 
 
 def sample_batch(
@@ -375,12 +413,12 @@ def sample_batch(
     positions each step.  Every row of step 0 is the all-mask sequence, so
     its probabilities come from one one-row forward, normalised once per
     call; each later step runs the denoiser over chunks of
-    ``DENOISER_CHUNK`` sequences and computes logits only at the positions
+    ``SAMPLER_CHUNK`` sequences and computes logits only at the positions
     it commits.  Uniform: iterated full resampling from the predictive
-    rows, every step over the chunks.  Predictions are always restricted to
-    the clean vocabulary, so outputs never contain the mask symbol.  The
-    chunks draw from ``rng`` in row order, so the draws equal a whole-batch
-    step's.
+    rows, every step over the chunks.  Every forward reads the call's
+    ``token_tables``.  Predictions are always restricted to the clean
+    vocabulary, so outputs never contain the mask symbol.  The chunks draw
+    from ``rng`` in row order, so the draws equal a whole-batch step's.
     """
     if nfe < 1:
         raise InvalidInputError("nfe must be at least 1")
@@ -388,7 +426,8 @@ def sample_batch(
     mask_index = params.mask_index
     if kind == CorruptionKind.MASKED and nfe > length:
         raise InvalidInputError("masked sampling requires nfe <= sequence length")
-    chunks = [slice(lo, min(lo + DENOISER_CHUNK, n)) for lo in range(0, n, DENOISER_CHUNK)]
+    chunks = [slice(lo, min(lo + SAMPLER_CHUNK, n)) for lo in range(0, n, SAMPLER_CHUNK)]
+    tables = token_tables(params)
 
     def _clean_probs(logits: Array) -> Array:
         probs = numcore.softmax_rows(logits)[..., :mask_index]
@@ -398,12 +437,14 @@ def sample_batch(
         tokens = rng.integers(0, mask_index, size=(n, length), dtype=np.int64)
         for _ in range(nfe):
             for part in chunks:
-                logits, _ = forward_tokens(params, tokens[part])
+                logits, _ = forward_tokens(params, tokens[part], tables=tables)
                 tokens[part] = _categorical_rows(_clean_probs(logits), rng)
         return tokens
 
     tokens = np.full((n, length), mask_index, dtype=np.int64)
-    all_mask_probs = _clean_probs(forward_tokens(params, np.full((1, length), mask_index))[0][0])
+    all_mask_probs = _clean_probs(
+        forward_tokens(params, np.full((1, length), mask_index), tables=tables)[0][0]
+    )
     still_masked = np.ones((n, length), dtype=bool)
     remaining = length
     for step in range(nfe):
@@ -418,7 +459,8 @@ def sample_batch(
             if step == 0:
                 probs = all_mask_probs[cols]
             else:
-                probs = _clean_probs(forward_tokens(params, tokens[part], at=cols)[0])
+                logits, _ = forward_tokens(params, tokens[part], at=cols, tables=tables)
+                probs = _clean_probs(logits)
             rows = np.arange(cols.shape[0])[:, None]
             tokens[part][rows, cols] = _categorical_rows(probs, rng)
         still_masked[np.arange(n)[:, None], chosen] = False

@@ -221,13 +221,17 @@ def compare(
 ) -> list[dict]:
     """The final row of one ``final_only`` run from ``init`` per (variant, seed),
     tagged ``variant`` and ``seed``.  ``variants`` maps a name to ``with_overrides``
-    paths on ``config``, all resolved before the first run; a variant named in
-    ``out_dirs`` writes its seed-``s`` run to ``<out_dirs[name]>-s<s>``."""
+    paths on ``config``, all resolved, and the seeds checked distinct, before
+    the first run; a variant named in ``out_dirs`` writes its seed-``s`` run to
+    ``<out_dirs[name]>-s<s>``."""
+    seeds = [int(seed) for seed in seeds]
+    if len(set(seeds)) < len(seeds):
+        raise InvalidInputError(f"repeated seed in {seeds}")
     configs = {name: with_overrides(config, paths) for name, paths in variants.items()}
     out_dirs = out_dirs or {}
     finals = []
     for name, cfg in configs.items():
-        for seed in map(int, seeds):
+        for seed in seeds:
             out_dir = f"{out_dirs[name]}-s{seed}" if name in out_dirs else None
             _, rows = train_run(replace(cfg, seed=seed), source, init, out_dir, final_only=True)
             finals.append({"variant": name, "seed": seed, **rows[-1]})
@@ -250,6 +254,14 @@ def seed_stats(finals: list[dict], nfes) -> list[dict]:
     return rows
 
 
+def _ratio_overrides(value: str) -> dict:
+    """``"w_plus:w_minus"`` -> the two drift weights."""
+    weights = value.split(":")
+    if len(weights) != 2:
+        raise InvalidInputError(f"expected w_plus:w_minus, such as 1:1, got {value!r}")
+    return {"drift.w_plus": float(weights[0]), "drift.w_minus": float(weights[1])}
+
+
 # ablation axis -> the config overrides of one grid value, in the CLI's
 # --grid syntax: "hard-st", "feature-l2+base", "64", "1:0", "0.05/0.2"
 ABLATION_AXES = {
@@ -259,9 +271,7 @@ ABLATION_AXES = {
         "objective.with_base_loss": v.endswith("+base"),
     },
     "queue_size": lambda v: {"queue_capacity": int(v)},
-    "att_rep_ratio": lambda v: dict(
-        zip(("drift.w_plus", "drift.w_minus"), (float(w) for w in v.split(":")), strict=True)
-    ),
+    "att_rep_ratio": _ratio_overrides,
     "temperature_set": lambda v: {"drift.temperatures": [float(t) for t in v.split("/")]},
 }
 
@@ -404,6 +414,33 @@ def _read(flag: str, path, load_file):
         raise UsageError(f"{flag} {path}: {exc}") from exc
 
 
+def _read_init(path, config: TrainConfig) -> Checkpoint:
+    """The ``--init`` checkpoint, whose model must have the shape of ``config.model``."""
+    checkpoint = _read("--init", path, load_checkpoint)
+    p = checkpoint.params
+    have = dict(vocab_size=p.vocab_size, length=p.length, embed_dim=p.embed_dim,
+                hidden_dim=p.w1.shape[2], n_blocks=len(p.w1))
+    want = dataclasses.asdict(config.model)
+    if have != want:
+        have, want = (", ".join(f"{k}={v}" for k, v in m.items()) for m in (have, want))
+        raise UsageError(f"--init {path} holds a model of {have}, but the config's model is {want}")
+    return checkpoint
+
+
+def _check_sampling(params: DenoiserParams, kind: CorruptionKind, nfes, samples: int) -> None:
+    """Usage errors for sampling flags the checkpoint cannot run."""
+    if samples < 1:
+        raise UsageError(f"--samples {samples}: need at least 1 sample")
+    for nfe in nfes:
+        if kind == CorruptionKind.MASKED and not 1 <= nfe <= params.length:
+            raise UsageError(
+                f"--nfe {nfe}: masked sampling needs 1 <= nfe <= {params.length}, "
+                "the checkpoint's sequence length"
+            )
+        if nfe < 1:
+            raise UsageError(f"--nfe {nfe}: need at least 1 denoising step")
+
+
 def _resolve_train_config(args, drift_phase: bool) -> TrainConfig:
     if args.config is not None:
         config = _read("--config", args.config, partial(load, TrainConfig))
@@ -433,7 +470,7 @@ def _cmd_make_source(args) -> int:
 def _cmd_train(args) -> int:
     config = _resolve_train_config(args, drift_phase=args.command == "drift-train")
     source = _read("--source", args.source, load_source)
-    checkpoint = _read("--init", args.init, load_checkpoint) if args.init else None
+    checkpoint = _read_init(args.init, config) if args.init else None
     _write_manifest(
         args,
         {
@@ -454,6 +491,7 @@ def _cmd_train(args) -> int:
 def _cmd_sample(args) -> int:
     checkpoint = _read("--init", args.init, load_checkpoint)
     kind = CorruptionKind(args.corruption)
+    _check_sampling(checkpoint.params, kind, [args.nfe], args.samples)
     rng = np.random.default_rng([args.seed, args.nfe])
     seqs = sample_batch(checkpoint.params, kind, args.nfe, args.samples, rng)
     _write_manifest(args, _flag_values(args))
@@ -469,6 +507,7 @@ def _cmd_eval(args) -> int:
     checkpoint = _read("--init", args.init, load_checkpoint)
     source = _read("--source", args.source, load_source)
     kind = CorruptionKind(args.corruption)
+    _check_sampling(checkpoint.params, kind, args.nfe, args.samples)
     report = evaluate(
         checkpoint.params, source, kind, nfes=args.nfe, n_samples=args.samples, seed=args.seed
     )
@@ -482,7 +521,7 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     config = _resolve_train_config(args, drift_phase=True)
     source = _read("--source", args.source, load_source)
-    checkpoint = _read("--init", args.init, load_checkpoint)
+    checkpoint = _read_init(args.init, config)
     grid = args.grid.split(",")
     for value in grid:  # every grid value resolves before anything is written
         try:
@@ -491,7 +530,12 @@ def _cmd_ablate(args) -> int:
             with_overrides(config, ABLATION_AXES[args.axis](value))
         except ValueError as exc:
             raise UsageError(f"--grid {value}: {exc}") from exc
-    seeds = _parse_int_list(args.seeds)
+    try:
+        seeds = _parse_int_list(args.seeds)
+        if len(set(seeds)) < len(seeds):
+            raise InvalidInputError("repeated seed")
+    except ValueError as exc:
+        raise UsageError(f"--seeds {args.seeds}: {exc}") from exc
     _write_manifest(
         args,
         {

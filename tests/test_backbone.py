@@ -20,6 +20,7 @@ from driftlm.backbone import (
     params_from_vector,
     params_to_vector,
     sample_batch,
+    token_tables,
 )
 from driftlm.encoder import LiftKind, lift_and_encode, make_frozen_encoder
 from driftlm.numcore import InvalidInputError, finite_diff_grad, log_softmax_rows, softmax_rows
@@ -248,6 +249,32 @@ def test_forward_at_columns_equals_the_gathered_full_forward(model, k, rng):
         backward_tokens(params, cache, picked)
 
 
+TABLE_MODELS = {
+    "small": SMALL_MODEL, "default": DESK_MODEL, "3-blocks": replace(SMALL_MODEL, n_blocks=3)
+}
+
+
+@pytest.mark.parametrize("model", list(TABLE_MODELS))
+@pytest.mark.parametrize("n", [1, 3, 7, 32, 33])
+def test_tabled_forward_equals_the_computed_forward(model, n, rng):
+    model = TABLE_MODELS[model]
+    params = _params_for(model)
+    tables = token_tables(params)
+    kept = [table.copy() for table in tables]
+    tokens = _tokens_with_mask(rng, model, n)
+    cols = np.argsort(rng.random(tokens.shape), axis=1)[:, :2]
+    for at in (None, cols):
+        want, want_cache = forward_tokens(params, tokens, at=at)
+        got, cache = forward_tokens(params, tokens, at=at, tables=tables)
+        assert np.array_equal(got, want)
+        assert np.array_equal(cache.out, want_cache.out)
+        for block, want_block in zip(cache.block_caches, want_cache.block_caches):
+            for name in ("x", "c", "u"):
+                assert np.array_equal(getattr(block, name), getattr(want_block, name)), name
+    # a forward adds to its gathered rows in place, never to the tables
+    assert all(np.array_equal(table, k) for table, k in zip(tables, kept))
+
+
 @pytest.mark.parametrize(
     "at, match",
     [
@@ -362,9 +389,9 @@ def count_forwards(monkeypatch) -> list[tuple[np.ndarray, np.ndarray | None]]:
     calls = []
     forward = backbone.forward_tokens
 
-    def counting(params, tokens, at=None):
+    def counting(params, tokens, at=None, tables=None):
         calls.append((np.array(tokens), None if at is None else np.array(at)))
-        return forward(params, tokens, at=at)
+        return forward(params, tokens, at=at, tables=tables)
 
     monkeypatch.setattr(backbone, "forward_tokens", counting)
     return calls
@@ -392,7 +419,7 @@ def test_masked_sampler_single_step(small_params):
 @pytest.mark.parametrize("nfe", [1, 2, 5])
 def test_sampler_exact_nfe_and_mask_free(small_params, kind, nfe, monkeypatch):
     calls = count_forwards(monkeypatch)
-    assert 3 <= backbone.DENOISER_CHUNK  # one chunk: one call per step
+    assert 3 <= backbone.SAMPLER_CHUNK  # one chunk: one call per step
     seqs = sample_batch(small_params, kind, nfe, 3, np.random.default_rng(4))
     # a masked run forwards its all-mask first step once, as one row
     first = 1 if kind == CorruptionKind.MASKED else 3
@@ -412,7 +439,7 @@ def test_sampler_rejects_bad_nfe(small_params):
 def test_sampler_chunks_draw_the_whole_batch_stream(small_params, kind, monkeypatch):
     rng_whole, rng_chunked = np.random.default_rng(5), np.random.default_rng(5)
     whole = sample_batch(small_params, kind, 3, 7, rng_whole)
-    monkeypatch.setattr(backbone, "DENOISER_CHUNK", 3)
+    monkeypatch.setattr(backbone, "SAMPLER_CHUNK", 3)
     chunked = sample_batch(small_params, kind, 3, 7, rng_chunked)
     assert np.array_equal(chunked, whole)
     assert rng_chunked.random() == rng_whole.random()
@@ -422,7 +449,7 @@ def _masked_sampler_reference(params, nfe, n, rng):
     """The masked sampler with full forwards: every step forwards every chunk
     over all L positions, then gathers the committed rows of its logits."""
     length, mask_index = params.length, params.mask_index
-    chunk = backbone.DENOISER_CHUNK
+    chunk = backbone.SAMPLER_CHUNK
     tokens = np.full((n, length), mask_index, dtype=np.int64)
     still_masked = np.ones((n, length), dtype=bool)
     remaining = length
@@ -449,10 +476,36 @@ def _masked_sampler_reference(params, nfe, n, rng):
 def test_masked_sampler_equals_the_full_forward_reference(model, nfe, monkeypatch):
     nfe = model.length if nfe == "L" else nfe
     params = _params_for(model)
-    monkeypatch.setattr(backbone, "DENOISER_CHUNK", 3)  # chunks of 3, 3 and a ragged 1
+    monkeypatch.setattr(backbone, "SAMPLER_CHUNK", 3)  # chunks of 3, 3 and a ragged 1
     rng_ref, rng = np.random.default_rng(6), np.random.default_rng(6)
     want = _masked_sampler_reference(params, nfe, 7, rng_ref)
     got = sample_batch(params, CorruptionKind.MASKED, nfe, 7, rng)
+    assert np.array_equal(got, want)
+    assert rng.random() == rng_ref.random()
+
+
+def _uniform_sampler_reference(params, nfe, n, rng):
+    """The uniform sampler with computed forwards: every step resamples every
+    chunk from the full forward's clean-vocabulary probabilities."""
+    mask_index, chunk = params.mask_index, backbone.SAMPLER_CHUNK
+    tokens = rng.integers(0, mask_index, size=(n, params.length), dtype=np.int64)
+    for _ in range(nfe):
+        for lo in range(0, n, chunk):
+            part = slice(lo, min(lo + chunk, n))
+            probs = softmax_rows(forward_tokens(params, tokens[part])[0])[..., :mask_index]
+            probs = probs / probs.sum(axis=-1, keepdims=True)
+            tokens[part] = backbone._categorical_rows(probs, rng)
+    return tokens
+
+
+@pytest.mark.parametrize("model", [SMALL_MODEL, DESK_MODEL], ids=["small", "default"])
+@pytest.mark.parametrize("nfe", [1, 2, 5])
+def test_uniform_sampler_equals_the_computed_forward_reference(model, nfe, monkeypatch):
+    params = _params_for(model)
+    monkeypatch.setattr(backbone, "SAMPLER_CHUNK", 3)  # chunks of 3, 3 and a ragged 1
+    rng_ref, rng = np.random.default_rng(6), np.random.default_rng(6)
+    want = _uniform_sampler_reference(params, nfe, 7, rng_ref)
+    got = sample_batch(params, CorruptionKind.UNIFORM, nfe, 7, rng)
     assert np.array_equal(got, want)
     assert rng.random() == rng_ref.random()
 

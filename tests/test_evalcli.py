@@ -791,7 +791,8 @@ def test_cli_ablate_writes_table(cli_env, capsys):
     "axis,grid,line",
     [
         ("queue_size", "abc", "--grid abc: invalid literal for int()"),
-        ("att_rep_ratio", "1", "--grid 1: zip() argument 2 is shorter"),
+        ("att_rep_ratio", "1", "--grid 1: expected w_plus:w_minus"),
+        ("att_rep_ratio", "1:2:3", "--grid 1:2:3: expected w_plus:w_minus"),
         ("lift", "nope", "--grid nope: objective.lift must be one of"),
         ("temperature_set", "0.1/0.1", "--grid 0.1/0.1: drift: temperatures must be distinct"),
         ("queue_size", "0", "--grid 0: queue_capacity must be >= 1"),
@@ -810,6 +811,73 @@ def test_cli_ablate_bad_grid_is_a_usage_error(cli_env, capsys, monkeypatch, axis
     err = capsys.readouterr().err
     assert err.startswith(f"driftlm ablate: error: {line}") and err.count("\n") == 1
     assert calls == [] and not out.exists()
+
+
+# command, its flags after --init, --out and --source, and the start of its
+# one stderr line; "{init}" and "{config}" are the tiny checkpoint and
+# config, and "{default}" the default config's model, which "{init}" does
+# not fit
+BAD_RUN_FLAGS = {
+    "sample-nfe-past-length": (
+        "sample", ["--nfe", "7"],
+        "--nfe 7: masked sampling needs 1 <= nfe <= 6, the checkpoint's sequence length",
+    ),
+    "sample-nfe-0": ("sample", ["--nfe", "0"], "--nfe 0: masked sampling needs 1 <= nfe <= 6"),
+    "sample-uniform-nfe-0": (
+        "sample", ["--corruption", "uniform", "--nfe", "0"],
+        "--nfe 0: need at least 1 denoising step",
+    ),
+    "sample-no-samples": ("sample", ["--samples", "0"], "--samples 0: need at least 1 sample"),
+    "eval-second-nfe-past-length": (
+        "eval", ["--nfe", "2,7"], "--nfe 7: masked sampling needs 1 <= nfe <= 6",
+    ),
+    "eval-no-samples": ("eval", ["--samples", "0"], "--samples 0: need at least 1 sample"),
+    "drift-train-init-shape": (
+        "drift-train", [],
+        "--init {init} holds a model of vocab_size=8, length=6, embed_dim=8, hidden_dim=12, "
+        "n_blocks=2, but the config's model is {default}",
+    ),
+    "ablate-init-shape": (
+        "ablate", ["--axis", "lift", "--grid", "soft"],
+        "--init {init} holds a model of vocab_size=8, length=6",
+    ),
+    "ablate-repeated-seed": (
+        "ablate", ["--config", "{config}", "--axis", "lift", "--grid", "soft", "--seeds", "0,0"],
+        "--seeds 0,0: repeated seed",
+    ),
+    "ablate-bad-seed": (
+        "ablate", ["--config", "{config}", "--axis", "lift", "--grid", "soft", "--seeds", "0,x"],
+        "--seeds 0,x: invalid literal for int()",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RUN_FLAGS))
+def test_cli_bad_run_flag_is_a_usage_error_before_any_work(cli_env, capsys, monkeypatch, case):
+    tmp_path, source_path, config_path, ckpt_path = cli_env
+    command, flags, line = BAD_RUN_FLAGS[case]
+    files = dict(init=ckpt_path, config=config_path)
+    default = ", ".join(f"{k}={v}" for k, v in vars(ModelConfig()).items())
+    sampled = _counting(monkeypatch, "sample_batch")
+    trained = _counting(monkeypatch, "train_run")
+    out = tmp_path / "run"
+    out.mkdir()
+    argv = [command, "--init", str(ckpt_path), "--out", str(out)]
+    if command != "sample":
+        argv += ["--source", str(source_path)]
+    assert cli(argv + [flag.format(**files) for flag in flags]) == 2
+    err = capsys.readouterr().err
+    want = line.format(init=ckpt_path, default=default)
+    assert err.startswith(f"driftlm {command}: error: {want}") and err.count("\n") == 1, err
+    assert sampled == [] and trained == [] and not any(out.iterdir())
+
+
+def test_compare_rejects_a_repeated_seed(monkeypatch):
+    source, base, cfg = _compare_setup()
+    calls = _counting(monkeypatch, "train_run")
+    with pytest.raises(InvalidInputError, match=r"repeated seed in \[1, 0, 1\]"):
+        compare({"cont": {}}, cfg, source, base, (1, 0, 1))
+    assert calls == []
 
 
 def _with(path: str, value) -> dict:
