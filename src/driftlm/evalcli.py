@@ -427,10 +427,24 @@ def _read_init(path, config: TrainConfig) -> Checkpoint:
     return checkpoint
 
 
-def _check_sampling(params: DenoiserParams, kind: CorruptionKind, nfes, samples: int) -> None:
+def _check_vocabulary(path, source: MarkovSource, vocab_size: int, model: str) -> None:
+    """A usage error unless ``vocab_size`` is the ``--source`` vocabulary plus the mask symbol."""
+    if vocab_size != source.vocab_size + 1:
+        raise UsageError(
+            f"--source {path} has {source.vocab_size} tokens, but {model} has a "
+            f"vocabulary of {vocab_size}; it must be {source.vocab_size + 1}, the source's "
+            "tokens plus the mask symbol"
+        )
+
+
+def _check_sampling(
+    params: DenoiserParams, kind: CorruptionKind, nfes, samples: int, seed: int
+) -> None:
     """Usage errors for sampling flags the checkpoint cannot run."""
     if samples < 1:
         raise UsageError(f"--samples {samples}: need at least 1 sample")
+    if seed < 0:
+        raise UsageError(f"--seed {seed}: need a nonnegative seed")
     for nfe in nfes:
         if kind == CorruptionKind.MASKED and not 1 <= nfe <= params.length:
             raise UsageError(
@@ -471,6 +485,7 @@ def _cmd_train(args) -> int:
     config = _resolve_train_config(args, drift_phase=args.command == "drift-train")
     source = _read("--source", args.source, load_source)
     checkpoint = _read_init(args.init, config) if args.init else None
+    _check_vocabulary(args.source, source, config.model.vocab_size, "the config's model")
     _write_manifest(
         args,
         {
@@ -491,7 +506,7 @@ def _cmd_train(args) -> int:
 def _cmd_sample(args) -> int:
     checkpoint = _read("--init", args.init, load_checkpoint)
     kind = CorruptionKind(args.corruption)
-    _check_sampling(checkpoint.params, kind, [args.nfe], args.samples)
+    _check_sampling(checkpoint.params, kind, [args.nfe], args.samples, args.seed)
     rng = np.random.default_rng([args.seed, args.nfe])
     seqs = sample_batch(checkpoint.params, kind, args.nfe, args.samples, rng)
     _write_manifest(args, _flag_values(args))
@@ -506,8 +521,9 @@ def _cmd_sample(args) -> int:
 def _cmd_eval(args) -> int:
     checkpoint = _read("--init", args.init, load_checkpoint)
     source = _read("--source", args.source, load_source)
+    _check_vocabulary(args.source, source, checkpoint.params.vocab_size, "the --init checkpoint")
     kind = CorruptionKind(args.corruption)
-    _check_sampling(checkpoint.params, kind, args.nfe, args.samples)
+    _check_sampling(checkpoint.params, kind, args.nfe, args.samples, args.seed)
     report = evaluate(
         checkpoint.params, source, kind, nfes=args.nfe, n_samples=args.samples, seed=args.seed
     )
@@ -522,6 +538,7 @@ def _cmd_ablate(args) -> int:
     config = _resolve_train_config(args, drift_phase=True)
     source = _read("--source", args.source, load_source)
     checkpoint = _read_init(args.init, config)
+    _check_vocabulary(args.source, source, config.model.vocab_size, "the config's model")
     grid = args.grid.split(",")
     for value in grid:  # every grid value resolves before anything is written
         try:

@@ -14,7 +14,8 @@ objective, whose slices hold whole micro-batches and whose drift field is
 computed once per ``micro_batch`` sequences.
 
 A checkpoint file is ``codec.jsonable`` of a ``Checkpoint`` under a
-``format``/``version`` header, and ``codec.decode`` reads it back, so a
+``format``/``version`` header, written one tensor at a time, and
+``codec.decode_items`` reads it back one top-level section at a time, so a
 field added to ``Checkpoint`` is saved and restored with no other change.
 """
 
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, fields
+import re
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .backbone import (
     init_params,
     param_items,
 )
-from .codec import decode, jsonable
+from .codec import decode_items, jsonable
 from .drift import DriftConfig, build_references, drift_multi_temp, queue_push
 from .encoder import FrozenEncoder, lift_and_encode, make_frozen_encoder, real_features_batch
 from .numcore import Array, InvalidInputError
@@ -292,38 +294,106 @@ def _checkpoint_fields(state: Checkpoint) -> Checkpoint:
     return Checkpoint(**{f.name: getattr(state, f.name) for f in fields(Checkpoint)})
 
 
+def _write_sorted(fh, value) -> None:
+    """Write ``json.dump(jsonable(value), fh, sort_keys=True)``, one array's
+    ``tolist`` and its C-encoded text at a time."""
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        fh.write("{")
+        for n, key in enumerate(sorted(value)):
+            fh.write(f"{', ' if n else ''}{json.dumps(key)}: ")
+            _write_sorted(fh, value[key])
+        fh.write("}")
+    else:
+        fh.write(json.dumps(jsonable(value), sort_keys=True))
+
+
 def save_checkpoint(state: Checkpoint, path) -> None:
     """The header, then ``jsonable`` of the ``Checkpoint`` fields: the bytes of
     ``json.dump(doc, fh, sort_keys=True)``.
 
-    ``json.dump`` streams through the pure-Python encoder.  One ``json.dumps``
-    per top-level key uses the C encoder, about half the time, and holds
-    only one section's text (the largest, ``adam_v``, is a third of the
-    file) in memory instead of the whole document's.
+    Holds one tensor's Python floats and its text at a time: each tensor is
+    one ``json.dumps`` of its ``tolist()``, through the C encoder, where
+    ``json.dump`` would stream through the pure-Python one.
     """
-    doc = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION}
-    doc.update(jsonable(_checkpoint_fields(state)))
+    header = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION}
     with open(path, "w", encoding="utf-8") as fh:
-        sep = "{"
-        for key in sorted(doc):
-            fh.write(f"{sep}{json.dumps(key)}: {json.dumps(doc[key], sort_keys=True)}")
-            sep = ", "
-        fh.write("}")
+        _write_sorted(fh, {**header, **vars(_checkpoint_fields(state))})
+
+
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _checkpoint_items(text: str, path):
+    """The ``(key, JSON data)`` pairs of the top-level object in ``text`` but
+    its ``format`` and ``version``, each value parsed when the previous one
+    has been taken; the header is checked after the last pair.
+
+    Any JSON layout of the object reads, and text that ``json.loads`` would
+    not accept is a ``CheckpointError``, as is JSON that is not an object.
+    """
+    header = {}
+    decoder = json.JSONDecoder()
+
+    def space(i: int) -> int:
+        return _JSON_SPACE.match(text, i).end()
+
+    try:
+        i = space(0)
+        if not text.startswith("{", i):
+            json.loads(text)  # raises if not JSON; other JSON has no header
+            i = len(text)
+        else:
+            i = space(i + 1)
+            closed = text.startswith("}", i)
+            while not closed:
+                if not text.startswith('"', i):
+                    message = "Expecting property name enclosed in double quotes"
+                    raise json.JSONDecodeError(message, text, i)
+                key, i = decoder.raw_decode(text, i)
+                i = space(i)
+                if not text.startswith(":", i):
+                    raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+                value, i = decoder.raw_decode(text, space(i + 1))
+                if key in ("format", "version"):
+                    header[key] = value
+                else:
+                    yield key, value
+                del value  # parse the next section without this one
+                i = space(i)
+                closed = text.startswith("}", i)
+                if not closed:
+                    if not text.startswith(",", i):
+                        raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+                    i = space(i + 1)
+            i += 1
+        if space(i) != len(text):
+            raise json.JSONDecodeError("Extra data", text, space(i))
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint parse error in {path}: {exc}") from exc
+    if header.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
+    version = header.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"checkpoint version {version} != supported {CHECKPOINT_VERSION}")
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Lossless restore of parameters and optimizer moments (queues stay fresh)."""
+    """Lossless restore of parameters and optimizer moments (queues stay fresh).
+
+    Holds the file's text and one top-level section's Python floats at a
+    time: each section becomes arrays (``codec.decode_items``) before the
+    next is parsed.  A file that is not JSON, or whose ``format`` or
+    ``version`` is wrong, is a ``CheckpointError`` whatever its sections
+    hold; a bad value is an ``InvalidInputError`` naming its path.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # not JSON, or not text
+            text = fh.read()
+    except ValueError as exc:  # not text
         raise CheckpointError(f"checkpoint parse error in {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.pop("format", None) != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-    version = doc.pop("version", None)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"checkpoint version {version} != supported {CHECKPOINT_VERSION}")
-    return decode(Checkpoint, doc)
+    return decode_items(Checkpoint, _checkpoint_items(text, path))
 
 
 def checkpoint_of(state: Checkpoint) -> Checkpoint:

@@ -164,7 +164,7 @@ def test_report_dict_shape(small_params):
 
 
 @pytest.mark.parametrize("source_vocab", [40, 20], ids=["source-larger", "source-smaller"])
-def test_vocabulary_mismatch_names_both_sizes(tmp_path, source_vocab):
+def test_vocabulary_mismatch_names_both_sizes(tmp_path, capsys, source_vocab):
     # the default model has 32 tokens: 31 source tokens and the mask
     with pytest.raises(InvalidInputError, match=f"32 tokens.*source's {source_vocab} tokens"):
         evaluate(
@@ -174,13 +174,15 @@ def test_vocabulary_mismatch_names_both_sizes(tmp_path, source_vocab):
             nfes=(2,),
             n_samples=4,
         )
-    # the CLI reaches evaluate() before its first training step
+    # the CLI checks the sizes before it writes anything
     source_path = tmp_path / "source.json"
     save_source(banded_source(vocab_size=source_vocab), source_path)
     argv = ["base-train", "--source", str(source_path), "--out", str(tmp_path / "run")]
-    with pytest.raises(InvalidInputError, match=f"32 tokens.*source's {source_vocab} tokens"):
-        cli([*argv, "--batch-size", "4", "--micro-batch", "2", "--samples", "4", "--nfe", "2"])
-    assert not (tmp_path / "run" / "metrics.csv").exists()
+    flags = ["--batch-size", "4", "--micro-batch", "2", "--samples", "4", "--nfe", "2"]
+    assert cli([*argv, *flags]) == 2
+    err = capsys.readouterr().err
+    assert re.search(f"has {source_vocab} tokens, .* vocabulary of 32", err), err
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +834,8 @@ BAD_RUN_FLAGS = {
         "eval", ["--nfe", "2,7"], "--nfe 7: masked sampling needs 1 <= nfe <= 6",
     ),
     "eval-no-samples": ("eval", ["--samples", "0"], "--samples 0: need at least 1 sample"),
+    "sample-negative-seed": ("sample", ["--seed", "-1"], "--seed -1: need a nonnegative seed"),
+    "eval-negative-seed": ("eval", ["--seed", "-1"], "--seed -1: need a nonnegative seed"),
     "drift-train-init-shape": (
         "drift-train", [],
         "--init {init} holds a model of vocab_size=8, length=6, embed_dim=8, hidden_dim=12, "
@@ -870,6 +874,34 @@ def test_cli_bad_run_flag_is_a_usage_error_before_any_work(cli_env, capsys, monk
     want = line.format(init=ckpt_path, default=default)
     assert err.startswith(f"driftlm {command}: error: {want}") and err.count("\n") == 1, err
     assert sampled == [] and trained == [] and not any(out.iterdir())
+
+
+# command and its flags after --source and --out; "{init}" and "{config}" are
+# the tiny checkpoint and config, whose model has 8 tokens
+MISFIT_SOURCE_RUNS = {
+    "base-train": ["--config", "{config}"],
+    "drift-train": ["--config", "{config}", "--init", "{init}"],
+    "ablate": ["--config", "{config}", "--init", "{init}", "--axis", "lift", "--grid", "soft"],
+    "eval": ["--init", "{init}"],
+}
+
+
+@pytest.mark.parametrize("command", list(MISFIT_SOURCE_RUNS))
+def test_cli_source_vocabulary_misfit_is_a_usage_error(cli_env, capsys, monkeypatch, command):
+    tmp_path, _, config_path, ckpt_path = cli_env
+    source_path = tmp_path / "source5.json"
+    save_source(banded_source(vocab_size=5), source_path)
+    files = dict(init=ckpt_path, config=config_path)
+    sampled = _counting(monkeypatch, "sample_batch")
+    trained = _counting(monkeypatch, "train_run")
+    out = tmp_path / "run"
+    argv = [command, "--source", str(source_path), "--out", str(out)]
+    assert cli(argv + [flag.format(**files) for flag in MISFIT_SOURCE_RUNS[command]]) == 2
+    err = capsys.readouterr().err
+    model = "the --init checkpoint" if command == "eval" else "the config's model"
+    want = f"--source {source_path} has 5 tokens, but {model} has a vocabulary of 8; it must be 6"
+    assert err.startswith(f"driftlm {command}: error: {want}") and err.count("\n") == 1, err
+    assert sampled == [] and trained == [] and not out.exists()
 
 
 def test_compare_rejects_a_repeated_seed(monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,6 +464,74 @@ def test_checkpoint_wrong_format_rejected(tmp_path):
     path = tmp_path / "ckpt.json"
     path.write_text(json.dumps({"format": "other"}), encoding="utf-8")
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_save_checkpoint_holds_one_tensor_at_a_time(tmp_path):
+    # a default-size checkpoint after one step is about 1 MB of JSON; the
+    # whole document's floats and text at once traced about 3 MB, and one
+    # tensor's (w1, the largest) about 1.2 MB
+    cfg = TrainConfig()
+    state = init_state(cfg)
+    run_steps(cfg, banded_source(), 1, state)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(state, path)  # warm the encoder and the file machinery
+    tracemalloc.start()
+    try:
+        save_checkpoint(state, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6e6, f"save_checkpoint traced a {peak / 1e6:.2f} MB peak"
+
+
+def _reversed_keys(doc):
+    if isinstance(doc, dict):
+        return {k: _reversed_keys(doc[k]) for k in reversed(list(doc))}
+    return doc
+
+
+def test_checkpoint_in_another_json_layout_loads_bit_equal(source, tmp_path):
+    cfg = tiny_config(objective=ObjectiveKind())
+    state, _ = run_steps(cfg, source, 3)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(state, path)
+    doc = _reversed_keys(json.loads(path.read_text()))
+    assert list(doc)[0] == "version"
+    relaid = tmp_path / "relaid.json"
+    relaid.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    loaded = load_checkpoint(relaid)
+    for name, arr in param_items(state.params):
+        for want, got in [(arr, getattr(loaded.params, name)),
+                          (state.adam_m[name], loaded.adam_m[name]),
+                          (state.adam_v[name], loaded.adam_v[name])]:
+            assert want.shape == got.shape and want.tobytes() == got.tobytes()
+    assert (loaded.adam_t, loaded.step) == (state.adam_t, state.step)
+
+
+@pytest.mark.parametrize(
+    "header,message",
+    [({"format": "other"}, "is not a driftlm-checkpoint file"), ({"version": 99}, "version 99")],
+)
+def test_bad_header_wins_over_a_malformed_section(tmp_path, header, message):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_state(tiny_config()), path)
+    doc = json.loads(path.read_text())
+    doc["params"]["w2"] = "not a tensor"
+    # the malformed section comes before the header in the file
+    doc = {"params": doc.pop("params"), **doc, **header}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("section", ["adam_m", "adam_v", "params"])
+def test_checkpoint_cut_inside_a_section_rejected(tmp_path, section):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_state(tiny_config()), path)
+    text = path.read_text()
+    path.write_text(text[: text.index(f'"{section}": ') + 40], encoding="utf-8")
+    with pytest.raises(CheckpointError, match="parse error"):
         load_checkpoint(path)
 
 
