@@ -2,15 +2,17 @@
 
 ``jsonable`` turns dataclasses into objects, enums into their values,
 tuples into lists and float64 arrays into nested lists; ``decode`` inverts
-it from the dataclass type hints, and ``decode_items`` does so for a
-dataclass whose key-value pairs arrive one at a time.  A bad document fails with an
-``InvalidInputError`` naming the dotted path (``params.w2``), and
-a decoded dataclass still runs its own ``__post_init__`` checks, whose
-errors a nested one prefixes with its path (``params: w2 has shape ...``).
+it from the dataclass type hints.  ``json.load`` with ``arrays_hook``
+builds each object's arrays as it is parsed, and ``decode`` takes them for
+array fields.  A bad document fails with an ``InvalidInputError`` naming the
+dotted path (``params.w2``), and a decoded dataclass still runs its own
+``__post_init__`` checks, whose errors a nested one prefixes with its path
+(``params: w2 has shape ...``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -57,7 +59,24 @@ def _required(field: dataclasses.Field) -> bool:
 
 
 def _mismatch(where: str, expected: str, doc) -> InvalidInputError:
-    return InvalidInputError(f"{where} must be {expected}, got {reprlib.repr(doc)}")
+    return InvalidInputError(f"{where} must be {expected}, got {reprlib.repr(jsonable(doc))}")
+
+
+def arrays_hook(pairs) -> dict:
+    """A ``json.load`` ``object_pairs_hook``: the object with each value that is
+    a rectangular list of floats made a float64 array as soon as the object is
+    parsed, so that its Python floats can go.
+
+    ``decode`` takes such an array for an array field and shows it as its
+    list in an error.  Floats only, so that this list is the parsed one; a
+    tuple or enum field would still need the list itself.
+    """
+    doc = dict(pairs)
+    for key, value in doc.items():
+        if isinstance(value, list) and _leaf_types(value) == {float}:
+            with contextlib.suppress(ValueError):  # ragged: ``decode`` names it
+                doc[key] = np.array(value, dtype=np.float64)
+    return doc
 
 
 def decode(tp, doc, path: str = ""):
@@ -70,7 +89,22 @@ def decode(tp, doc, path: str = ""):
     if dataclasses.is_dataclass(tp):
         if not isinstance(doc, dict):
             raise _mismatch(where, "an object", doc)
-        return decode_items(tp, doc.items(), path)
+        prefix = f"{path}." if path else ""
+        fields = dataclasses.fields(tp)
+        unknown = sorted(set(doc) - {f.name for f in fields})
+        if unknown:
+            raise InvalidInputError(f"unknown {where} keys: {[prefix + k for k in unknown]}")
+        missing = [prefix + f.name for f in fields if f.name not in doc and _required(f)]
+        if missing:
+            raise InvalidInputError(f"missing {where} keys: {missing}")
+        hints = _type_hints(tp)
+        kwargs = {k: decode(hints[k], v, prefix + k) for k, v in doc.items()}
+        try:
+            return tp(**kwargs)
+        except InvalidInputError as exc:
+            if not path:
+                raise
+            raise InvalidInputError(f"{path}: {exc}") from exc
     origin = typing.get_origin(tp)
     if origin is types.UnionType:  # X | None
         if doc is None:
@@ -88,6 +122,8 @@ def decode(tp, doc, path: str = ""):
         (_, item) = typing.get_args(tp)
         return {k: decode(item, v, f"{path}[{k!r}]") for k, v in doc.items()}
     if tp is np.ndarray:
+        if isinstance(doc, np.ndarray):  # built by ``arrays_hook``
+            return doc
         if not isinstance(doc, list):
             raise _mismatch(where, "a list of numbers", doc)
         bad = _leaf_types(doc) - {int, float}
@@ -106,47 +142,10 @@ def decode(tp, doc, path: str = ""):
     numeric = (int, float) if tp is float else tp
     if isinstance(doc, bool) != (tp is bool) or not isinstance(doc, numeric):
         raise _mismatch(where, tp.__name__, doc)
-    return tp(doc)
-
-
-def decode_items(tp, items, path: str = ""):
-    """``decode(tp, dict(items), path)`` for a dataclass ``tp``, each value
-    decoded as soon as ``items`` yields its ``(key, JSON data)`` pair, so a
-    caller that parses the values one at a time holds one undecoded value
-    at once.
-
-    Errors wait until ``items`` is exhausted, so one that the iterator
-    raises comes first; then come unknown keys, missing keys, the first bad
-    value in key order and the dataclass's own checks.  A repeated key keeps
-    its first place and its last value, as in ``json.load``.
-    """
-    where = path or "top-level"
-    prefix = f"{path}." if path else ""
-    fields = dataclasses.fields(tp)
-    names = {f.name for f in fields}
-    hints = _type_hints(tp)
-    values = {}  # key -> decoded value, or the error decoding it raised
-    for key, doc in items:
-        try:
-            values[key] = decode(hints[key], doc, prefix + key) if key in names else None
-        except InvalidInputError as exc:
-            values[key] = exc
-        del doc  # let ``items`` parse the next value without this one
-    unknown = sorted(set(values) - names)
-    if unknown:
-        raise InvalidInputError(f"unknown {where} keys: {[prefix + k for k in unknown]}")
-    missing = [prefix + f.name for f in fields if f.name not in values and _required(f)]
-    if missing:
-        raise InvalidInputError(f"missing {where} keys: {missing}")
-    for value in values.values():
-        if isinstance(value, InvalidInputError):
-            raise value
     try:
-        return tp(**values)
-    except InvalidInputError as exc:
-        if not path:
-            raise
-        raise InvalidInputError(f"{path}: {exc}") from exc
+        return tp(doc)
+    except OverflowError as exc:  # an int beyond float range
+        raise _mismatch(where, "a number within float range", doc) from exc
 
 
 def load(tp, path):

@@ -38,14 +38,14 @@ class DriftConfig:
     def __post_init__(self):
         temps = tuple(float(t) for t in self.temperatures)
         object.__setattr__(self, "temperatures", temps)
-        if not temps or any(t <= 0.0 for t in temps):
+        if not temps or not all(0.0 < t < np.inf for t in temps):  # NaN fails too
             raise InvalidInputError("temperatures must be a nonempty list of positive reals")
         if len(set(temps)) != len(temps):
             raise InvalidInputError("temperatures must be distinct")
-        if self.eps <= 0.0:
-            raise InvalidInputError("eps must be positive")
-        if self.w_plus < 0.0 or self.w_minus < 0.0:
-            raise InvalidInputError("attraction/repulsion weights must be nonnegative")
+        if not 0.0 < self.eps < np.inf:
+            raise InvalidInputError("eps must be positive and finite")
+        if not (0.0 <= self.w_plus < np.inf and 0.0 <= self.w_minus < np.inf):
+            raise InvalidInputError("attraction/repulsion weights must be nonnegative and finite")
         if self.w_plus == 0.0 and self.w_minus == 0.0:
             raise InvalidInputError("at least one of w_plus, w_minus must be positive")
 

@@ -438,18 +438,18 @@ def _check_vocabulary(path, source: MarkovSource, vocab_size: int, model: str) -
 
 
 def _check_sampling(
-    params: DenoiserParams, kind: CorruptionKind, nfes, samples: int, seed: int
+    length: int, model: str, kind: CorruptionKind, nfes, samples: int, seed: int
 ) -> None:
-    """Usage errors for sampling flags the checkpoint cannot run."""
+    """Usage errors for sampling flags that ``model``, of sequence ``length``, cannot run."""
     if samples < 1:
         raise UsageError(f"--samples {samples}: need at least 1 sample")
     if seed < 0:
         raise UsageError(f"--seed {seed}: need a nonnegative seed")
     for nfe in nfes:
-        if kind == CorruptionKind.MASKED and not 1 <= nfe <= params.length:
+        if kind == CorruptionKind.MASKED and not 1 <= nfe <= length:
             raise UsageError(
-                f"--nfe {nfe}: masked sampling needs 1 <= nfe <= {params.length}, "
-                "the checkpoint's sequence length"
+                f"--nfe {nfe}: masked sampling needs 1 <= nfe <= {length}, "
+                f"{model}'s sequence length"
             )
         if nfe < 1:
             raise UsageError(f"--nfe {nfe}: need at least 1 denoising step")
@@ -486,6 +486,8 @@ def _cmd_train(args) -> int:
     source = _read("--source", args.source, load_source)
     checkpoint = _read_init(args.init, config) if args.init else None
     _check_vocabulary(args.source, source, config.model.vocab_size, "the config's model")
+    _check_sampling(config.model.length, "the model", config.corruption, config.eval_nfes,
+                    config.eval_samples, config.seed)
     _write_manifest(
         args,
         {
@@ -506,7 +508,8 @@ def _cmd_train(args) -> int:
 def _cmd_sample(args) -> int:
     checkpoint = _read("--init", args.init, load_checkpoint)
     kind = CorruptionKind(args.corruption)
-    _check_sampling(checkpoint.params, kind, [args.nfe], args.samples, args.seed)
+    _check_sampling(checkpoint.params.length, "the checkpoint", kind, [args.nfe], args.samples,
+                    args.seed)
     rng = np.random.default_rng([args.seed, args.nfe])
     seqs = sample_batch(checkpoint.params, kind, args.nfe, args.samples, rng)
     _write_manifest(args, _flag_values(args))
@@ -523,7 +526,8 @@ def _cmd_eval(args) -> int:
     source = _read("--source", args.source, load_source)
     _check_vocabulary(args.source, source, checkpoint.params.vocab_size, "the --init checkpoint")
     kind = CorruptionKind(args.corruption)
-    _check_sampling(checkpoint.params, kind, args.nfe, args.samples, args.seed)
+    _check_sampling(checkpoint.params.length, "the checkpoint", kind, args.nfe, args.samples,
+                    args.seed)
     report = evaluate(
         checkpoint.params, source, kind, nfes=args.nfe, n_samples=args.samples, seed=args.seed
     )
@@ -551,8 +555,12 @@ def _cmd_ablate(args) -> int:
         seeds = _parse_int_list(args.seeds)
         if len(set(seeds)) < len(seeds):
             raise InvalidInputError("repeated seed")
+        if min(seeds) < 0:
+            raise InvalidInputError("need nonnegative seeds")
     except ValueError as exc:
         raise UsageError(f"--seeds {args.seeds}: {exc}") from exc
+    _check_sampling(config.model.length, "the model", config.corruption, config.eval_nfes,
+                    config.eval_samples, config.seed)
     _write_manifest(
         args,
         {

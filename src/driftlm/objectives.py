@@ -40,10 +40,10 @@ class ObjectiveKind:
     alpha: float = 1.0  # drift scale of the fixed-point target
 
     def __post_init__(self):
-        if self.eta < 0.0:
-            raise InvalidInputError("eta must be nonnegative")
-        if self.alpha <= 0.0:
-            raise InvalidInputError("alpha must be positive")
+        if not 0.0 <= self.eta < np.inf:  # NaN fails too
+            raise InvalidInputError("eta must be nonnegative and finite")
+        if not 0.0 < self.alpha < np.inf:
+            raise InvalidInputError("alpha must be positive and finite")
 
 
 def feature_fixed_point_loss(drift: Array, alpha: float) -> tuple[Array, Array]:

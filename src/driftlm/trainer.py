@@ -14,8 +14,8 @@ objective, whose slices hold whole micro-batches and whose drift field is
 computed once per ``micro_batch`` sequences.
 
 A checkpoint file is ``codec.jsonable`` of a ``Checkpoint`` under a
-``format``/``version`` header, written one tensor at a time, and
-``codec.decode_items`` reads it back one top-level section at a time, so a
+``format``/``version`` header, written one tensor at a time and read back
+through ``json.load`` with ``codec.arrays_hook`` and ``codec.decode``, so a
 field added to ``Checkpoint`` is saved and restored with no other change.
 """
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import copy
 import json
-import re
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ from .backbone import (
     init_params,
     param_items,
 )
-from .codec import decode_items, jsonable
+from .codec import arrays_hook, decode, jsonable
 from .drift import DriftConfig, build_references, drift_multi_temp, queue_push
 from .encoder import FrozenEncoder, lift_and_encode, make_frozen_encoder, real_features_batch
 from .numcore import Array, InvalidInputError
@@ -92,8 +91,8 @@ class TrainConfig:
             raise InvalidInputError("eval_nfes must name at least one NFE budget")
         if self.batch_size % self.micro_batch != 0:
             raise InvalidInputError("micro_batch must divide batch_size")
-        if self.lr <= 0.0 or self.init_std <= 0.0:
-            raise InvalidInputError("lr and init_std must be positive")
+        if not (0.0 < self.lr < np.inf and 0.0 < self.init_std < np.inf):  # NaN fails too
+            raise InvalidInputError("lr and init_std must be positive and finite")
         if self.steps < 0 or self.eval_every < 1:
             raise InvalidInputError("steps must be >= 0 and eval_every >= 1")
         if not (0.0 < self.t_min < self.t_max < 1.0):
@@ -322,78 +321,27 @@ def save_checkpoint(state: Checkpoint, path) -> None:
         _write_sorted(fh, {**header, **vars(_checkpoint_fields(state))})
 
 
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")
-
-
-def _checkpoint_items(text: str, path):
-    """The ``(key, JSON data)`` pairs of the top-level object in ``text`` but
-    its ``format`` and ``version``, each value parsed when the previous one
-    has been taken; the header is checked after the last pair.
-
-    Any JSON layout of the object reads, and text that ``json.loads`` would
-    not accept is a ``CheckpointError``, as is JSON that is not an object.
-    """
-    header = {}
-    decoder = json.JSONDecoder()
-
-    def space(i: int) -> int:
-        return _JSON_SPACE.match(text, i).end()
-
-    try:
-        i = space(0)
-        if not text.startswith("{", i):
-            json.loads(text)  # raises if not JSON; other JSON has no header
-            i = len(text)
-        else:
-            i = space(i + 1)
-            closed = text.startswith("}", i)
-            while not closed:
-                if not text.startswith('"', i):
-                    message = "Expecting property name enclosed in double quotes"
-                    raise json.JSONDecodeError(message, text, i)
-                key, i = decoder.raw_decode(text, i)
-                i = space(i)
-                if not text.startswith(":", i):
-                    raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
-                value, i = decoder.raw_decode(text, space(i + 1))
-                if key in ("format", "version"):
-                    header[key] = value
-                else:
-                    yield key, value
-                del value  # parse the next section without this one
-                i = space(i)
-                closed = text.startswith("}", i)
-                if not closed:
-                    if not text.startswith(",", i):
-                        raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
-                    i = space(i + 1)
-            i += 1
-        if space(i) != len(text):
-            raise json.JSONDecodeError("Extra data", text, space(i))
-    except ValueError as exc:
-        raise CheckpointError(f"checkpoint parse error in {path}: {exc}") from exc
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-    version = header.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"checkpoint version {version} != supported {CHECKPOINT_VERSION}")
-
-
 def load_checkpoint(path) -> Checkpoint:
     """Lossless restore of parameters and optimizer moments (queues stay fresh).
 
-    Holds the file's text and one top-level section's Python floats at a
-    time: each section becomes arrays (``codec.decode_items``) before the
-    next is parsed.  A file that is not JSON, or whose ``format`` or
-    ``version`` is wrong, is a ``CheckpointError`` whatever its sections
-    hold; a bad value is an ``InvalidInputError`` naming its path.
+    Holds the file's text and one JSON object's Python floats at a time:
+    ``codec.arrays_hook`` builds each object's arrays as soon as it is
+    parsed.  A file that is not JSON, or whose ``format`` or ``version`` is
+    wrong, is a ``CheckpointError`` whatever its sections hold; a bad value
+    is an ``InvalidInputError`` naming its path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except ValueError as exc:  # not text
+            doc = json.load(fh, object_pairs_hook=arrays_hook)
+    except ValueError as exc:  # not JSON, or not text
         raise CheckpointError(f"checkpoint parse error in {path}: {exc}") from exc
-    return decode_items(Checkpoint, _checkpoint_items(text, path))
+    # ``jsonable`` turns a header that ``arrays_hook`` made an array back into its list
+    if not isinstance(doc, dict) or jsonable(doc.pop("format", None)) != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
+    version = jsonable(doc.pop("version", None))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"checkpoint version {version} != supported {CHECKPOINT_VERSION}")
+    return decode(Checkpoint, doc)
 
 
 def checkpoint_of(state: Checkpoint) -> Checkpoint:

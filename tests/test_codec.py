@@ -22,6 +22,7 @@ from driftlm.numcore import InvalidInputError
 from driftlm.objectives import ObjectiveKind, ObjectiveVariant
 from driftlm.trainer import (
     CHECKPOINT_FORMAT,
+    CHECKPOINT_VERSION,
     Checkpoint,
     CheckpointError,
     TrainConfig,
@@ -267,16 +268,30 @@ BAD_ARRAY_ITEMS = {
 }
 
 
-@pytest.mark.parametrize("case", list(BAD_ARRAY_ITEMS))
-def test_bad_array_items_are_named(case):
-    (*keys, last), value, message = BAD_ARRAY_ITEMS[case]
+def bad_array_item_doc(case: str) -> dict:
+    (*keys, last), value, _ = BAD_ARRAY_ITEMS[case]
     doc = checkpoint_doc()
     node = doc
     for key in keys:
         node = node[key]
     node[last] = value
-    with pytest.raises(InvalidInputError, match=message):
-        decode(Checkpoint, doc)
+    return doc
+
+
+@pytest.mark.parametrize("case", list(BAD_ARRAY_ITEMS))
+def test_bad_array_items_are_named(case):
+    with pytest.raises(InvalidInputError, match=BAD_ARRAY_ITEMS[case][2]):
+        decode(Checkpoint, bad_array_item_doc(case))
+
+
+@pytest.mark.parametrize("case", list(BAD_ARRAY_ITEMS))
+def test_bad_array_items_in_a_checkpoint_file_are_named(tmp_path, case):
+    # the reader's object hook leaves a list that is no float array to decode
+    path = tmp_path / "ckpt.json"
+    header = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION}
+    path.write_text(json.dumps({**header, **bad_array_item_doc(case)}), encoding="utf-8")
+    with pytest.raises(InvalidInputError, match=BAD_ARRAY_ITEMS[case][2]):
+        load_checkpoint(path)
 
 
 def test_scalar_for_an_array_is_named():
@@ -299,6 +314,27 @@ def test_nan_probability_is_rejected():
     doc["initial"][0] = float("nan")
     with pytest.raises(InvalidInputError, match="nonnegative numbers"):
         decode(MarkovSource, json.loads(json.dumps(doc)))
+
+
+# a list where no array goes reads as the list it is, also when the reader's
+# object hook made it an array: (key, its value, the error, its message)
+LISTS_OUTSIDE_AN_ARRAY = {
+    "int-list": ("adam_t", [1], InvalidInputError, r"^adam_t must be int, got \[1\]$"),
+    "float-list": ("adam_t", [1.0], InvalidInputError, r"^adam_t must be int, got \[1\.0\]$"),
+    "nested": ("step", {"a": [0.5]}, InvalidInputError, r"^step must be int, got \{'a': \[0\.5"),
+    "version": ("version", [3.0], CheckpointError, r"^checkpoint version \[3\.0\] != supported 3$"),
+    "format": ("format", [1.0, 2.0], CheckpointError, "is not a driftlm-checkpoint file$"),
+}
+
+
+@pytest.mark.parametrize("case", list(LISTS_OUTSIDE_AN_ARRAY))
+def test_list_outside_an_array_reads_as_a_list(tmp_path, case):
+    key, value, error, message = LISTS_OUTSIDE_AN_ARRAY[case]
+    path = tmp_path / "ckpt.json"
+    doc = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION, **checkpoint_doc()}
+    path.write_text(json.dumps({**doc, key: value}), encoding="utf-8")
+    with pytest.raises(error, match=message):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("version", [1, 2])

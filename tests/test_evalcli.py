@@ -853,6 +853,42 @@ BAD_RUN_FLAGS = {
         "ablate", ["--config", "{config}", "--axis", "lift", "--grid", "soft", "--seeds", "0,x"],
         "--seeds 0,x: invalid literal for int()",
     ),
+    "ablate-negative-seed": (
+        "ablate", ["--config", "{config}", "--axis", "lift", "--grid", "soft", "--seeds", "0,-1"],
+        "--seeds 0,-1: need nonnegative seeds",
+    ),
+    "ablate-nfe-0": (
+        "ablate", ["--config", "{config}", "--axis", "lift", "--grid", "soft", "--nfe", "0"],
+        "--nfe 0: masked sampling needs 1 <= nfe <= 6, the model's sequence length",
+    ),
+    "base-train-nfe-0": (
+        "base-train", ["--config", "{config}", "--nfe", "0"],
+        "--nfe 0: masked sampling needs 1 <= nfe <= 6, the model's sequence length",
+    ),
+    "base-train-nfe-past-length": (
+        "base-train", ["--config", "{config}", "--nfe", "2,7"],
+        "--nfe 7: masked sampling needs 1 <= nfe <= 6",
+    ),
+    "base-train-uniform-nfe-0": (
+        "base-train", ["--config", "{config}", "--corruption", "uniform", "--nfe", "0"],
+        "--nfe 0: need at least 1 denoising step",
+    ),
+    "base-train-negative-seed": (
+        "base-train", ["--config", "{config}", "--seed", "-1"],
+        "--seed -1: need a nonnegative seed",
+    ),
+    "base-train-nan-lr": (
+        "base-train", ["--config", "{config}", "--lr", "nan"],
+        "lr and init_std must be positive and finite",
+    ),
+    "drift-train-nan-temperature": (
+        "drift-train", ["--config", "{config}", "--temperatures", "0.1,nan"],
+        "drift: temperatures must be a nonempty list of positive reals",
+    ),
+    "drift-train-nan-eta": (
+        "drift-train", ["--config", "{config}", "--objective", "mirror-kl", "--eta", "nan"],
+        "objective: eta must be nonnegative and finite",
+    ),
 }
 
 
@@ -935,6 +971,17 @@ BAD_CONFIGS = {
     "string-for-bool": (_with("objective.with_base_loss", "false"), "objective.with_base_loss"),
     "bool-for-int": (_with("steps", True), "steps"),
     "bool-for-float": (_with("drift.w_plus", True), "drift.w_plus"),
+    "nan-lr": (_with("lr", float("nan")), "lr and init_std must be positive and finite"),
+    "inf-init-std": (_with("init_std", float("inf")), "lr and init_std must be positive"),
+    "nan-temperature": (_with("drift.temperatures", [0.1, float("nan")]), "drift: temperatures"),
+    "inf-temperature": (_with("drift.temperatures", [float("inf")]), "drift: temperatures"),
+    "nan-eps": (_with("drift.eps", float("nan")), "drift: eps"),
+    "nan-w-plus": (_with("drift.w_plus", float("nan")), "drift: attraction/repulsion"),
+    "inf-w-minus": (_with("drift.w_minus", float("inf")), "drift: attraction/repulsion"),
+    "nan-eta": (_with("objective.eta", float("nan")), "objective: eta"),
+    "nan-alpha": (_with("objective.alpha", float("nan")), "objective: alpha"),
+    "-inf-alpha": (_with("objective.alpha", float("-inf")), "objective: alpha"),
+    "huge-int-for-float": (_with("lr", 10**400), "^lr must be a number within float range"),
 }
 
 

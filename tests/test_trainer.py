@@ -485,6 +485,25 @@ def test_save_checkpoint_holds_one_tensor_at_a_time(tmp_path):
     assert peak < 1.6e6, f"save_checkpoint traced a {peak / 1e6:.2f} MB peak"
 
 
+def test_load_checkpoint_holds_one_object_at_a_time(tmp_path):
+    # the file's text sets the peak, about 2.05 MB for 1 MB of JSON; the
+    # whole document's Python floats at once (json.load with no object hook,
+    # then decode) traced about 2.5 MB
+    cfg = TrainConfig()
+    state = init_state(cfg)
+    run_steps(cfg, banded_source(), 1, state)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(state, path)
+    load_checkpoint(path)  # warm the decoder and the file machinery
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3e6, f"load_checkpoint traced a {peak / 1e6:.2f} MB peak"
+
+
 def _reversed_keys(doc):
     if isinstance(doc, dict):
         return {k: _reversed_keys(doc[k]) for k in reversed(list(doc))}
