@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Desk-scale ablation tables: lift, attraction-repulsion ratio, queue size.
 
-Each table continues drifting training from one base checkpoint over a grid
-of axis values and seeds, then reports mean +/- SD oracle Gen.-PPL and
-entropy per NFE.  Produce the checkpoint first, e.g. with
+Each table is one `driftlm ablate` run: drifting training continued from one
+base checkpoint over a grid of axis values and seeds, reported as mean +/- SD
+oracle Gen.-PPL and entropy per NFE in <out>/<axis>/ablation.csv, next to the
+run's manifest.json.  Produce the checkpoint first, e.g. with
 scripts/run_directional_study.py or `driftlm base-train`.
 """
 
@@ -11,12 +12,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 
-from driftlm.backbone import CorruptionKind
-from driftlm.corpus import load_source
-from driftlm.evalcli import ABLATION_HEADER, ablate, ablation_line, write_csv
-from driftlm.objectives import ObjectiveKind
-from driftlm.trainer import TrainConfig, load_checkpoint
+from driftlm.evalcli import cli
 
 AXES = {
     "lift": ["soft", "hard-st"],
@@ -38,27 +36,20 @@ def main() -> None:
     ap.add_argument("--corruption", choices=["masked", "uniform"], default="masked")
     args = ap.parse_args()
 
-    source = load_source(args.source)
-    checkpoint = load_checkpoint(args.init)
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    base_cfg = TrainConfig(
-        steps=args.steps,
-        lr=args.lr,
-        corruption=CorruptionKind(args.corruption),
-        objective=ObjectiveKind(),
-        eval_every=args.steps,
-        eval_samples=args.samples,
-    )
-    os.makedirs(args.out, exist_ok=True)
-    for axis in args.axes.split(","):
-        grid = AXES[axis]
-        print(f"== axis {axis}: grid {grid}, seeds {seeds}")
-        rows = ablate(axis, grid, base_cfg, source, checkpoint, seeds=seeds)
-        path = os.path.join(args.out, f"{axis}.csv")
-        write_csv(path, ABLATION_HEADER, rows)
-        for row in rows:
-            print(f"  {ablation_line(row)}")
-        print(f"  wrote {path}")
+    axes = args.axes.split(",")
+    unknown = [axis for axis in axes if axis not in AXES]
+    if unknown:
+        ap.error(f"--axes {args.axes}: unknown axis {unknown[0]!r}; choose from {', '.join(AXES)}")
+    for axis in axes:
+        print(f"== axis {axis}: grid {AXES[axis]}, seeds {args.seeds}")
+        code = cli([
+            "ablate", "--init", args.init, "--source", args.source,
+            "--out", os.path.join(args.out, axis), "--axis", axis, "--grid", ",".join(AXES[axis]),
+            "--steps", str(args.steps), "--lr", repr(args.lr), "--seeds", args.seeds,
+            "--samples", str(args.samples), "--corruption", args.corruption,
+        ])
+        if code != 0:
+            sys.exit(code)
 
 
 if __name__ == "__main__":

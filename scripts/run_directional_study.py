@@ -41,39 +41,53 @@ def main() -> None:
     ap.add_argument("--samples", type=int, default=2048)
     args = ap.parse_args()
 
-    seeds = [int(s) for s in args.seeds.split(",")]
-    nfes = tuple(int(n) for n in args.nfe.split(","))
-    source = banded_source()
-    os.makedirs(args.out, exist_ok=True)
-    save_source(source, os.path.join(args.out, "source.json"))
-
     kinds = (
         [CorruptionKind(args.corruption)]
         if args.corruption != "both"
         else [CorruptionKind.MASKED, CorruptionKind.UNIFORM]
     )
-    for kind in kinds:
+    try:  # every flag is checked before anything is written
+        seeds = [int(s) for s in args.seeds.split(",")]
+        nfes = tuple(int(n) for n in args.nfe.split(","))
+        if len(set(seeds)) < len(seeds) or min(seeds) < 0:
+            raise ValueError(f"--seeds {args.seeds}: need distinct nonnegative seeds")
+        plans = {}  # backbone -> (the base run's config, the phases' config)
+        for kind in kinds:
+            base_cfg = TrainConfig(
+                seed=seeds[0],
+                steps=args.base_steps,
+                lr=args.base_lr,
+                batch_size=args.base_batch,
+                micro_batch=128,
+                corruption=kind,
+                eval_every=args.base_steps,
+                eval_samples=256,
+            )
+            phase_cfg = TrainConfig(
+                steps=args.phase_steps,
+                lr=args.phase_lr,
+                corruption=kind,
+                eval_nfes=nfes,
+                eval_samples=args.samples,
+            )
+            plans[kind] = base_cfg, phase_cfg
+            for nfe in nfes:
+                if nfe < 1:
+                    raise ValueError(f"--nfe {nfe}: need at least 1 denoising step")
+                if kind == CorruptionKind.MASKED and nfe > phase_cfg.model.length:
+                    raise ValueError(f"--nfe {nfe}: masked sampling needs nfe <= "
+                                     f"{phase_cfg.model.length}, the model's sequence length")
+    except ValueError as exc:
+        ap.error(str(exc))
+
+    source = banded_source()
+    os.makedirs(args.out, exist_ok=True)
+    save_source(source, os.path.join(args.out, "source.json"))
+    for kind, (base_cfg, phase_cfg) in plans.items():
         base_dir = os.path.join(args.out, f"{kind.value}-base")
-        base_cfg = TrainConfig(
-            seed=seeds[0],
-            steps=args.base_steps,
-            lr=args.base_lr,
-            batch_size=args.base_batch,
-            micro_batch=128,
-            corruption=kind,
-            eval_every=args.base_steps,
-            eval_samples=256,
-        )
         print(f"[{kind.value}] base training ({args.base_steps} steps, B={args.base_batch})")
         state, _ = train_run(base_cfg, source, out_dir=base_dir)
         base = checkpoint_of(state)
-        phase_cfg = TrainConfig(
-            steps=args.phase_steps,
-            lr=args.phase_lr,
-            corruption=kind,
-            eval_nfes=nfes,
-            eval_samples=args.samples,
-        )
         out_dirs = {m: os.path.join(args.out, f"{kind.value}-{t}") for m, t in RUN_TAGS.items()}
         rows = compare(PHASES, phase_cfg, source, base, seeds, out_dirs)
 

@@ -12,7 +12,6 @@ exact and framework-free.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -97,20 +96,6 @@ class DenoiserParams:
 def param_items(params: DenoiserParams) -> list[tuple[str, Array]]:
     """Named parameter tensors in field order (checkpoint / optimizer order)."""
     return [(f.name, getattr(params, f.name)) for f in fields(params)]
-
-
-def params_to_vector(params: DenoiserParams) -> Array:
-    return np.concatenate([arr.ravel() for _, arr in param_items(params)])
-
-
-def params_from_vector(template: DenoiserParams, vector: Array) -> DenoiserParams:
-    sizes = [arr.size for _, arr in param_items(template)]
-    if sum(sizes) != vector.size:
-        raise InvalidInputError("parameter vector has the wrong size")
-    params = copy.deepcopy(template)
-    for (_, arr), part in zip(param_items(params), np.split(vector, np.cumsum(sizes)[:-1])):
-        arr[...] = part.reshape(arr.shape)
-    return params
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator, init_std: float = 0.02) -> DenoiserParams:

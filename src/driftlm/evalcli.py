@@ -281,27 +281,8 @@ ABLATION_HEADER = [
 ]
 
 
-def ablate(
-    axis: str,
-    grid: list[str],
-    base_config: TrainConfig,
-    source: MarkovSource,
-    init_checkpoint: Checkpoint | None,
-    seeds=(0, 1, 2),
-) -> list[dict]:
-    """``compare`` the grid values of one axis over the seeds, as ``seed_stats``
-    rows with an ``axis`` column (``ABLATION_HEADER``)."""
-    if axis not in ABLATION_AXES:
-        raise InvalidInputError(f"unknown ablation axis {axis!r}; choose from {[*ABLATION_AXES]}")
-    variants = {value: ABLATION_AXES[axis](value) for value in grid}
-    if len(variants) < len(grid):
-        raise InvalidInputError(f"repeated ablation grid value in {grid}")
-    finals = compare(variants, base_config, source, init_checkpoint, seeds)
-    return [{"axis": axis, **row} for row in seed_stats(finals, base_config.eval_nfes)]
-
-
 def ablation_line(row: dict) -> str:
-    """``<value> nfe=<n>: <metric> <mean> +/- <sd>, ...`` for one ``ablate`` row."""
+    """``<value> nfe=<n>: <metric> <mean> +/- <sd>, ...`` for one ``seed_stats`` row."""
     scores = ", ".join(f"{m} {row[f'{m}_mean']:.4g} +/- {row[f'{m}_sd']:.3g}" for m in METRICS)
     return f"{row['value']} nfe={row['nfe']}: {scores}"
 
@@ -387,12 +368,13 @@ DRIFT_FLAGS = {
 }
 
 
-def _add_train_flags(p: argparse.ArgumentParser, drift_phase: bool) -> None:
+def _add_train_flags(p: argparse.ArgumentParser, drift_phase: bool, seed_flag: bool = True) -> None:
     p.add_argument("--source", required=True, help="Markov source file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", default=None, help="JSON training config to start from")
     for flag, (_, kwargs) in TRAIN_FLAGS.items():
-        p.add_argument(flag, default=None, **kwargs)
+        if seed_flag or flag != "--seed":
+            p.add_argument(flag, default=None, **kwargs)
     p.add_argument("--init", required=drift_phase, default=None, help="initial checkpoint")
     for flag, (_, kwargs) in (DRIFT_FLAGS if drift_phase else {}).items():
         p.add_argument(flag, default=None, **kwargs)
@@ -465,7 +447,7 @@ def _resolve_train_config(args, drift_phase: bool) -> TrainConfig:
     # config's objective or starts from the default one
     overrides = {"objective": (config.objective or ObjectiveKind()) if drift_phase else None}
     for flag, (path, _) in {**TRAIN_FLAGS, **(DRIFT_FLAGS if drift_phase else {})}.items():
-        value = getattr(args, flag[2:].replace("-", "_"))
+        value = vars(args).get(flag[2:].replace("-", "_"))  # ablate has no --seed
         if value is not None:
             overrides[path] = value
     try:
@@ -544,11 +526,13 @@ def _cmd_ablate(args) -> int:
     checkpoint = _read_init(args.init, config)
     _check_vocabulary(args.source, source, config.model.vocab_size, "the config's model")
     grid = args.grid.split(",")
-    for value in grid:  # every grid value resolves before anything is written
+    variants = {}  # grid value -> its overrides, each resolved before anything is written
+    for value in grid:
         try:
             if not value or grid.count(value) > 1:
                 raise InvalidInputError("repeated value" if value else "empty value")
-            with_overrides(config, ABLATION_AXES[args.axis](value))
+            variants[value] = ABLATION_AXES[args.axis](value)
+            with_overrides(config, variants[value])
         except ValueError as exc:
             raise UsageError(f"--grid {value}: {exc}") from exc
     try:
@@ -560,7 +544,7 @@ def _cmd_ablate(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--seeds {args.seeds}: {exc}") from exc
     _check_sampling(config.model.length, "the model", config.corruption, config.eval_nfes,
-                    config.eval_samples, config.seed)
+                    config.eval_samples, min(seeds))
     _write_manifest(
         args,
         {
@@ -572,7 +556,8 @@ def _cmd_ablate(args) -> int:
             "init": args.init,
         },
     )
-    rows = ablate(args.axis, grid, config, source, checkpoint, seeds=seeds)
+    finals = compare(variants, config, source, checkpoint, seeds)
+    rows = [{"axis": args.axis, **row} for row in seed_stats(finals, config.eval_nfes)]
     path = os.path.join(args.out, "ablation.csv")
     write_csv(path, ABLATION_HEADER, rows)
     for row in rows:
@@ -615,8 +600,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corruption", choices=[k.value for k in CorruptionKind], default="masked")
 
-    p = sub.add_parser("ablate", help="sweep one design axis over seeds")
-    _add_train_flags(p, drift_phase=True)
+    # each run takes a --seeds value; without abbreviations --seed is not read as --seeds
+    p = sub.add_parser("ablate", help="sweep one design axis over seeds", allow_abbrev=False)
+    _add_train_flags(p, drift_phase=True, seed_flag=False)
     p.add_argument("--axis", required=True, choices=ABLATION_AXES)
     p.add_argument("--grid", required=True, help="comma-separated axis values")
     p.add_argument("--seeds", default="0,1,2")

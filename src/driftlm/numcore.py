@@ -2,14 +2,11 @@
 
 The training pipeline evaluates a fixed computation graph, so there is no
 taped autodiff engine: the backbone and the encoder compose the softmax,
-tanh and L2-normalisation VJPs below explicitly.  ``finite_diff_grad`` and
-``finite_diff_coordinate`` are the independent oracle the test suite checks
-every rule against.
+tanh and L2-normalisation VJPs below explicitly.  The test suite checks
+every rule against a finite-difference oracle of its own.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -17,11 +14,7 @@ Array = np.ndarray
 
 
 class InvalidInputError(ValueError):
-    """An operation received values outside its domain (NaN/Inf, bad step)."""
-
-
-class OracleFailureError(RuntimeError):
-    """The finite-difference oracle hit a non-finite function value."""
+    """An operation received values outside its domain (NaN/Inf)."""
 
 
 def softmax_rows(logits: Array) -> Array:
@@ -67,35 +60,3 @@ def l2_normalize_vjp(v: Array, upstream: Array) -> Array:
     n = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
     y = v / n
     return (upstream - y * np.sum(y * upstream, axis=-1, keepdims=True)) / n
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle (tests only)
-
-
-def finite_diff_grad(f: Callable[[Array], float], x: Array, step: float = 1e-5) -> Array:
-    """Central-difference gradient of a scalar function; double precision only."""
-    if step <= 0.0:
-        raise InvalidInputError("finite_diff_grad: step must be positive")
-    base = np.asarray(x, dtype=np.float64)
-    grad = [finite_diff_coordinate(f, base, k, step) for k in range(base.size)]
-    return np.array(grad, dtype=np.float64).reshape(base.shape)
-
-
-def finite_diff_coordinate(
-    f: Callable[[Array], float], x: Array, index: int, step: float = 1e-5
-) -> float:
-    """Central difference for one flat coordinate of ``x``."""
-    if step <= 0.0:
-        raise InvalidInputError("finite_diff_coordinate: step must be positive")
-    base = np.array(x, dtype=np.float64)
-    flat = base.ravel()
-    orig = flat[index]
-    flat[index] = orig + step
-    fp = float(f(base))
-    flat[index] = orig - step
-    fm = float(f(base))
-    flat[index] = orig
-    if not (np.isfinite(fp) and np.isfinite(fm)):
-        raise OracleFailureError(f"non-finite function value at coordinate {index}")
-    return (fp - fm) / (2.0 * step)

@@ -1,20 +1,25 @@
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from driftlm.backbone import (
+    DenoiserParams,
     ForwardCache,
     ModelConfig,
     backward_tokens,
     forward_tokens,
     init_params,
+    param_items,
     sample_batch,
 )
 from driftlm.encoder import make_frozen_encoder
+from driftlm.numcore import InvalidInputError
 
 settings.register_profile("ci", max_examples=30, deadline=None, derandomize=True)
 settings.load_profile("ci")
@@ -78,3 +83,55 @@ def rel_err(analytic: np.ndarray, reference: np.ndarray, atol: float = 1e-8) -> 
     reference = np.asarray(reference, dtype=np.float64)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(reference)), atol)
     return float(np.max(np.abs(analytic - reference) / scale))
+
+
+# ---------------------------------------------------------------------------
+# finite-difference oracle and flat parameter vectors
+
+
+class OracleFailureError(RuntimeError):
+    """The finite-difference oracle hit a non-finite function value."""
+
+
+def finite_diff_grad(
+    f: Callable[[np.ndarray], float], x: np.ndarray, step: float = 1e-5
+) -> np.ndarray:
+    """Central-difference gradient of a scalar function; double precision only."""
+    if step <= 0.0:
+        raise InvalidInputError("finite_diff_grad: step must be positive")
+    base = np.asarray(x, dtype=np.float64)
+    grad = [finite_diff_coordinate(f, base, k, step) for k in range(base.size)]
+    return np.array(grad, dtype=np.float64).reshape(base.shape)
+
+
+def finite_diff_coordinate(
+    f: Callable[[np.ndarray], float], x: np.ndarray, index: int, step: float = 1e-5
+) -> float:
+    """Central difference for one flat coordinate of ``x``."""
+    if step <= 0.0:
+        raise InvalidInputError("finite_diff_coordinate: step must be positive")
+    base = np.array(x, dtype=np.float64)
+    flat = base.ravel()
+    orig = flat[index]
+    flat[index] = orig + step
+    fp = float(f(base))
+    flat[index] = orig - step
+    fm = float(f(base))
+    flat[index] = orig
+    if not (np.isfinite(fp) and np.isfinite(fm)):
+        raise OracleFailureError(f"non-finite function value at coordinate {index}")
+    return (fp - fm) / (2.0 * step)
+
+
+def params_to_vector(params: DenoiserParams) -> np.ndarray:
+    return np.concatenate([arr.ravel() for _, arr in param_items(params)])
+
+
+def params_from_vector(template: DenoiserParams, vector: np.ndarray) -> DenoiserParams:
+    sizes = [arr.size for _, arr in param_items(template)]
+    if sum(sizes) != vector.size:
+        raise InvalidInputError("parameter vector has the wrong size")
+    params = copy.deepcopy(template)
+    for (_, arr), part in zip(param_items(params), np.split(vector, np.cumsum(sizes)[:-1])):
+        arr[...] = part.reshape(arr.shape)
+    return params

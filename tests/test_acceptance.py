@@ -3,7 +3,7 @@
 Criteria 1-7 and 10 are analytic/property checks at desk scale.  Criteria 8
 and 9, the paper's directional claims (drifting vs. continuation training,
 and the ablation orderings), are not gated yet: they need real training
-runs and are open item 3 in ROADMAP.md.
+runs and are open item 2 in ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from driftlm.backbone import (
     backward_tokens,
     init_params,
     param_items,
-    params_from_vector,
-    params_to_vector,
 )
 from driftlm.corpus import banded_source, sample_sequences
 from driftlm.drift import (
@@ -41,7 +39,7 @@ from driftlm.encoder import (
     pullback_to_logits,
     real_features_batch,
 )
-from driftlm.numcore import finite_diff_coordinate, softmax_rows
+from driftlm.numcore import softmax_rows
 from driftlm.objectives import (
     ObjectiveKind,
     ObjectiveVariant,
@@ -53,6 +51,8 @@ from driftlm.objectives import (
     total_objective,
 )
 from driftlm.evalcli import cli
+
+from conftest import finite_diff_coordinate, params_from_vector, params_to_vector
 
 DESK = ModelConfig()  # |V| = 32, L = 16, d = 32
 

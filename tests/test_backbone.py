@@ -17,16 +17,24 @@ from driftlm.backbone import (
     forward_tokens,
     init_params,
     param_items,
-    params_from_vector,
-    params_to_vector,
     sample_batch,
     token_tables,
 )
 from driftlm.encoder import LiftKind, lift_and_encode, make_frozen_encoder
-from driftlm.numcore import InvalidInputError, finite_diff_grad, log_softmax_rows, softmax_rows
+from driftlm.numcore import InvalidInputError, log_softmax_rows, softmax_rows
 from driftlm.objectives import ObjectiveKind, total_objective
 
-from conftest import DESK_MODEL, SMALL_MODEL, denoise_backward, denoise_forward, rel_err, sample
+from conftest import (
+    DESK_MODEL,
+    SMALL_MODEL,
+    denoise_backward,
+    denoise_forward,
+    finite_diff_grad,
+    params_from_vector,
+    params_to_vector,
+    rel_err,
+    sample,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from driftlm.encoder import (
     real_features_batch,
     soft_token_lift,
 )
-from driftlm.numcore import InvalidInputError, finite_diff_grad, softmax_rows
+from driftlm.numcore import InvalidInputError, softmax_rows
 
-from conftest import SMALL_MODEL, rel_err
+from conftest import SMALL_MODEL, finite_diff_grad, rel_err
 
 L, V = SMALL_MODEL.length, SMALL_MODEL.vocab_size
 

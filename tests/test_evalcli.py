@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import re
@@ -18,7 +19,6 @@ from driftlm.evalcli import (
     ABLATION_HEADER,
     METRICS,
     _resolve_train_config,
-    ablate,
     build_parser,
     cli,
     compare,
@@ -216,8 +216,6 @@ def test_apply_axis_variants():
     assert ratio.drift.w_plus == 0.0 and ratio.drift.w_minus == 1.0
     temps = _axis(cfg, "temperature_set", "0.05/0.2")
     assert temps.drift.temperatures == (0.05, 0.2)
-    with pytest.raises(InvalidInputError, match="unknown ablation axis"):
-        ablate("nope", ["1"], cfg, banded_source(vocab_size=TINY_MODEL.clean_vocab), None)
 
 
 def _compare_setup():
@@ -278,53 +276,6 @@ def test_seed_stats_reduces_per_variant_and_nfe():
         dict(value="b", nfe=4, n_seeds=1, gen_ppl_mean=8.0, gen_ppl_sd=0.0,
              entropy_mean=0.5, entropy_sd=0.0),
     ]
-
-
-def test_ablate_evaluates_each_final_model_once(monkeypatch):
-    source = banded_source(vocab_size=TINY_MODEL.clean_vocab)
-    cfg = tiny_train_config()
-    base = checkpoint_of(init_state(tiny_train_config(objective=None)))
-    grid, seeds = ["4", "8", "16"], (0, 1)
-    calls = _counting(monkeypatch, "evaluate")
-    rows = ablate("queue_size", grid, cfg, source, base, seeds=seeds)
-    assert len(calls) == len(grid) * len(seeds)
-    monkeypatch.undo()
-    # reference: the final rows of full runs, which also evaluate at step 0
-    def final_row(value, seed):
-        return train_run(replace(_axis(cfg, "queue_size", value), seed=seed), source, base)[1][-1]
-
-    finals = {(value, seed): final_row(value, seed) for value in grid for seed in seeds}
-    assert len(rows) == len(grid) * len(cfg.eval_nfes)
-    for row in rows:
-        for m in METRICS:
-            scores = np.asarray([finals[row["value"], s][f"{m}_nfe{row['nfe']}"] for s in seeds])
-            assert row[f"{m}_mean"] == float(scores.mean())
-            assert row[f"{m}_sd"] == float(scores.std(ddof=0))
-
-
-def test_ablate_rejects_a_repeated_grid_value():
-    source, base, cfg = _compare_setup()
-    with pytest.raises(InvalidInputError, match="repeated"):
-        ablate("queue_size", ["4", "4"], cfg, source, base, seeds=(0,))
-
-
-def test_ablate_table_shape_and_zero_sd_single_seed():
-    source = banded_source(vocab_size=TINY_MODEL.clean_vocab)
-    cfg = tiny_train_config()
-    base = checkpoint_of(init_state(tiny_train_config(objective=None)))
-    rows = ablate("queue_size", ["4", "8"], cfg, source, base, seeds=(0,))
-    assert len(rows) == 2 * len(cfg.eval_nfes)
-    assert all(set(r) == set(ABLATION_HEADER) for r in rows)
-    assert all(r["gen_ppl_sd"] == 0.0 and r["entropy_sd"] == 0.0 for r in rows)
-    values = {(r["value"], r["nfe"]) for r in rows}
-    assert values == {("4", 2), ("4", 3), ("8", 2), ("8", 3)}
-    # one seed: each mean is evaluate() of the run's final model
-    for value in ("4", "8"):
-        state, _ = train_run(_axis(cfg, "queue_size", value), source, base)
-        report = evaluate(state.params, source, cfg.corruption, cfg.eval_nfes, cfg.eval_samples, 0)
-        for item in report.per_nfe:
-            (row,) = [r for r in rows if (r["value"], r["nfe"]) == (value, item.nfe)]
-            assert all(row[f"{m}_mean"] == getattr(item, m) for m in METRICS)
 
 
 def test_ablation_csv_bytes(tmp_path):
@@ -759,34 +710,65 @@ def test_cli_eval_byte_identical_reruns(cli_env, capsys):
     assert outputs[0] == outputs[1]
 
 
+def _ablate_argv(cli_env, out, axis: str, grid: str, seeds: str) -> list[str]:
+    """``ablate`` of the tiny config from the tiny checkpoint."""
+    _, source_path, config_path, ckpt_path = cli_env
+    return ["ablate", "--source", str(source_path), "--out", str(out), "--config",
+            str(config_path), "--init", str(ckpt_path), "--axis", axis, "--grid", grid,
+            "--seeds", seeds]
+
+
+def _read_rows(path) -> list[dict]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_cli_ablate_writes_table(cli_env, capsys):
-    tmp_path, source_path, config_path, ckpt_path = cli_env
+    out = cli_env[0] / "ablation"
+    assert cli([*_ablate_argv(cli_env, out, "att_rep_ratio", "1:1,0:1", "0"), "--steps", "2"]) == 0
+    rows = _read_rows(out / "ablation.csv")
+    assert all(list(row) == ABLATION_HEADER for row in rows)
+    # two grid values x two NFEs, and one seed has an SD of zero
+    assert [(r["value"], r["nfe"]) for r in rows] == [
+        ("1:1", "2"), ("1:1", "3"), ("0:1", "2"), ("0:1", "3")
+    ]
+    assert all(float(r[f"{m}_sd"]) == 0.0 and r["n_seeds"] == "1" for r in rows for m in METRICS)
+    # an unknown axis is argparse's usage error
+    assert cli(_ablate_argv(cli_env, cli_env[0] / "nope", "nope", "1", "0")) == 2
+    assert not (cli_env[0] / "nope").exists()
+
+
+def test_ablate_evaluates_each_final_model_once(cli_env, capsys, monkeypatch):
+    tmp_path, source_path, _, ckpt_path = cli_env
+    source, base, cfg = load_source(source_path), load_checkpoint(ckpt_path), tiny_train_config()
+    grid, seeds = ["4", "8", "16"], (0, 1)
+    calls = _counting(monkeypatch, "evaluate")
     out = tmp_path / "ablation"
-    code = cli(
-        [
-            "ablate",
-            "--source",
-            str(source_path),
-            "--out",
-            str(out),
-            "--config",
-            str(config_path),
-            "--init",
-            str(ckpt_path),
-            "--axis",
-            "att_rep_ratio",
-            "--grid",
-            "1:1,0:1",
-            "--seeds",
-            "0",
-            "--steps",
-            "2",
-        ]
-    )
-    assert code == 0
-    lines = (out / "ablation.csv").read_text().strip().split("\n")
-    assert lines[0].startswith("axis,value,nfe")
-    assert len(lines) == 1 + 2 * 2  # two grid values x two NFEs
+    assert cli(_ablate_argv(cli_env, out, "queue_size", ",".join(grid), "0,1")) == 0
+    assert len(calls) == len(grid) * len(seeds)
+    monkeypatch.undo()
+    # reference: the final rows of full runs, which also evaluate at step 0
+    def final_row(value, seed):
+        return train_run(replace(_axis(cfg, "queue_size", value), seed=seed), source, base)[1][-1]
+
+    finals = {(value, seed): final_row(value, seed) for value in grid for seed in seeds}
+    rows = _read_rows(out / "ablation.csv")
+    assert len(rows) == len(grid) * len(cfg.eval_nfes)
+    for row in rows:
+        assert row["axis"] == "queue_size" and row["n_seeds"] == str(len(seeds))
+        for m in METRICS:
+            scores = [finals[row["value"], s][f"{m}_nfe{row['nfe']}"] for s in seeds]
+            assert float(row[f"{m}_mean"]) == float(np.mean(scores))
+            assert float(row[f"{m}_sd"]) == float(np.std(scores, ddof=0))
+
+
+def test_cli_ablate_takes_no_seed_flag(cli_env, capsys, monkeypatch):
+    trained = _counting(monkeypatch, "train_run")
+    out = cli_env[0] / "run"
+    out.mkdir()
+    assert cli([*_ablate_argv(cli_env, out, "lift", "soft", "0"), "--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert trained == [] and not any(out.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -1032,7 +1014,7 @@ DRIFT_SURFACE = [
 CLI_SURFACE = {
     "base-train": TRAIN_SURFACE + [("--init", None, None, False)],
     "drift-train": TRAIN_SURFACE + [("--init", None, None, True)] + DRIFT_SURFACE,
-    "ablate": TRAIN_SURFACE
+    "ablate": [flag for flag in TRAIN_SURFACE if flag[0] != "--seed"]
     + [("--init", None, None, True)]
     + DRIFT_SURFACE
     + [

@@ -11,15 +11,13 @@ from hypothesis.extra.numpy import arrays
 
 from driftlm.numcore import (
     InvalidInputError,
-    OracleFailureError,
-    finite_diff_grad,
     l2_normalize_vjp,
     softmax_rows,
     softmax_vjp_from_probs,
     tanh_vjp_from_output,
 )
 
-from conftest import rel_err
+from conftest import OracleFailureError, finite_diff_grad, rel_err
 
 finite_rows = arrays(
     np.float64,

@@ -7,7 +7,7 @@ import pytest
 
 from driftlm.backbone import CorruptionKind, base_loss, corrupt
 from driftlm.encoder import LiftKind, lift_and_encode, pullback_to_logits
-from driftlm.numcore import finite_diff_grad, softmax_rows
+from driftlm.numcore import softmax_rows
 from driftlm.objectives import (
     ObjectiveKind,
     ObjectiveVariant,
@@ -19,7 +19,7 @@ from driftlm.objectives import (
     total_objective,
 )
 
-from conftest import SMALL_MODEL, rel_err
+from conftest import SMALL_MODEL, finite_diff_grad, rel_err
 
 L, V = SMALL_MODEL.length, SMALL_MODEL.vocab_size
 

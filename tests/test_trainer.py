@@ -15,7 +15,6 @@ from driftlm.backbone import (
     corrupt,
     forward_tokens,
     param_items,
-    params_to_vector,
 )
 from driftlm.codec import jsonable
 from driftlm.corpus import banded_source, sample_sequences
@@ -34,6 +33,8 @@ from driftlm.trainer import (
     save_checkpoint,
     train_step,
 )
+
+from conftest import params_to_vector
 
 TINY_MODEL = ModelConfig(vocab_size=8, length=6, embed_dim=8, hidden_dim=12)
 
