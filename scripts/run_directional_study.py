@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+from dataclasses import replace
 
 from driftlm.backbone import CorruptionKind
 from driftlm.corpus import banded_source, save_source
@@ -25,6 +26,26 @@ from driftlm.trainer import TrainConfig, checkpoint_of
 # zero-step runs from the base checkpoint and are not saved
 PHASES = {"base": {"steps": 0}, "continuation": {}, "drift": {"objective": ObjectiveKind()}}
 RUN_TAGS = {"continuation": "cont", "drift": "drift"}  # method -> run directory tag
+
+
+def _ints(flag: str, text: str) -> list[int]:
+    """The comma-separated integers of ``flag``'s value ``text``."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{flag} {text}: {exc}") from exc
+
+
+def _train_config(fixed: dict, flags: dict) -> TrainConfig:
+    """``TrainConfig(**fixed)`` with each ``(flag, value)``'s fields set in turn,
+    so that a failed check names its flag."""
+    config = TrainConfig(**fixed)
+    for (flag, value), fields in flags.items():
+        try:
+            config = replace(config, **fields)
+        except ValueError as exc:
+            raise ValueError(f"{flag} {value}: {exc}") from exc
+    return config
 
 
 def main() -> None:
@@ -46,29 +67,32 @@ def main() -> None:
         if args.corruption != "both"
         else [CorruptionKind.MASKED, CorruptionKind.UNIFORM]
     )
-    try:  # every flag is checked before anything is written
-        seeds = [int(s) for s in args.seeds.split(",")]
-        nfes = tuple(int(n) for n in args.nfe.split(","))
+    try:  # every flag is checked before anything is written; an error names its flag
+        seeds, nfes = _ints("--seeds", args.seeds), _ints("--nfe", args.nfe)
         if len(set(seeds)) < len(seeds) or min(seeds) < 0:
             raise ValueError(f"--seeds {args.seeds}: need distinct nonnegative seeds")
         plans = {}  # backbone -> (the base run's config, the phases' config)
         for kind in kinds:
-            base_cfg = TrainConfig(
-                seed=seeds[0],
-                steps=args.base_steps,
-                lr=args.base_lr,
-                batch_size=args.base_batch,
-                micro_batch=128,
-                corruption=kind,
-                eval_every=args.base_steps,
-                eval_samples=256,
+            base_cfg = _train_config(
+                dict(seed=seeds[0], corruption=kind, eval_samples=256),
+                {
+                    ("--base-steps", args.base_steps): dict(
+                        steps=args.base_steps, eval_every=args.base_steps
+                    ),
+                    ("--base-lr", args.base_lr): dict(lr=args.base_lr),
+                    ("--base-batch", args.base_batch): dict(
+                        batch_size=args.base_batch, micro_batch=128
+                    ),
+                },
             )
-            phase_cfg = TrainConfig(
-                steps=args.phase_steps,
-                lr=args.phase_lr,
-                corruption=kind,
-                eval_nfes=nfes,
-                eval_samples=args.samples,
+            phase_cfg = _train_config(
+                dict(corruption=kind),
+                {
+                    ("--phase-steps", args.phase_steps): dict(steps=args.phase_steps),
+                    ("--phase-lr", args.phase_lr): dict(lr=args.phase_lr),
+                    ("--nfe", args.nfe): dict(eval_nfes=tuple(nfes)),
+                    ("--samples", args.samples): dict(eval_samples=args.samples),
+                },
             )
             plans[kind] = base_cfg, phase_cfg
             for nfe in nfes:

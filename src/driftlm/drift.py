@@ -93,7 +93,9 @@ def build_references(
 # product such as ``h @ pool.T`` blocks the pool by position: a pool with the
 # same references in shifted slots, which is what the masked self row gives
 # the negatives, then rounds differently and the drift at equilibrium is no
-# longer exactly zero.
+# longer exactly zero.  The temperatures are a leading axis ``[T, n, K]`` of
+# the affinities; every reduction runs along the last axis, so each slice has
+# the bits of a single-temperature call.
 
 
 def _sq_dists(anchors: Array, pool: Array) -> Array:
@@ -109,14 +111,15 @@ def _sq_dists(anchors: Array, pool: Array) -> Array:
 
 
 def _weighted_sum(weights: Array, pool: Array) -> Array:
-    """``weights [n, K] @ pool [K, m]``, summed over the pool in row order."""
-    return np.einsum("nk,km->nm", weights, pool)
+    """``weights [T, n, K] @ pool [K, m]``, summed over the pool in row order."""
+    return np.einsum("...nk,km->...nm", weights, pool)
 
 
 def _softmax_weights(affinities: Array) -> Array:
-    """Row softmax whose normalizer is a sequential sum, as in ``_weighted_sum``."""
-    e = np.exp(affinities - affinities.max(axis=1, keepdims=True))
-    return e / np.cumsum(e, axis=1)[:, -1:]
+    """Softmax over the last axis whose normalizer is a sequential sum, as in
+    ``_weighted_sum``."""
+    e = np.exp(affinities - affinities.max(axis=-1, keepdims=True))
+    return e / np.cumsum(e, axis=-1)[..., -1:]
 
 
 def _side_barycenter(affinities: Array, pool: Array) -> Array:
@@ -128,35 +131,15 @@ def _side_barycenter(affinities: Array, pool: Array) -> Array:
     underflowing in the joint view.  An empty side has a zero barycenter.
     """
     if pool.shape[0] == 0:
-        return np.zeros((affinities.shape[0], pool.shape[1]))
+        return np.zeros(affinities.shape[:-1] + pool.shape[1:])
     return _weighted_sum(_softmax_weights(affinities), pool)
 
 
-def _drift_from_sq_dists(
-    d_pos: Array,
-    d_neg: Array,
-    pos: Array,
-    neg: Array,
-    tau: float,
-    w_plus: float,
-    w_minus: float,
-    renormalize: bool,
+def _drifts(
+    anchors, positives, negatives, taus: Array, w_plus: float, w_minus: float,
+    renormalize: bool, exclude_self: bool,
 ) -> Array:
-    if renormalize:
-        b_plus = _side_barycenter(-d_pos / tau, pos)
-        b_minus = _side_barycenter(-d_neg / tau, neg)
-    else:
-        w = _softmax_weights(np.concatenate([-d_pos / tau, -d_neg / tau], axis=1))
-        n_pos = d_pos.shape[1]
-        b_plus = _weighted_sum(w[:, :n_pos], pos)
-        b_minus = _weighted_sum(w[:, n_pos:], neg)
-    return w_plus * b_plus - w_minus * b_minus
-
-
-def _pool_distances(
-    anchors, positives, negatives, w_plus: float, w_minus: float, exclude_self: bool
-):
-    """Validated anchors ``[n, m]``, both pools and their distances ``[n, P]``, ``[n, N]``.
+    """Drifts ``[T, n, m]`` of anchors ``[n, m]``, one slice per temperature in ``taus [T]``.
 
     With ``exclude_self`` the first ``n`` negative rows are the anchors, and
     anchor ``i``'s distance to negative row ``i`` is +inf: its affinity is
@@ -186,7 +169,16 @@ def _pool_distances(
     d_neg = _sq_dists(h, neg)
     if exclude_self and neg.shape[0]:
         np.fill_diagonal(d_neg, np.inf)
-    return h, pos, neg, _sq_dists(h, pos), d_neg
+    a_pos = -_sq_dists(h, pos) / taus[:, None, None]
+    a_neg = -d_neg / taus[:, None, None]
+    if renormalize:
+        b_plus = _side_barycenter(a_pos, pos)
+        b_minus = _side_barycenter(a_neg, neg)
+    else:
+        w = _softmax_weights(np.concatenate([a_pos, a_neg], axis=-1))
+        b_plus = _weighted_sum(w[..., : pos.shape[0]], pos)
+        b_minus = _weighted_sum(w[..., pos.shape[0] :], neg)
+    return w_plus * b_plus - w_minus * b_minus
 
 
 def drift_single_temp(
@@ -210,10 +202,9 @@ def drift_single_temp(
     """
     if tau <= 0.0:
         raise InvalidInputError("tau must be positive")
-    h, pos, neg, d_pos, d_neg = _pool_distances(
-        anchors, positives, negatives, w_plus, w_minus, exclude_self
-    )
-    return _drift_from_sq_dists(d_pos, d_neg, pos, neg, tau, w_plus, w_minus, renormalize)
+    taus = np.array([tau], dtype=np.float64)
+    return _drifts(anchors, positives, negatives, taus, w_plus, w_minus, renormalize,
+                   exclude_self)[0]
 
 
 def drift_multi_temp(
@@ -224,22 +215,20 @@ def drift_multi_temp(
     ``positives [P, m]`` and ``negatives [N, m]`` are the pools of
     ``build_references``; with ``exclude_self`` anchor ``i`` is negative row
     ``i`` and gets weight 0 there.  All references are treated as constants.
-    The two distance matrices are computed once; only the temperatures are
-    looped over.
+    Every temperature is computed in one pass; the balanced slices are summed
+    in the order of ``config.temperatures``.
     """
-    h, pos, neg, d_pos, d_neg = _pool_distances(
-        anchors, positives, negatives, config.w_plus, config.w_minus, exclude_self
-    )
-    out = np.zeros(h.shape)
-    for tau in config.temperatures:
-        per_tau = _drift_from_sq_dists(
-            d_pos, d_neg, pos, neg, tau, config.w_plus, config.w_minus, config.renormalize_sides
-        )
-        out += per_tau / rms_scale(per_tau, config.eps)
-    return out / len(config.temperatures)
+    taus = np.array(config.temperatures, dtype=np.float64)
+    per_tau = _drifts(anchors, positives, negatives, taus, config.w_plus, config.w_minus,
+                      config.renormalize_sides, exclude_self)
+    out = np.zeros(per_tau.shape[1:])
+    for v, s in zip(per_tau, rms_scale(per_tau, config.eps)):
+        out += v / s
+    return out / len(taus)
 
 
-def rms_scale(drifts: Array, eps: float) -> float:
-    """Batch-level RMS normalizer sqrt(mean ||V_i||^2 + eps)."""
+def rms_scale(drifts: Array, eps: float) -> Array:
+    """Batch-level RMS normalizer sqrt(mean ||V_i||^2 + eps) of drifts ``[n, m]``;
+    one per slice ``[T]`` for stacked drifts ``[T, n, m]``."""
     drifts = np.asarray(drifts, dtype=np.float64)
-    return float(np.sqrt(np.mean(np.sum(drifts * drifts, axis=-1)) + eps))
+    return np.sqrt(np.mean(np.sum(drifts * drifts, axis=-1), axis=-1) + eps)

@@ -550,8 +550,8 @@ def _cmd_ablate(args) -> int:
         {
             "axis": args.axis,
             "grid": grid,
-            "seeds": list(seeds),
-            "config": train_config_to_dict(config),
+            "seeds": list(seeds),  # each run's seed; the config's own is unused
+            "config": {k: v for k, v in train_config_to_dict(config).items() if k != "seed"},
             "source": args.source,
             "init": args.init,
         },

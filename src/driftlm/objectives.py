@@ -65,17 +65,17 @@ def mirror_teacher(logits: Array, g: Array, eta: float) -> Array:
     return numcore.softmax_rows(np.asarray(logits, np.float64) + eta * np.asarray(g, np.float64))
 
 
-def mirror_kl_loss(p_star: Array, logits: Array, predicted: Array) -> tuple[Array, Array]:
-    """Per-sequence mean KL(p* || p) over predicted positions; gradient (p - p*) / count.
+def mirror_kl_loss(p_star: Array, probs: Array, predicted: Array) -> tuple[Array, Array]:
+    """Per-sequence mean KL(p* || p) over predicted positions, for the model's
+    ``probs`` p = softmax(logits); the gradient is d/d logits, (p - p*) / count.
 
     Both distributions go through the same log so a bitwise-equal teacher
     (the drift-equilibrium case) yields exactly zero loss and gradient.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    p = np.asarray(probs, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=bool)
     p_star = np.asarray(p_star, dtype=np.float64)
     count = np.maximum(predicted.sum(axis=1), 1)
-    p = numcore.softmax_rows(logits)
     log_ratio = np.log(np.where(p_star > 0.0, p_star, 1.0)) - np.log(p)
     row_kl = np.where(p_star > 0.0, p_star * log_ratio, 0.0).sum(axis=-1)
     loss = np.where(predicted, row_kl, 0.0).sum(axis=1) / count
@@ -109,7 +109,7 @@ def total_objective(
         g = mirror_direction(state, drifts)
         if kind.variant == ObjectiveVariant.MIRROR_KL:
             p_star = mirror_teacher(state.logits, g, kind.eta)
-            losses, grad = mirror_kl_loss(p_star, state.logits, state.predicted)
+            losses, grad = mirror_kl_loss(p_star, state.probs, state.predicted)
         else:
             l_star = state.logits + kind.eta * g
             losses, grad = mirror_mse_loss(l_star, state.logits, state.predicted)

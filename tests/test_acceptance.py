@@ -234,7 +234,7 @@ def test_criterion_3_equilibrium_suite():
     assert np.all(g == 0.0)
     p_star = mirror_teacher(state.logits, g, 1.0)
     assert np.array_equal(p_star, state.probs)
-    kl, kl_grad = mirror_kl_loss(p_star, state.logits, state.predicted)
+    kl, kl_grad = mirror_kl_loss(p_star, softmax_rows(state.logits), state.predicted)
     mse, mse_grad = mirror_mse_loss(state.logits + 1.0 * g, state.logits, state.predicted)
     assert np.all(kl == 0.0) and np.all(kl_grad == 0.0)
     assert np.all(mse == 0.0) and np.all(mse_grad == 0.0)

@@ -332,6 +332,33 @@ def test_multi_temp_single_tau_equals_normalized_single(rng):
     assert np.array_equal(out, expected)
 
 
+@pytest.mark.parametrize("queued", [256, 4], ids=["drift-l2", "drift-mirror"])
+@pytest.mark.parametrize("renormalize", [True, False], ids=["renormalized", "joint"])
+def test_multi_temp_equals_loop_of_single_temp_bitwise(rng, queued, renormalize):
+    # the benchmark workloads' pools: 8 anchors, then 256 or 4 queued rows
+    cfg = DriftConfig(renormalize_sides=renormalize)
+    for _ in range(5):
+        anchors = unit_rows(rng, 8, 64)
+        pos = unit_rows(rng, 8 + queued, 64)
+        neg = np.concatenate([anchors, unit_rows(rng, queued, 64)])
+        want = np.zeros(anchors.shape)
+        for tau in cfg.temperatures:
+            per = drift_single_temp(
+                anchors, pos, neg, tau, renormalize=renormalize, exclude_self=True
+            )
+            want += per / rms_scale(per, cfg.eps)
+        got = drift_multi_temp(anchors, pos, neg, cfg, exclude_self=True)
+        assert np.array_equal(got, want / len(cfg.temperatures))
+
+
+def test_stacked_rms_scale_equals_per_slice(rng):
+    drifts = rng.normal(size=(3, 8, 64))
+    stacked = rms_scale(drifts, 1e-8)
+    assert stacked.shape == (3,)
+    assert all(stacked[t] == rms_scale(drifts[t], 1e-8) for t in range(3))
+    assert isinstance(rms_scale(drifts[0], 1e-8), float)
+
+
 def test_multi_temp_rms_is_one_per_temperature(rng):
     anchors = unit_rows(rng, 4, 8)
     pos = rng.normal(size=(6, 8))

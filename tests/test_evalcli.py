@@ -762,6 +762,14 @@ def test_ablate_evaluates_each_final_model_once(cli_env, capsys, monkeypatch):
             assert float(row[f"{m}_sd"]) == float(np.std(scores, ddof=0))
 
 
+def test_cli_ablate_manifest_names_only_the_seeds_that_ran(cli_env, capsys):
+    out = cli_env[0] / "ablation"
+    assert cli([*_ablate_argv(cli_env, out, "lift", "soft", "0,1"), "--steps", "0"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seeds"] == [0, 1] and "seed" not in manifest["config"]
+    assert manifest["config"]["queue_capacity"] == tiny_train_config().queue_capacity
+
+
 def test_cli_ablate_takes_no_seed_flag(cli_env, capsys, monkeypatch):
     trained = _counting(monkeypatch, "train_run")
     out = cli_env[0] / "run"

@@ -158,7 +158,7 @@ def test_teacher_maximizes_variational_objective_on_grid(rng):
 def test_mirror_kl_identity(rng):
     logits = rng.normal(size=(1, 5, 7))
     p = softmax_rows(logits)
-    loss, grad = mirror_kl_loss(p, logits, np.ones((1, 5), bool))
+    loss, grad = mirror_kl_loss(p, softmax_rows(logits), np.ones((1, 5), bool))
     assert abs(loss[0]) <= 1e-15 and np.max(np.abs(grad)) <= 1e-15
 
 
@@ -166,7 +166,7 @@ def test_mirror_kl_nonnegative(rng):
     for _ in range(25):
         logits = rng.normal(size=(1, 3, 5))
         p_star = softmax_rows(rng.normal(size=(1, 3, 5)))
-        loss, _ = mirror_kl_loss(p_star, logits, np.ones((1, 3), bool))
+        loss, _ = mirror_kl_loss(p_star, softmax_rows(logits), np.ones((1, 3), bool))
         assert loss[0] >= 0.0
 
 
@@ -175,8 +175,11 @@ def test_mirror_kl_gradient_matches_finite_differences(rng):
     p_star = softmax_rows(rng.normal(size=(1, 4, 6)))
     positions = np.array([0, 2])
     predicted = _mask(positions, 4)
-    _, grad = mirror_kl_loss(p_star, logits, predicted)
-    fd = finite_diff_grad(lambda l: mirror_kl_loss(p_star, l, predicted)[0][0], logits, 1e-5)
+    _, grad = mirror_kl_loss(p_star, softmax_rows(logits), predicted)
+    # the loss takes probabilities; its gradient is with respect to the logits
+    fd = finite_diff_grad(
+        lambda l: mirror_kl_loss(p_star, softmax_rows(l), predicted)[0][0], logits, 1e-5
+    )
     assert rel_err(grad, fd) <= 1e-5
     off = np.setdiff1d(np.arange(4), positions)
     assert np.all(grad[0, off] == 0.0)
@@ -244,6 +247,22 @@ def test_total_mirror_kl_eta_zero_is_null(small_encoder, rng):
     assert np.all(grad == 0.0)
 
 
+@pytest.mark.parametrize("with_base_loss", [False, True], ids=["kl", "kl+base"])
+def test_total_mirror_kl_equals_composition_from_logits(small_encoder, rng, with_base_loss):
+    # total_objective reuses the lift's probabilities; composed from the
+    # logits, the teacher, loss and gradient have the same bits
+    cleans, records, state = _batch(small_encoder, rng)
+    drifts = rng.normal(size=(3, small_encoder.feature_dim))
+    kind = ObjectiveKind(variant=ObjectiveVariant.MIRROR_KL, eta=0.7, with_base_loss=with_base_loss)
+    losses, grad = total_objective(kind, state, drifts, cleans)
+    p_star = mirror_teacher(state.logits, mirror_direction(state, drifts), kind.eta)
+    want, want_grad = mirror_kl_loss(p_star, softmax_rows(state.logits), state.predicted)
+    if with_base_loss:
+        base_losses, base_grad = base_loss(state.logits, cleans, state.predicted)
+        want, want_grad = want + base_losses, want_grad + base_grad
+    assert np.array_equal(losses, want) and np.array_equal(grad, want_grad)
+
+
 @pytest.mark.parametrize(
     "kind",
     [
@@ -275,7 +294,7 @@ def test_total_gradient_matches_frozen_target_finite_differences(small_encoder, 
             diff = one.features[0] - targets[i]
             value = 0.5 * float(diff @ diff)
         elif kind.variant == ObjectiveVariant.MIRROR_KL:
-            value = mirror_kl_loss(teachers[i : i + 1], logits, predicted)[0][0]
+            value = mirror_kl_loss(teachers[i : i + 1], softmax_rows(logits), predicted)[0][0]
         else:
             value = mirror_mse_loss(teachers[i : i + 1], logits, predicted)[0][0]
         if kind.with_base_loss:
