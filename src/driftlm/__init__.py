@@ -3,7 +3,7 @@
 from .backbone import CorruptionKind, DenoiserParams, ModelConfig
 from .corpus import MarkovSource, banded_source
 from .drift import DriftConfig
-from .encoder import FrozenEncoder, LiftKind
+from .encoder import LiftKind
 from .objectives import ObjectiveKind, ObjectiveVariant
 from .trainer import Checkpoint, TrainConfig, TrainState
 
@@ -12,7 +12,6 @@ __all__ = [
     "CorruptionKind",
     "DenoiserParams",
     "DriftConfig",
-    "FrozenEncoder",
     "LiftKind",
     "MarkovSource",
     "ModelConfig",

@@ -1,14 +1,15 @@
 """Frozen semantic encoder and the soft-token lift.
 
-The encoder is an immutable copy of a denoiser checkpoint.  It consumes
-embedding rows directly (its own token lookup is bypassed, positional rows
-are still added), runs the block stack, and pools the penultimate and final
-hidden layers into one L2-normalized feature row per sequence; the lifts,
-encoding and pullback each take a whole micro-batch.  The soft lift replaces
-hard token embeddings with probability-weighted embedding mixtures on the
-predicted positions, which is the only differentiable path from logits into
-this feature space; the hard straight-through lift is the ablation variant
-that keeps the soft backward rule but feeds argmax embeddings forward.
+The encoder is a read-only copy of a denoiser's ``DenoiserParams``.  It
+consumes embedding rows directly (its own token lookup is bypassed,
+positional rows are still added), runs the block stack, and pools the
+penultimate and final hidden layers into one L2-normalized feature row of
+``feature_dim`` values per sequence; the lifts, encoding and pullback each
+take a whole micro-batch.  The soft lift replaces hard token embeddings with
+probability-weighted embedding mixtures on the predicted positions, which is
+the only differentiable path from logits into this feature space; the hard
+straight-through lift is the ablation variant that keeps the soft backward
+rule but feeds argmax embeddings forward.
 """
 
 from __future__ import annotations
@@ -41,22 +42,21 @@ class LiftKind(str, Enum):
     HARD_ST = "hard-st"
 
 
-@dataclass(frozen=True)
-class FrozenEncoder:
-    params: DenoiserParams
-    feature_dim: int
-
-
-def make_frozen_encoder(params: DenoiserParams) -> FrozenEncoder:
-    """Deep-copy a checkpoint and freeze it; arrays are made read-only."""
+def make_frozen_encoder(params: DenoiserParams) -> DenoiserParams:
+    """Deep-copy a checkpoint's parameters and make every array read-only."""
     snapshot = copy.deepcopy(params)
     for _, arr in param_items(snapshot):
         arr.setflags(write=False)
-    return FrozenEncoder(params=snapshot, feature_dim=2 * snapshot.embed_dim)
+    return snapshot
 
 
-def encoder_param_bytes(encoder: FrozenEncoder) -> bytes:
-    return b"".join(arr.tobytes() for _, arr in param_items(encoder.params))
+def feature_dim(encoder: DenoiserParams) -> int:
+    """Width of a feature row: the pooled context and final hidden means."""
+    return 2 * encoder.embed_dim
+
+
+def encoder_param_bytes(encoder: DenoiserParams) -> bytes:
+    return b"".join(arr.tobytes() for _, arr in param_items(encoder))
 
 
 # ---------------------------------------------------------------------------
@@ -99,54 +99,48 @@ def lift_vjp(predicted: Array, embed: Array, grad_embeddings: Array) -> Array:
 # encoding
 
 
-@dataclass
-class Encoded:
-    features: Array  # [n, m] unit rows
-    block_caches: list[BlockCache]
-    pooled: Array  # [n, m] concatenated means before normalization
-
-
-def encode(encoder: FrozenEncoder, embeddings: Array) -> Encoded:
-    """Run the frozen block stack on embedding rows ``[n, L, d]`` and pool into unit features."""
-    p = encoder.params
+def encode(encoder: DenoiserParams, embeddings: Array) -> tuple[Array, Array, list[BlockCache]]:
+    """Run the frozen block stack on embedding rows ``[n, L, d]`` and pool into unit features
+    ``[n, m]``; also returns the pooled rows and block caches that ``encode_vjp`` takes."""
     x = np.asarray(embeddings, dtype=np.float64)
-    if x.ndim != 3 or x.shape[1:] != (p.length, p.embed_dim):
-        raise InvalidInputError(f"embeddings must have shape [n, {p.length}, {p.embed_dim}]")
+    length, d = encoder.length, encoder.embed_dim
+    if x.ndim != 3 or x.shape[1:] != (length, d):
+        raise InvalidInputError(f"embeddings must have shape [n, {length}, {d}]")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("encode: non-finite embeddings")
-    out, caches = run_blocks(p, x + p.pos_embed)
+    out, caches = run_blocks(encoder, x + encoder.pos_embed)
     pooled = np.concatenate([caches[-1].c, out.mean(axis=1)], axis=1)
     norms = np.linalg.norm(pooled, axis=1, keepdims=True)
     if np.any(norms < _DEGENERATE_NORM):
         raise DegenerateFeatureError(
             f"pooled feature norm {norms.min()} below {_DEGENERATE_NORM}"
         )
-    return Encoded(features=pooled / norms, block_caches=caches, pooled=pooled)
+    return pooled / norms, pooled, caches
 
 
-def encode_vjp(encoder: FrozenEncoder, encoded: Encoded, grad_features: Array) -> Array:
+def encode_vjp(
+    encoder: DenoiserParams, pooled: Array, block_caches: list[BlockCache], grad_features: Array
+) -> Array:
     """Pull feature cotangents ``[n, m]`` back to the input embedding rows ``[n, L, d]``."""
-    p = encoder.params
-    g_pooled = numcore.l2_normalize_vjp(encoded.pooled, np.asarray(grad_features, np.float64))
-    d, length = p.embed_dim, p.length
+    g_pooled = numcore.l2_normalize_vjp(pooled, np.asarray(grad_features, np.float64))
+    d, length = encoder.embed_dim, encoder.length
     shape = (g_pooled.shape[0], length, d)
     grad_out = np.broadcast_to((g_pooled[:, d:] / length)[:, None, :], shape)
     g_e, _ = blocks_backward(
-        p, encoded.block_caches, grad_out, g_pooled[:, :d], want_param_grads=False
+        encoder, block_caches, grad_out, g_pooled[:, :d], want_param_grads=False
     )
     return g_e
 
 
-def real_features_batch(encoder: FrozenEncoder, clean_batch: Array) -> Array:
+def real_features_batch(encoder: DenoiserParams, clean_batch: Array) -> Array:
     """Features ``[n, m]`` of clean sequences ``[n, L]`` under the frozen embedding lookup.
 
     Target side only: the block caches are dropped.
     """
-    p = encoder.params
     batch = np.asarray(clean_batch, dtype=np.int64)
-    if np.any(batch < 0) or np.any(batch >= p.mask_index):
+    if np.any(batch < 0) or np.any(batch >= encoder.mask_index):
         raise InvalidInputError("clean sequences contain the mask symbol or bad indices")
-    return encode(encoder, p.embed[batch]).features
+    return encode(encoder, encoder.embed[batch])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +151,17 @@ def real_features_batch(encoder: FrozenEncoder, clean_batch: Array) -> Array:
 class LiftedEncoding:
     """Forward state of logits -> probs -> lifted embeddings -> features for a micro-batch."""
 
-    encoder: FrozenEncoder
+    encoder: DenoiserParams
     predicted: Array  # [n, L] bool
     logits: Array  # [n, L, V]
     probs: Array
-    encoded: Encoded
-
-    @property
-    def features(self) -> Array:
-        return self.encoded.features
+    features: Array  # [n, m] unit rows
+    pooled: Array  # [n, m] concatenated means before normalization
+    block_caches: list[BlockCache]
 
 
 def lift_and_encode(
-    encoder: FrozenEncoder,
+    encoder: DenoiserParams,
     logits: Array,
     corrupted: Array,
     predicted: Array,
@@ -180,18 +172,12 @@ def lift_and_encode(
     predicted = np.asarray(predicted, dtype=bool)
     probs = numcore.softmax_rows(logits)
     lift_fn = soft_token_lift if lift == LiftKind.SOFT else hard_st_lift
-    embeddings = lift_fn(probs, corrupted, predicted, encoder.params.embed)
-    return LiftedEncoding(
-        encoder=encoder,
-        predicted=predicted,
-        logits=logits,
-        probs=probs,
-        encoded=encode(encoder, embeddings),
-    )
+    features, pooled, caches = encode(encoder, lift_fn(probs, corrupted, predicted, encoder.embed))
+    return LiftedEncoding(encoder, predicted, logits, probs, features, pooled, caches)
 
 
 def pullback_to_logits(state: LiftedEncoding, grad_features: Array) -> Array:
     """Apply J_h(logits)^T to feature cotangents ``[n, m]`` via the stored VJP chain."""
-    g_e = encode_vjp(state.encoder, state.encoded, grad_features)
-    g_probs = lift_vjp(state.predicted, state.encoder.params.embed, g_e)
+    g_e = encode_vjp(state.encoder, state.pooled, state.block_caches, grad_features)
+    g_probs = lift_vjp(state.predicted, state.encoder.embed, g_e)
     return numcore.softmax_vjp_from_probs(state.probs, g_probs)

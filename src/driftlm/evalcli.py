@@ -51,6 +51,7 @@ from .encoder import LiftKind, encoder_param_bytes
 from .numcore import InvalidInputError
 from .objectives import ObjectiveKind, ObjectiveVariant
 from .trainer import (
+    STEP_METRICS,
     Checkpoint,
     CheckpointError,
     TrainConfig,
@@ -143,8 +144,7 @@ def evaluate(
 
 
 def metrics_header(config: TrainConfig) -> list[str]:
-    cols = ["step", "loss", "drift_norm", "grad_norm"]  # the loss columns: train_step's metrics
-    return cols + [f"{m}_nfe{n}" for m in METRICS for n in config.eval_nfes]
+    return ["step", *STEP_METRICS] + [f"{m}_nfe{n}" for m in METRICS for n in config.eval_nfes]
 
 
 def write_csv(path, header: list[str], rows: list[dict]) -> None:

@@ -41,12 +41,15 @@ from .backbone import (
 )
 from .codec import arrays_hook, decode, jsonable
 from .drift import DriftConfig, build_references, drift_multi_temp, queue_push
-from .encoder import FrozenEncoder, lift_and_encode, make_frozen_encoder, real_features_batch
+from .encoder import feature_dim, lift_and_encode, make_frozen_encoder, real_features_batch
 from .numcore import Array, InvalidInputError
 from .objectives import ObjectiveKind, total_objective
 
 CHECKPOINT_FORMAT = "driftlm-checkpoint"
 CHECKPOINT_VERSION = 3
+
+# the metrics ``train_step`` returns, in their ``metrics.csv`` column order
+STEP_METRICS = ("loss", "drift_norm", "grad_norm")
 
 
 class CheckpointError(RuntimeError):
@@ -89,7 +92,7 @@ class TrainConfig:
                 raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.eval_nfes:
             raise InvalidInputError("eval_nfes must name at least one NFE budget")
-        if self.batch_size % self.micro_batch != 0:
+        if self.objective is not None and self.batch_size % self.micro_batch != 0:
             raise InvalidInputError("micro_batch must divide batch_size")
         if not (0.0 < self.lr < np.inf and 0.0 < self.init_std < np.inf):  # NaN fails too
             raise InvalidInputError("lr and init_std must be positive and finite")
@@ -121,12 +124,13 @@ class Checkpoint:
 @dataclass
 class TrainState(Checkpoint):
     """A checkpoint's fields, the run's queues (read-only ``[<= queue_capacity, m]``
-    arrays, oldest row first, replaced by each drift step), generator and frozen encoder."""
+    arrays, oldest row first, replaced by each drift step), generator and frozen
+    encoder (a read-only copy of the initial parameters)."""
 
     q_real: Array
     q_gen: Array
     rng: np.random.Generator
-    encoder: FrozenEncoder
+    encoder: DenoiserParams
 
 
 def init_state(
@@ -153,8 +157,8 @@ def init_state(
     encoder = make_frozen_encoder(start.params)
     return TrainState(
         **vars(start),
-        q_real=np.zeros((0, encoder.feature_dim)),
-        q_gen=np.zeros((0, encoder.feature_dim)),
+        q_real=np.zeros((0, feature_dim(encoder))),
+        q_gen=np.zeros((0, feature_dim(encoder))),
         rng=rng,
         encoder=encoder,
     )
@@ -277,11 +281,8 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
         state.q_real = queue_push(state.q_real, np.concatenate(pushed_real), config.queue_capacity)
         state.q_gen = queue_push(state.q_gen, np.concatenate(pushed_gen), config.queue_capacity)
 
-    return {
-        "loss": float(loss_total),
-        "drift_norm": drift_norm_sum / n,
-        "grad_norm": grad_norm,
-    }
+    values = (float(loss_total), drift_norm_sum / n, grad_norm)
+    return dict(zip(STEP_METRICS, values, strict=True))
 
 
 # ---------------------------------------------------------------------------

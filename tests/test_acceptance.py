@@ -33,6 +33,7 @@ from driftlm.drift import (
 )
 from driftlm.encoder import (
     LiftKind,
+    feature_dim,
     hard_st_lift,
     lift_and_encode,
     make_frozen_encoder,
@@ -86,7 +87,7 @@ def _desk_instance(rng, batch=4, kind=CorruptionKind.MASKED, require_predicted=T
             break
     logits, cache = forward_tokens(params, corrupted)
     state = lift_and_encode(encoder, logits, corrupted, predicted)
-    m = encoder.feature_dim
+    m = feature_dim(encoder)
     q_real = queue_push(np.zeros((0, m)), np.stack([_unit(rng, m) for _ in range(6)]), 6)
     q_gen = queue_push(np.zeros((0, m)), np.stack([_unit(rng, m) for _ in range(6)]), 6)
     reals = real_features_batch(encoder, clean)
@@ -180,7 +181,7 @@ def test_criterion_2_soft_lift_differentiable_hard_lift_piecewise_constant():
             continue
         logits = rng.normal(size=(DESK.length, DESK.vocab_size))
         state = _lift_one(encoder, logits, corrupted[0], predicted[0], LiftKind.SOFT)
-        g = pullback_to_logits(state, _unit(rng, encoder.feature_dim)[None])[0]
+        g = pullback_to_logits(state, _unit(rng, feature_dim(encoder))[None])[0]
         if np.any(g[predicted[0]] != 0.0):
             nonzero += 1
 
@@ -195,8 +196,8 @@ def test_criterion_2_soft_lift_differentiable_hard_lift_piecewise_constant():
         bumped[pos, second] += shift
         bumped[pos, top] -= shift
         assert int(bumped[pos].argmax()) == top
-        a = hard_st_lift(probs[None], corrupted, predicted, encoder.params.embed)
-        b = hard_st_lift(bumped[None], corrupted, predicted, encoder.params.embed)
+        a = hard_st_lift(probs[None], corrupted, predicted, encoder.embed)
+        b = hard_st_lift(bumped[None], corrupted, predicted, encoder.embed)
         assert a.tobytes() == b.tobytes()
     assert nonzero >= 99
     _report("2", f"nonzero soft cotangent in {nonzero}/100 instances; hard forward bit-stable")
@@ -226,7 +227,7 @@ def test_criterion_3_equilibrium_suite():
     corrupted, predicted = corrupt(clean, np.full(2, 0.5), CorruptionKind.MASKED, rng, 32)
     logits, _ = forward_tokens(params, corrupted)
     state = lift_and_encode(encoder, logits, corrupted, predicted)
-    zero = np.zeros((2, encoder.feature_dim))
+    zero = np.zeros((2, feature_dim(encoder)))
 
     loss, grad = feature_fixed_point_loss(zero, 1.0)
     assert np.all(loss == 0.0) and np.all(grad == 0.0)
@@ -336,7 +337,7 @@ def test_criterion_6_local_ascent():
             continue
         logits = rng.normal(size=(DESK.length, DESK.vocab_size))
         state = _lift_one(encoder, logits, corrupted[0], predicted[0])
-        v = _unit(rng, encoder.feature_dim)
+        v = _unit(rng, feature_dim(encoder))
         g = mirror_direction(state, v[None])[0]
         g_sq = float((g * g).sum())
         if math.sqrt(g_sq) <= 1e-6:

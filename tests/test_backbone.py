@@ -20,7 +20,7 @@ from driftlm.backbone import (
     sample_batch,
     token_tables,
 )
-from driftlm.encoder import LiftKind, lift_and_encode, make_frozen_encoder
+from driftlm.encoder import LiftKind, feature_dim, lift_and_encode, make_frozen_encoder
 from driftlm.numcore import InvalidInputError, log_softmax_rows, softmax_rows
 from driftlm.objectives import ObjectiveKind, total_objective
 
@@ -379,7 +379,7 @@ def test_total_objective_base_loss_matches_per_sequence_sum(small_params, rng):
     corrupted, predicted = corrupt(clean, levels, CorruptionKind.MASKED, rng, cfg.vocab_size)
     logits = rng.normal(size=(n, cfg.length, cfg.vocab_size))
     state = lift_and_encode(encoder, logits, corrupted, predicted, LiftKind.SOFT)
-    drifts = rng.normal(size=(n, encoder.feature_dim))
+    drifts = rng.normal(size=(n, feature_dim(encoder)))
     plain_losses, plain_grad = total_objective(ObjectiveKind(), state, drifts, clean)
     losses, grad = total_objective(ObjectiveKind(with_base_loss=True), state, drifts, clean)
     for i in range(n):

@@ -11,6 +11,7 @@ from driftlm.encoder import (
     LiftKind,
     encode,
     encode_vjp,
+    feature_dim,
     hard_st_lift,
     lift_and_encode,
     lift_vjp,
@@ -47,11 +48,11 @@ def _random_probs(rng, length=SMALL_MODEL.length, vocab=SMALL_MODEL.vocab_size):
 def test_frozen_encoder_arrays_are_read_only(small_params):
     enc = make_frozen_encoder(small_params)
     with pytest.raises(ValueError):
-        enc.params.embed[0, 0] = 1.0
+        enc.embed[0, 0] = 1.0
     # and it is a snapshot: mutating the original does not leak in
-    before = enc.params.embed[0, 0]
+    before = enc.embed[0, 0]
     small_params.embed[0, 0] += 1.0
-    assert enc.params.embed[0, 0] == before
+    assert enc.embed[0, 0] == before
 
 
 # ---------------------------------------------------------------------------
@@ -62,21 +63,21 @@ def test_soft_lift_one_hot_row_equals_embedding(small_encoder, rng):
     corrupted, predicted = _record([1, 3], rng=rng)
     probs = np.zeros((1, L, V))
     probs[..., 4] = 1.0
-    lifted = soft_token_lift(probs, corrupted, predicted, small_encoder.params.embed)[0]
-    assert np.array_equal(lifted[1], small_encoder.params.embed[4])
-    assert np.array_equal(lifted[3], small_encoder.params.embed[4])
+    lifted = soft_token_lift(probs, corrupted, predicted, small_encoder.embed)[0]
+    assert np.array_equal(lifted[1], small_encoder.embed[4])
+    assert np.array_equal(lifted[3], small_encoder.embed[4])
 
 
 def test_soft_lift_uniform_row_is_embed_mean(small_encoder, rng):
     corrupted, predicted = _record([0], rng=rng)
     probs = np.full((1, L, V), 1.0 / V)
-    lifted = soft_token_lift(probs, corrupted, predicted, small_encoder.params.embed)[0]
-    assert np.allclose(lifted[0], small_encoder.params.embed.mean(axis=0), atol=1e-15)
+    lifted = soft_token_lift(probs, corrupted, predicted, small_encoder.embed)[0]
+    assert np.allclose(lifted[0], small_encoder.embed.mean(axis=0), atol=1e-15)
 
 
 def test_soft_lift_ignores_probs_at_non_predicted(small_encoder, rng):
     corrupted, predicted = _record([2], rng=rng)
-    embed = small_encoder.params.embed
+    embed = small_encoder.embed
     a = soft_token_lift(_random_probs(rng), corrupted, predicted, embed)[0]
     b = soft_token_lift(_random_probs(rng), corrupted, predicted, embed)[0]
     keep = np.setdiff1d(np.arange(L), [2])
@@ -91,16 +92,16 @@ def test_hard_lift_one_hot_matches_soft(small_encoder, rng):
     corrupted, predicted = _record([0, 4], rng=rng)
     probs = np.zeros((1, L, V))
     probs[0, np.arange(L), 2] = 1.0
-    soft = soft_token_lift(probs, corrupted, predicted, small_encoder.params.embed)
-    hard = hard_st_lift(probs, corrupted, predicted, small_encoder.params.embed)
+    soft = soft_token_lift(probs, corrupted, predicted, small_encoder.embed)
+    hard = hard_st_lift(probs, corrupted, predicted, small_encoder.embed)
     assert np.array_equal(soft, hard)
 
 
 def test_hard_lift_tie_breaks_to_lowest_index(small_encoder, rng):
     corrupted, predicted = _record([1], rng=rng)
     probs = np.full((1, L, V), 1.0 / V)
-    hard = hard_st_lift(probs, corrupted, predicted, small_encoder.params.embed)[0]
-    assert np.array_equal(hard[1], small_encoder.params.embed[0])
+    hard = hard_st_lift(probs, corrupted, predicted, small_encoder.embed)[0]
+    assert np.array_equal(hard[1], small_encoder.embed[0])
 
 
 def test_hard_lift_piecewise_constant(small_encoder, rng):
@@ -113,8 +114,8 @@ def test_hard_lift_piecewise_constant(small_encoder, rng):
     bumped[0, 0, second] += delta
     bumped[0, 0, argmax] -= delta
     assert bumped[0, 0].argmax() == argmax
-    a = hard_st_lift(probs, corrupted, predicted, small_encoder.params.embed)
-    b = hard_st_lift(bumped, corrupted, predicted, small_encoder.params.embed)
+    a = hard_st_lift(probs, corrupted, predicted, small_encoder.embed)
+    b = hard_st_lift(bumped, corrupted, predicted, small_encoder.embed)
     assert a.tobytes() == b.tobytes()
 
 
@@ -124,8 +125,8 @@ def test_hard_lift_shares_soft_vjp(small_encoder, rng):
     soft_state = lift_and_encode(small_encoder, logits, corrupted, predicted, LiftKind.SOFT)
     hard_state = lift_and_encode(small_encoder, logits, corrupted, predicted, LiftKind.HARD_ST)
     g_e = rng.normal(size=corrupted.shape + (SMALL_MODEL.embed_dim,))
-    g_soft = lift_vjp(soft_state.predicted, small_encoder.params.embed, g_e)
-    g_hard = lift_vjp(hard_state.predicted, small_encoder.params.embed, g_e)
+    g_soft = lift_vjp(soft_state.predicted, small_encoder.embed, g_e)
+    g_hard = lift_vjp(hard_state.predicted, small_encoder.embed, g_e)
     assert np.array_equal(g_soft, g_hard)
 
 
@@ -135,10 +136,10 @@ def test_hard_lift_shares_soft_vjp(small_encoder, rng):
 
 def test_encode_is_pure_and_unit_norm(small_encoder, rng):
     x = rng.normal(size=(1, L, SMALL_MODEL.embed_dim))
-    a = encode(small_encoder, x)
-    b = encode(small_encoder, x)
-    assert np.array_equal(a.features, b.features)
-    assert abs(np.linalg.norm(a.features[0]) - 1.0) <= 1e-9
+    a = encode(small_encoder, x)[0]
+    b = encode(small_encoder, x)[0]
+    assert np.array_equal(a, b)
+    assert abs(np.linalg.norm(a[0]) - 1.0) <= 1e-9
 
 
 def test_encode_degenerate_zero_configuration():
@@ -168,15 +169,15 @@ def test_encode_pools_penultimate_and_last_block_outputs(rng, n_blocks):
     outputs = _reference_block_outputs(params, x)
     pooled = np.concatenate([outputs[-2].mean(axis=1), outputs[-1].mean(axis=1)], axis=1)
     expected = pooled / np.linalg.norm(pooled, axis=1, keepdims=True)
-    assert np.max(np.abs(encode(encoder, x).features - expected)) <= 1e-12
+    assert np.max(np.abs(encode(encoder, x)[0] - expected)) <= 1e-12
 
 
 def test_encode_vjp_matches_finite_differences(small_encoder, rng):
     x = rng.normal(size=(1, L, SMALL_MODEL.embed_dim))
-    c = rng.normal(size=(1, small_encoder.feature_dim))
-    encoded = encode(small_encoder, x)
-    analytic = encode_vjp(small_encoder, encoded, c)
-    fd = finite_diff_grad(lambda e: float(np.sum(c * encode(small_encoder, e).features)), x, 1e-5)
+    c = rng.normal(size=(1, feature_dim(small_encoder)))
+    _, pooled, caches = encode(small_encoder, x)
+    analytic = encode_vjp(small_encoder, pooled, caches, c)
+    fd = finite_diff_grad(lambda e: float(np.sum(c * encode(small_encoder, e)[0])), x, 1e-5)
     assert rel_err(analytic, fd) <= 1e-5
 
 
@@ -189,10 +190,10 @@ def test_encode_vjp_matches_finite_differences_on_distinct_sequences(small_encod
     )
     for encoder in (small_encoder, three_blocks):
         x = rng.normal(size=(3, L, SMALL_MODEL.embed_dim))
-        c = rng.normal(size=(3, encoder.feature_dim))
-        analytic = encode_vjp(encoder, encode(encoder, x), c)
-        fd = finite_diff_grad(lambda e: float(np.sum(c * encode(encoder, e).features)), x, 1e-5)
-        assert rel_err(analytic, fd) <= 1e-5, len(encoder.params.w1)
+        c = rng.normal(size=(3, feature_dim(encoder)))
+        analytic = encode_vjp(encoder, *encode(encoder, x)[1:], c)
+        fd = finite_diff_grad(lambda e: float(np.sum(c * encode(encoder, e)[0])), x, 1e-5)
+        assert rel_err(analytic, fd) <= 1e-5, len(encoder.w1)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +204,9 @@ def test_real_feature_equals_hard_one_hot_lift(small_encoder, rng):
     clean = rng.integers(0, SMALL_MODEL.clean_vocab, size=(1, L))
     probs = np.zeros((1, L, V))
     probs[0, np.arange(L), clean[0]] = 1.0
-    lifted = soft_token_lift(probs, clean, np.ones((1, L), bool), small_encoder.params.embed)
+    lifted = soft_token_lift(probs, clean, np.ones((1, L), bool), small_encoder.embed)
     assert np.array_equal(
-        real_features_batch(small_encoder, clean), encode(small_encoder, lifted).features
+        real_features_batch(small_encoder, clean), encode(small_encoder, lifted)[0]
     )
 
 
@@ -250,7 +251,7 @@ def test_batched_lift_and_pullback_match_batch_of_one(small_encoder, rng, lift, 
     clean = rng.integers(0, SMALL_MODEL.clean_vocab, size=(n, L))
     corrupted, predicted = corrupt(clean, np.full(n, 0.5), kind, rng, V)
     logits = rng.normal(size=(n, L, V))
-    cotangent = rng.normal(size=(n, small_encoder.feature_dim))
+    cotangent = rng.normal(size=(n, feature_dim(small_encoder)))
     state = lift_and_encode(small_encoder, logits, corrupted, predicted, lift)
     grad = pullback_to_logits(state, cotangent)
     for i in range(n):
@@ -267,7 +268,7 @@ def test_composed_soft_path_matches_finite_differences(small_encoder, rng):
     if not np.any(predicted):
         pytest.skip("no predicted positions drawn")
     logits = rng.normal(size=(1, L, V))
-    c = rng.normal(size=(1, small_encoder.feature_dim))
+    c = rng.normal(size=(1, feature_dim(small_encoder)))
     state = lift_and_encode(small_encoder, logits, corrupted, predicted, LiftKind.SOFT)
     analytic = pullback_to_logits(state, c)[0]
 
@@ -288,6 +289,6 @@ def test_encoder_params_identical_after_use(small_encoder, rng):
     clean = rng.integers(0, SMALL_MODEL.clean_vocab, size=(1, L))
     corrupted, predicted = _record([0, 1], rng=rng)
     state = lift_and_encode(small_encoder, rng.normal(size=(1, L, V)), corrupted, predicted)
-    pullback_to_logits(state, rng.normal(size=(1, small_encoder.feature_dim)))
+    pullback_to_logits(state, rng.normal(size=(1, feature_dim(small_encoder))))
     real_features_batch(small_encoder, clean)
     assert encoder_param_bytes(small_encoder) == before

@@ -710,6 +710,24 @@ def test_cli_eval_byte_identical_reruns(cli_env, capsys):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("variant", ["feature-l2", "mirror-kl"])
+def test_cli_drift_train_rerun_from_its_manifest_is_byte_identical(cli_env, capsys, variant):
+    """A second run whose ``--config`` is the first manifest's config writes the same bytes."""
+    tmp_path, source_path, config_path, ckpt_path = cli_env
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["drift-train", "--source", str(source_path), "--init", str(ckpt_path)]
+    flags = ["--config", str(config_path), "--objective", variant, "--steps", "3"]
+    assert cli([*argv, "--out", str(first), *flags]) == 0
+    config = json.loads((first / "manifest.json").read_text())["config"]
+    assert config["objective"]["variant"] == variant
+    assert float(_read_rows(first / "metrics.csv")[-1]["drift_norm"]) > 0.0  # drift steps ran
+    rerun_config = tmp_path / "rerun-config.json"
+    rerun_config.write_text(json.dumps(config), encoding="utf-8")
+    assert cli([*argv, "--out", str(second), "--config", str(rerun_config)]) == 0
+    for name in ("metrics.csv", "checkpoint.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 def _ablate_argv(cli_env, out, axis: str, grid: str, seeds: str) -> list[str]:
     """``ablate`` of the tiny config from the tiny checkpoint."""
     _, source_path, config_path, ckpt_path = cli_env

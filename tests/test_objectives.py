@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from driftlm.backbone import CorruptionKind, base_loss, corrupt
-from driftlm.encoder import LiftKind, lift_and_encode, pullback_to_logits
+from driftlm.encoder import LiftKind, feature_dim, lift_and_encode, pullback_to_logits
 from driftlm.numcore import softmax_rows
 from driftlm.objectives import (
     ObjectiveKind,
@@ -87,13 +87,13 @@ def test_fixed_point_gradient_is_exactly_minus_alpha_v(rng):
 
 def test_mirror_direction_zero_drift(small_encoder, rng):
     _, _, state = _state(small_encoder, rng)
-    g = mirror_direction(state, np.zeros((1, small_encoder.feature_dim)))
+    g = mirror_direction(state, np.zeros((1, feature_dim(small_encoder))))
     assert np.all(g == 0.0)
 
 
 def test_mirror_direction_matches_finite_differences(small_encoder, rng):
     _, record, state = _state(small_encoder, rng)
-    v = rng.normal(size=(1, small_encoder.feature_dim))
+    v = rng.normal(size=(1, feature_dim(small_encoder)))
     g = mirror_direction(state, v)
 
     def f(l):
@@ -105,8 +105,8 @@ def test_mirror_direction_matches_finite_differences(small_encoder, rng):
 
 def test_mirror_direction_linear_in_drift(small_encoder, rng):
     _, _, state = _state(small_encoder, rng)
-    v1 = rng.normal(size=(1, small_encoder.feature_dim))
-    v2 = rng.normal(size=(1, small_encoder.feature_dim))
+    v1 = rng.normal(size=(1, feature_dim(small_encoder)))
+    v2 = rng.normal(size=(1, feature_dim(small_encoder)))
     g = mirror_direction(state, v1 + v2)
     g_split = mirror_direction(state, v1) + mirror_direction(state, v2)
     assert np.max(np.abs(g - g_split)) <= 1e-10
@@ -227,7 +227,7 @@ def _batch(encoder, rng, n=3, lift=LiftKind.SOFT):
 
 def test_total_feature_l2_zero_drift_reduces_to_base(small_encoder, rng):
     cleans, records, state = _batch(small_encoder, rng)
-    zero = np.zeros((3, small_encoder.feature_dim))
+    zero = np.zeros((3, feature_dim(small_encoder)))
     losses, grad = total_objective(ObjectiveKind(), state, zero, cleans)
     assert np.all(losses == 0.0)
     assert np.all(grad == 0.0)
@@ -239,7 +239,7 @@ def test_total_feature_l2_zero_drift_reduces_to_base(small_encoder, rng):
 
 def test_total_mirror_kl_eta_zero_is_null(small_encoder, rng):
     cleans, records, state = _batch(small_encoder, rng)
-    drifts = rng.normal(size=(3, small_encoder.feature_dim))
+    drifts = rng.normal(size=(3, feature_dim(small_encoder)))
     losses, grad = total_objective(
         ObjectiveKind(variant=ObjectiveVariant.MIRROR_KL, eta=0.0), state, drifts, cleans
     )
@@ -252,7 +252,7 @@ def test_total_mirror_kl_equals_composition_from_logits(small_encoder, rng, with
     # total_objective reuses the lift's probabilities; composed from the
     # logits, the teacher, loss and gradient have the same bits
     cleans, records, state = _batch(small_encoder, rng)
-    drifts = rng.normal(size=(3, small_encoder.feature_dim))
+    drifts = rng.normal(size=(3, feature_dim(small_encoder)))
     kind = ObjectiveKind(variant=ObjectiveVariant.MIRROR_KL, eta=0.7, with_base_loss=with_base_loss)
     losses, grad = total_objective(kind, state, drifts, cleans)
     p_star = mirror_teacher(state.logits, mirror_direction(state, drifts), kind.eta)
@@ -276,7 +276,7 @@ def test_total_mirror_kl_equals_composition_from_logits(small_encoder, rng, with
 )
 def test_total_gradient_matches_frozen_target_finite_differences(small_encoder, rng, kind):
     cleans, records, state = _batch(small_encoder, rng)
-    drifts = 0.5 * rng.normal(size=(3, small_encoder.feature_dim))
+    drifts = 0.5 * rng.normal(size=(3, feature_dim(small_encoder)))
     losses, grad = total_objective(kind, state, drifts, cleans)
 
     # independent oracle: recompute the total loss with frozen targets
@@ -311,7 +311,7 @@ def test_total_gradient_matches_frozen_target_finite_differences(small_encoder, 
 def test_logit_pullback_identity(small_encoder, rng):
     # FeatureL2 gradient equals -alpha * J^T V composed independently
     cleans, records, state = _batch(small_encoder, rng, n=2)
-    drifts = rng.normal(size=(2, small_encoder.feature_dim))
+    drifts = rng.normal(size=(2, feature_dim(small_encoder)))
     alpha = 1.3
     _, grad = total_objective(ObjectiveKind(alpha=alpha), state, drifts, cleans)
     for i in range(2):
@@ -322,7 +322,7 @@ def test_logit_pullback_identity(small_encoder, rng):
 
 def test_hard_st_total_uses_straight_through_gradient(small_encoder, rng):
     cleans, records, state = _batch(small_encoder, rng, lift=LiftKind.HARD_ST)
-    drifts = rng.normal(size=(3, small_encoder.feature_dim))
+    drifts = rng.normal(size=(3, feature_dim(small_encoder)))
     _, grad = total_objective(ObjectiveKind(lift=LiftKind.HARD_ST), state, drifts, cleans)
     # nonzero gradient flows despite the hard forward
     assert np.any(grad != 0.0)
@@ -343,7 +343,7 @@ def test_local_ascent_and_first_order_ratio(small_encoder, rng):
             continue
         logits = rng.normal(size=(1, L, V))
         state = _lift(small_encoder, logits, record)
-        v = rng.normal(size=(1, small_encoder.feature_dim))
+        v = rng.normal(size=(1, feature_dim(small_encoder)))
         v /= np.linalg.norm(v)
         g = mirror_direction(state, v)
         g_norm_sq = float((g * g).sum())
@@ -366,7 +366,7 @@ def test_local_ascent_and_first_order_ratio(small_encoder, rng):
 def test_equilibrium_cascade_is_exact(small_encoder, rng):
     # V = 0 forces g = 0, teacher = p, all losses and grads exactly zero
     cleans, records, state = _batch(small_encoder, rng)
-    zero = np.zeros((3, small_encoder.feature_dim))
+    zero = np.zeros((3, feature_dim(small_encoder)))
     for kind in (
         ObjectiveKind(),
         ObjectiveKind(variant=ObjectiveVariant.MIRROR_KL),

@@ -19,7 +19,12 @@ from driftlm.backbone import (
 from driftlm.codec import jsonable
 from driftlm.corpus import banded_source, sample_sequences
 from driftlm.drift import DriftConfig, build_references, drift_multi_temp, queue_push
-from driftlm.encoder import encoder_param_bytes, lift_and_encode, real_features_batch
+from driftlm.encoder import (
+    encoder_param_bytes,
+    feature_dim,
+    lift_and_encode,
+    real_features_batch,
+)
 from driftlm.evalcli import evaluate, metrics_header, train_run
 from driftlm.numcore import InvalidInputError
 from driftlm.objectives import ObjectiveKind, ObjectiveVariant, total_objective
@@ -75,7 +80,9 @@ def run_steps(config, source, n_steps, state=None):
 
 def test_config_validation():
     with pytest.raises(InvalidInputError):
-        TrainConfig(batch_size=10, micro_batch=4)
+        TrainConfig(batch_size=10, micro_batch=4, objective=ObjectiveKind())
+    # base steps never read micro_batch, so a base config need not divide by it
+    assert TrainConfig(batch_size=10, micro_batch=4).batch_size == 10
     with pytest.raises(InvalidInputError):
         TrainConfig(lr=0.0)
     with pytest.raises(InvalidInputError):
@@ -392,7 +399,7 @@ def test_equilibrium_step_leaves_parameters_bit_identical(source):
 
     extras = []
     for _ in range(3):
-        v = rng.normal(size=state.encoder.feature_dim)
+        v = rng.normal(size=feature_dim(state.encoder))
         extras.append(v / np.linalg.norm(v))
     extras = np.stack(extras)
     # positives will be [u, e0, e1, e2]; negatives (after self-exclusion)
@@ -564,7 +571,7 @@ def test_base_checkpoint_loads_into_drift_phase(source, tmp_path):
     drift_state = init_state(drift_cfg, load_checkpoint(path), reset_optimizer=True)
     assert np.array_equal(params_to_vector(drift_state.params), params_to_vector(state.params))
     # and the frozen encoder is that checkpoint
-    assert np.array_equal(drift_state.encoder.params.embed, state.params.embed)
+    assert np.array_equal(drift_state.encoder.embed, state.params.embed)
 
 
 # ---------------------------------------------------------------------------
