@@ -16,9 +16,9 @@ import argparse
 import os
 from dataclasses import replace
 
+from driftlm import evalcli
 from driftlm.backbone import CorruptionKind
 from driftlm.corpus import banded_source, save_source
-from driftlm.evalcli import METRICS, ablation_line, compare, seed_stats, train_run, write_csv
 from driftlm.objectives import ObjectiveKind
 from driftlm.trainer import TrainConfig, checkpoint_of
 
@@ -26,14 +26,6 @@ from driftlm.trainer import TrainConfig, checkpoint_of
 # zero-step runs from the base checkpoint and are not saved
 PHASES = {"base": {"steps": 0}, "continuation": {}, "drift": {"objective": ObjectiveKind()}}
 RUN_TAGS = {"continuation": "cont", "drift": "drift"}  # method -> run directory tag
-
-
-def _ints(flag: str, text: str) -> list[int]:
-    """The comma-separated integers of ``flag``'s value ``text``."""
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"{flag} {text}: {exc}") from exc
 
 
 def _train_config(fixed: dict, flags: dict) -> TrainConfig:
@@ -58,7 +50,7 @@ def main() -> None:
     ap.add_argument("--phase-lr", type=float, default=3e-6)
     ap.add_argument("--base-batch", type=int, default=512)
     ap.add_argument("--seeds", default="0,1,2")
-    ap.add_argument("--nfe", default="4,8,16")
+    ap.add_argument("--nfe", type=evalcli.parse_int_list, default=(4, 8, 16))
     ap.add_argument("--samples", type=int, default=2048)
     args = ap.parse_args()
 
@@ -68,10 +60,8 @@ def main() -> None:
         else [CorruptionKind.MASKED, CorruptionKind.UNIFORM]
     )
     try:  # every flag is checked before anything is written; an error names its flag
-        seeds, nfes = _ints("--seeds", args.seeds), _ints("--nfe", args.nfe)
-        if len(set(seeds)) < len(seeds) or min(seeds) < 0:
-            raise ValueError(f"--seeds {args.seeds}: need distinct nonnegative seeds")
-        plans = {}  # backbone -> (the base run's config, the phases' config)
+        seeds = evalcli.parse_seeds(args.seeds)
+        plans = {}  # backbone -> (the base run's config, each method's phase config)
         for kind in kinds:
             base_cfg = _train_config(
                 dict(seed=seeds[0], corruption=kind, eval_samples=256),
@@ -80,9 +70,7 @@ def main() -> None:
                         steps=args.base_steps, eval_every=args.base_steps
                     ),
                     ("--base-lr", args.base_lr): dict(lr=args.base_lr),
-                    ("--base-batch", args.base_batch): dict(
-                        batch_size=args.base_batch, micro_batch=128
-                    ),
+                    ("--base-batch", args.base_batch): dict(batch_size=args.base_batch),
                 },
             )
             phase_cfg = _train_config(
@@ -90,36 +78,33 @@ def main() -> None:
                 {
                     ("--phase-steps", args.phase_steps): dict(steps=args.phase_steps),
                     ("--phase-lr", args.phase_lr): dict(lr=args.phase_lr),
-                    ("--nfe", args.nfe): dict(eval_nfes=tuple(nfes)),
+                    ("--nfe", ",".join(map(str, args.nfe))): dict(eval_nfes=args.nfe),
                     ("--samples", args.samples): dict(eval_samples=args.samples),
                 },
             )
-            plans[kind] = base_cfg, phase_cfg
-            for nfe in nfes:
-                if nfe < 1:
-                    raise ValueError(f"--nfe {nfe}: need at least 1 denoising step")
-                if kind == CorruptionKind.MASKED and nfe > phase_cfg.model.length:
-                    raise ValueError(f"--nfe {nfe}: masked sampling needs nfe <= "
-                                     f"{phase_cfg.model.length}, the model's sequence length")
+            evalcli.check_sampling(phase_cfg.model.length, "the model", kind, args.nfe,
+                                   args.samples, min(seeds))
+            plans[kind] = base_cfg, {m: replace(phase_cfg, **f) for m, f in PHASES.items()}
     except ValueError as exc:
         ap.error(str(exc))
 
     source = banded_source()
     os.makedirs(args.out, exist_ok=True)
     save_source(source, os.path.join(args.out, "source.json"))
-    for kind, (base_cfg, phase_cfg) in plans.items():
+    for kind, (base_cfg, phases) in plans.items():
         base_dir = os.path.join(args.out, f"{kind.value}-base")
         print(f"[{kind.value}] base training ({args.base_steps} steps, B={args.base_batch})")
-        state, _ = train_run(base_cfg, source, out_dir=base_dir)
+        state, _ = evalcli.train_run(base_cfg, source, out_dir=base_dir)
         base = checkpoint_of(state)
         out_dirs = {m: os.path.join(args.out, f"{kind.value}-{t}") for m, t in RUN_TAGS.items()}
-        rows = compare(PHASES, phase_cfg, source, base, seeds, out_dirs)
+        rows = evalcli.compare(phases, source, base, seeds, out_dirs)
 
         table = os.path.join(args.out, f"{kind.value}-summary.csv")
-        columns = [f"{m}_nfe{n}" for m in METRICS for n in nfes]
-        write_csv(table, ["method", "seed", *columns], [{"method": r["variant"], **r} for r in rows])
-        for row in seed_stats(rows, nfes):
-            print(f"[{kind.value}] {ablation_line(row)}")
+        columns = [f"{m}_nfe{n}" for m in evalcli.METRICS for n in args.nfe]
+        summary = [{"method": r["variant"], **r} for r in rows]
+        evalcli.write_csv(table, ["method", "seed", *columns], summary)
+        for row in evalcli.seed_stats(rows, args.nfe):
+            print(f"[{kind.value}] {evalcli.ablation_line(row)}")
         print(f"[{kind.value}] wrote {table}")
 
 

@@ -12,7 +12,7 @@ table.  ``train_run`` evaluates at step 0, every ``eval_every`` steps and
 after the last step.  ``compare`` is the one loop behind the ablations and
 the directional study: one run per (variant, seed) from a checkpoint, each
 evaluating its final model alone, reduced by ``seed_stats`` to the mean and
-SD over the seeds.
+SD over the seeds.  Its callers resolve every variant's config first.
 
 The config dataclasses (``TrainConfig`` and its ``DriftConfig``,
 ``ObjectiveKind`` and ``ModelConfig`` sections) are the one list of config
@@ -212,22 +212,20 @@ def train_run(
 
 
 def compare(
-    variants: dict[str, dict],
-    config: TrainConfig,
+    configs: dict[str, TrainConfig],
     source: MarkovSource,
     init: Checkpoint | None,
     seeds,
     out_dirs: dict[str, str] | None = None,
 ) -> list[dict]:
     """The final row of one ``final_only`` run from ``init`` per (variant, seed),
-    tagged ``variant`` and ``seed``.  ``variants`` maps a name to ``with_overrides``
-    paths on ``config``, all resolved, and the seeds checked distinct, before
-    the first run; a variant named in ``out_dirs`` writes its seed-``s`` run to
+    tagged ``variant`` and ``seed``.  ``configs`` maps a name to its resolved
+    config, whose seed each run replaces; the seeds are checked distinct before
+    the first run.  A variant named in ``out_dirs`` writes its seed-``s`` run to
     ``<out_dirs[name]>-s<s>``."""
     seeds = [int(seed) for seed in seeds]
     if len(set(seeds)) < len(seeds):
         raise InvalidInputError(f"repeated seed in {seeds}")
-    configs = {name: with_overrides(config, paths) for name, paths in variants.items()}
     out_dirs = out_dirs or {}
     finals = []
     for name, cfg in configs.items():
@@ -325,7 +323,7 @@ def _flag_values(args) -> dict:
 # CLI
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
@@ -343,7 +341,7 @@ TRAIN_FLAGS = {
     "--micro-batch": ("micro_batch", dict(type=int)),
     "--eval-every": ("eval_every", dict(type=int)),
     "--samples": ("eval_samples", dict(type=int, help="samples per evaluation")),
-    "--nfe": ("eval_nfes", dict(type=_parse_int_list, help="comma list, e.g. 4,8,16")),
+    "--nfe": ("eval_nfes", dict(type=parse_int_list, help="comma list, e.g. 4,8,16")),
     "--queue-capacity": ("queue_capacity", dict(type=int)),
     "--corruption": ("corruption", dict(choices=[k.value for k in CorruptionKind])),
 }
@@ -419,10 +417,25 @@ def _check_vocabulary(path, source: MarkovSource, vocab_size: int, model: str) -
         )
 
 
-def _check_sampling(
+def parse_seeds(text: str) -> tuple[int, ...]:
+    """The ``--seeds`` value ``text`` as distinct nonnegative seeds, or a usage error."""
+    try:
+        seeds = parse_int_list(text)
+        if len(set(seeds)) < len(seeds):
+            raise InvalidInputError("repeated seed")
+        if min(seeds) < 0:
+            raise InvalidInputError("need nonnegative seeds")
+    except ValueError as exc:
+        raise UsageError(f"--seeds {text}: {exc}") from exc
+    return seeds
+
+
+def check_sampling(
     length: int, model: str, kind: CorruptionKind, nfes, samples: int, seed: int
 ) -> None:
     """Usage errors for sampling flags that ``model``, of sequence ``length``, cannot run."""
+    if len(set(nfes)) < len(nfes):
+        raise UsageError(f"--nfe {','.join(map(str, nfes))}: repeated NFE budget")
     if samples < 1:
         raise UsageError(f"--samples {samples}: need at least 1 sample")
     if seed < 0:
@@ -457,7 +470,12 @@ def _resolve_train_config(args, drift_phase: bool) -> TrainConfig:
 
 
 def _cmd_make_source(args) -> int:
-    source = banded_source(vocab_size=args.vocab_size, band=tuple(args.band))
+    flag, value = (("--vocab-size", args.vocab_size) if args.vocab_size <= len(args.band)
+                   else ("--band", ",".join(map(str, args.band))))  # the flag whose check fails
+    try:
+        source = banded_source(vocab_size=args.vocab_size, band=tuple(args.band))
+    except InvalidInputError as exc:
+        raise UsageError(f"{flag} {value}: {exc}") from exc
     save_source(source, args.out)
     print(f"wrote banded source with |V_data|={source.vocab_size} to {args.out}")
     return 0
@@ -468,8 +486,8 @@ def _cmd_train(args) -> int:
     source = _read("--source", args.source, load_source)
     checkpoint = _read_init(args.init, config) if args.init else None
     _check_vocabulary(args.source, source, config.model.vocab_size, "the config's model")
-    _check_sampling(config.model.length, "the model", config.corruption, config.eval_nfes,
-                    config.eval_samples, config.seed)
+    check_sampling(config.model.length, "the model", config.corruption, config.eval_nfes,
+                   config.eval_samples, config.seed)
     _write_manifest(
         args,
         {
@@ -490,8 +508,8 @@ def _cmd_train(args) -> int:
 def _cmd_sample(args) -> int:
     checkpoint = _read("--init", args.init, load_checkpoint)
     kind = CorruptionKind(args.corruption)
-    _check_sampling(checkpoint.params.length, "the checkpoint", kind, [args.nfe], args.samples,
-                    args.seed)
+    check_sampling(checkpoint.params.length, "the checkpoint", kind, [args.nfe], args.samples,
+                   args.seed)
     rng = np.random.default_rng([args.seed, args.nfe])
     seqs = sample_batch(checkpoint.params, kind, args.nfe, args.samples, rng)
     _write_manifest(args, _flag_values(args))
@@ -508,8 +526,8 @@ def _cmd_eval(args) -> int:
     source = _read("--source", args.source, load_source)
     _check_vocabulary(args.source, source, checkpoint.params.vocab_size, "the --init checkpoint")
     kind = CorruptionKind(args.corruption)
-    _check_sampling(checkpoint.params.length, "the checkpoint", kind, args.nfe, args.samples,
-                    args.seed)
+    check_sampling(checkpoint.params.length, "the checkpoint", kind, args.nfe, args.samples,
+                   args.seed)
     report = evaluate(
         checkpoint.params, source, kind, nfes=args.nfe, n_samples=args.samples, seed=args.seed
     )
@@ -526,25 +544,17 @@ def _cmd_ablate(args) -> int:
     checkpoint = _read_init(args.init, config)
     _check_vocabulary(args.source, source, config.model.vocab_size, "the config's model")
     grid = args.grid.split(",")
-    variants = {}  # grid value -> its overrides, each resolved before anything is written
+    configs = {}  # grid value -> its config, each resolved before anything is written
     for value in grid:
         try:
             if not value or grid.count(value) > 1:
                 raise InvalidInputError("repeated value" if value else "empty value")
-            variants[value] = ABLATION_AXES[args.axis](value)
-            with_overrides(config, variants[value])
+            configs[value] = with_overrides(config, ABLATION_AXES[args.axis](value))
         except ValueError as exc:
             raise UsageError(f"--grid {value}: {exc}") from exc
-    try:
-        seeds = _parse_int_list(args.seeds)
-        if len(set(seeds)) < len(seeds):
-            raise InvalidInputError("repeated seed")
-        if min(seeds) < 0:
-            raise InvalidInputError("need nonnegative seeds")
-    except ValueError as exc:
-        raise UsageError(f"--seeds {args.seeds}: {exc}") from exc
-    _check_sampling(config.model.length, "the model", config.corruption, config.eval_nfes,
-                    config.eval_samples, min(seeds))
+    seeds = parse_seeds(args.seeds)
+    check_sampling(config.model.length, "the model", config.corruption, config.eval_nfes,
+                   config.eval_samples, min(seeds))
     _write_manifest(
         args,
         {
@@ -556,7 +566,7 @@ def _cmd_ablate(args) -> int:
             "init": args.init,
         },
     )
-    finals = compare(variants, config, source, checkpoint, seeds)
+    finals = compare(configs, source, checkpoint, seeds)
     rows = [{"axis": args.axis, **row} for row in seed_stats(finals, config.eval_nfes)]
     path = os.path.join(args.out, "ablation.csv")
     write_csv(path, ABLATION_HEADER, rows)
@@ -595,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--nfe", type=_parse_int_list, default=(4, 8, 16))
+    p.add_argument("--nfe", type=parse_int_list, default=(4, 8, 16))
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corruption", choices=[k.value for k in CorruptionKind], default="masked")

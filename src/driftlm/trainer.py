@@ -92,6 +92,8 @@ class TrainConfig:
                 raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.eval_nfes:
             raise InvalidInputError("eval_nfes must name at least one NFE budget")
+        if len(set(self.eval_nfes)) != len(self.eval_nfes):
+            raise InvalidInputError("eval_nfes must be distinct")
         if self.objective is not None and self.batch_size % self.micro_batch != 0:
             raise InvalidInputError("micro_batch must divide batch_size")
         if not (0.0 < self.lr < np.inf and 0.0 < self.init_std < np.inf):  # NaN fails too

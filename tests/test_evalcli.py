@@ -229,7 +229,7 @@ def test_compare_rows_are_final_rows_of_direct_runs(monkeypatch):
     variants = {"base": {"steps": 0}, "cont": {}, "drift": {"objective": ObjectiveKind()}}
     seeds = (0, 1)
     calls = _counting(monkeypatch, "evaluate")
-    rows = compare(variants, cfg, source, base, seeds)
+    rows = compare({n: with_overrides(cfg, v) for n, v in variants.items()}, source, base, seeds)
     assert len(calls) == len(variants) * len(seeds)  # the final model of each run, once
     monkeypatch.undo()
     assert [(r["variant"], r["seed"]) for r in rows] == [(v, s) for v in variants for s in seeds]
@@ -247,21 +247,13 @@ def test_compare_rows_are_final_rows_of_direct_runs(monkeypatch):
 def test_compare_writes_only_the_named_variants(tmp_path):
     source, base, cfg = _compare_setup()
     variants = {"base": {"steps": 0}, "cont": {"steps": 1}}
-    compare(variants, cfg, source, base, (0, 3), out_dirs={"cont": str(tmp_path / "run-cont")})
+    configs = {n: with_overrides(cfg, v) for n, v in variants.items()}
+    compare(configs, source, base, (0, 3), out_dirs={"cont": str(tmp_path / "run-cont")})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run-cont-s0", "run-cont-s3"]
     for seed in (0, 3):
         lines = (tmp_path / f"run-cont-s{seed}" / "metrics.csv").read_text().splitlines()
         assert len(lines) == 2  # the header and the final row
         assert load_checkpoint(tmp_path / f"run-cont-s{seed}" / "checkpoint.json").step == 1
-
-
-def test_compare_resolves_every_variant_before_the_first_run(monkeypatch, tmp_path):
-    source, base, cfg = _compare_setup()
-    calls = _counting(monkeypatch, "train_run")
-    variants = {"ok": {}, "bad": {"queue_capacity": 0}}
-    with pytest.raises(InvalidInputError, match="queue_capacity"):
-        compare(variants, cfg, source, base, (0,), out_dirs={"ok": str(tmp_path / "ok")})
-    assert calls == [] and not any(tmp_path.iterdir())
 
 
 def test_seed_stats_reduces_per_variant_and_nfe():
@@ -421,6 +413,22 @@ def test_cli_make_source_roundtrip(tmp_path, capsys):
     assert cli(["make-source", "--out", str(out), "--vocab-size", "9"]) == 0
     src = load_source(out)
     assert src.vocab_size == 9
+
+
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        (["--vocab-size", "3"], "--vocab-size 3: vocab_size must exceed the band width"),
+        (["--band", "0.5,0.6"], "--band 0.5,0.6: every transition row must sum to 1"),
+        (["--band", "nan,1"], "--band nan,1.0: probabilities must be nonnegative numbers"),
+    ],
+)
+def test_cli_make_source_bad_flag_is_a_usage_error(tmp_path, capsys, flags, line):
+    out = tmp_path / "src.json"
+    assert cli(["make-source", "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err == f"driftlm make-source: error: {line}\n"
+    assert not out.exists()
 
 
 def test_cli_unknown_flag_exits_2(capsys):
@@ -683,6 +691,18 @@ def test_cli_sample_writes_jsonl(cli_env, capsys):
     assert all(0 <= t < TINY_MODEL.clean_vocab for t in seq)
 
 
+def test_cli_sample_writes_what_eval_scores(cli_env, capsys):
+    tmp_path, source_path, _, ckpt_path = cli_env
+    flags = ["--init", str(ckpt_path), "--seed", "4", "--nfe", "3", "--samples", "7"]
+    assert cli(["sample", "--out", str(tmp_path / "s"), *flags]) == 0
+    assert cli(["eval", "--source", str(source_path), "--out", str(tmp_path / "e"), *flags]) == 0
+    lines = (tmp_path / "s" / "samples.jsonl").read_text().splitlines()
+    seqs = np.asarray([json.loads(line) for line in lines])
+    [scores] = json.loads((tmp_path / "e" / "report.json").read_text())["per_nfe"]
+    assert scores["gen_ppl"] == oracle_gen_ppl(load_source(source_path), seqs)
+    assert scores["entropy"] == entropy_metric(seqs)
+
+
 def test_cli_eval_byte_identical_reruns(cli_env, capsys):
     tmp_path, source_path, config_path, ckpt_path = cli_env
     outputs = []
@@ -842,6 +862,7 @@ BAD_RUN_FLAGS = {
         "eval", ["--nfe", "2,7"], "--nfe 7: masked sampling needs 1 <= nfe <= 6",
     ),
     "eval-no-samples": ("eval", ["--samples", "0"], "--samples 0: need at least 1 sample"),
+    "eval-repeated-nfe": ("eval", ["--nfe", "3,2,3"], "--nfe 3,2,3: repeated NFE budget"),
     "sample-negative-seed": ("sample", ["--seed", "-1"], "--seed -1: need a nonnegative seed"),
     "eval-negative-seed": ("eval", ["--seed", "-1"], "--seed -1: need a nonnegative seed"),
     "drift-train-init-shape": (
@@ -876,6 +897,9 @@ BAD_RUN_FLAGS = {
     "base-train-nfe-past-length": (
         "base-train", ["--config", "{config}", "--nfe", "2,7"],
         "--nfe 7: masked sampling needs 1 <= nfe <= 6",
+    ),
+    "base-train-repeated-nfe": (
+        "base-train", ["--config", "{config}", "--nfe", "2,2"], "eval_nfes must be distinct",
     ),
     "base-train-uniform-nfe-0": (
         "base-train", ["--config", "{config}", "--corruption", "uniform", "--nfe", "0"],
@@ -952,7 +976,7 @@ def test_compare_rejects_a_repeated_seed(monkeypatch):
     source, base, cfg = _compare_setup()
     calls = _counting(monkeypatch, "train_run")
     with pytest.raises(InvalidInputError, match=r"repeated seed in \[1, 0, 1\]"):
-        compare({"cont": {}}, cfg, source, base, (1, 0, 1))
+        compare({"cont": cfg}, source, base, (1, 0, 1))
     assert calls == []
 
 
@@ -973,6 +997,7 @@ BAD_CONFIGS = {
     "top-level-list": ([["steps", 10]], "top-level"),
     "bad-enum": (_with("objective.variant", "bogus"), "objective.variant"),
     "float-in-int-list": (_with("eval_nfes", [4.7, 8]), r"eval_nfes\[0\]"),
+    "repeated-nfe": (_with("eval_nfes", [4, 8, 4]), "eval_nfes must be distinct"),
     "string-int": (_with("steps", "10"), "steps"),
     "float-for-int": (_with("batch_size", 32.0), "batch_size"),
     "string-for-tuple": (_with("drift.temperatures", "0.1"), "drift.temperatures"),
