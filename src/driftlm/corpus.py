@@ -71,17 +71,30 @@ def banded_source(
 # sampling and scoring
 
 
+def _sampling_cdf(probs: Array) -> Array:
+    """Cumulative sums along the last axis, +inf from each row's last positive
+    entry on.  A row's rounded total may fall short of 1; a uniform draw at or
+    above it then picks the row's last possible state, and every draw below
+    it the first state whose cumulative sum exceeds it, as without the +inf."""
+    cdf = np.cumsum(probs, axis=-1)
+    last = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
+    cdf[np.arange(probs.shape[-1]) >= last[..., None]] = np.inf
+    return cdf
+
+
 def sample_sequences(source: MarkovSource, n: int, length: int, rng: np.random.Generator) -> Array:
-    """Draw ``n`` sequences of ``length`` tokens; deterministic given the generator."""
+    """Draw ``n`` sequences of ``length`` tokens; deterministic given the generator.
+
+    Every token and transition drawn has positive probability."""
     if length < 1:
         raise InvalidInputError("length must be at least 1")
     if n < 1:
         raise InvalidInputError("n must be at least 1")
     out = np.empty((n, length), dtype=np.int64)
-    init_cdf = np.cumsum(source.initial)
-    trans_cdf = np.cumsum(source.transition, axis=1)
+    init_cdf = _sampling_cdf(source.initial)
+    trans_cdf = _sampling_cdf(source.transition)
     u = rng.random(n)
-    cur = np.searchsorted(init_cdf, u, side="right").clip(max=source.vocab_size - 1)
+    cur = np.searchsorted(init_cdf, u, side="right")
     out[:, 0] = cur
     for t in range(1, length):
         u = rng.random(n)

@@ -1,12 +1,12 @@
 """Anti-symmetric attraction-repulsion drift with FIFO reference queues.
 
 A drift vector points from the repulsive barycenter (nearby generated
-features) toward the attractive barycenter (nearby real features).  Both
-sides share one softmax over the concatenated temperature-scaled affinities;
-per-side renormalization of the resulting weights keeps the construction
-exactly anti-symmetric, which in turn forces a zero drift whenever the two
-reference multisets coincide.  Multi-temperature estimates are RMS-balanced
-per temperature before averaging so no scale dominates.
+features) toward the attractive barycenter (nearby real features).  Each
+barycenter is a softmax over its own side's temperature-scaled affinities,
+so swapping the two sides exactly negates the drift, which in turn forces a
+zero drift whenever the two reference multisets coincide.  Multi-temperature
+estimates are RMS-balanced per temperature before averaging so no scale
+dominates.
 
 Features are ``[n, m]`` float64 rows.  Positives ``[P, m]`` and negatives
 ``[N, m]`` are two pools shared by every anchor of a micro-batch, current
@@ -33,7 +33,6 @@ class DriftConfig:
     eps: float = 1e-8
     w_plus: float = 1.0
     w_minus: float = 1.0
-    renormalize_sides: bool = True  # False keeps the raw joint-softmax masses per side
 
     def __post_init__(self):
         temps = tuple(float(t) for t in self.temperatures)
@@ -110,34 +109,23 @@ def _sq_dists(anchors: Array, pool: Array) -> Array:
     return np.maximum(h2[:, None] + r2 - 2.0 * cross, 0.0)
 
 
-def _weighted_sum(weights: Array, pool: Array) -> Array:
-    """``weights [T, n, K] @ pool [K, m]``, summed over the pool in row order."""
-    return np.einsum("...nk,km->...nm", weights, pool)
-
-
-def _softmax_weights(affinities: Array) -> Array:
-    """Softmax over the last axis whose normalizer is a sequential sum, as in
-    ``_weighted_sum``."""
-    e = np.exp(affinities - affinities.max(axis=-1, keepdims=True))
-    return e / np.cumsum(e, axis=-1)[..., -1:]
-
-
 def _side_barycenter(affinities: Array, pool: Array) -> Array:
-    """Renormalized barycenter of one side, as a stable per-side softmax.
+    """Barycenters ``[T, n, m]`` of one side's ``pool [K, m]`` under a stable
+    softmax over the last axis of its ``affinities [T, n, K]``.
 
-    Dividing the joint-softmax masses by their per-side total cancels the
-    shared normalizer, so the renormalized barycenter depends on this side's
-    affinities alone; computing it that way also survives one side
-    underflowing in the joint view.  An empty side has a zero barycenter.
+    The normalizer is a sequential sum and the weighted sum runs over the
+    pool in row order, for the reason given above.  An empty side has a zero
+    barycenter.
     """
     if pool.shape[0] == 0:
         return np.zeros(affinities.shape[:-1] + pool.shape[1:])
-    return _weighted_sum(_softmax_weights(affinities), pool)
+    e = np.exp(affinities - affinities.max(axis=-1, keepdims=True))
+    weights = e / np.cumsum(e, axis=-1)[..., -1:]
+    return np.einsum("...nk,km->...nm", weights, pool)
 
 
 def _drifts(
-    anchors, positives, negatives, taus: Array, w_plus: float, w_minus: float,
-    renormalize: bool, exclude_self: bool,
+    anchors, positives, negatives, taus: Array, w_plus: float, w_minus: float, exclude_self: bool
 ) -> Array:
     """Drifts ``[T, n, m]`` of anchors ``[n, m]``, one slice per temperature in ``taus [T]``.
 
@@ -171,14 +159,7 @@ def _drifts(
         np.fill_diagonal(d_neg, np.inf)
     a_pos = -_sq_dists(h, pos) / taus[:, None, None]
     a_neg = -d_neg / taus[:, None, None]
-    if renormalize:
-        b_plus = _side_barycenter(a_pos, pos)
-        b_minus = _side_barycenter(a_neg, neg)
-    else:
-        w = _softmax_weights(np.concatenate([a_pos, a_neg], axis=-1))
-        b_plus = _weighted_sum(w[..., : pos.shape[0]], pos)
-        b_minus = _weighted_sum(w[..., pos.shape[0] :], neg)
-    return w_plus * b_plus - w_minus * b_minus
+    return w_plus * _side_barycenter(a_pos, pos) - w_minus * _side_barycenter(a_neg, neg)
 
 
 def drift_single_temp(
@@ -188,23 +169,22 @@ def drift_single_temp(
     tau: float,
     w_plus: float = 1.0,
     w_minus: float = 1.0,
-    renormalize: bool = True,
     exclude_self: bool = False,
 ) -> Array:
     """Temperature-``tau`` drift w_plus * b+ - w_minus * b- for each anchor row.
 
     ``anchors`` is ``[n, m]``; ``positives`` ``[P, m]`` and ``negatives``
     ``[N, m]`` are pools shared by every anchor, and with ``exclude_self``
-    anchor ``i`` is negative row ``i`` and gets weight 0 there.  Affinities
-    are exp(-||h - r||^2 / tau), normalized jointly across both sides.  A side whose ratio weight is zero may be
-    empty and contributes a zero barycenter; otherwise an empty side is a
-    contract violation.
+    anchor ``i`` is negative row ``i`` and gets weight 0 there.  A side's
+    barycenter weights its references by exp(-||h - r||^2 / tau), normalized
+    over that side alone.  A side whose ratio weight is zero may be empty and
+    contributes a zero barycenter; otherwise an empty side is a contract
+    violation.
     """
     if tau <= 0.0:
         raise InvalidInputError("tau must be positive")
     taus = np.array([tau], dtype=np.float64)
-    return _drifts(anchors, positives, negatives, taus, w_plus, w_minus, renormalize,
-                   exclude_self)[0]
+    return _drifts(anchors, positives, negatives, taus, w_plus, w_minus, exclude_self)[0]
 
 
 def drift_multi_temp(
@@ -220,7 +200,7 @@ def drift_multi_temp(
     """
     taus = np.array(config.temperatures, dtype=np.float64)
     per_tau = _drifts(anchors, positives, negatives, taus, config.w_plus, config.w_minus,
-                      config.renormalize_sides, exclude_self)
+                      exclude_self)
     out = np.zeros(per_tau.shape[1:])
     for v, s in zip(per_tau, rms_scale(per_tau, config.eps)):
         out += v / s

@@ -323,12 +323,21 @@ def _flag_values(args) -> dict:
 # CLI
 
 
+def _parse_list(item_type, text: str) -> tuple:
+    """The comma list ``text`` as ``item_type`` values; argparse reports a bad
+    item with the cause, which names it."""
+    try:
+        return tuple(item_type(v) for v in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+    return _parse_list(int, text)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    return _parse_list(float, text)
 
 
 # train flag -> (the config path it sets, argparse keywords); a flag left
@@ -355,14 +364,6 @@ DRIFT_FLAGS = {
     "--w-plus": ("drift.w_plus", dict(type=float)),
     "--w-minus": ("drift.w_minus", dict(type=float)),
     "--temperatures": ("drift.temperatures", dict(type=_parse_float_list)),
-    "--unrenormalized-barycenters": (
-        "drift.renormalize_sides",
-        dict(
-            action="store_const",
-            const=False,
-            help="use raw joint-softmax masses instead of per-side renormalization",
-        ),
-    ),
 }
 
 
@@ -425,7 +426,7 @@ def parse_seeds(text: str) -> tuple[int, ...]:
             raise InvalidInputError("repeated seed")
         if min(seeds) < 0:
             raise InvalidInputError("need nonnegative seeds")
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"--seeds {text}: {exc}") from exc
     return seeds
 

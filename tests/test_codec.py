@@ -155,7 +155,6 @@ def train_configs(draw):
             eps=draw(floats(lambda x: x > 0.0)),
             w_plus=w_plus,
             w_minus=w_minus,
-            renormalize_sides=draw(st.booleans()),
         ),
         corruption=draw(st.sampled_from(CorruptionKind)),
         eval_every=draw(st.integers(1, 1000)),
@@ -169,7 +168,9 @@ def train_configs(draw):
             hidden_dim=draw(st.integers(1, 64)),
             n_blocks=draw(st.integers(2, 4)),
         ),
-        eval_nfes=tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=4))),
+        eval_nfes=tuple(
+            draw(st.lists(st.integers(1, 64), min_size=1, max_size=4, unique=True))
+        ),
         eval_samples=draw(st.integers(1, 4096)),
         init_std=draw(floats(lambda x: x > 0.0)),
     )

@@ -120,6 +120,31 @@ def test_same_seed_same_sequences():
     assert np.array_equal(a, b)
 
 
+class _ConstantDraws:
+    """A generator stub whose every uniform draw is ``value``."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self, n):
+        return np.full(n, self.value)
+
+
+def test_draw_past_a_rows_rounded_total_stays_possible():
+    # 28 of the banded rows, and ten initial masses of 0.1, sum to 1 - 2**-53;
+    # the largest draw below 1 lies at or above that total
+    top = _ConstantDraws(np.nextafter(1.0, 0.0))
+    src = banded_source()
+    assert np.sum(np.cumsum(src.transition, axis=1)[:, -1] <= top.value) == 28
+    seqs = sample_sequences(src, 3, 6, top)
+    assert np.all(src.initial[seqs[:, 0]] > 0.0)
+    assert np.all(src.transition[seqs[:, :-1], seqs[:, 1:]] > 0.0)
+    initial = np.array([0.1] * 10 + [0.0])
+    assert np.cumsum(initial)[-1] <= top.value
+    padded = MarkovSource(11, initial, banded_source(11).transition)
+    assert sample_sequences(padded, 2, 1, top).tolist() == [[9], [9]]
+
+
 def test_uniform_source_unigrams_close_to_uniform():
     src = uniform_source(8)
     tokens = sample_sequences(src, 1000, 100, np.random.default_rng(1)).ravel()

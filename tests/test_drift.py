@@ -58,26 +58,15 @@ def _ordered_sum(weights, refs):
     return total
 
 
-def _reference_drift(h, pos, neg, tau, w_plus, w_minus, renormalize):
-    d_pos = np.sum((pos - h) ** 2, axis=1)
-    d_neg = np.sum((neg - h) ** 2, axis=1)
-
-    def barycenter(affinities, refs):
+def _reference_drift(h, pos, neg, tau, w_plus, w_minus):
+    def barycenter(refs):
         if refs.shape[0] == 0:
             return np.zeros(h.size)
+        affinities = -np.sum((refs - h) ** 2, axis=1) / tau
         e = np.exp(affinities - affinities.max())
         return _ordered_sum(e / _ordered_sum(e, np.ones(e.size)), refs)
 
-    if renormalize:
-        b_plus = barycenter(-d_pos / tau, pos)
-        b_minus = barycenter(-d_neg / tau, neg)
-    else:
-        s = np.concatenate([-d_pos / tau, -d_neg / tau])
-        e = np.exp(s - s.max())
-        w = e / _ordered_sum(e, np.ones(e.size))
-        b_plus = _ordered_sum(w[: d_pos.size], pos)
-        b_minus = _ordered_sum(w[d_pos.size :], neg)
-    return w_plus * b_plus - w_minus * b_minus
+    return w_plus * barycenter(pos) - w_minus * barycenter(neg)
 
 
 def _reference_drift_multi_temp(anchors, positives, negatives, config, exclude_self):
@@ -87,9 +76,7 @@ def _reference_drift_multi_temp(anchors, positives, negatives, config, exclude_s
     for tau in config.temperatures:
         per_tau = np.stack(
             [
-                _reference_drift(
-                    h, positives, neg, tau, config.w_plus, config.w_minus, config.renormalize_sides
-                )
+                _reference_drift(h, positives, neg, tau, config.w_plus, config.w_minus)
                 for h, neg in zip(anchors, own)
             ]
         )
@@ -98,18 +85,11 @@ def _reference_drift_multi_temp(anchors, positives, negatives, config, exclude_s
 
 
 @pytest.mark.parametrize(
-    "config, near_duplicates",
-    [
-        (DriftConfig(), True),
-        (DriftConfig(w_plus=2.0, w_minus=0.5, temperatures=(0.01, 0.3)), True),
-        # with raw joint masses, near-duplicates on both sides of every anchor
-        # leave a ~1e-6 drift whose Gram-form rounding the RMS step scales up
-        # past 1e-12 (CHANGES.md), so this variant is checked on spread features
-        (DriftConfig(renormalize_sides=False), False),
-    ],
-    ids=["default", "weighted", "unrenormalized"],
+    "config",
+    [DriftConfig(), DriftConfig(w_plus=2.0, w_minus=0.5, temperatures=(0.01, 0.3))],
+    ids=["default", "weighted"],
 )
-def test_batched_drift_matches_per_anchor_reference(rng, config, near_duplicates):
+def test_batched_drift_matches_per_anchor_reference(rng, config):
     m = 16
     worst = 0.0
     for trial in range(100):
@@ -119,7 +99,7 @@ def test_batched_drift_matches_per_anchor_reference(rng, config, near_duplicates
         # pools as build_references lays them out: the anchors, then a queue
         queued = unit_rows(rng, int(rng.integers(1, 40)), m)
         exclude_self = trial % 4 != 3
-        if near_duplicates and trial % 2:
+        if trial % 2:
             # each anchor has a positive and a queued negative within
             # 1e-9..1e-5 of it, where the Gram form cancels most digits
             for i in range(n):
@@ -250,15 +230,6 @@ def test_swap_negates_drift(rng):
         assert np.max(np.abs(fwd + bwd)) <= 1e-12
 
 
-def test_swap_negates_drift_unrenormalized(rng):
-    h = rng.normal(size=(1, 8))
-    pos = rng.normal(size=(5, 8))
-    neg = rng.normal(size=(3, 8))
-    fwd = drift_single_temp(h, pos, neg, 0.05, renormalize=False)
-    bwd = drift_single_temp(h, neg, pos, 0.05, renormalize=False)
-    assert np.max(np.abs(fwd + bwd)) <= 1e-12
-
-
 @given(vec8, vec8, vec8)
 def test_antisymmetry_property(h, p, n):
     fwd = drift_single_temp(h[None], p[None], n[None], 0.1)
@@ -333,19 +304,16 @@ def test_multi_temp_single_tau_equals_normalized_single(rng):
 
 
 @pytest.mark.parametrize("queued", [256, 4], ids=["drift-l2", "drift-mirror"])
-@pytest.mark.parametrize("renormalize", [True, False], ids=["renormalized", "joint"])
-def test_multi_temp_equals_loop_of_single_temp_bitwise(rng, queued, renormalize):
+def test_multi_temp_equals_loop_of_single_temp_bitwise(rng, queued):
     # the benchmark workloads' pools: 8 anchors, then 256 or 4 queued rows
-    cfg = DriftConfig(renormalize_sides=renormalize)
+    cfg = DriftConfig()
     for _ in range(5):
         anchors = unit_rows(rng, 8, 64)
         pos = unit_rows(rng, 8 + queued, 64)
         neg = np.concatenate([anchors, unit_rows(rng, queued, 64)])
         want = np.zeros(anchors.shape)
         for tau in cfg.temperatures:
-            per = drift_single_temp(
-                anchors, pos, neg, tau, renormalize=renormalize, exclude_self=True
-            )
+            per = drift_single_temp(anchors, pos, neg, tau, exclude_self=True)
             want += per / rms_scale(per, cfg.eps)
         got = drift_multi_temp(anchors, pos, neg, cfg, exclude_self=True)
         assert np.array_equal(got, want / len(cfg.temperatures))
@@ -424,24 +392,22 @@ def test_own_row_only_pool(rng):
     with pytest.raises(InvalidInputError, match="besides the anchor's own"):
         drift_multi_temp(h, pos, h.copy(), DriftConfig(), exclude_self=True)
     # with w_minus = 0 the repulsion is zero, not a NaN from an all -inf row
-    for renormalize in (True, False):
-        cfg = DriftConfig(w_minus=0.0, renormalize_sides=renormalize)
-        out = drift_multi_temp(h, pos, h.copy(), cfg, exclude_self=True)
-        attraction = drift_multi_temp(h, pos, np.zeros((0, 8)), cfg)
-        assert np.all(np.isfinite(out)) and np.array_equal(out, attraction)
+    cfg = DriftConfig(w_minus=0.0)
+    out = drift_multi_temp(h, pos, h.copy(), cfg, exclude_self=True)
+    attraction = drift_multi_temp(h, pos, np.zeros((0, 8)), cfg)
+    assert np.all(np.isfinite(out)) and np.array_equal(out, attraction)
 
 
 # ---------------------------------------------------------------------------
 # exact zero at equilibrium, whatever the references' positions in the pools
 
 
-@pytest.mark.parametrize("renormalize", [True, False], ids=["renormalized", "joint"])
-def test_equilibrium_exact_zero_at_benchmark_size(rng, renormalize):
+def test_equilibrium_exact_zero_at_benchmark_size(rng):
     # the drift-l2 shape: 8 anchors, 255 queued rows, self-exclusion on; the
     # negatives equal the positives once each anchor's own row is masked,
     # but every reference after it sits one slot later in its pool
     m = 64
-    cfg = DriftConfig(renormalize_sides=renormalize)
+    cfg = DriftConfig()
     for _ in range(20):
         g, x = unit_rows(rng, 2, m)
         queued = unit_rows(rng, 255, m)
@@ -452,8 +418,7 @@ def test_equilibrium_exact_zero_at_benchmark_size(rng, renormalize):
         assert np.all(out == 0.0)
 
 
-@pytest.mark.parametrize("renormalize", [True, False], ids=["renormalized", "joint"])
-def test_equilibrium_exact_zero_per_anchor(rng, renormalize):
+def test_equilibrium_exact_zero_per_anchor(rng):
     # distinct anchors: anchor i's positives are the negative pool without
     # row i, so its drift is exactly zero at every temperature
     for _ in range(30):
@@ -463,9 +428,7 @@ def test_equilibrium_exact_zero_per_anchor(rng, renormalize):
         for i in range(n):
             pos = np.delete(neg, i, 0)
             for tau in DriftConfig().temperatures:
-                out = drift_single_temp(
-                    gens, pos, neg, tau, renormalize=renormalize, exclude_self=True
-                )
+                out = drift_single_temp(gens, pos, neg, tau, exclude_self=True)
                 assert np.all(out[i] == 0.0)
 
 

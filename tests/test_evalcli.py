@@ -293,7 +293,7 @@ def test_train_config_dict_roundtrip():
         objective=ObjectiveKind(
             variant=ObjectiveVariant.MIRROR_KL, with_base_loss=True, lift=LiftKind.HARD_ST, eta=0.5
         ),
-        drift=DriftConfig(temperatures=(0.1, 0.4), w_plus=2.0, renormalize_sides=False),
+        drift=DriftConfig(temperatures=(0.1, 0.4), w_plus=2.0),
         corruption=CorruptionKind.UNIFORM,
     )
     rebuilt = decode(TrainConfig, json.loads(json.dumps(train_config_to_dict(cfg))))
@@ -324,9 +324,7 @@ NON_DEFAULT_CONFIG = TrainConfig(
         eta=0.5,
         alpha=2.5,
     ),
-    drift=DriftConfig(
-        temperatures=(0.1, 0.3), eps=1e-6, w_plus=2.0, w_minus=0.5, renormalize_sides=False
-    ),
+    drift=DriftConfig(temperatures=(0.1, 0.3), eps=1e-6, w_plus=2.0, w_minus=0.5),
     corruption=CorruptionKind.UNIFORM,
     eval_every=3,
     queue_capacity=9,
@@ -358,7 +356,6 @@ NON_DEFAULT_JSON = {
         "eps": 1e-06,
         "w_plus": 2.0,
         "w_minus": 0.5,
-        "renormalize_sides": False,
     },
     "corruption": "uniform",
     "eval_every": 3,
@@ -415,19 +412,30 @@ def test_cli_make_source_roundtrip(tmp_path, capsys):
     assert src.vocab_size == 9
 
 
+def _error_lines(err: str, command: str) -> list[str]:
+    """``err`` without the usage that argparse prints before rejecting a flag's
+    value; the commands' own checks print their one line alone."""
+    if err.startswith(f"usage: driftlm {command}"):
+        assert "\ndriftlm " in err and "error: argument --" in err, err
+        err = err[err.index("\ndriftlm ") + 1 :]
+    return err.splitlines()
+
+
 @pytest.mark.parametrize(
     "flags, line",
     [
         (["--vocab-size", "3"], "--vocab-size 3: vocab_size must exceed the band width"),
         (["--band", "0.5,0.6"], "--band 0.5,0.6: every transition row must sum to 1"),
         (["--band", "nan,1"], "--band nan,1.0: probabilities must be nonnegative numbers"),
+        (["--band", "0.5,x"], "argument --band: could not convert string to float: 'x'"),
     ],
 )
 def test_cli_make_source_bad_flag_is_a_usage_error(tmp_path, capsys, flags, line):
     out = tmp_path / "src.json"
     assert cli(["make-source", "--out", str(out), *flags]) == 2
-    err = capsys.readouterr().err
-    assert err == f"driftlm make-source: error: {line}\n"
+    assert _error_lines(capsys.readouterr().err, "make-source") == [
+        f"driftlm make-source: error: {line}"
+    ]
     assert not out.exists()
 
 
@@ -457,8 +465,13 @@ def test_cli_drift_train_requires_init(cli_env, capsys):
 
 @pytest.mark.parametrize(
     "text, named",
-    [('{"steps": "10"}', "steps"), ('{"steps": 10,', "config.json"), (None, "config.json")],
-    ids=["decoder-rejects", "truncated-json", "missing-file"],
+    [
+        ('{"steps": "10"}', "steps"),
+        ('{"steps": 10,', "config.json"),
+        (None, "config.json"),
+        ('{"drift": {"renormalize_sides": false}}', "drift.renormalize_sides"),
+    ],
+    ids=["decoder-rejects", "truncated-json", "missing-file", "deleted-renormalize-sides"],
 )
 def test_cli_bad_config_is_a_usage_error(cli_env, capsys, text, named):
     tmp_path, source_path, _, _ = cli_env
@@ -863,6 +876,9 @@ BAD_RUN_FLAGS = {
     ),
     "eval-no-samples": ("eval", ["--samples", "0"], "--samples 0: need at least 1 sample"),
     "eval-repeated-nfe": ("eval", ["--nfe", "3,2,3"], "--nfe 3,2,3: repeated NFE budget"),
+    "eval-bad-nfe-item": (
+        "eval", ["--nfe", "4,x"], "argument --nfe: invalid literal for int() with base 10: 'x'",
+    ),
     "sample-negative-seed": ("sample", ["--seed", "-1"], "--seed -1: need a nonnegative seed"),
     "eval-negative-seed": ("eval", ["--seed", "-1"], "--seed -1: need a nonnegative seed"),
     "drift-train-init-shape": (
@@ -898,6 +914,10 @@ BAD_RUN_FLAGS = {
         "base-train", ["--config", "{config}", "--nfe", "2,7"],
         "--nfe 7: masked sampling needs 1 <= nfe <= 6",
     ),
+    "base-train-bad-nfe-item": (
+        "base-train", ["--config", "{config}", "--nfe", "4,x"],
+        "argument --nfe: invalid literal for int() with base 10: 'x'",
+    ),
     "base-train-repeated-nfe": (
         "base-train", ["--config", "{config}", "--nfe", "2,2"], "eval_nfes must be distinct",
     ),
@@ -912,6 +932,10 @@ BAD_RUN_FLAGS = {
     "base-train-nan-lr": (
         "base-train", ["--config", "{config}", "--lr", "nan"],
         "lr and init_std must be positive and finite",
+    ),
+    "drift-train-bad-temperature-item": (
+        "drift-train", ["--config", "{config}", "--temperatures", "0.1,x"],
+        "argument --temperatures: could not convert string to float: 'x'",
     ),
     "drift-train-nan-temperature": (
         "drift-train", ["--config", "{config}", "--temperatures", "0.1,nan"],
@@ -938,9 +962,9 @@ def test_cli_bad_run_flag_is_a_usage_error_before_any_work(cli_env, capsys, monk
     if command != "sample":
         argv += ["--source", str(source_path)]
     assert cli(argv + [flag.format(**files) for flag in flags]) == 2
-    err = capsys.readouterr().err
+    errors = _error_lines(capsys.readouterr().err, command)
     want = line.format(init=ckpt_path, default=default)
-    assert err.startswith(f"driftlm {command}: error: {want}") and err.count("\n") == 1, err
+    assert len(errors) == 1 and errors[0].startswith(f"driftlm {command}: error: {want}"), errors
     assert sampled == [] and trained == [] and not any(out.iterdir())
 
 
@@ -1060,7 +1084,6 @@ DRIFT_SURFACE = [
     ("--w-plus", None, None, False),
     ("--w-minus", None, None, False),
     ("--temperatures", None, None, False),
-    ("--unrenormalized-barycenters", None, None, False),
 ]
 CLI_SURFACE = {
     "base-train": TRAIN_SURFACE + [("--init", None, None, False)],

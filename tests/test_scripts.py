@@ -20,10 +20,12 @@ def _load_script(name: str):
 
 STUDY = "run_directional_study"
 
-# a study flag value that nothing may run with, and the cause after its prefix
+# a study flag value that nothing may run with, and the cause after its
+# "<flags>: " prefix, or argparse's whole message where it rejects the value
 BAD_STUDY_FLAGS = {
     "--seeds 0,0": "repeated seed",
     "--seeds 0,x": "invalid literal for int()",
+    "--nfe 4,x": "argument --nfe: invalid literal for int() with base 10: 'x'",
     "--nfe 0": "masked sampling needs 1 <= nfe <= 16, the model's sequence length",
     "--nfe 17": "masked sampling needs 1 <= nfe <= 16",
     "--nfe 4,4": "eval_nfes must be distinct",
@@ -47,5 +49,7 @@ def test_study_bad_flag_is_a_usage_error_before_any_work(tmp_path, capsys, monke
     assert exc.value.code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(errors) == 1, errors
-    assert errors[0].startswith(f"{STUDY}.py: error: {flags}: {BAD_STUDY_FLAGS[flags]}")
+    cause = BAD_STUDY_FLAGS[flags]
+    want = cause if cause.startswith("argument ") else f"{flags}: {cause}"
+    assert errors[0].startswith(f"{STUDY}.py: error: {want}")
     assert trained == [] and not any(out.iterdir())
