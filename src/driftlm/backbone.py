@@ -98,7 +98,10 @@ def param_items(params: DenoiserParams) -> list[tuple[str, Array]]:
     return [(f.name, getattr(params, f.name)) for f in fields(params)]
 
 
-def init_params(cfg: ModelConfig, rng: np.random.Generator, init_std: float = 0.02) -> DenoiserParams:
+INIT_STD = 0.3  # the scale of a fresh run's parameters
+
+
+def init_params(cfg: ModelConfig, rng: np.random.Generator, init_std: float = INIT_STD) -> DenoiserParams:
     """Normal(0, init_std) weights, zero biases; draws ``w1`` then ``w2`` block by
     block, then ``embed``, ``pos_embed`` and ``out_proj``, as seeded runs always have."""
     d, dh, n_blocks = cfg.embed_dim, cfg.hidden_dim, cfg.n_blocks

@@ -19,6 +19,7 @@ from .codec import dump, load
 from .numcore import Array, InvalidInputError
 
 _STOCHASTIC_TOL = 1e-12
+IMPOSSIBLE_FLOOR = 1e-12  # what ``oracle_gen_ppl`` scores a zero-probability factor as
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def token_rows(seqs, vocab_size: int | None = None) -> Array:
     return s.astype(np.int64, copy=False)
 
 
-def oracle_gen_ppl(source: MarkovSource, seqs, floor: float = 1e-12) -> float:
+def oracle_gen_ppl(source: MarkovSource, seqs) -> float:
     """exp of the mean per-token NLL over all sequences, zero factors floored.
 
     ``seqs`` is an ``[n, L]`` token array (see ``token_rows``).  Row
@@ -153,7 +154,7 @@ def oracle_gen_ppl(source: MarkovSource, seqs, floor: float = 1e-12) -> float:
     factors[:, 0] = source.initial[s[:, 0]]
     factors[:, 1:] = source.transition[s[:, :-1], s[:, 1:]]
     # only genuinely impossible factors are floored
-    factors[factors == 0.0] = floor
+    factors[factors == 0.0] = IMPOSSIBLE_FLOOR
     row_lp = np.log(factors).sum(axis=1)
     return float(math.exp(-np.cumsum(row_lp)[-1] / s.size))
 

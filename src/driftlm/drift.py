@@ -25,12 +25,12 @@ import numpy as np
 from .numcore import Array, InvalidInputError
 
 _UNIT_NORM_TOL = 1e-9
+RMS_EPS = 1e-8  # added to the mean squared drift norm in ``rms_scale``
 
 
 @dataclass(frozen=True)
 class DriftConfig:
     temperatures: tuple[float, ...] = (0.02, 0.05, 0.2)
-    eps: float = 1e-8
     w_plus: float = 1.0
     w_minus: float = 1.0
 
@@ -41,8 +41,6 @@ class DriftConfig:
             raise InvalidInputError("temperatures must be a nonempty list of positive reals")
         if len(set(temps)) != len(temps):
             raise InvalidInputError("temperatures must be distinct")
-        if not 0.0 < self.eps < np.inf:
-            raise InvalidInputError("eps must be positive and finite")
         if not (0.0 <= self.w_plus < np.inf and 0.0 <= self.w_minus < np.inf):
             raise InvalidInputError("attraction/repulsion weights must be nonnegative and finite")
         if self.w_plus == 0.0 and self.w_minus == 0.0:
@@ -202,13 +200,13 @@ def drift_multi_temp(
     per_tau = _drifts(anchors, positives, negatives, taus, config.w_plus, config.w_minus,
                       exclude_self)
     out = np.zeros(per_tau.shape[1:])
-    for v, s in zip(per_tau, rms_scale(per_tau, config.eps)):
+    for v, s in zip(per_tau, rms_scale(per_tau)):
         out += v / s
     return out / len(taus)
 
 
-def rms_scale(drifts: Array, eps: float) -> Array:
-    """Batch-level RMS normalizer sqrt(mean ||V_i||^2 + eps) of drifts ``[n, m]``;
+def rms_scale(drifts: Array) -> Array:
+    """Batch-level RMS normalizer sqrt(mean ||V_i||^2 + RMS_EPS) of drifts ``[n, m]``;
     one per slice ``[T]`` for stacked drifts ``[T, n, m]``."""
     drifts = np.asarray(drifts, dtype=np.float64)
-    return np.sqrt(np.mean(np.sum(drifts * drifts, axis=-1), axis=-1) + eps)
+    return np.sqrt(np.mean(np.sum(drifts * drifts, axis=-1), axis=-1) + RMS_EPS)

@@ -46,7 +46,11 @@ from .numcore import Array, InvalidInputError
 from .objectives import ObjectiveKind, total_objective
 
 CHECKPOINT_FORMAT = "driftlm-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+NOISE_LEVELS = (0.05, 0.95)  # a step's corruption levels are uniform on this interval
 
 # the metrics ``train_step`` returns, in their ``metrics.csv`` column order
 STEP_METRICS = ("loss", "drift_norm", "grad_norm")
@@ -70,21 +74,15 @@ class TrainConfig:
     micro_batch: int = 8  # sequences per drift field (each other's negatives); unused by base steps
     steps: int = 2000
     lr: float = 3e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     objective: ObjectiveKind | None = None  # None = base denoising loss only
     drift: DriftConfig = field(default_factory=DriftConfig)
     corruption: CorruptionKind = CorruptionKind.MASKED
     eval_every: int = 500
     queue_capacity: int = 256
-    t_min: float = 0.05
-    t_max: float = 0.95
     model: ModelConfig = field(default_factory=ModelConfig)
     eval_nfes: tuple[int, ...] = (4, 8, 16)
     eval_samples: int = 256
-    init_std: float = 0.3  # fresh-parameter scale; ignored when starting from a checkpoint
 
     def __post_init__(self):
         for name in ("batch_size", "micro_batch", "queue_capacity", "eval_samples"):
@@ -96,12 +94,10 @@ class TrainConfig:
             raise InvalidInputError("eval_nfes must be distinct")
         if self.objective is not None and self.batch_size % self.micro_batch != 0:
             raise InvalidInputError("micro_batch must divide batch_size")
-        if not (0.0 < self.lr < np.inf and 0.0 < self.init_std < np.inf):  # NaN fails too
-            raise InvalidInputError("lr and init_std must be positive and finite")
+        if not 0.0 < self.lr < np.inf:  # NaN fails too
+            raise InvalidInputError("lr must be positive and finite")
         if self.steps < 0 or self.eval_every < 1:
             raise InvalidInputError("steps must be >= 0 and eval_every >= 1")
-        if not (0.0 < self.t_min < self.t_max < 1.0):
-            raise InvalidInputError("need 0 < t_min < t_max < 1")
 
 
 @dataclass
@@ -111,8 +107,7 @@ class Checkpoint:
     params: DenoiserParams
     adam_m: dict[str, Array]
     adam_v: dict[str, Array]
-    adam_t: int
-    step: int
+    step: int  # optimizer updates so far; Adam's bias correction reads it
 
     def __post_init__(self):
         shapes = {name: arr.shape for name, arr in param_items(self.params)}
@@ -151,11 +146,11 @@ def init_state(
         start = checkpoint_of(checkpoint)
     else:
         if checkpoint is None:
-            params = init_params(config.model, rng, init_std=config.init_std)
+            params = init_params(config.model, rng)
         else:
             params = copy.deepcopy(checkpoint.params)
         zeros = {name: np.zeros_like(arr) for name, arr in param_items(params)}
-        start = Checkpoint(params, zeros, copy.deepcopy(zeros), adam_t=0, step=0)
+        start = Checkpoint(params, zeros, copy.deepcopy(zeros), step=0)
     encoder = make_frozen_encoder(start.params)
     return TrainState(
         **vars(start),
@@ -167,10 +162,11 @@ def init_state(
 
 
 def _adam_update(state: TrainState, grads: dict[str, Array], config: TrainConfig) -> None:
-    state.adam_t += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    c1 = 1.0 - b1**state.adam_t
-    c2 = 1.0 - b2**state.adam_t
+    """One Adam update of ``state.params``, counted in ``state.step``."""
+    state.step += 1
+    b1, b2 = ADAM_BETAS
+    c1 = 1.0 - b1**state.step
+    c2 = 1.0 - b2**state.step
     for name, arr in param_items(state.params):
         g = grads[name]
         m = state.adam_m[name]
@@ -179,7 +175,7 @@ def _adam_update(state: TrainState, grads: dict[str, Array], config: TrainConfig
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        arr -= config.lr * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+        arr -= config.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> dict[str, float]:
@@ -223,7 +219,7 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
 
     # corrupt the whole batch up front so the draw stream does not depend on
     # the slice size
-    levels = state.rng.uniform(config.t_min, config.t_max, size=n)
+    levels = state.rng.uniform(*NOISE_LEVELS, size=n)
     corrupted, predicted = corrupt(batch, levels, config.corruption, state.rng, vocab)
 
     for lo in range(0, n, size):
@@ -275,7 +271,6 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
 
     grad_norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grad_sum.values())))
     _adam_update(state, grad_sum, config)
-    state.step += 1
 
     # Algorithm order: the queue push is the final line of the step, and the
     # pushed features are the pre-update ones already computed.

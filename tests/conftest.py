@@ -36,7 +36,7 @@ def rng():
 
 @pytest.fixture
 def small_params():
-    return init_params(SMALL_MODEL, np.random.default_rng(42))
+    return init_params(SMALL_MODEL, np.random.default_rng(42), init_std=0.02)
 
 
 @pytest.fixture

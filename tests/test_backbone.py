@@ -167,7 +167,7 @@ def test_zero_params_give_uniform_predictions():
 
 def test_tied_position_rows_commute_with_permutation(rng):
     cfg = SMALL_MODEL
-    params = init_params(cfg, np.random.default_rng(5))
+    params = init_params(cfg, np.random.default_rng(5), init_std=0.02)
     tied = params_from_vector(params, params_to_vector(params))
     tied.pos_embed[:] = tied.pos_embed[0]
     tokens = rng.integers(0, cfg.vocab_size, size=cfg.length)
@@ -216,7 +216,7 @@ def test_batch_gradient_matches_finite_differences_on_distinct_sequences(n_block
     # of within each one fails here but not at n = 1.  Three blocks have a
     # middle block, and the stacked gradients of every block are checked.
     cfg = replace(SMALL_MODEL, n_blocks=n_blocks)
-    params = init_params(cfg, np.random.default_rng(42))
+    params = init_params(cfg, np.random.default_rng(42), init_std=0.02)
     tokens = rng.integers(0, cfg.vocab_size, size=(3, cfg.length))
     assert len({row.tobytes() for row in tokens}) == 3
     logits, cache = forward_tokens(params, tokens)
@@ -560,6 +560,6 @@ def test_init_params_draws_block_by_block():
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_init_params_finite(seed):
-    params = init_params(SMALL_MODEL, np.random.default_rng(seed))
+    params = init_params(SMALL_MODEL, np.random.default_rng(seed), init_std=0.02)
     for _, arr in param_items(params):
         assert np.all(np.isfinite(arr))

@@ -97,7 +97,7 @@ def checkpoints(draw):
         hidden_dim=draw(st.integers(1, 3)),
         n_blocks=draw(st.integers(2, 3)),
     )
-    params = init_params(model, np.random.default_rng(0))
+    params = init_params(model, np.random.default_rng(0), init_std=0.02)
     shapes = [(name, arr.shape) for name, arr in param_items(params)]
 
     def tensors():
@@ -107,7 +107,7 @@ def checkpoints(draw):
         arr[...] = values
     params.embed.flat[: len(SPECIAL)] = SPECIAL
     return Checkpoint(params=params, adam_m=tensors(), adam_v=tensors(),
-                      adam_t=draw(st.integers(0, 2**53)), step=draw(st.integers(0, 2**53)))
+                      step=draw(st.integers(0, 2**53)))
 
 
 @given(checkpoints())
@@ -118,17 +118,6 @@ def test_checkpoint_roundtrip_is_bitwise(checkpoint):
 @st.composite
 def train_configs(draw):
     micro_batch = draw(st.integers(1, 8))
-    t_min, t_max = sorted(
-        draw(
-            st.lists(
-                st.sampled_from(TINY[2:])
-                | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-                min_size=2,
-                max_size=2,
-                unique=True,
-            )
-        )
-    )
     w_plus = draw(floats(lambda x: x >= 0.0))
     w_minus = draw(floats(lambda x: x > 0.0)) if w_plus == 0.0 else draw(floats(lambda x: x >= 0.0))
     objective = ObjectiveKind(
@@ -143,24 +132,18 @@ def train_configs(draw):
         micro_batch=micro_batch,
         steps=draw(st.integers(0, 10**6)),
         lr=draw(floats(lambda x: x > 0.0)),
-        adam_beta1=draw(floats()),
-        adam_beta2=draw(floats()),
-        adam_eps=draw(floats()),
         seed=draw(st.integers(0, 2**63)),
         objective=draw(st.none() | st.just(objective)),
         drift=DriftConfig(
             temperatures=tuple(
                 draw(st.lists(floats(lambda x: x > 0.0), min_size=1, max_size=4, unique=True))
             ),
-            eps=draw(floats(lambda x: x > 0.0)),
             w_plus=w_plus,
             w_minus=w_minus,
         ),
         corruption=draw(st.sampled_from(CorruptionKind)),
         eval_every=draw(st.integers(1, 1000)),
         queue_capacity=draw(st.integers(1, 1024)),
-        t_min=t_min,
-        t_max=t_max,
         model=ModelConfig(
             vocab_size=draw(st.integers(2, 64)),
             length=draw(st.integers(1, 64)),
@@ -172,7 +155,6 @@ def train_configs(draw):
             draw(st.lists(st.integers(1, 64), min_size=1, max_size=4, unique=True))
         ),
         eval_samples=draw(st.integers(1, 4096)),
-        init_std=draw(floats(lambda x: x > 0.0)),
     )
 
 
@@ -217,10 +199,10 @@ def test_string_inside_params_embed_names_params_embed():
         decode(Checkpoint, doc)
 
 
-def test_missing_adam_t_is_named():
+def test_missing_step_is_named():
     doc = checkpoint_doc()
-    del doc["adam_t"]
-    with pytest.raises(InvalidInputError, match=r"missing top-level keys: \['adam_t'\]"):
+    del doc["step"]
+    with pytest.raises(InvalidInputError, match=r"missing top-level keys: \['step'\]"):
         decode(Checkpoint, doc)
 
 
@@ -237,9 +219,9 @@ def test_nested_post_init_error_is_prefixed_with_its_path():
     # a nested dataclass's own checks run after its keys decoded; the path
     # goes in front of the message once, and a top-level check stays as it is
     model = ModelConfig(embed_dim=8, hidden_dim=12)
-    params = jsonable(init_params(model, np.random.default_rng(0)))
+    params = jsonable(init_params(model, np.random.default_rng(0), init_std=0.02))
     params["w2"] = [[row[:4] for row in block] for block in params["w2"]]
-    doc = {"params": params, "adam_m": {}, "adam_v": {}, "adam_t": 0, "step": 0}
+    doc = {"params": params, "adam_m": {}, "adam_v": {}, "step": 0}
     message = r"^params: w2 has shape \(2, 12, 4\), expected \[B=2, h=12, d=8\]$"
     with pytest.raises(InvalidInputError, match=message):
         decode(Checkpoint, doc)
@@ -320,10 +302,10 @@ def test_nan_probability_is_rejected():
 # a list where no array goes reads as the list it is, also when the reader's
 # object hook made it an array: (key, its value, the error, its message)
 LISTS_OUTSIDE_AN_ARRAY = {
-    "int-list": ("adam_t", [1], InvalidInputError, r"^adam_t must be int, got \[1\]$"),
-    "float-list": ("adam_t", [1.0], InvalidInputError, r"^adam_t must be int, got \[1\.0\]$"),
+    "int-list": ("step", [1], InvalidInputError, r"^step must be int, got \[1\]$"),
+    "float-list": ("step", [1.0], InvalidInputError, r"^step must be int, got \[1\.0\]$"),
     "nested": ("step", {"a": [0.5]}, InvalidInputError, r"^step must be int, got \{'a': \[0\.5"),
-    "version": ("version", [3.0], CheckpointError, r"^checkpoint version \[3\.0\] != supported 3$"),
+    "version": ("version", [4.0], CheckpointError, r"^checkpoint version \[4\.0\] != supported 4$"),
     "format": ("format", [1.0, 2.0], CheckpointError, "is not a driftlm-checkpoint file$"),
 }
 
@@ -338,11 +320,12 @@ def test_list_outside_an_array_reads_as_a_list(tmp_path, case):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_checkpoint_version_is_rejected(tmp_path, version):
-    # version 2 keyed the block weights per block (params.blocks, block1.w1)
+    # version 2 keyed the block weights per block (params.blocks, block1.w1);
+    # version 3 kept a second step counter, adam_t
     path = tmp_path / "ckpt.json"
     doc = {"format": CHECKPOINT_FORMAT, "version": version, **checkpoint_doc()}
     path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError, match=f"version {version} != supported 3"):
+    with pytest.raises(CheckpointError, match=f"version {version} != supported 4"):
         load_checkpoint(path)

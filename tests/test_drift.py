@@ -80,7 +80,7 @@ def _reference_drift_multi_temp(anchors, positives, negatives, config, exclude_s
                 for h, neg in zip(anchors, own)
             ]
         )
-        out += per_tau / rms_scale(per_tau, config.eps)
+        out += per_tau / rms_scale(per_tau)
     return out / len(config.temperatures)
 
 
@@ -299,7 +299,7 @@ def test_multi_temp_single_tau_equals_normalized_single(rng):
     per = np.concatenate(
         [drift_single_temp(anchors[i : i + 1], pos, np.delete(pool, i, 0), 0.05) for i in range(4)]
     )
-    expected = per / rms_scale(per, cfg.eps)
+    expected = per / rms_scale(per)
     assert np.array_equal(out, expected)
 
 
@@ -314,17 +314,17 @@ def test_multi_temp_equals_loop_of_single_temp_bitwise(rng, queued):
         want = np.zeros(anchors.shape)
         for tau in cfg.temperatures:
             per = drift_single_temp(anchors, pos, neg, tau, exclude_self=True)
-            want += per / rms_scale(per, cfg.eps)
+            want += per / rms_scale(per)
         got = drift_multi_temp(anchors, pos, neg, cfg, exclude_self=True)
         assert np.array_equal(got, want / len(cfg.temperatures))
 
 
 def test_stacked_rms_scale_equals_per_slice(rng):
     drifts = rng.normal(size=(3, 8, 64))
-    stacked = rms_scale(drifts, 1e-8)
+    stacked = rms_scale(drifts)
     assert stacked.shape == (3,)
-    assert all(stacked[t] == rms_scale(drifts[t], 1e-8) for t in range(3))
-    assert isinstance(rms_scale(drifts[0], 1e-8), float)
+    assert all(stacked[t] == rms_scale(drifts[t]) for t in range(3))
+    assert isinstance(rms_scale(drifts[0]), float)
 
 
 def test_multi_temp_rms_is_one_per_temperature(rng):
@@ -333,7 +333,7 @@ def test_multi_temp_rms_is_one_per_temperature(rng):
     pool = unit_rows(rng, 5, 8)
     for tau in (0.02, 0.05, 0.2):
         per = drift_single_temp(anchors, pos, pool, tau)
-        normalized = per / rms_scale(per, 1e-8)
+        normalized = per / rms_scale(per)
         rms = math.sqrt(float(np.mean(np.sum(normalized**2, axis=1))))
         assert abs(rms - 1.0) <= 1e-6
 

@@ -186,7 +186,7 @@ def test_encode_vjp_matches_finite_differences_on_distinct_sequences(small_encod
     # of within each one fails here but not at n = 1.  With three blocks the
     # penultimate pooling tap sits on the middle block, not on block 0.
     three_blocks = make_frozen_encoder(
-        init_params(replace(SMALL_MODEL, n_blocks=3), np.random.default_rng(42))
+        init_params(replace(SMALL_MODEL, n_blocks=3), np.random.default_rng(42), init_std=0.02)
     )
     for encoder in (small_encoder, three_blocks):
         x = rng.normal(size=(3, L, SMALL_MODEL.embed_dim))
@@ -213,7 +213,8 @@ def test_real_feature_equals_hard_one_hot_lift(small_encoder, rng):
 def test_real_feature_deterministic_and_distinct(rng):
     hits = 0
     for trial in range(100):
-        enc = make_frozen_encoder(init_params(SMALL_MODEL, np.random.default_rng(trial)))
+        params = init_params(SMALL_MODEL, np.random.default_rng(trial), init_std=0.02)
+        enc = make_frozen_encoder(params)
         a = rng.integers(0, SMALL_MODEL.clean_vocab, size=(1, L))
         b = rng.integers(0, SMALL_MODEL.clean_vocab, size=(1, L))
         if np.array_equal(a, b):

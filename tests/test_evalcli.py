@@ -142,7 +142,8 @@ def test_uniform_source_scores_exactly_vocab_size(small_params):
     k = 6
     source = banded_source(vocab_size=k, band=(1.0,))
     uniform = source.__class__(k, np.full(k, 1 / k), np.full((k, k), 1 / k))
-    params = init_params(ModelConfig(vocab_size=7, length=6, embed_dim=8, hidden_dim=12), np.random.default_rng(1))
+    model = ModelConfig(vocab_size=7, length=6, embed_dim=8, hidden_dim=12)
+    params = init_params(model, np.random.default_rng(1), init_std=0.02)
     report = evaluate(params, uniform, CorruptionKind.UNIFORM, nfes=(2,), n_samples=16, seed=3)
     assert report.per_nfe[0].gen_ppl == pytest.approx(6.0, rel=1e-12)
 
@@ -168,7 +169,7 @@ def test_vocabulary_mismatch_names_both_sizes(tmp_path, capsys, source_vocab):
     # the default model has 32 tokens: 31 source tokens and the mask
     with pytest.raises(InvalidInputError, match=f"32 tokens.*source's {source_vocab} tokens"):
         evaluate(
-            init_params(ModelConfig(), np.random.default_rng(0)),
+            init_params(ModelConfig(), np.random.default_rng(0), init_std=0.02),
             banded_source(vocab_size=source_vocab),
             CorruptionKind.MASKED,
             nfes=(2,),
@@ -313,9 +314,6 @@ NON_DEFAULT_CONFIG = TrainConfig(
     micro_batch=3,
     steps=7,
     lr=0.01,
-    adam_beta1=0.8,
-    adam_beta2=0.99,
-    adam_eps=1e-6,
     seed=5,
     objective=ObjectiveKind(
         variant=ObjectiveVariant.MIRROR_MSE,
@@ -324,25 +322,19 @@ NON_DEFAULT_CONFIG = TrainConfig(
         eta=0.5,
         alpha=2.5,
     ),
-    drift=DriftConfig(temperatures=(0.1, 0.3), eps=1e-6, w_plus=2.0, w_minus=0.5),
+    drift=DriftConfig(temperatures=(0.1, 0.3), w_plus=2.0, w_minus=0.5),
     corruption=CorruptionKind.UNIFORM,
     eval_every=3,
     queue_capacity=9,
-    t_min=0.1,
-    t_max=0.9,
     model=ModelConfig(vocab_size=8, length=6, embed_dim=8, hidden_dim=12, n_blocks=3),
     eval_nfes=(2, 3),
     eval_samples=6,
-    init_std=0.2,
 )
 NON_DEFAULT_JSON = {
     "batch_size": 12,
     "micro_batch": 3,
     "steps": 7,
     "lr": 0.01,
-    "adam_beta1": 0.8,
-    "adam_beta2": 0.99,
-    "adam_eps": 1e-06,
     "seed": 5,
     "objective": {
         "variant": "mirror-mse",
@@ -353,19 +345,15 @@ NON_DEFAULT_JSON = {
     },
     "drift": {
         "temperatures": [0.1, 0.3],
-        "eps": 1e-06,
         "w_plus": 2.0,
         "w_minus": 0.5,
     },
     "corruption": "uniform",
     "eval_every": 3,
     "queue_capacity": 9,
-    "t_min": 0.1,
-    "t_max": 0.9,
     "model": {"vocab_size": 8, "length": 6, "embed_dim": 8, "hidden_dim": 12, "n_blocks": 3},
     "eval_nfes": [2, 3],
     "eval_samples": 6,
-    "init_std": 0.2,
 }
 
 
@@ -470,8 +458,17 @@ def test_cli_drift_train_requires_init(cli_env, capsys):
         ('{"steps": 10,', "config.json"),
         (None, "config.json"),
         ('{"drift": {"renormalize_sides": false}}', "drift.renormalize_sides"),
+        *[
+            (json.dumps({key: 0.5}), f"unknown top-level keys: [{key!r}]")
+            for key in ("adam_beta1", "adam_beta2", "adam_eps", "t_min", "t_max", "init_std")
+        ],
+        ('{"drift": {"eps": 1e-06}}', "unknown drift keys: ['drift.eps']"),
     ],
-    ids=["decoder-rejects", "truncated-json", "missing-file", "deleted-renormalize-sides"],
+    ids=[
+        "decoder-rejects", "truncated-json", "missing-file", "deleted-renormalize-sides",
+        "deleted-adam-beta1", "deleted-adam-beta2", "deleted-adam-eps", "deleted-t-min",
+        "deleted-t-max", "deleted-init-std", "deleted-drift-eps",
+    ],
 )
 def test_cli_bad_config_is_a_usage_error(cli_env, capsys, text, named):
     tmp_path, source_path, _, _ = cli_env
@@ -931,7 +928,7 @@ BAD_RUN_FLAGS = {
     ),
     "base-train-nan-lr": (
         "base-train", ["--config", "{config}", "--lr", "nan"],
-        "lr and init_std must be positive and finite",
+        "lr must be positive and finite",
     ),
     "drift-train-bad-temperature-item": (
         "drift-train", ["--config", "{config}", "--temperatures", "0.1,x"],
@@ -1028,11 +1025,9 @@ BAD_CONFIGS = {
     "string-for-bool": (_with("objective.with_base_loss", "false"), "objective.with_base_loss"),
     "bool-for-int": (_with("steps", True), "steps"),
     "bool-for-float": (_with("drift.w_plus", True), "drift.w_plus"),
-    "nan-lr": (_with("lr", float("nan")), "lr and init_std must be positive and finite"),
-    "inf-init-std": (_with("init_std", float("inf")), "lr and init_std must be positive"),
+    "nan-lr": (_with("lr", float("nan")), "lr must be positive and finite"),
     "nan-temperature": (_with("drift.temperatures", [0.1, float("nan")]), "drift: temperatures"),
     "inf-temperature": (_with("drift.temperatures", [float("inf")]), "drift: temperatures"),
-    "nan-eps": (_with("drift.eps", float("nan")), "drift: eps"),
     "nan-w-plus": (_with("drift.w_plus", float("nan")), "drift: attraction/repulsion"),
     "inf-w-minus": (_with("drift.w_minus", float("inf")), "drift: attraction/repulsion"),
     "nan-eta": (_with("objective.eta", float("nan")), "objective: eta"),
