@@ -5,9 +5,10 @@ a stack of residual MLP blocks (two by default), each conditioned on the
 mean-pooled context of its input, and a linear readout to vocabulary logits.
 Its parameters are seven arrays, the block weights stacked along a leading
 block axis; their field names also key the gradients, the Adam moments and
-the checkpoint entries.  Forward passes keep the intermediates needed for an
-analytic backward pass built from the numcore VJP rules, so gradients are
-exact and framework-free.
+the checkpoint entries.  Training forward passes keep the intermediates
+needed for an analytic backward pass built from the numcore VJP rules, so
+gradients are exact and framework-free; the sampler's forward-only passes
+keep none and run position-major, with the same bits.
 """
 
 from __future__ import annotations
@@ -171,44 +172,29 @@ class BlockCache:
 @dataclass
 class ForwardCache:
     tokens: Array                 # [N, L] token ids
-    out: Array                    # [N, L, d] last block output ([N, k, d] with ``at``)
+    out: Array                    # [N, L, d] last block output
     block_caches: list[BlockCache]
-    at: Array | None = None       # [N, k] columns of a forward-only pass, else None
 
 
-def run_blocks(
-    params: DenoiserParams, e: Array, at: Array | None = None, first: Array | None = None
-) -> tuple[Array, list[BlockCache]]:
+def run_blocks(params: DenoiserParams, e: Array) -> tuple[Array, list[BlockCache]]:
     """Residual context-conditioned MLP stack on embeddings ``e`` of shape [N, L, d].
 
     Returns the last block's output [N, L, d] and one cache per block, whose
     ``x`` is the block's input and ``c`` its mean over positions (so the
     penultimate output's mean is ``caches[-1].c``).  Each block applies ``w1``
     to [h ; mean_L h] as two halves: ``h @ w1[:d]`` per position plus
-    ``mean_L h @ w1[d:] + b1`` once per sequence.  With ``at`` ([N, k] column
-    indices) the last block pools its context over all L positions but runs
-    its per-position half only at the ``at`` columns, so its output is [N, k, d].
-    ``first`` [N, L, h], if given, is block 0's per-position half ``e @ w1[0, :d]``,
-    already computed; it is added to in place, so it must not be a view of
-    anything the caller keeps.
+    ``mean_L h @ w1[d:] + b1`` once per sequence.
     """
     h = e
     n, length, d = h.shape
     caches: list[BlockCache] = []
-    n_blocks = len(params.w1)
-    for b in range(n_blocks):
+    for b in range(len(params.w1)):
         c = h.sum(axis=1) / length  # the bits of h.mean(axis=1)
-        if at is not None and b == n_blocks - 1:
-            h = h[np.arange(n)[:, None], at]
-        rows = h.shape[1]
-        if first is not None and b == 0:
-            a = first
-        else:
-            a = (h.reshape(n * rows, d) @ params.w1[b, :d]).reshape(n, rows, -1)
+        a = (h.reshape(n * length, d) @ params.w1[b, :d]).reshape(n, length, -1)
         a += (c @ params.w1[b, d:] + params.b1[b])[:, None, :]
-        u = np.tanh(a, out=a).reshape(n * rows, -1)
+        u = np.tanh(a, out=a).reshape(n * length, -1)
         caches.append(BlockCache(x=h, c=c, u=u))
-        out = (u @ params.w2[b]).reshape(n, rows, d)
+        out = (u @ params.w2[b]).reshape(n, length, d)
         out += h
         out += params.b2[b]
         h = out
@@ -272,16 +258,17 @@ def forward_tokens(
     tokens: Array,
     at: Array | None = None,
     tables: tuple[Array, Array] | None = None,
-) -> tuple[Array, ForwardCache]:
+) -> tuple[Array, ForwardCache | None]:
     """Batched forward pass on token ids of shape [N, L]: logits [N, L, V].
 
     With ``at`` ([N, k] column indices in [0, L)) only the logits at those
     columns are computed, ``logits[i, j] == full[i, at[i, j]]`` bit for bit,
-    as [N, k, V]; the cache of such a pass cannot be fed to ``backward_tokens``.
-    With ``tables`` (``token_tables(params)``) the embeddings and block 0's
-    per-position half are gathered by (token, position) row, giving the same
-    bits as computing them: BLAS forms each row of a product from that row
-    alone.
+    as [N, k, V].  With ``tables`` (``token_tables(params)``) the embeddings
+    and block 0's per-position half are gathered by (token, position) row,
+    giving the same bits as computing them: BLAS forms each row of a product
+    from that row alone.  A pass with ``at`` or ``tables`` is forward-only
+    (``_forward_only_logits``) and returns ``None`` for the cache, which
+    ``backward_tokens`` refuses.
     """
     tok = np.asarray(tokens, dtype=np.int64)
     length = params.length
@@ -297,22 +284,62 @@ def forward_tokens(
             )
         if at.size and (at.min() < 0 or at.max() >= length):
             raise InvalidInputError(f"at holds a column outside [0, {length})")
+    if at is not None or tables is not None:
+        return _forward_only_logits(params, tok, at, tables), None
+    out, caches = run_blocks(params, params.embed[tok] + params.pos_embed)
+    n, d = tok.shape[0], params.embed_dim
+    logits = (out.reshape(n * length, d) @ params.out_proj).reshape(n, length, params.vocab_size)
+    return logits, ForwardCache(tokens=tok, out=out, block_caches=caches)
+
+
+def _forward_only_logits(
+    params: DenoiserParams, tok: Array, at: Array | None, tables: tuple[Array, Array] | None
+) -> Array:
+    """``forward_tokens``' logits, run position-major and keeping no caches.
+
+    The block stack holds its rows as [L, N, ·], so a block's context is a
+    sum over the leading axis and its broadcast back runs over contiguous
+    ``N * h`` rows, where the [N, L, ·] layout of ``run_blocks`` spends a
+    short inner loop per sequence on each.  Each row-wise product and each
+    sum over positions (in position order) is the one ``run_blocks``
+    computes, so the logits keep its bits.  The last block runs only at the
+    ``at`` columns; the [k, N, V] logits come back as an [N, k, V] view.
+    """
+    n, length = tok.shape
+    d, n_blocks = params.embed_dim, len(params.w1)
+    first = None
     if tables is None:
-        out, caches = run_blocks(params, params.embed[tok] + params.pos_embed, at)
+        h = params.embed[tok.T] + params.pos_embed[:, None, :]
     else:
-        pair = tok * length + np.arange(length)  # take copies the rows
-        out, caches = run_blocks(params, tables[0].take(pair, 0), at, tables[1].take(pair, 0))
-    n, rows, d = out.shape
-    logits = (out.reshape(n * rows, d) @ params.out_proj).reshape(n, rows, params.vocab_size)
-    return logits, ForwardCache(tokens=tok, out=out, block_caches=caches, at=at)
+        pair = tok.T * length + np.arange(length)[:, None]  # take copies the rows
+        h, first = tables[0].take(pair, 0), tables[1].take(pair, 0)
+    for b in range(n_blocks):
+        c = h.sum(axis=0) / length
+        if at is not None and b == n_blocks - 1:
+            h = h[at.T, np.arange(n)]
+        rows = h.shape[0]
+        if first is not None and b == 0:
+            a = first  # a gathered copy: adding to it leaves the table as it is
+        else:
+            a = (h.reshape(rows * n, d) @ params.w1[b, :d]).reshape(rows, n, -1)
+        a += c @ params.w1[b, d:] + params.b1[b]
+        u = np.tanh(a, out=a).reshape(rows * n, -1)
+        out = (u @ params.w2[b]).reshape(rows, n, d)
+        out += h
+        out += params.b2[b]
+        h = out
+    logits = h.reshape(rows * n, d) @ params.out_proj
+    return logits.reshape(rows, n, params.vocab_size).transpose(1, 0, 2)
 
 
 def backward_tokens(
-    params: DenoiserParams, cache: ForwardCache, grad_logits: Array
+    params: DenoiserParams, cache: ForwardCache | None, grad_logits: Array
 ) -> dict[str, Array]:
     """Gradients of a scalar loss w.r.t. every parameter, given d loss / d logits."""
-    if cache.at is not None:
-        raise InvalidInputError("backward_tokens needs a full forward cache, not one made with at")
+    if cache is None:
+        raise InvalidInputError(
+            "backward_tokens needs a full forward's cache; a forward with at or tables keeps none"
+        )
     tok = cache.tokens
     n, length = tok.shape
     d = params.embed_dim
@@ -375,15 +402,16 @@ def _categorical_rows(probs: Array, rng: np.random.Generator) -> Array:
 # streams fresh 1-16 MB arrays through the shared cache and faults their pages
 # in again on every call.  Training keeps 16, because the order of its chunk
 # sums sets the gradient's bits.  The sampler's chunks only split rows, so it
-# takes the fastest size that adds no page faults.  Masked / uniform
-# ``evaluate`` at 2048 samples, NFE 4/8/16 (fastest of several runs, one BLAS
-# thread, 2-vCPU KVM guest; minor faults per uniform call from ``getrusage``),
-# before the token tables:
-#   chunk 16:  666 / 1271 ms,   1,392 faults
-#   chunk 32:  558 / 1247 ms,   1,392 faults
-#   chunk 48:  530 / 1278 ms,  16,048 faults
-#   chunk 64:  560 / 1692 ms, 217,904 faults
-# Past 32 rows glibc trims and refaults the heap top on every uniform chunk.
+# takes the smallest of the fastest sizes that add no page faults.  Masked /
+# uniform ``evaluate`` at 2048 samples, NFE 4/8/16, with token tables and
+# position-major forwards (fastest of two runs of eight calls each, one BLAS
+# thread, 2-vCPU KVM guest shared with other load; minor faults per masked /
+# uniform call from ``getrusage``):
+#   chunk 16:  687 / 1549 ms,  928 /   928 faults
+#   chunk 32:  575 / 1472 ms,  928 /   928 faults
+#   chunk 48:  579 / 1478 ms,  928 /   928 faults
+#   chunk 64:  555 / 1535 ms,  928 / 1,408 faults
+# 32 to 64 tie within the host's noise, and 64 faults more on uniform calls.
 DENOISER_CHUNK = 16
 SAMPLER_CHUNK = 32
 
@@ -419,7 +447,13 @@ def sample_batch(
 
     def _clean_probs(logits: Array) -> Array:
         probs = numcore.softmax_rows(logits)[..., :mask_index]
-        return probs / probs.sum(axis=-1, keepdims=True)
+        total = probs.sum(axis=-1, keepdims=True)
+        if not total.all():
+            raise InvalidInputError(
+                "a row's clean-vocabulary probabilities all underflow to 0: its mask "
+                "logit beats every clean logit by more than about 745 nats"
+            )
+        return probs / total
 
     if kind == CorruptionKind.UNIFORM:
         tokens = rng.integers(0, mask_index, size=(n, length), dtype=np.int64)

@@ -106,7 +106,7 @@ def entropy_metric(seqs) -> float:
     counts = np.bincount((s + vocab * np.arange(n)[:, None]).ravel(), minlength=n * vocab)
     p = counts.reshape(n, vocab) / length
     plogp = p * np.log(np.where(p > 0.0, p, 1.0))
-    return float(-plogp.sum(axis=1).mean())
+    return float(-plogp.sum(axis=1).mean()) + 0.0  # + 0.0: constant rows give +0.0, not -0.0
 
 
 def evaluate(

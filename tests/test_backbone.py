@@ -250,11 +250,9 @@ def test_forward_at_columns_equals_the_gathered_full_forward(model, k, rng):
     assert np.any(tokens == model.mask_index)
     cols = np.argsort(rng.random(tokens.shape), axis=1)[:, :k]
     full, _ = forward_tokens(params, tokens)
-    picked, cache = forward_tokens(params, tokens, at=cols)
+    picked, _ = forward_tokens(params, tokens, at=cols)
     assert picked.shape == (7, k, model.vocab_size)
     assert np.array_equal(picked, full[np.arange(7)[:, None], cols])
-    with pytest.raises(InvalidInputError, match="at"):
-        backward_tokens(params, cache, picked)
 
 
 TABLE_MODELS = {
@@ -271,16 +269,25 @@ def test_tabled_forward_equals_the_computed_forward(model, n, rng):
     kept = [table.copy() for table in tables]
     tokens = _tokens_with_mask(rng, model, n)
     cols = np.argsort(rng.random(tokens.shape), axis=1)[:, :2]
-    for at in (None, cols):
-        want, want_cache = forward_tokens(params, tokens, at=at)
+    # the computed forward: the [N, L, d] block stack that training runs
+    full, _ = forward_tokens(params, tokens)
+    for at, want in ((None, full), (cols, full[np.arange(n)[:, None], cols])):
         got, cache = forward_tokens(params, tokens, at=at, tables=tables)
         assert np.array_equal(got, want)
-        assert np.array_equal(cache.out, want_cache.out)
-        for block, want_block in zip(cache.block_caches, want_cache.block_caches):
-            for name in ("x", "c", "u"):
-                assert np.array_equal(getattr(block, name), getattr(want_block, name)), name
+        assert cache is None
     # a forward adds to its gathered rows in place, never to the tables
     assert all(np.array_equal(table, k) for table, k in zip(tables, kept))
+
+
+@pytest.mark.parametrize("with_at", [True, False], ids=["at", "tables"])
+def test_backward_refuses_a_forward_only_cache(small_params, with_at, rng):
+    tokens = _tokens_with_mask(rng, SMALL_MODEL, 3)
+    if with_at:
+        logits, cache = forward_tokens(small_params, tokens, at=np.zeros((3, 1), dtype=np.int64))
+    else:
+        logits, cache = forward_tokens(small_params, tokens, tables=token_tables(small_params))
+    with pytest.raises(InvalidInputError, match="at or tables keeps none"):
+        backward_tokens(small_params, cache, logits)
 
 
 @pytest.mark.parametrize(
@@ -516,6 +523,18 @@ def test_uniform_sampler_equals_the_computed_forward_reference(model, nfe, monke
     got = sample_batch(params, CorruptionKind.UNIFORM, nfe, 7, rng)
     assert np.array_equal(got, want)
     assert rng.random() == rng_ref.random()
+
+
+@pytest.mark.parametrize("kind", [CorruptionKind.MASKED, CorruptionKind.UNIFORM])
+def test_sampler_refuses_a_clean_mass_that_underflows(kind):
+    # the mask logit beats every clean logit by about 1e4 nats, so every
+    # clean probability is exp(-1e4) == 0.0
+    params = init_params(DESK_MODEL, np.random.default_rng(0))
+    params.b2[-1, 0] = 1e3
+    params.out_proj[0, :] = 0.0
+    params.out_proj[0, -1] = 10.0
+    with pytest.raises(InvalidInputError, match="probabilities all underflow to 0"):
+        sample_batch(params, kind, 4, 8, np.random.default_rng(0))
 
 
 def test_sampler_deterministic_given_seed(small_params):

@@ -61,6 +61,8 @@ def tiny_train_config(**overrides) -> TrainConfig:
 
 def test_entropy_constant_sequences_zero():
     assert entropy_metric([np.zeros(10, dtype=int), np.full(10, 3)]) == 0.0
+    # a collapsed batch scores +0.0, which metrics.csv and the CLI print as 0.0, not -0.0
+    assert math.copysign(1.0, entropy_metric(np.zeros((4, 16), int))) == 1.0
 
 
 def test_entropy_permutation_sequences():
