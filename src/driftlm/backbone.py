@@ -302,34 +302,43 @@ def _forward_only_logits(
     ``N * h`` rows, where the [N, L, ·] layout of ``run_blocks`` spends a
     short inner loop per sequence on each.  Each row-wise product and each
     sum over positions (in position order) is the one ``run_blocks``
-    computes, so the logits keep its bits.  The last block runs only at the
-    ``at`` columns; the [k, N, V] logits come back as an [N, k, V] view.
+    computes, so the logits keep its bits.  The rows run ``SAMPLER_CHUNK``
+    sequences at a time, so a caller may pass any number of them and the
+    intermediates stay small; a last slice of one row joins the slice before
+    it, because BLAS runs a one-row product as gemv, whose bits differ from
+    the gemm that forms the same row among others.  The last block runs only
+    at the ``at`` columns; the [k, N, V] logits come back as an [N, k, V] view.
     """
     n, length = tok.shape
     d, n_blocks = params.embed_dim, len(params.w1)
-    first = None
-    if tables is None:
-        h = params.embed[tok.T] + params.pos_embed[:, None, :]
-    else:
-        pair = tok.T * length + np.arange(length)[:, None]  # take copies the rows
-        h, first = tables[0].take(pair, 0), tables[1].take(pair, 0)
-    for b in range(n_blocks):
-        c = h.sum(axis=0) / length
-        if at is not None and b == n_blocks - 1:
-            h = h[at.T, np.arange(n)]
-        rows = h.shape[0]
-        if first is not None and b == 0:
-            a = first  # a gathered copy: adding to it leaves the table as it is
+    logits = np.empty((length if at is None else at.shape[1], n, params.vocab_size))
+    edges = [*range(0, max(n - 1, 1), SAMPLER_CHUNK), n]
+    for lo, hi in zip(edges, edges[1:]):
+        part = slice(lo, hi)
+        first, seq = None, tok[part].T
+        if tables is None:
+            h = params.embed[seq] + params.pos_embed[:, None, :]
         else:
-            a = (h.reshape(rows * n, d) @ params.w1[b, :d]).reshape(rows, n, -1)
-        a += c @ params.w1[b, d:] + params.b1[b]
-        u = np.tanh(a, out=a).reshape(rows * n, -1)
-        out = (u @ params.w2[b]).reshape(rows, n, d)
-        out += h
-        out += params.b2[b]
-        h = out
-    logits = h.reshape(rows * n, d) @ params.out_proj
-    return logits.reshape(rows, n, params.vocab_size).transpose(1, 0, 2)
+            pair = seq * length + np.arange(length)[:, None]  # take copies the rows
+            h, first = tables[0].take(pair, 0), tables[1].take(pair, 0)
+        rows, m = h.shape[:2]  # positions, sequences
+        for b in range(n_blocks):
+            c = h.sum(axis=0) / length
+            if at is not None and b == n_blocks - 1:
+                h = h[at[part].T, np.arange(m)]
+                rows = at.shape[1]
+            if first is not None and b == 0:
+                a = first  # a gathered copy: adding to it leaves the table as it is
+            else:
+                a = (h.reshape(rows * m, d) @ params.w1[b, :d]).reshape(rows, m, -1)
+            a += c @ params.w1[b, d:] + params.b1[b]
+            u = np.tanh(a, out=a).reshape(rows * m, -1)
+            out = (u @ params.w2[b]).reshape(rows, m, d)
+            out += h
+            out += params.b2[b]
+            h = out
+        logits[:, part] = (h.reshape(rows * m, d) @ params.out_proj).reshape(rows, m, -1)
+    return logits.transpose(1, 0, 2)
 
 
 def backward_tokens(
@@ -395,25 +404,41 @@ def _categorical_rows(probs: Array, rng: np.random.Generator) -> Array:
 
 # Sequences per denoiser forward in a base training step and, rounded down to
 # whole micro-batches (at least one), in a drift step (both in
-# ``trainer.train_step``), and per forward in the sampler (``sample_batch``).
-# At the default model a 16-sequence chunk's largest array, the [256, 64]
-# block activation, is 128 KB: a step's arrays stay in a core's L2 cache and
-# the allocator reuses most of their memory, where a whole-batch forward
-# streams fresh 1-16 MB arrays through the shared cache and faults their pages
-# in again on every call.  Training keeps 16, because the order of its chunk
-# sums sets the gradient's bits.  The sampler's chunks only split rows, so it
-# takes the smallest of the fastest sizes that add no page faults.  Masked /
-# uniform ``evaluate`` at 2048 samples, NFE 4/8/16, with token tables and
-# position-major forwards (fastest of two runs of eight calls each, one BLAS
-# thread, 2-vCPU KVM guest shared with other load; minor faults per masked /
-# uniform call from ``getrusage``):
-#   chunk 16:  687 / 1549 ms,  928 /   928 faults
-#   chunk 32:  575 / 1472 ms,  928 /   928 faults
-#   chunk 48:  579 / 1478 ms,  928 /   928 faults
-#   chunk 64:  555 / 1535 ms,  928 / 1,408 faults
-# 32 to 64 tie within the host's noise, and 64 faults more on uniform calls.
+# ``trainer.train_step``), and per slice of a forward-only pass (the
+# sampler's), whose groups also commit at most ``SAMPLER_CHUNK * L``
+# positions (``_row_groups``).  At the default model a 16-sequence chunk's
+# largest array, the [256, 64] block activation, is 128 KB: a step's arrays
+# stay in a core's L2 cache and the allocator reuses most of their memory,
+# where a whole-batch forward streams fresh 1-16 MB arrays through the shared
+# cache and faults their pages in again on every call.  Training keeps 16,
+# because the order of its chunk sums sets the gradient's bits.  The
+# sampler's slices and groups only split rows, so it takes the fastest sizes
+# that fault least (budget x1, slice 32).  Masked / uniform ``evaluate`` at
+# 2048 samples, NFE 4/8/16 (range of the fastest of eight calls over two
+# fresh processes, one BLAS thread, 2-vCPU KVM guest shared with other load;
+# minor faults per masked / uniform call from ``getrusage``; a group budget
+# of x2 is 1,024 positions):
+#   budget x1, slice 16:  548-562 / 1397-1427 ms,       928 /         928 faults
+#   budget x1, slice 32:  516-520 / 1429-1453 ms,   928-1,406 /         928 faults
+#   budget x1, slice 64:  498-511 / 1426-1430 ms, 2,275-2,492 /         928 faults
+#   budget x2, slice 16:  547-554 / 1346-1392 ms, 2,482-2,484 /         928 faults
+#   budget x2, slice 32:  497-498 / 1375-1413 ms, 2,482-3,010 /   928-1,456 faults
+#   budget x2, slice 64:  479-496 / 1387-1450 ms,       2,866 /       2,368 faults
+# Uniform calls tie within the host's noise.  Masked ones gain about 4% from
+# 64-row slices or, with 32- or 64-row slices, from budget x2, but fault 2-3x
+# more, and the process peaks at 42.0-42.6 MB against 41.6-41.8 MB.
 DENOISER_CHUNK = 16
 SAMPLER_CHUNK = 32
+
+
+def _row_groups(n: int, length: int, commit: int) -> list[slice]:
+    """The sampler's groups of ``n`` rows at a step that commits ``commit`` of
+    their ``length`` positions: ``SAMPLER_CHUNK * length // commit`` rows each,
+    the last one ragged.  ``commit <= length``, so a group holds at least
+    ``SAMPLER_CHUNK`` rows and its probabilities at most ``SAMPLER_CHUNK *
+    length`` positions."""
+    size = SAMPLER_CHUNK * length // commit
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def sample_batch(
@@ -428,21 +453,22 @@ def sample_batch(
     Masked: ancestral unmasking, committing a random subset of still-masked
     positions each step.  Every row of step 0 is the all-mask sequence, so
     its probabilities come from one one-row forward, normalised once per
-    call; each later step runs the denoiser over chunks of
-    ``SAMPLER_CHUNK`` sequences and computes logits only at the positions
-    it commits.  Uniform: iterated full resampling from the predictive
-    rows, every step over the chunks.  Every forward reads the call's
-    ``token_tables``.  Predictions are always restricted to the clean
-    vocabulary, so outputs never contain the mask symbol.  The chunks draw
+    call; each later step computes logits only at the positions it commits.
+    Uniform: iterated full resampling from the predictive rows, committing
+    all L positions each step.  Each step walks ``_row_groups``, and each
+    group takes one ``forward_tokens`` call, on the call's ``token_tables``,
+    and one draw pass.  Predictions are always restricted to the clean
+    vocabulary, so outputs never contain the mask symbol.  The groups draw
     from ``rng`` in row order, so the draws equal a whole-batch step's.
     """
     if nfe < 1:
         raise InvalidInputError("nfe must be at least 1")
+    if n < 1:
+        raise InvalidInputError("n must be at least 1")
     length = params.length
     mask_index = params.mask_index
     if kind == CorruptionKind.MASKED and nfe > length:
         raise InvalidInputError("masked sampling requires nfe <= sequence length")
-    chunks = [slice(lo, min(lo + SAMPLER_CHUNK, n)) for lo in range(0, n, SAMPLER_CHUNK)]
     tables = token_tables(params)
 
     def _clean_probs(logits: Array) -> Array:
@@ -458,7 +484,7 @@ def sample_batch(
     if kind == CorruptionKind.UNIFORM:
         tokens = rng.integers(0, mask_index, size=(n, length), dtype=np.int64)
         for _ in range(nfe):
-            for part in chunks:
+            for part in _row_groups(n, length, length):
                 logits, _ = forward_tokens(params, tokens[part], tables=tables)
                 tokens[part] = _categorical_rows(_clean_probs(logits), rng)
         return tokens
@@ -476,7 +502,7 @@ def sample_batch(
         keys = rng.random((n, length))
         keys[~still_masked] = 2.0  # unmasked positions sort last
         chosen = np.argsort(keys, axis=1)[:, :commit]
-        for part in chunks:
+        for part in _row_groups(n, length, commit):
             cols = chosen[part]
             if step == 0:
                 probs = all_mask_probs[cols]

@@ -279,6 +279,25 @@ def test_tabled_forward_equals_the_computed_forward(model, n, rng):
     assert all(np.array_equal(table, k) for table, k in zip(tables, kept))
 
 
+@pytest.mark.parametrize("n", [65, 70])
+@pytest.mark.parametrize("k", [1, 2, "L"])
+def test_forward_only_slices_equal_the_computed_forward(n, k, rng):
+    # the rows run as SAMPLER_CHUNK-row slices: 32 + 33 (a one-row remainder
+    # joins the slice before it) and 32 + 32 + 6, each written into one array
+    assert 2 * backbone.SAMPLER_CHUNK < n < 3 * backbone.SAMPLER_CHUNK
+    k = DESK_MODEL.length if k == "L" else k
+    params = _params_for(DESK_MODEL)
+    tables = token_tables(params)
+    tokens = _tokens_with_mask(rng, DESK_MODEL, n)
+    cols = np.argsort(rng.random(tokens.shape), axis=1)[:, :k]
+    full, _ = forward_tokens(params, tokens)
+    want = full[np.arange(n)[:, None], cols]
+    for with_tables in (None, tables):
+        got, _ = forward_tokens(params, tokens, at=cols, tables=with_tables)
+        assert np.array_equal(got, want)
+    assert np.array_equal(forward_tokens(params, tokens, tables=tables)[0], full)
+
+
 @pytest.mark.parametrize("with_at", [True, False], ids=["at", "tables"])
 def test_backward_refuses_a_forward_only_cache(small_params, with_at, rng):
     tokens = _tokens_with_mask(rng, SMALL_MODEL, 3)
@@ -434,7 +453,8 @@ def test_masked_sampler_single_step(small_params):
 @pytest.mark.parametrize("nfe", [1, 2, 5])
 def test_sampler_exact_nfe_and_mask_free(small_params, kind, nfe, monkeypatch):
     calls = count_forwards(monkeypatch)
-    assert 3 <= backbone.SAMPLER_CHUNK  # one chunk: one call per step
+    # one group holds all 3 rows (the smallest, uniform's: commit L): one call per step
+    assert backbone._row_groups(3, SMALL_MODEL.length, SMALL_MODEL.length) == [slice(0, 3)]
     seqs = sample_batch(small_params, kind, nfe, 3, np.random.default_rng(4))
     # a masked run forwards its all-mask first step once, as one row
     first = 1 if kind == CorruptionKind.MASKED else 3
@@ -448,6 +468,33 @@ def test_sampler_rejects_bad_nfe(small_params):
         sample(small_params, CorruptionKind.MASKED, 0, np.random.default_rng(0))
     with pytest.raises(InvalidInputError):
         sample(small_params, CorruptionKind.MASKED, SMALL_MODEL.length + 1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind", [CorruptionKind.MASKED, CorruptionKind.UNIFORM])
+@pytest.mark.parametrize("n", [0, -1])
+def test_sampler_rejects_bad_n(small_params, kind, n):
+    with pytest.raises(InvalidInputError, match="n must be at least 1"):
+        sample_batch(small_params, kind, 2, n, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "kind, want",
+    [
+        # the all-mask forward, then groups of 2 * 5 // commit rows: step 0
+        # (commit 2) draws from that forward, step 1 (commit 2) takes groups
+        # of 5 rows and step 2 (commit 1) one group of 10
+        (CorruptionKind.MASKED, [(1, None), (5, 2), (4, 2), (9, 1)]),
+        # commit L every step: groups of 2 rows
+        (CorruptionKind.UNIFORM, [(2, None), (2, None), (2, None), (2, None), (1, None)] * 3),
+    ],
+    ids=["masked", "uniform"],
+)
+def test_sampler_makes_one_forward_per_group_per_step(small_params, kind, want, monkeypatch):
+    monkeypatch.setattr(backbone, "SAMPLER_CHUNK", 2)
+    calls = count_forwards(monkeypatch)
+    sample_batch(small_params, kind, 3, 9, np.random.default_rng(3))
+    got = [(tokens.shape[0], None if at is None else at.shape[1]) for tokens, at in calls]
+    assert got == want
 
 
 @pytest.mark.parametrize("kind", [CorruptionKind.MASKED, CorruptionKind.UNIFORM])
@@ -499,6 +546,21 @@ def test_masked_sampler_equals_the_full_forward_reference(model, nfe, monkeypatc
     assert rng.random() == rng_ref.random()
 
 
+@pytest.mark.parametrize("chunk", [1, 2])
+@pytest.mark.parametrize("nfe", [1, 2, "L"])
+def test_masked_sampler_groups_equal_the_full_forward_reference(chunk, nfe, monkeypatch):
+    # groups of chunk * 16 // commit of the 7 rows, mostly ragged; at chunk 1
+    # a step that commits more than 8 positions (NFE 1) draws one row per group
+    nfe = DESK_MODEL.length if nfe == "L" else nfe
+    params = _params_for(DESK_MODEL)
+    monkeypatch.setattr(backbone, "SAMPLER_CHUNK", chunk)
+    rng_ref, rng = np.random.default_rng(8), np.random.default_rng(8)
+    want = _masked_sampler_reference(params, nfe, 7, rng_ref)
+    got = sample_batch(params, CorruptionKind.MASKED, nfe, 7, rng)
+    assert np.array_equal(got, want)
+    assert rng.random() == rng_ref.random()
+
+
 def _uniform_sampler_reference(params, nfe, n, rng):
     """The uniform sampler with computed forwards: every step resamples every
     chunk from the full forward's clean-vocabulary probabilities."""
@@ -521,6 +583,18 @@ def test_uniform_sampler_equals_the_computed_forward_reference(model, nfe, monke
     rng_ref, rng = np.random.default_rng(6), np.random.default_rng(6)
     want = _uniform_sampler_reference(params, nfe, 7, rng_ref)
     got = sample_batch(params, CorruptionKind.UNIFORM, nfe, 7, rng)
+    assert np.array_equal(got, want)
+    assert rng.random() == rng_ref.random()
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_uniform_sampler_groups_equal_the_computed_forward_reference(chunk, monkeypatch):
+    # a forward call per row at chunk 1; groups of two with a ragged last one at 2
+    params = _params_for(DESK_MODEL)
+    monkeypatch.setattr(backbone, "SAMPLER_CHUNK", chunk)
+    rng_ref, rng = np.random.default_rng(8), np.random.default_rng(8)
+    want = _uniform_sampler_reference(params, 3, 7, rng_ref)
+    got = sample_batch(params, CorruptionKind.UNIFORM, 3, 7, rng)
     assert np.array_equal(got, want)
     assert rng.random() == rng_ref.random()
 
