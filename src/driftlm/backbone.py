@@ -263,11 +263,12 @@ def forward_tokens(
 
     With ``at`` ([N, k] column indices in [0, L)) only the logits at those
     columns are computed, ``logits[i, j] == full[i, at[i, j]]`` bit for bit,
-    as [N, k, V].  With ``tables`` (``token_tables(params)``) the embeddings
-    and block 0's per-position half are gathered by (token, position) row,
-    giving the same bits as computing them: BLAS forms each row of a product
-    from that row alone.  A pass with ``at`` or ``tables`` is forward-only
-    (``_forward_only_logits``) and returns ``None`` for the cache, which
+    as [N, k, V].  A pass with ``at`` or ``tables`` is forward-only
+    (``_forward_only_logits``): it gathers the embeddings and block 0's
+    per-position half by (token, position) row from ``tables``
+    (``token_tables(params)``, built for the call when not given), giving
+    the same bits as computing them, since BLAS forms each row of a product
+    from that row alone.  It returns ``None`` for the cache, which
     ``backward_tokens`` refuses.
     """
     tok = np.asarray(tokens, dtype=np.int64)
@@ -285,7 +286,7 @@ def forward_tokens(
         if at.size and (at.min() < 0 or at.max() >= length):
             raise InvalidInputError(f"at holds a column outside [0, {length})")
     if at is not None or tables is not None:
-        return _forward_only_logits(params, tok, at, tables), None
+        return _forward_only_logits(params, tok, at, tables or token_tables(params)), None
     out, caches = run_blocks(params, params.embed[tok] + params.pos_embed)
     n, d = tok.shape[0], params.embed_dim
     logits = (out.reshape(n * length, d) @ params.out_proj).reshape(n, length, params.vocab_size)
@@ -293,7 +294,7 @@ def forward_tokens(
 
 
 def _forward_only_logits(
-    params: DenoiserParams, tok: Array, at: Array | None, tables: tuple[Array, Array] | None
+    params: DenoiserParams, tok: Array, at: Array | None, tables: tuple[Array, Array]
 ) -> Array:
     """``forward_tokens``' logits, run position-major and keeping no caches.
 
@@ -302,34 +303,25 @@ def _forward_only_logits(
     ``N * h`` rows, where the [N, L, ·] layout of ``run_blocks`` spends a
     short inner loop per sequence on each.  Each row-wise product and each
     sum over positions (in position order) is the one ``run_blocks``
-    computes, so the logits keep its bits.  The rows run ``SAMPLER_CHUNK``
-    sequences at a time, so a caller may pass any number of them and the
-    intermediates stay small; a last slice of one row joins the slice before
-    it, because BLAS runs a one-row product as gemv, whose bits differ from
-    the gemm that forms the same row among others.  The last block runs only
-    at the ``at`` columns; the [k, N, V] logits come back as an [N, k, V] view.
+    computes, so the logits keep its bits.  The rows run in the
+    ``_row_slices(n, SAMPLER_CHUNK)`` slices, so a caller may pass any number
+    of them and the intermediates stay small.  The last block runs only at
+    the ``at`` columns; the [k, N, V] logits come back as an [N, k, V] view.
     """
     n, length = tok.shape
     d, n_blocks = params.embed_dim, len(params.w1)
     logits = np.empty((length if at is None else at.shape[1], n, params.vocab_size))
-    edges = [*range(0, max(n - 1, 1), SAMPLER_CHUNK), n]
-    for lo, hi in zip(edges, edges[1:]):
-        part = slice(lo, hi)
-        first, seq = None, tok[part].T
-        if tables is None:
-            h = params.embed[seq] + params.pos_embed[:, None, :]
-        else:
-            pair = seq * length + np.arange(length)[:, None]  # take copies the rows
-            h, first = tables[0].take(pair, 0), tables[1].take(pair, 0)
+    for part in _row_slices(n, SAMPLER_CHUNK):
+        pair = tok[part].T * length + np.arange(length)[:, None]
+        h = tables[0].take(pair, 0)
+        a = tables[1].take(pair, 0)  # a copy: adding to it leaves the table as it is
         rows, m = h.shape[:2]  # positions, sequences
         for b in range(n_blocks):
             c = h.sum(axis=0) / length
             if at is not None and b == n_blocks - 1:
                 h = h[at[part].T, np.arange(m)]
                 rows = at.shape[1]
-            if first is not None and b == 0:
-                a = first  # a gathered copy: adding to it leaves the table as it is
-            else:
+            if b > 0:
                 a = (h.reshape(rows * m, d) @ params.w1[b, :d]).reshape(rows, m, -1)
             a += c @ params.w1[b, d:] + params.b1[b]
             u = np.tanh(a, out=a).reshape(rows * m, -1)
@@ -405,19 +397,19 @@ def _categorical_rows(probs: Array, rng: np.random.Generator) -> Array:
 # Sequences per denoiser forward in a base training step and, rounded down to
 # whole micro-batches (at least one), in a drift step (both in
 # ``trainer.train_step``), and per slice of a forward-only pass (the
-# sampler's), whose groups also commit at most ``SAMPLER_CHUNK * L``
-# positions (``_row_groups``).  At the default model a 16-sequence chunk's
-# largest array, the [256, 64] block activation, is 128 KB: a step's arrays
-# stay in a core's L2 cache and the allocator reuses most of their memory,
-# where a whole-batch forward streams fresh 1-16 MB arrays through the shared
-# cache and faults their pages in again on every call.  Training keeps 16,
-# because the order of its chunk sums sets the gradient's bits.  The
+# sampler's), whose groups commit at most ``SAMPLER_CHUNK * L`` positions plus
+# one joined row (both ``_row_slices``).  At the default model a 16-sequence
+# chunk's largest array, the [256, 64] block activation, is 128 KB: a step's
+# arrays stay in a core's L2 cache and the allocator reuses most of their
+# memory, where a whole-batch forward streams fresh 1-16 MB arrays through the
+# shared cache and faults their pages in again on every call.  Training keeps
+# 16, because the order of its chunk sums sets the gradient's bits.  The
 # sampler's slices and groups only split rows, so it takes the fastest sizes
 # that fault least (budget x1, slice 32).  Masked / uniform ``evaluate`` at
-# 2048 samples, NFE 4/8/16 (range of the fastest of eight calls over two
-# fresh processes, one BLAS thread, 2-vCPU KVM guest shared with other load;
-# minor faults per masked / uniform call from ``getrusage``; a group budget
-# of x2 is 1,024 positions):
+# 2048 samples, NFE 4/8/16 (range of the fastest of eight calls over two fresh
+# processes, one BLAS thread, 2-vCPU KVM guest shared with other load; minor
+# faults per masked / uniform call from ``getrusage``; a group budget of x2 is
+# 1,024 positions):
 #   budget x1, slice 16:  548-562 / 1397-1427 ms,       928 /         928 faults
 #   budget x1, slice 32:  516-520 / 1429-1453 ms,   928-1,406 /         928 faults
 #   budget x1, slice 64:  498-511 / 1426-1430 ms, 2,275-2,492 /         928 faults
@@ -431,14 +423,12 @@ DENOISER_CHUNK = 16
 SAMPLER_CHUNK = 32
 
 
-def _row_groups(n: int, length: int, commit: int) -> list[slice]:
-    """The sampler's groups of ``n`` rows at a step that commits ``commit`` of
-    their ``length`` positions: ``SAMPLER_CHUNK * length // commit`` rows each,
-    the last one ragged.  ``commit <= length``, so a group holds at least
-    ``SAMPLER_CHUNK`` rows and its probabilities at most ``SAMPLER_CHUNK *
-    length`` positions."""
-    size = SAMPLER_CHUNK * length // commit
-    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+def _row_slices(n: int, size: int) -> list[slice]:
+    """``n`` rows in slices of ``size``, a last slice of one row joined to the
+    one before it: BLAS runs a one-row product as gemv, whose bits differ from
+    the gemm that forms the same row among others."""
+    edges = [*range(0, max(n - 1, 1), size), n]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def sample_batch(
@@ -455,11 +445,14 @@ def sample_batch(
     its probabilities come from one one-row forward, normalised once per
     call; each later step computes logits only at the positions it commits.
     Uniform: iterated full resampling from the predictive rows, committing
-    all L positions each step.  Each step walks ``_row_groups``, and each
-    group takes one ``forward_tokens`` call, on the call's ``token_tables``,
-    and one draw pass.  Predictions are always restricted to the clean
-    vocabulary, so outputs never contain the mask symbol.  The groups draw
-    from ``rng`` in row order, so the draws equal a whole-batch step's.
+    all L positions each step.  A step that commits ``commit`` positions per
+    row walks ``_row_slices(n, SAMPLER_CHUNK * L // commit)``, so a group
+    commits at most ``SAMPLER_CHUNK * L`` positions plus one joined row, and
+    each group takes one ``forward_tokens`` call, on the call's
+    ``token_tables``, and one draw pass.  Predictions are always restricted
+    to the clean vocabulary, so outputs never contain the mask symbol.  The
+    groups draw from ``rng`` in row order, so the draws equal a whole-batch
+    step's.
     """
     if nfe < 1:
         raise InvalidInputError("nfe must be at least 1")
@@ -484,7 +477,7 @@ def sample_batch(
     if kind == CorruptionKind.UNIFORM:
         tokens = rng.integers(0, mask_index, size=(n, length), dtype=np.int64)
         for _ in range(nfe):
-            for part in _row_groups(n, length, length):
+            for part in _row_slices(n, SAMPLER_CHUNK):
                 logits, _ = forward_tokens(params, tokens[part], tables=tables)
                 tokens[part] = _categorical_rows(_clean_probs(logits), rng)
         return tokens
@@ -493,16 +486,15 @@ def sample_batch(
     all_mask_probs = _clean_probs(
         forward_tokens(params, np.full((1, length), mask_index), tables=tables)[0][0]
     )
-    still_masked = np.ones((n, length), dtype=bool)
     remaining = length
     for step in range(nfe):
         steps_left = nfe - step
         commit = -(-remaining // steps_left)  # ceil division
         # random subset of masked positions, identical count per sequence
         keys = rng.random((n, length))
-        keys[~still_masked] = 2.0  # unmasked positions sort last
+        keys[tokens != mask_index] = 2.0  # committed positions sort last
         chosen = np.argsort(keys, axis=1)[:, :commit]
-        for part in _row_groups(n, length, commit):
+        for part in _row_slices(n, SAMPLER_CHUNK * length // commit):
             cols = chosen[part]
             if step == 0:
                 probs = all_mask_probs[cols]
@@ -511,7 +503,6 @@ def sample_batch(
                 probs = _clean_probs(logits)
             rows = np.arange(cols.shape[0])[:, None]
             tokens[part][rows, cols] = _categorical_rows(probs, rng)
-        still_masked[np.arange(n)[:, None], chosen] = False
         remaining -= commit
     if remaining != 0 or np.any(tokens == mask_index):
         raise RuntimeError("masked sampler failed to commit every position")

@@ -451,6 +451,16 @@ def check_sampling(
             raise UsageError(f"--nfe {nfe}: need at least 1 denoising step")
 
 
+def _check_negatives(config: TrainConfig, name: str) -> None:
+    """A usage error, naming ``name``, for a drift config whose first step
+    ``train_step`` refuses: a run starts with an empty generated queue."""
+    if config.objective is not None and config.micro_batch == 1 and config.drift.w_minus > 0.0:
+        raise UsageError(
+            f"{name}: micro_batch 1 leaves each anchor no negatives while w_minus > 0 and "
+            "a run's generated queue starts empty; use --micro-batch >= 2 or w_minus 0"
+        )
+
+
 def _resolve_train_config(args, drift_phase: bool) -> TrainConfig:
     if args.config is not None:
         config = _read("--config", args.config, partial(load, TrainConfig))
@@ -484,6 +494,7 @@ def _cmd_make_source(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _resolve_train_config(args, drift_phase=args.command == "drift-train")
+    _check_negatives(config, "--micro-batch 1")
     source = _read("--source", args.source, load_source)
     checkpoint = _read_init(args.init, config) if args.init else None
     _check_vocabulary(args.source, source, config.model.vocab_size, "the config's model")
@@ -553,6 +564,7 @@ def _cmd_ablate(args) -> int:
             configs[value] = with_overrides(config, ABLATION_AXES[args.axis](value))
         except ValueError as exc:
             raise UsageError(f"--grid {value}: {exc}") from exc
+        _check_negatives(configs[value], f"--grid {value}")
     seeds = parse_seeds(args.seeds)
     check_sampling(config.model.length, "the model", config.corruption, config.eval_nfes,
                    config.eval_samples, min(seeds))

@@ -454,7 +454,7 @@ def test_masked_sampler_single_step(small_params):
 def test_sampler_exact_nfe_and_mask_free(small_params, kind, nfe, monkeypatch):
     calls = count_forwards(monkeypatch)
     # one group holds all 3 rows (the smallest, uniform's: commit L): one call per step
-    assert backbone._row_groups(3, SMALL_MODEL.length, SMALL_MODEL.length) == [slice(0, 3)]
+    assert backbone._row_slices(3, backbone.SAMPLER_CHUNK) == [slice(0, 3)]
     seqs = sample_batch(small_params, kind, nfe, 3, np.random.default_rng(4))
     # a masked run forwards its all-mask first step once, as one row
     first = 1 if kind == CorruptionKind.MASKED else 3
@@ -484,8 +484,8 @@ def test_sampler_rejects_bad_n(small_params, kind, n):
         # (commit 2) draws from that forward, step 1 (commit 2) takes groups
         # of 5 rows and step 2 (commit 1) one group of 10
         (CorruptionKind.MASKED, [(1, None), (5, 2), (4, 2), (9, 1)]),
-        # commit L every step: groups of 2 rows
-        (CorruptionKind.UNIFORM, [(2, None), (2, None), (2, None), (2, None), (1, None)] * 3),
+        # commit L every step: groups of 2 rows, the last row joining the last group
+        (CorruptionKind.UNIFORM, [(2, None), (2, None), (2, None), (3, None)] * 3),
     ],
     ids=["masked", "uniform"],
 )
@@ -495,6 +495,44 @@ def test_sampler_makes_one_forward_per_group_per_step(small_params, kind, want, 
     sample_batch(small_params, kind, 3, 9, np.random.default_rng(3))
     got = [(tokens.shape[0], None if at is None else at.shape[1]) for tokens, at in calls]
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "n, want",
+    [
+        (1, [(0, 1)]),
+        (2, [(0, 2)]),
+        (32, [(0, 32)]),
+        (33, [(0, 33)]),
+        (64, [(0, 32), (32, 64)]),
+        (65, [(0, 32), (32, 65)]),
+        (513, [*((lo, lo + 32) for lo in range(0, 480, 32)), (480, 513)]),
+    ],
+)
+def test_row_slices_join_a_one_row_remainder(n, want):
+    assert backbone._row_slices(n, 32) == [slice(lo, hi) for lo, hi in want]
+
+
+@pytest.mark.parametrize("kind", ["masked", "uniform"])
+def test_sampler_makes_no_one_row_group(kind, monkeypatch):
+    # one row past whole groups: uniform groups of chunk rows at 2 * chunk + 1
+    # rows, and a masked commit-1 step's one group of chunk * L at chunk * L + 1
+    chunk, length = 2, DESK_MODEL.length
+    params = _params_for(DESK_MODEL)
+    monkeypatch.setattr(backbone, "SAMPLER_CHUNK", chunk)
+    rng_ref, rng = np.random.default_rng(8), np.random.default_rng(8)
+    if kind == "masked":
+        n, nfe, reference = chunk * length + 1, length, _masked_sampler_reference
+        want = [(1, None)] + [(n, 1)] * (nfe - 1)  # the all-mask forward is one row by design
+    else:
+        n, nfe, reference = 2 * chunk + 1, 3, _uniform_sampler_reference
+        want = [(chunk, None), (chunk + 1, None)] * nfe
+    expected = reference(params, nfe, n, rng_ref)
+    calls = count_forwards(monkeypatch)
+    got = sample_batch(params, CorruptionKind(kind), nfe, n, rng)
+    assert [(tokens.shape[0], None if at is None else at.shape[1]) for tokens, at in calls] == want
+    assert np.array_equal(got, expected)
+    assert rng.random() == rng_ref.random()
 
 
 @pytest.mark.parametrize("kind", [CorruptionKind.MASKED, CorruptionKind.UNIFORM])

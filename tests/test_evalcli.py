@@ -812,6 +812,13 @@ def test_ablate_evaluates_each_final_model_once(cli_env, capsys, monkeypatch):
             assert float(row[f"{m}_sd"]) == float(np.std(scores, ddof=0))
 
 
+def test_cli_ablate_micro_batch_1_without_repulsion_runs(cli_env, capsys):
+    out = cli_env[0] / "ablation"
+    argv = _ablate_argv(cli_env, out, "att_rep_ratio", "1:0", "0")
+    assert cli([*argv, "--micro-batch", "1", "--steps", "1"]) == 0
+    assert [r["value"] for r in _read_rows(out / "ablation.csv")] == ["1:0", "1:0"]
+
+
 def test_cli_ablate_manifest_names_only_the_seeds_that_ran(cli_env, capsys):
     out = cli_env[0] / "ablation"
     assert cli([*_ablate_argv(cli_env, out, "lift", "soft", "0,1"), "--steps", "0"]) == 0
@@ -943,6 +950,17 @@ BAD_RUN_FLAGS = {
     "drift-train-nan-eta": (
         "drift-train", ["--config", "{config}", "--objective", "mirror-kl", "--eta", "nan"],
         "objective: eta must be nonnegative and finite",
+    ),
+    # every run starts with an empty generated queue, so a one-sequence
+    # micro-batch with repulsion on has no negatives at its first drift step
+    "drift-train-micro-batch-1": (
+        "drift-train", ["--config", "{config}", "--micro-batch", "1"],
+        "--micro-batch 1: micro_batch 1 leaves each anchor no negatives while w_minus > 0",
+    ),
+    "ablate-micro-batch-1-repulsion": (
+        "ablate", ["--config", "{config}", "--axis", "att_rep_ratio", "--grid", "1:0,1:1",
+                   "--micro-batch", "1"],
+        "--grid 1:1: micro_batch 1 leaves each anchor no negatives while w_minus > 0",
     ),
 }
 
