@@ -38,6 +38,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.vocab_size < 2 or self.length < 1:
             raise InvalidInputError("vocab_size >= 2 and length >= 1 required")
+        for name in ("embed_dim", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_blocks < 2:
             raise InvalidInputError("need at least two blocks for penultimate/final pooling")
 

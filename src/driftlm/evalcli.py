@@ -360,7 +360,6 @@ DRIFT_FLAGS = {
     "--with-base-loss": ("objective.with_base_loss", dict(action="store_true")),
     "--lift": ("objective.lift", dict(choices=[k.value for k in LiftKind])),
     "--eta": ("objective.eta", dict(type=float)),
-    "--alpha": ("objective.alpha", dict(type=float)),
     "--w-plus": ("drift.w_plus", dict(type=float)),
     "--w-minus": ("drift.w_minus", dict(type=float)),
     "--temperatures": ("drift.temperatures", dict(type=_parse_float_list)),

@@ -1,10 +1,10 @@
-"""Trainable objectives: feature-space fixed-point loss and mirror teachers.
+"""Trainable objectives: feature-space fixed-point loss and a mirror teacher.
 
 The fixed-point loss matches the generated feature to a stop-gradient target
-shifted by the drift, so its feature gradient is exactly -alpha * V and the
-logit gradient is the VJP pullback of that vector.  The mirror variants
-instead convert the drift into a detached teacher distribution via an
-exponentiated-gradient step in logit space and match it with KL or MSE.
+shifted by the drift, so its feature gradient is exactly -V and the logit
+gradient is the VJP pullback of that vector.  The mirror variant instead
+converts the drift into one detached teacher distribution via an
+exponentiated-gradient step in logit space and matches it with KL.
 Every function takes a whole micro-batch: features and drifts ``[n, m]``,
 logits ``[n, L, V]`` and a boolean ``predicted [n, L]`` position mask.
 Every loss returns per-sequence losses ``[n]`` and the gradient of their
@@ -28,7 +28,6 @@ from .numcore import Array, InvalidInputError
 class ObjectiveVariant(str, Enum):
     FEATURE_L2 = "feature-l2"
     MIRROR_KL = "mirror-kl"
-    MIRROR_MSE = "mirror-mse"
 
 
 @dataclass(frozen=True)
@@ -36,21 +35,18 @@ class ObjectiveKind:
     variant: ObjectiveVariant = ObjectiveVariant.FEATURE_L2
     with_base_loss: bool = False
     lift: LiftKind = LiftKind.SOFT
-    eta: float = 1.0    # mirror step size, unused by the feature variant
-    alpha: float = 1.0  # drift scale of the fixed-point target
+    eta: float = 1.0  # mirror step size, unused by the feature variant
 
     def __post_init__(self):
         if not 0.0 <= self.eta < np.inf:  # NaN fails too
             raise InvalidInputError("eta must be nonnegative and finite")
-        if not 0.0 < self.alpha < np.inf:
-            raise InvalidInputError("alpha must be positive and finite")
 
 
-def feature_fixed_point_loss(drift: Array, alpha: float) -> tuple[Array, Array]:
-    """Per-row 1/2 ||h - sg(h + alpha V)||^2 with its exact feature gradient -alpha V;
+def feature_fixed_point_loss(drift: Array) -> tuple[Array, Array]:
+    """Per-row 1/2 ||h - sg(h + V)||^2 with its exact feature gradient -V;
     at the current features h both depend on the drift V alone."""
-    step = alpha * np.asarray(drift, dtype=np.float64)
-    return 0.5 * np.sum(step * step, axis=-1), -step
+    drift = np.asarray(drift, dtype=np.float64)
+    return 0.5 * np.sum(drift * drift, axis=-1), -drift
 
 
 def mirror_direction(state: LiftedEncoding, drift: Array) -> Array:
@@ -82,15 +78,6 @@ def mirror_kl_loss(p_star: Array, probs: Array, predicted: Array) -> tuple[Array
     return loss, np.where(predicted[..., None], (p - p_star) / count[:, None, None], 0.0)
 
 
-def mirror_mse_loss(l_star: Array, logits: Array, predicted: Array) -> tuple[Array, Array]:
-    """Per-sequence mean squared logit-row distance over predicted positions."""
-    logits = np.asarray(logits, dtype=np.float64)
-    predicted = np.asarray(predicted, dtype=bool)
-    count = np.maximum(predicted.sum(axis=1), 1)
-    diff = np.where(predicted[..., None], logits - np.asarray(l_star, dtype=np.float64), 0.0)
-    return (diff * diff).sum(axis=(1, 2)) / count, 2.0 * diff / count[:, None, None]
-
-
 def total_objective(
     kind: ObjectiveKind, state: LiftedEncoding, drifts: Array, clean_batch: Array
 ) -> tuple[Array, Array]:
@@ -103,16 +90,11 @@ def total_objective(
     if drifts.shape != state.features.shape:
         raise InvalidInputError("drifts must match the lifted features' shape")
     if kind.variant == ObjectiveVariant.FEATURE_L2:
-        losses, grad_h = feature_fixed_point_loss(drifts, kind.alpha)
+        losses, grad_h = feature_fixed_point_loss(drifts)
         grad = pullback_to_logits(state, grad_h)
     else:
-        g = mirror_direction(state, drifts)
-        if kind.variant == ObjectiveVariant.MIRROR_KL:
-            p_star = mirror_teacher(state.logits, g, kind.eta)
-            losses, grad = mirror_kl_loss(p_star, state.probs, state.predicted)
-        else:
-            l_star = state.logits + kind.eta * g
-            losses, grad = mirror_mse_loss(l_star, state.logits, state.predicted)
+        p_star = mirror_teacher(state.logits, mirror_direction(state, drifts), kind.eta)
+        losses, grad = mirror_kl_loss(p_star, state.probs, state.predicted)
     if kind.with_base_loss:
         base_losses, base_grad = base_loss(state.logits, clean_batch, state.predicted)
         losses += base_losses

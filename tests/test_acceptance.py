@@ -47,7 +47,6 @@ from driftlm.objectives import (
     feature_fixed_point_loss,
     mirror_direction,
     mirror_kl_loss,
-    mirror_mse_loss,
     mirror_teacher,
     total_objective,
 )
@@ -121,9 +120,9 @@ def test_criterion_1_gradient_oracle_suite():
             _desk_instance(rng)
         )
         batch = len(clean)
-        kind = ObjectiveKind()  # FeatureL2, soft lift, alpha 1
+        kind = ObjectiveKind()  # FeatureL2, soft lift
         _, grad = total_objective(kind, state, drifts, clean)
-        targets = state.features + kind.alpha * drifts
+        targets = state.features + drifts
 
         def sample_loss(i, sample_logits):
             lifted = _lift_one(encoder, sample_logits, corrupted[i], predicted[i], kind.lift)
@@ -229,21 +228,15 @@ def test_criterion_3_equilibrium_suite():
     state = lift_and_encode(encoder, logits, corrupted, predicted)
     zero = np.zeros((2, feature_dim(encoder)))
 
-    loss, grad = feature_fixed_point_loss(zero, 1.0)
+    loss, grad = feature_fixed_point_loss(zero)
     assert np.all(loss == 0.0) and np.all(grad == 0.0)
     g = mirror_direction(state, zero)
     assert np.all(g == 0.0)
     p_star = mirror_teacher(state.logits, g, 1.0)
     assert np.array_equal(p_star, state.probs)
     kl, kl_grad = mirror_kl_loss(p_star, softmax_rows(state.logits), state.predicted)
-    mse, mse_grad = mirror_mse_loss(state.logits + 1.0 * g, state.logits, state.predicted)
     assert np.all(kl == 0.0) and np.all(kl_grad == 0.0)
-    assert np.all(mse == 0.0) and np.all(mse_grad == 0.0)
-    for kind in (
-        ObjectiveKind(),
-        ObjectiveKind(variant=ObjectiveVariant.MIRROR_KL),
-        ObjectiveKind(variant=ObjectiveVariant.MIRROR_MSE),
-    ):
+    for kind in (ObjectiveKind(), ObjectiveKind(variant=ObjectiveVariant.MIRROR_KL)):
         losses, grad = total_objective(kind, state, zero, clean)
         assert np.all(losses == 0.0) and np.all(grad == 0.0)
     _report("3", "per-tau, multi-tau, FeatureL2, g, teacher, and mirror losses all zero")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from driftlm import backbone
 from driftlm.backbone import (
     CorruptionKind,
+    ModelConfig,
     backward_tokens,
     base_loss,
     corrupt,
@@ -155,6 +156,14 @@ def test_corrupt_rejects_mask_in_clean():
 
 # ---------------------------------------------------------------------------
 # denoiser forward
+
+
+@pytest.mark.parametrize("name", ["embed_dim", "hidden_dim"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_model_config_rejects_a_width_below_1_naming_it(name, value):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be >= 1, got {value}$"):
+        ModelConfig(**{name: value})
+    ModelConfig(**{name: 1})
 
 
 def test_zero_params_give_uniform_predictions():

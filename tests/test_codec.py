@@ -125,7 +125,6 @@ def train_configs(draw):
         with_base_loss=draw(st.booleans()),
         lift=draw(st.sampled_from(LiftKind)),
         eta=draw(floats(lambda x: x >= 0.0)),
-        alpha=draw(floats(lambda x: x > 0.0)),
     )
     return TrainConfig(
         batch_size=micro_batch * draw(st.integers(1, 4)),

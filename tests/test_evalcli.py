@@ -318,11 +318,10 @@ NON_DEFAULT_CONFIG = TrainConfig(
     lr=0.01,
     seed=5,
     objective=ObjectiveKind(
-        variant=ObjectiveVariant.MIRROR_MSE,
+        variant=ObjectiveVariant.MIRROR_KL,
         with_base_loss=True,
         lift=LiftKind.HARD_ST,
         eta=0.5,
-        alpha=2.5,
     ),
     drift=DriftConfig(temperatures=(0.1, 0.3), w_plus=2.0, w_minus=0.5),
     corruption=CorruptionKind.UNIFORM,
@@ -339,11 +338,10 @@ NON_DEFAULT_JSON = {
     "lr": 0.01,
     "seed": 5,
     "objective": {
-        "variant": "mirror-mse",
+        "variant": "mirror-kl",
         "with_base_loss": True,
         "lift": "hard-st",
         "eta": 0.5,
-        "alpha": 2.5,
     },
     "drift": {
         "temperatures": [0.1, 0.3],
@@ -367,8 +365,8 @@ def test_train_config_json_golden():
 
 @pytest.mark.parametrize(
     "section, key",
-    [("drift", "alpha"), ("model", "mystery"), ("objective", "mystery")],
-    ids=["old-drift-alpha", "model", "objective"],
+    [("drift", "alpha"), ("objective", "alpha"), ("model", "mystery"), ("objective", "mystery")],
+    ids=["old-drift-alpha", "old-objective-alpha", "model", "objective"],
 )
 def test_train_config_rejects_unknown_nested_keys_by_name(section, key):
     doc = train_config_to_dict(tiny_train_config())
@@ -465,11 +463,15 @@ def test_cli_drift_train_requires_init(cli_env, capsys):
             for key in ("adam_beta1", "adam_beta2", "adam_eps", "t_min", "t_max", "init_std")
         ],
         ('{"drift": {"eps": 1e-06}}', "unknown drift keys: ['drift.eps']"),
+        ('{"model": {"hidden_dim": 0}}', "model: hidden_dim must be >= 1, got 0"),
+        ('{"model": {"hidden_dim": -1}}', "model: hidden_dim must be >= 1, got -1"),
+        ('{"model": {"embed_dim": 0}}', "model: embed_dim must be >= 1, got 0"),
     ],
     ids=[
         "decoder-rejects", "truncated-json", "missing-file", "deleted-renormalize-sides",
         "deleted-adam-beta1", "deleted-adam-beta2", "deleted-adam-eps", "deleted-t-min",
-        "deleted-t-max", "deleted-init-std", "deleted-drift-eps",
+        "deleted-t-max", "deleted-init-std", "deleted-drift-eps", "hidden-dim-0",
+        "hidden-dim-minus-1", "embed-dim-0",
     ],
 )
 def test_cli_bad_config_is_a_usage_error(cli_env, capsys, text, named):
@@ -478,12 +480,15 @@ def test_cli_bad_config_is_a_usage_error(cli_env, capsys, text, named):
     if text is not None:
         config_path.parent.mkdir()
         config_path.write_text(text, encoding="utf-8")
-    argv = ["base-train", "--source", str(source_path), "--out", str(tmp_path / "run")]
+    out = tmp_path / "run"
+    out.mkdir()
+    argv = ["base-train", "--source", str(source_path), "--out", str(out), "--steps", "1"]
     assert cli([*argv, "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and named in errors[0]
     assert "Traceback" not in err
+    assert not any(out.iterdir())
 
 
 # the argv of every command that reads --source or --init, with the files
@@ -666,19 +671,6 @@ def test_inconsistent_checkpoint_shapes_are_rejected(cli_env, capsys, case):
     assert re.search(message, errors[0])
 
 
-def test_cli_alpha_sets_only_the_objective(cli_env, capsys):
-    tmp_path, source_path, config_path, ckpt_path = cli_env
-    out = tmp_path / "drift"
-    args = ["--config", str(config_path), "--init", str(ckpt_path), "--steps", "0"]
-    code = cli(
-        ["drift-train", "--source", str(source_path), "--out", str(out), "--alpha", "2.5"] + args
-    )
-    assert code == 0
-    config = json.loads((out / "manifest.json").read_text())["config"]
-    assert config["objective"]["alpha"] == 2.5
-    assert "alpha" not in config["drift"]
-
-
 def test_cli_sample_writes_jsonl(cli_env, capsys):
     tmp_path, source_path, config_path, ckpt_path = cli_env
     out = tmp_path / "samples"
@@ -843,6 +835,7 @@ def test_cli_ablate_takes_no_seed_flag(cli_env, capsys, monkeypatch):
         ("att_rep_ratio", "1", "--grid 1: expected w_plus:w_minus"),
         ("att_rep_ratio", "1:2:3", "--grid 1:2:3: expected w_plus:w_minus"),
         ("lift", "nope", "--grid nope: objective.lift must be one of"),
+        ("objective", "feature-l2,mirror-mse", "--grid mirror-mse: objective.variant must be"),
         ("temperature_set", "0.1/0.1", "--grid 0.1/0.1: drift: temperatures must be distinct"),
         ("queue_size", "0", "--grid 0: queue_capacity must be >= 1"),
         ("queue_size", "4,abc", "--grid abc: invalid literal for int()"),
@@ -1037,6 +1030,10 @@ BAD_CONFIGS = {
     "model-null": (_with("model", None), "model"),
     "top-level-list": ([["steps", 10]], "top-level"),
     "bad-enum": (_with("objective.variant", "bogus"), "objective.variant"),
+    "deleted-mirror-mse": (
+        _with("objective.variant", "mirror-mse"),
+        r"^objective.variant must be one of \['feature-l2', 'mirror-kl'\], got 'mirror-mse'$",
+    ),
     "float-in-int-list": (_with("eval_nfes", [4.7, 8]), r"eval_nfes\[0\]"),
     "repeated-nfe": (_with("eval_nfes", [4, 8, 4]), "eval_nfes must be distinct"),
     "string-int": (_with("steps", "10"), "steps"),
@@ -1051,8 +1048,6 @@ BAD_CONFIGS = {
     "nan-w-plus": (_with("drift.w_plus", float("nan")), "drift: attraction/repulsion"),
     "inf-w-minus": (_with("drift.w_minus", float("inf")), "drift: attraction/repulsion"),
     "nan-eta": (_with("objective.eta", float("nan")), "objective: eta"),
-    "nan-alpha": (_with("objective.alpha", float("nan")), "objective: alpha"),
-    "-inf-alpha": (_with("objective.alpha", float("-inf")), "objective: alpha"),
     "huge-int-for-float": (_with("lr", 10**400), "^lr must be a number within float range"),
 }
 
@@ -1091,11 +1086,10 @@ TRAIN_SURFACE = [
     ("--corruption", ["masked", "uniform"], None, False),
 ]
 DRIFT_SURFACE = [
-    ("--objective", ["feature-l2", "mirror-kl", "mirror-mse"], None, False),
+    ("--objective", ["feature-l2", "mirror-kl"], None, False),
     ("--with-base-loss", None, None, False),
     ("--lift", ["soft", "hard-st"], None, False),
     ("--eta", None, None, False),
-    ("--alpha", None, None, False),
     ("--w-plus", None, None, False),
     ("--w-minus", None, None, False),
     ("--temperatures", None, None, False),

@@ -14,7 +14,6 @@ from driftlm.objectives import (
     feature_fixed_point_loss,
     mirror_direction,
     mirror_kl_loss,
-    mirror_mse_loss,
     mirror_teacher,
     total_objective,
 )
@@ -55,30 +54,21 @@ def _mask(positions, n_rows):
 
 
 def test_fixed_point_zero_drift():
-    loss, grad = feature_fixed_point_loss(np.zeros(5), alpha=1.0)
+    loss, grad = feature_fixed_point_loss(np.zeros(5))
     assert loss == 0.0 and np.all(grad == 0.0)
 
 
 def test_fixed_point_unit_drift():
     v = np.array([1.0, 0.0, 0.0])
-    loss, grad = feature_fixed_point_loss(v, alpha=1.0)
+    loss, grad = feature_fixed_point_loss(v)
     assert loss == 0.5
     assert np.array_equal(grad, np.array([-1.0, 0.0, 0.0]))
 
 
-def test_fixed_point_alpha_homogeneity(rng):
-    v = rng.normal(size=6)
-    loss1, grad1 = feature_fixed_point_loss(v, alpha=1.0)
-    loss2, grad2 = feature_fixed_point_loss(v, alpha=2.0)
-    assert abs(loss2 - 4.0 * loss1) < 1e-12
-    assert np.allclose(grad2, 2.0 * grad1)
-
-
 def test_fixed_point_gradient_is_exactly_minus_alpha_v(rng):
     v = rng.normal(size=8)
-    alpha = 1.7
-    _, grad = feature_fixed_point_loss(v, alpha)
-    assert np.array_equal(grad, -(alpha * v))  # bit-level stop-gradient identity
+    _, grad = feature_fixed_point_loss(v)
+    assert np.array_equal(grad, -v)  # bit-level stop-gradient identity
 
 
 # ---------------------------------------------------------------------------
@@ -185,28 +175,6 @@ def test_mirror_kl_gradient_matches_finite_differences(rng):
     assert np.all(grad[0, off] == 0.0)
 
 
-def test_mirror_mse_identity_and_substitution(rng):
-    logits = rng.normal(size=(1, 4, 6))
-    every = np.ones((1, 4), bool)
-    loss, grad = mirror_mse_loss(logits, logits, every)
-    assert loss[0] == 0.0 and np.all(grad == 0.0)
-    g = rng.normal(size=(1, 4, 6))
-    eta = 0.3
-    loss, _ = mirror_mse_loss(logits + eta * g, logits, every)
-    expected = eta**2 * float((g * g).sum(axis=-1).mean())
-    assert abs(loss[0] - expected) < 1e-12
-
-
-def test_mirror_mse_gradient_and_masking(rng):
-    logits = rng.normal(size=(1, 4, 6))
-    l_star = rng.normal(size=(1, 4, 6))
-    predicted = _mask([1, 3], 4)
-    _, grad = mirror_mse_loss(l_star, logits, predicted)
-    fd = finite_diff_grad(lambda l: mirror_mse_loss(l_star, l, predicted)[0][0], logits, 1e-5)
-    assert rel_err(grad, fd) <= 1e-5
-    assert np.all(grad[0, np.array([0, 2])] == 0.0)
-
-
 # ---------------------------------------------------------------------------
 # total objective
 
@@ -269,10 +237,9 @@ def test_total_mirror_kl_equals_composition_from_logits(small_encoder, rng, with
         ObjectiveKind(),
         ObjectiveKind(with_base_loss=True),
         ObjectiveKind(variant=ObjectiveVariant.MIRROR_KL, eta=0.7),
-        ObjectiveKind(variant=ObjectiveVariant.MIRROR_MSE, eta=0.7),
         ObjectiveKind(variant=ObjectiveVariant.MIRROR_KL, eta=0.7, with_base_loss=True),
     ],
-    ids=["feature", "feature+base", "kl", "mse", "kl+base"],
+    ids=["feature", "feature+base", "kl", "kl+base"],
 )
 def test_total_gradient_matches_frozen_target_finite_differences(small_encoder, rng, kind):
     cleans, records, state = _batch(small_encoder, rng)
@@ -280,12 +247,8 @@ def test_total_gradient_matches_frozen_target_finite_differences(small_encoder, 
     losses, grad = total_objective(kind, state, drifts, cleans)
 
     # independent oracle: recompute the total loss with frozen targets
-    targets = state.features + kind.alpha * drifts
-    g = pullback_to_logits(state, drifts)
-    if kind.variant == ObjectiveVariant.MIRROR_KL:
-        teachers = mirror_teacher(state.logits, g, kind.eta)
-    elif kind.variant == ObjectiveVariant.MIRROR_MSE:
-        teachers = state.logits + kind.eta * g
+    targets = state.features + drifts
+    teachers = mirror_teacher(state.logits, pullback_to_logits(state, drifts), kind.eta)
 
     def loss_at(i, logits):
         one = _lift(small_encoder, logits, records[i], kind.lift)
@@ -293,10 +256,8 @@ def test_total_gradient_matches_frozen_target_finite_differences(small_encoder, 
         if kind.variant == ObjectiveVariant.FEATURE_L2:
             diff = one.features[0] - targets[i]
             value = 0.5 * float(diff @ diff)
-        elif kind.variant == ObjectiveVariant.MIRROR_KL:
-            value = mirror_kl_loss(teachers[i : i + 1], softmax_rows(logits), predicted)[0][0]
         else:
-            value = mirror_mse_loss(teachers[i : i + 1], logits, predicted)[0][0]
+            value = mirror_kl_loss(teachers[i : i + 1], softmax_rows(logits), predicted)[0][0]
         if kind.with_base_loss:
             value += base_loss(logits, cleans[i : i + 1], records[i][1])[0][0]
         return value
@@ -309,15 +270,14 @@ def test_total_gradient_matches_frozen_target_finite_differences(small_encoder, 
 
 
 def test_logit_pullback_identity(small_encoder, rng):
-    # FeatureL2 gradient equals -alpha * J^T V composed independently
+    # FeatureL2 gradient equals -J^T V composed independently
     cleans, records, state = _batch(small_encoder, rng, n=2)
     drifts = rng.normal(size=(2, feature_dim(small_encoder)))
-    alpha = 1.3
-    _, grad = total_objective(ObjectiveKind(alpha=alpha), state, drifts, cleans)
+    _, grad = total_objective(ObjectiveKind(), state, drifts, cleans)
     for i in range(2):
         one = _lift(small_encoder, state.logits[i : i + 1], records[i])
         jt_v = pullback_to_logits(one, drifts[i : i + 1])[0]
-        assert np.max(np.abs(grad[i] - (-alpha * jt_v))) <= 1e-10
+        assert np.max(np.abs(grad[i] - (-jt_v))) <= 1e-10
 
 
 def test_hard_st_total_uses_straight_through_gradient(small_encoder, rng):
@@ -367,11 +327,7 @@ def test_equilibrium_cascade_is_exact(small_encoder, rng):
     # V = 0 forces g = 0, teacher = p, all losses and grads exactly zero
     cleans, records, state = _batch(small_encoder, rng)
     zero = np.zeros((3, feature_dim(small_encoder)))
-    for kind in (
-        ObjectiveKind(),
-        ObjectiveKind(variant=ObjectiveVariant.MIRROR_KL),
-        ObjectiveKind(variant=ObjectiveVariant.MIRROR_MSE),
-    ):
+    for kind in (ObjectiveKind(), ObjectiveKind(variant=ObjectiveVariant.MIRROR_KL)):
         losses, grad = total_objective(kind, state, zero, cleans)
         assert np.all(losses == 0.0)
         assert np.all(grad == 0.0)

@@ -379,19 +379,25 @@ def test_drift_metrics_reported(source):
     assert metrics[0]["drift_norm"] == 0.0
 
 
-def test_nonfinite_loss_aborts_with_dump(source):
-    # an astronomically large mirror step overflows the teacher logits, which
-    # is the one spot where a non-finite loss can appear with finite inputs
-    cfg = tiny_config(
-        objective=ObjectiveKind(variant=ObjectiveVariant.MIRROR_MSE, eta=1e300)
-    )
+def test_nonfinite_loss_aborts_with_dump(source, monkeypatch):
+    # a non-finite row loss from the objective, however it arises, aborts the
+    # step before its update
+    def diverging(*args):
+        losses, grad = total_objective(*args)
+        losses[0] = np.inf
+        return losses, grad
+
+    monkeypatch.setattr(trainer, "total_objective", diverging)
+    cfg = tiny_config(objective=ObjectiveKind())
     state = init_state(cfg)
+    before = params_to_vector(state.params)
     batch = sample_sequences(source, cfg.batch_size, cfg.model.length, state.rng)
     with pytest.raises(TrainingDivergedError) as excinfo:
-        with np.errstate(over="ignore"):
-            train_step(state, batch, cfg)
+        train_step(state, batch, cfg)
     dump = excinfo.value.dump
     assert dump["step"] == 1 and "corrupted" in dump and "levels" in dump
+    assert state.step == 0 and len(state.q_real) == 0 and len(state.q_gen) == 0
+    assert np.array_equal(params_to_vector(state.params), before)
 
 
 # ---------------------------------------------------------------------------
