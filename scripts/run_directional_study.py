@@ -82,8 +82,6 @@ def main() -> None:
                     ("--samples", args.samples): dict(eval_samples=args.samples),
                 },
             )
-            evalcli.check_sampling(phase_cfg.model.length, "the model", kind, args.nfe,
-                                   args.samples, min(seeds))
             plans[kind] = base_cfg, {m: replace(phase_cfg, **f) for m, f in PHASES.items()}
     except ValueError as exc:
         ap.error(str(exc))

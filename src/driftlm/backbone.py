@@ -388,15 +388,6 @@ def base_loss(logits: Array, clean: Array, predicted: Array) -> tuple[Array, Arr
 # fixed-NFE sampler
 
 
-def _categorical_rows(probs: Array, rng: np.random.Generator) -> Array:
-    """One draw per row of a [..., K] probability array."""
-    flat = probs.reshape(-1, probs.shape[-1])
-    cdf = np.cumsum(flat, axis=1)
-    u = rng.random(flat.shape[0]) * cdf[:, -1]
-    picks = (u[:, None] < cdf).argmax(axis=1)
-    return picks.reshape(probs.shape[:-1])
-
-
 # Sequences per denoiser forward in a base training step and, rounded down to
 # whole micro-batches (at least one), in a drift step (both in
 # ``trainer.train_step``), and per slice of a forward-only pass (the
@@ -445,17 +436,18 @@ def sample_batch(
 
     Masked: ancestral unmasking, committing a random subset of still-masked
     positions each step.  Every row of step 0 is the all-mask sequence, so
-    its probabilities come from one one-row forward, normalised once per
-    call; each later step computes logits only at the positions it commits.
+    its distribution comes from one one-row forward, once per call; each
+    later step computes logits only at the positions it commits.
     Uniform: iterated full resampling from the predictive rows, committing
     all L positions each step.  A step that commits ``commit`` positions per
     row walks ``_row_slices(n, SAMPLER_CHUNK * L // commit)``, so a group
     commits at most ``SAMPLER_CHUNK * L`` positions plus one joined row, and
     each group takes one ``forward_tokens`` call, on the call's
-    ``token_tables``, and one draw pass.  Predictions are always restricted
-    to the clean vocabulary, so outputs never contain the mask symbol.  The
-    groups draw from ``rng`` in row order, so the draws equal a whole-batch
-    step's.
+    ``token_tables``, and one ``numcore.draw_rows`` pass.  A position's
+    distribution is the softmax of its clean logits alone (the mask symbol
+    has probability 0, as in MDLM's SUBS parameterisation), so outputs never
+    contain the mask symbol.  The groups draw from ``rng`` in row order, so
+    the draws equal a whole-batch step's.
     """
     if nfe < 1:
         raise InvalidInputError("nfe must be at least 1")
@@ -467,26 +459,19 @@ def sample_batch(
         raise InvalidInputError("masked sampling requires nfe <= sequence length")
     tables = token_tables(params)
 
-    def _clean_probs(logits: Array) -> Array:
-        probs = numcore.softmax_rows(logits)[..., :mask_index]
-        total = probs.sum(axis=-1, keepdims=True)
-        if not total.all():
-            raise InvalidInputError(
-                "a row's clean-vocabulary probabilities all underflow to 0: its mask "
-                "logit beats every clean logit by more than about 745 nats"
-            )
-        return probs / total
+    def _clean_cdf(logits: Array) -> Array:
+        return np.cumsum(numcore.softmax_rows(logits[..., :mask_index]), axis=-1)
 
     if kind == CorruptionKind.UNIFORM:
         tokens = rng.integers(0, mask_index, size=(n, length), dtype=np.int64)
         for _ in range(nfe):
             for part in _row_slices(n, SAMPLER_CHUNK):
                 logits, _ = forward_tokens(params, tokens[part], tables=tables)
-                tokens[part] = _categorical_rows(_clean_probs(logits), rng)
+                tokens[part] = numcore.draw_rows(_clean_cdf(logits), rng)
         return tokens
 
     tokens = np.full((n, length), mask_index, dtype=np.int64)
-    all_mask_probs = _clean_probs(
+    all_mask_cdf = _clean_cdf(
         forward_tokens(params, np.full((1, length), mask_index), tables=tables)[0][0]
     )
     remaining = length
@@ -500,12 +485,12 @@ def sample_batch(
         for part in _row_slices(n, SAMPLER_CHUNK * length // commit):
             cols = chosen[part]
             if step == 0:
-                probs = all_mask_probs[cols]
+                cdf = all_mask_cdf[cols]
             else:
                 logits, _ = forward_tokens(params, tokens[part], at=cols, tables=tables)
-                probs = _clean_probs(logits)
+                cdf = _clean_cdf(logits)
             rows = np.arange(cols.shape[0])[:, None]
-            tokens[part][rows, cols] = _categorical_rows(probs, rng)
+            tokens[part][rows, cols] = numcore.draw_rows(cdf, rng)
         remaining -= commit
     if remaining != 0 or np.any(tokens == mask_index):
         raise RuntimeError("masked sampler failed to commit every position")

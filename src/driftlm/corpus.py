@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import dump, load
-from .numcore import Array, InvalidInputError
+from .numcore import Array, InvalidInputError, draw_rows
 
 _STOCHASTIC_TOL = 1e-12
 IMPOSSIBLE_FLOOR = 1e-12  # what ``oracle_gen_ppl`` scores a zero-probability factor as
@@ -72,35 +72,20 @@ def banded_source(
 # sampling and scoring
 
 
-def _sampling_cdf(probs: Array) -> Array:
-    """Cumulative sums along the last axis, +inf from each row's last positive
-    entry on.  A row's rounded total may fall short of 1; a uniform draw at or
-    above it then picks the row's last possible state, and every draw below
-    it the first state whose cumulative sum exceeds it, as without the +inf."""
-    cdf = np.cumsum(probs, axis=-1)
-    last = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
-    cdf[np.arange(probs.shape[-1]) >= last[..., None]] = np.inf
-    return cdf
-
-
 def sample_sequences(source: MarkovSource, n: int, length: int, rng: np.random.Generator) -> Array:
     """Draw ``n`` sequences of ``length`` tokens; deterministic given the generator.
 
-    Every token and transition drawn has positive probability."""
+    Every token and transition drawn has positive probability (``draw_rows``)."""
     if length < 1:
         raise InvalidInputError("length must be at least 1")
     if n < 1:
         raise InvalidInputError("n must be at least 1")
     out = np.empty((n, length), dtype=np.int64)
-    init_cdf = _sampling_cdf(source.initial)
-    trans_cdf = _sampling_cdf(source.transition)
-    u = rng.random(n)
-    cur = np.searchsorted(init_cdf, u, side="right")
+    trans_cdf = np.cumsum(source.transition, axis=1)
+    cur = draw_rows(np.broadcast_to(np.cumsum(source.initial), (n, source.vocab_size)), rng)
     out[:, 0] = cur
     for t in range(1, length):
-        u = rng.random(n)
-        rows = trans_cdf[cur]
-        cur = (u[:, None] < rows).argmax(axis=1)
+        cur = draw_rows(trans_cdf[cur], rng)
         out[:, t] = cur
     return out
 

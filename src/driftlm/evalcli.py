@@ -430,10 +430,8 @@ def parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def check_sampling(
-    length: int, model: str, kind: CorruptionKind, nfes, samples: int, seed: int
-) -> None:
-    """Usage errors for sampling flags that ``model``, of sequence ``length``, cannot run."""
+def check_sampling(length: int, kind: CorruptionKind, nfes, samples: int, seed: int) -> None:
+    """Usage errors for sampling flags that a checkpoint of sequence ``length`` cannot run."""
     if len(set(nfes)) < len(nfes):
         raise UsageError(f"--nfe {','.join(map(str, nfes))}: repeated NFE budget")
     if samples < 1:
@@ -444,19 +442,19 @@ def check_sampling(
         if kind == CorruptionKind.MASKED and not 1 <= nfe <= length:
             raise UsageError(
                 f"--nfe {nfe}: masked sampling needs 1 <= nfe <= {length}, "
-                f"{model}'s sequence length"
+                "the checkpoint's sequence length"
             )
         if nfe < 1:
             raise UsageError(f"--nfe {nfe}: need at least 1 denoising step")
 
 
-def _check_negatives(config: TrainConfig, name: str) -> None:
-    """A usage error, naming ``name``, for a drift config whose first step
-    ``train_step`` refuses: a run starts with an empty generated queue."""
+def _check_negatives(config: TrainConfig, prefix: str = "") -> None:
+    """A usage error, starting with ``prefix``, for a drift config whose first
+    step ``train_step`` refuses: a run starts with an empty generated queue."""
     if config.objective is not None and config.micro_batch == 1 and config.drift.w_minus > 0.0:
         raise UsageError(
-            f"{name}: micro_batch 1 leaves each anchor no negatives while w_minus > 0 and "
-            "a run's generated queue starts empty; use --micro-batch >= 2 or w_minus 0"
+            f"{prefix}micro_batch 1 leaves each anchor no negatives while w_minus > 0 and "
+            "a run's generated queue starts empty; use micro_batch >= 2 or w_minus 0"
         )
 
 
@@ -493,12 +491,10 @@ def _cmd_make_source(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _resolve_train_config(args, drift_phase=args.command == "drift-train")
-    _check_negatives(config, "--micro-batch 1")
+    _check_negatives(config)
     source = _read("--source", args.source, load_source)
     checkpoint = _read_init(args.init, config) if args.init else None
     _check_vocabulary(args.source, source, config.model.vocab_size, "the config's model")
-    check_sampling(config.model.length, "the model", config.corruption, config.eval_nfes,
-                   config.eval_samples, config.seed)
     _write_manifest(
         args,
         {
@@ -519,8 +515,7 @@ def _cmd_train(args) -> int:
 def _cmd_sample(args) -> int:
     checkpoint = _read("--init", args.init, load_checkpoint)
     kind = CorruptionKind(args.corruption)
-    check_sampling(checkpoint.params.length, "the checkpoint", kind, [args.nfe], args.samples,
-                   args.seed)
+    check_sampling(checkpoint.params.length, kind, [args.nfe], args.samples, args.seed)
     rng = np.random.default_rng([args.seed, args.nfe])
     seqs = sample_batch(checkpoint.params, kind, args.nfe, args.samples, rng)
     _write_manifest(args, _flag_values(args))
@@ -537,8 +532,7 @@ def _cmd_eval(args) -> int:
     source = _read("--source", args.source, load_source)
     _check_vocabulary(args.source, source, checkpoint.params.vocab_size, "the --init checkpoint")
     kind = CorruptionKind(args.corruption)
-    check_sampling(checkpoint.params.length, "the checkpoint", kind, args.nfe, args.samples,
-                   args.seed)
+    check_sampling(checkpoint.params.length, kind, args.nfe, args.samples, args.seed)
     report = evaluate(
         checkpoint.params, source, kind, nfes=args.nfe, n_samples=args.samples, seed=args.seed
     )
@@ -563,10 +557,8 @@ def _cmd_ablate(args) -> int:
             configs[value] = with_overrides(config, ABLATION_AXES[args.axis](value))
         except ValueError as exc:
             raise UsageError(f"--grid {value}: {exc}") from exc
-        _check_negatives(configs[value], f"--grid {value}")
+        _check_negatives(configs[value], f"--grid {value}: ")
     seeds = parse_seeds(args.seeds)
-    check_sampling(config.model.length, "the model", config.corruption, config.eval_nfes,
-                   config.eval_samples, min(seeds))
     _write_manifest(
         args,
         {

@@ -1,9 +1,10 @@
-"""Row softmax and the three hand-written vector-Jacobian products training needs.
+"""Row softmax, the one categorical draw and the three hand-written VJPs training needs.
 
 The training pipeline evaluates a fixed computation graph, so there is no
 taped autodiff engine: the backbone and the encoder compose the softmax,
 tanh and L2-normalisation VJPs below explicitly.  The test suite checks
-every rule against a finite-difference oracle of its own.
+every rule against a finite-difference oracle of its own.  ``draw_rows``
+picks the tokens of both the Markov source and the denoiser's sampler.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ Array = np.ndarray
 
 
 class InvalidInputError(ValueError):
-    """An operation received values outside its domain (NaN/Inf)."""
+    """An operation or a config received a value outside its domain."""
 
 
 def softmax_rows(logits: Array) -> Array:
@@ -34,6 +35,15 @@ def log_softmax_rows(logits: Array) -> Array:
         raise InvalidInputError("log_softmax_rows: non-finite logits")
     z = x - x.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def draw_rows(cdf: Array, rng: np.random.Generator) -> Array:
+    """One draw per row of cumulative sums ``cdf [..., K]``, rows in order: the
+    first entry above ``rng.random() * cdf[..., -1]``.  Scaled by the row's own
+    total, a draw stays in a row whose rounded total falls short of 1, and an
+    entry of probability 0 repeats the sum before it, so it is never picked."""
+    u = rng.random(cdf.shape[:-1]) * cdf[..., -1]
+    return (u[..., None] < cdf).argmax(axis=-1)
 
 
 # ---------------------------------------------------------------------------

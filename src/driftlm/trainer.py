@@ -92,10 +92,20 @@ class TrainConfig:
             raise InvalidInputError("eval_nfes must name at least one NFE budget")
         if len(set(self.eval_nfes)) != len(self.eval_nfes):
             raise InvalidInputError("eval_nfes must be distinct")
+        for nfe in self.eval_nfes:
+            if nfe < 1:
+                raise InvalidInputError(f"eval_nfes must be >= 1, got {nfe}")
+            if self.corruption == CorruptionKind.MASKED and nfe > self.model.length:
+                raise InvalidInputError(
+                    f"eval_nfes must be <= {self.model.length}, the model's sequence length, "
+                    f"for masked sampling, got {nfe}"
+                )
         if self.objective is not None and self.batch_size % self.micro_batch != 0:
             raise InvalidInputError("micro_batch must divide batch_size")
         if not 0.0 < self.lr < np.inf:  # NaN fails too
             raise InvalidInputError("lr must be positive and finite")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.steps < 0 or self.eval_every < 1:
             raise InvalidInputError("steps must be >= 0 and eval_every >= 1")
 

@@ -44,6 +44,16 @@ def small_encoder(small_params):
     return make_frozen_encoder(small_params)
 
 
+class ConstantDraws:
+    """A generator stub whose every uniform draw is ``value``."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self, shape):
+        return np.full(shape, self.value)
+
+
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     """``[n, dim]`` random unit feature rows."""
     v = rng.normal(size=(n, dim))

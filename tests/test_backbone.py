@@ -554,6 +554,16 @@ def test_sampler_chunks_draw_the_whole_batch_stream(small_params, kind, monkeypa
     assert rng_chunked.random() == rng_whole.random()
 
 
+def _categorical_rows(probs, rng):
+    """One draw per row of a [..., K] probability array, scaled by the row's
+    total: the draw the sampler made from its renormalised rows."""
+    flat = probs.reshape(-1, probs.shape[-1])
+    cdf = np.cumsum(flat, axis=1)
+    u = rng.random(flat.shape[0]) * cdf[:, -1]
+    picks = (u[:, None] < cdf).argmax(axis=1)
+    return picks.reshape(probs.shape[:-1])
+
+
 def _masked_sampler_reference(params, nfe, n, rng):
     """The masked sampler with full forwards: every step forwards every chunk
     over all L positions, then gathers the committed rows of its logits."""
@@ -574,7 +584,7 @@ def _masked_sampler_reference(params, nfe, n, rng):
             cols = chosen[part].ravel()
             probs = softmax_rows(logits[rows, cols])[..., :mask_index]
             probs = probs / probs.sum(axis=-1, keepdims=True)
-            tokens[part][rows, cols] = backbone._categorical_rows(probs, rng)
+            tokens[part][rows, cols] = _categorical_rows(probs, rng)
         still_masked[np.arange(n)[:, None], chosen] = False
         remaining -= commit
     return tokens
@@ -618,7 +628,7 @@ def _uniform_sampler_reference(params, nfe, n, rng):
             part = slice(lo, min(lo + chunk, n))
             probs = softmax_rows(forward_tokens(params, tokens[part])[0])[..., :mask_index]
             probs = probs / probs.sum(axis=-1, keepdims=True)
-            tokens[part] = backbone._categorical_rows(probs, rng)
+            tokens[part] = _categorical_rows(probs, rng)
     return tokens
 
 
@@ -646,16 +656,45 @@ def test_uniform_sampler_groups_equal_the_computed_forward_reference(chunk, monk
     assert rng.random() == rng_ref.random()
 
 
+def _clean_logit_sampler_reference(params, kind, nfe, n, rng):
+    """Either sampler on full forwards of the whole batch, drawing each
+    position from the softmax of its clean logits alone."""
+    length, mask_index = params.length, params.mask_index
+    if kind == CorruptionKind.UNIFORM:
+        tokens = rng.integers(0, mask_index, size=(n, length), dtype=np.int64)
+        for _ in range(nfe):
+            logits = forward_tokens(params, tokens)[0]
+            tokens = _categorical_rows(softmax_rows(logits[..., :mask_index]), rng)
+        return tokens
+    tokens = np.full((n, length), mask_index, dtype=np.int64)
+    rows, remaining = np.arange(n)[:, None], length
+    for step in range(nfe):
+        commit = -(-remaining // (nfe - step))
+        keys = rng.random((n, length))
+        keys[tokens != mask_index] = 2.0
+        chosen = np.argsort(keys, axis=1)[:, :commit]
+        logits = forward_tokens(params, tokens)[0][rows, chosen]
+        tokens[rows, chosen] = _categorical_rows(softmax_rows(logits[..., :mask_index]), rng)
+        remaining -= commit
+    return tokens
+
+
 @pytest.mark.parametrize("kind", [CorruptionKind.MASKED, CorruptionKind.UNIFORM])
-def test_sampler_refuses_a_clean_mass_that_underflows(kind):
-    # the mask logit beats every clean logit by about 1e4 nats, so every
-    # clean probability is exp(-1e4) == 0.0
+def test_sampler_draws_from_the_clean_logits_past_a_dominant_mask_logit(kind):
+    # the mask logit beats every clean logit by about 1e4 nats, so a softmax
+    # over the whole vocabulary gives every clean token exp(-1e4) == 0.0
     params = init_params(DESK_MODEL, np.random.default_rng(0))
     params.b2[-1, 0] = 1e3
     params.out_proj[0, :] = 0.0
     params.out_proj[0, -1] = 10.0
-    with pytest.raises(InvalidInputError, match="probabilities all underflow to 0"):
-        sample_batch(params, kind, 4, 8, np.random.default_rng(0))
+    all_mask = forward_tokens(params, np.full((1, params.length), params.mask_index))[0]
+    assert not softmax_rows(all_mask)[..., : params.mask_index].any()
+    rng_ref, rng = np.random.default_rng(0), np.random.default_rng(0)
+    want = _clean_logit_sampler_reference(params, kind, 4, 8, rng_ref)
+    got = sample_batch(params, kind, 4, 8, rng)
+    assert np.array_equal(got, want)
+    assert rng.random() == rng_ref.random()
+    assert len(np.unique(got)) > 1
 
 
 def test_sampler_deterministic_given_seed(small_params):

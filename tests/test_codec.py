@@ -126,6 +126,9 @@ def train_configs(draw):
         lift=draw(st.sampled_from(LiftKind)),
         eta=draw(floats(lambda x: x >= 0.0)),
     )
+    corruption = draw(st.sampled_from(CorruptionKind))
+    length = draw(st.integers(1, 64))
+    max_nfe = length if corruption == CorruptionKind.MASKED else 64  # masked: one step per position
     return TrainConfig(
         batch_size=micro_batch * draw(st.integers(1, 4)),
         micro_batch=micro_batch,
@@ -140,18 +143,18 @@ def train_configs(draw):
             w_plus=w_plus,
             w_minus=w_minus,
         ),
-        corruption=draw(st.sampled_from(CorruptionKind)),
+        corruption=corruption,
         eval_every=draw(st.integers(1, 1000)),
         queue_capacity=draw(st.integers(1, 1024)),
         model=ModelConfig(
             vocab_size=draw(st.integers(2, 64)),
-            length=draw(st.integers(1, 64)),
+            length=length,
             embed_dim=draw(st.integers(1, 64)),
             hidden_dim=draw(st.integers(1, 64)),
             n_blocks=draw(st.integers(2, 4)),
         ),
         eval_nfes=tuple(
-            draw(st.lists(st.integers(1, 64), min_size=1, max_size=4, unique=True))
+            draw(st.lists(st.integers(1, max_nfe), min_size=1, max_size=4, unique=True))
         ),
         eval_samples=draw(st.integers(1, 4096)),
     )
@@ -163,7 +166,7 @@ def test_train_config_roundtrip_is_bitwise(config):
 
 
 def test_checkpoint_roundtrip_keeps_the_special_values():
-    checkpoint = checkpoint_of(init_state(TrainConfig(model=SMALL_MODEL)))
+    checkpoint = checkpoint_of(init_state(TrainConfig(model=SMALL_MODEL, eval_nfes=(4,))))
     checkpoint.params.embed.flat[: len(SPECIAL)] = SPECIAL
     text = json.dumps(jsonable(checkpoint))
     assert all(repr(v) in text for v in SPECIAL)
@@ -179,7 +182,7 @@ def source_doc() -> dict:
 
 
 def checkpoint_doc() -> dict:
-    state = init_state(TrainConfig(model=SMALL_MODEL))
+    state = init_state(TrainConfig(model=SMALL_MODEL, eval_nfes=(4,)))
     return json.loads(json.dumps(jsonable(checkpoint_of(state))))
 
 

@@ -20,6 +20,7 @@ from driftlm.corpus import (
 )
 from driftlm.numcore import InvalidInputError
 
+from conftest import ConstantDraws
 
 def cycle_source(k: int = 4) -> MarkovSource:
     transition = np.zeros((k, k))
@@ -120,20 +121,10 @@ def test_same_seed_same_sequences():
     assert np.array_equal(a, b)
 
 
-class _ConstantDraws:
-    """A generator stub whose every uniform draw is ``value``."""
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def random(self, n):
-        return np.full(n, self.value)
-
-
 def test_draw_past_a_rows_rounded_total_stays_possible():
     # 28 of the banded rows, and ten initial masses of 0.1, sum to 1 - 2**-53;
     # the largest draw below 1 lies at or above that total
-    top = _ConstantDraws(np.nextafter(1.0, 0.0))
+    top = ConstantDraws(np.nextafter(1.0, 0.0))
     src = banded_source()
     assert np.sum(np.cumsum(src.transition, axis=1)[:, -1] <= top.value) == 28
     seqs = sample_sequences(src, 3, 6, top)

@@ -400,6 +400,11 @@ def test_cli_make_source_roundtrip(tmp_path, capsys):
     assert src.vocab_size == 9
 
 
+def _flags_named(line: str) -> set[str]:
+    """The ``--flag`` words of an error line."""
+    return set(re.findall(r"(?<![\w/-])--[a-z][a-z-]*", line))
+
+
 def _error_lines(err: str, command: str) -> list[str]:
     """``err`` without the usage that argparse prints before rejecting a flag's
     value; the commands' own checks print their one line alone."""
@@ -466,12 +471,16 @@ def test_cli_drift_train_requires_init(cli_env, capsys):
         ('{"model": {"hidden_dim": 0}}', "model: hidden_dim must be >= 1, got 0"),
         ('{"model": {"hidden_dim": -1}}', "model: hidden_dim must be >= 1, got -1"),
         ('{"model": {"embed_dim": 0}}', "model: embed_dim must be >= 1, got 0"),
+        ('{"eval_nfes": [0]}', "eval_nfes must be >= 1, got 0"),
+        ('{"eval_nfes": [4, 17]}', "eval_nfes must be <= 16, the model's sequence length"),
+        ('{"seed": -1}', "seed must be >= 0, got -1"),
     ],
     ids=[
         "decoder-rejects", "truncated-json", "missing-file", "deleted-renormalize-sides",
         "deleted-adam-beta1", "deleted-adam-beta2", "deleted-adam-eps", "deleted-t-min",
         "deleted-t-max", "deleted-init-std", "deleted-drift-eps", "hidden-dim-0",
-        "hidden-dim-minus-1", "embed-dim-0",
+        "hidden-dim-minus-1", "embed-dim-0", "eval-nfes-0", "eval-nfes-past-length",
+        "negative-seed",
     ],
 )
 def test_cli_bad_config_is_a_usage_error(cli_env, capsys, text, named):
@@ -482,11 +491,13 @@ def test_cli_bad_config_is_a_usage_error(cli_env, capsys, text, named):
         config_path.write_text(text, encoding="utf-8")
     out = tmp_path / "run"
     out.mkdir()
-    argv = ["base-train", "--source", str(source_path), "--out", str(out), "--steps", "1"]
-    assert cli([*argv, "--config", str(config_path)]) == 2
+    argv = ["base-train", "--source", str(source_path), "--out", str(out), "--steps", "1",
+            "--config", str(config_path)]
+    assert cli(argv) == 2
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and named in errors[0]
+    assert _flags_named(errors[0]) <= set(argv)
     assert "Traceback" not in err
     assert not any(out.iterdir())
 
@@ -857,8 +868,8 @@ def test_cli_ablate_bad_grid_is_a_usage_error(cli_env, capsys, monkeypatch, axis
 
 # command, its flags after --init, --out and --source, and the start of its
 # one stderr line; "{init}" and "{config}" are the tiny checkpoint and
-# config, and "{default}" the default config's model, which "{init}" does
-# not fit
+# config, "{micro_batch_1}" that config with micro_batch 1, and "{default}"
+# the default config's model, which "{init}" does not fit
 BAD_RUN_FLAGS = {
     "sample-nfe-past-length": (
         "sample", ["--nfe", "7"],
@@ -903,15 +914,14 @@ BAD_RUN_FLAGS = {
     ),
     "ablate-nfe-0": (
         "ablate", ["--config", "{config}", "--axis", "lift", "--grid", "soft", "--nfe", "0"],
-        "--nfe 0: masked sampling needs 1 <= nfe <= 6, the model's sequence length",
+        "eval_nfes must be >= 1, got 0",
     ),
     "base-train-nfe-0": (
-        "base-train", ["--config", "{config}", "--nfe", "0"],
-        "--nfe 0: masked sampling needs 1 <= nfe <= 6, the model's sequence length",
+        "base-train", ["--config", "{config}", "--nfe", "0"], "eval_nfes must be >= 1, got 0",
     ),
     "base-train-nfe-past-length": (
         "base-train", ["--config", "{config}", "--nfe", "2,7"],
-        "--nfe 7: masked sampling needs 1 <= nfe <= 6",
+        "eval_nfes must be <= 6, the model's sequence length, for masked sampling, got 7",
     ),
     "base-train-bad-nfe-item": (
         "base-train", ["--config", "{config}", "--nfe", "4,x"],
@@ -922,11 +932,10 @@ BAD_RUN_FLAGS = {
     ),
     "base-train-uniform-nfe-0": (
         "base-train", ["--config", "{config}", "--corruption", "uniform", "--nfe", "0"],
-        "--nfe 0: need at least 1 denoising step",
+        "eval_nfes must be >= 1, got 0",
     ),
     "base-train-negative-seed": (
-        "base-train", ["--config", "{config}", "--seed", "-1"],
-        "--seed -1: need a nonnegative seed",
+        "base-train", ["--config", "{config}", "--seed", "-1"], "seed must be >= 0, got -1",
     ),
     "base-train-nan-lr": (
         "base-train", ["--config", "{config}", "--lr", "nan"],
@@ -948,7 +957,11 @@ BAD_RUN_FLAGS = {
     # micro-batch with repulsion on has no negatives at its first drift step
     "drift-train-micro-batch-1": (
         "drift-train", ["--config", "{config}", "--micro-batch", "1"],
-        "--micro-batch 1: micro_batch 1 leaves each anchor no negatives while w_minus > 0",
+        "micro_batch 1 leaves each anchor no negatives while w_minus > 0",
+    ),
+    "drift-train-config-micro-batch-1": (
+        "drift-train", ["--config", "{micro_batch_1}"],
+        "micro_batch 1 leaves each anchor no negatives while w_minus > 0",
     ),
     "ablate-micro-batch-1-repulsion": (
         "ablate", ["--config", "{config}", "--axis", "att_rep_ratio", "--grid", "1:0,1:1",
@@ -962,7 +975,10 @@ BAD_RUN_FLAGS = {
 def test_cli_bad_run_flag_is_a_usage_error_before_any_work(cli_env, capsys, monkeypatch, case):
     tmp_path, source_path, config_path, ckpt_path = cli_env
     command, flags, line = BAD_RUN_FLAGS[case]
-    files = dict(init=ckpt_path, config=config_path)
+    files = dict(init=ckpt_path, config=config_path, micro_batch_1=tmp_path / "micro1.json")
+    files["micro_batch_1"].write_text(
+        json.dumps(train_config_to_dict(tiny_train_config(micro_batch=1))), encoding="utf-8"
+    )
     default = ", ".join(f"{k}={v}" for k, v in vars(ModelConfig()).items())
     sampled = _counting(monkeypatch, "sample_batch")
     trained = _counting(monkeypatch, "train_run")
@@ -971,10 +987,12 @@ def test_cli_bad_run_flag_is_a_usage_error_before_any_work(cli_env, capsys, monk
     argv = [command, "--init", str(ckpt_path), "--out", str(out)]
     if command != "sample":
         argv += ["--source", str(source_path)]
-    assert cli(argv + [flag.format(**files) for flag in flags]) == 2
+    argv += [flag.format(**files) for flag in flags]
+    assert cli(argv) == 2
     errors = _error_lines(capsys.readouterr().err, command)
     want = line.format(init=ckpt_path, default=default)
     assert len(errors) == 1 and errors[0].startswith(f"driftlm {command}: error: {want}"), errors
+    assert _flags_named(errors[0]) <= set(argv)
     assert sampled == [] and trained == [] and not any(out.iterdir())
 
 

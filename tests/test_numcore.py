@@ -11,13 +11,14 @@ from hypothesis.extra.numpy import arrays
 
 from driftlm.numcore import (
     InvalidInputError,
+    draw_rows,
     l2_normalize_vjp,
     softmax_rows,
     softmax_vjp_from_probs,
     tanh_vjp_from_output,
 )
 
-from conftest import OracleFailureError, finite_diff_grad, rel_err
+from conftest import ConstantDraws, OracleFailureError, finite_diff_grad, rel_err
 
 finite_rows = arrays(
     np.float64,
@@ -64,6 +65,30 @@ def test_softmax_shift_invariance(x, c):
 def test_softmax_pure_bit_identical():
     x = np.random.default_rng(3).normal(size=(4, 6))
     assert np.array_equal(softmax_rows(x), softmax_rows(x))
+
+
+# ---------------------------------------------------------------------------
+# categorical draw
+
+
+def test_draw_rows_follows_the_flattened_row_order():
+    cdf = np.cumsum(np.random.default_rng(4).random((3, 5, 7)), axis=-1)
+    picks = draw_rows(cdf, np.random.default_rng(2))
+    flat = draw_rows(cdf.reshape(15, 7), np.random.default_rng(2))
+    assert picks.shape == (3, 5)
+    assert np.array_equal(picks.reshape(15), flat)
+
+
+@pytest.mark.parametrize("u, want", [(0.0, [0, 0, 1]), (np.nextafter(1.0, 0.0), [9, 9, 3])],
+                         ids=["smallest", "largest"])
+def test_draw_rows_never_picks_an_entry_of_probability_0(u, want):
+    # ten masses of 0.1 sum to 1 - 2**-53, at or below the largest draw below 1;
+    # the other rows end in entries of probability 0
+    rows = [[0.1] * 10, [0.1] * 10 + [0.0, 0.0], [0.0, 0.3, 0.0, 0.7, 0.0]]
+    assert np.cumsum(rows[0])[-1] <= np.nextafter(1.0, 0.0)
+    for probs, pick in zip(map(np.array, rows), want):
+        picks = draw_rows(np.cumsum(np.tile(probs, (2, 1)), axis=1), ConstantDraws(u))
+        assert picks.tolist() == [pick, pick] and probs[pick] > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ BAD_STUDY_FLAGS = {
     "--seeds 0,0": "repeated seed",
     "--seeds 0,x": "invalid literal for int()",
     "--nfe 4,x": "argument --nfe: invalid literal for int() with base 10: 'x'",
-    "--nfe 0": "masked sampling needs 1 <= nfe <= 16, the model's sequence length",
-    "--nfe 17": "masked sampling needs 1 <= nfe <= 16",
+    "--nfe 0": "eval_nfes must be >= 1, got 0",
+    "--nfe 17": "eval_nfes must be <= 16, the model's sequence length, for masked sampling",
     "--nfe 4,4": "eval_nfes must be distinct",
     "--samples 0": "eval_samples must be >= 1",
     "--base-steps 0": "steps must be >= 0 and eval_every >= 1",

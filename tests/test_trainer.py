@@ -9,6 +9,7 @@ import pytest
 
 from driftlm import trainer
 from driftlm.backbone import (
+    CorruptionKind,
     ModelConfig,
     backward_tokens,
     base_loss,
@@ -96,11 +97,19 @@ def test_config_validation():
         ("eval_samples", 0),
         ("eval_nfes", ()),
         ("queue_capacity", 0),
+        ("seed", -1),
+        ("eval_nfes", (4, 0)),
+        ("eval_nfes", (4, 17)),  # masked, past the default model's 16 positions
     ],
 )
 def test_config_rejects_empty_sizes_naming_the_field(field, value):
     with pytest.raises(InvalidInputError, match=field):
         TrainConfig(**{field: value})
+
+
+def test_config_takes_a_uniform_nfe_past_the_length():
+    # uniform sampling resamples every position at each step, so it has no upper bound
+    assert TrainConfig(eval_nfes=(17,), corruption=CorruptionKind.UNIFORM).eval_nfes == (17,)
 
 
 @pytest.mark.parametrize("objective", [None, ObjectiveKind()], ids=["base", "drift"])
