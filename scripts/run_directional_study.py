@@ -20,24 +20,12 @@ from driftlm import evalcli
 from driftlm.backbone import CorruptionKind
 from driftlm.corpus import banded_source, save_source
 from driftlm.objectives import ObjectiveKind
-from driftlm.trainer import TrainConfig, checkpoint_of
+from driftlm.trainer import checkpoint_of
 
 # summary method -> its overrides of the phase config; the base rows are
 # zero-step runs from the base checkpoint and are not saved
 PHASES = {"base": {"steps": 0}, "continuation": {}, "drift": {"objective": ObjectiveKind()}}
 RUN_TAGS = {"continuation": "cont", "drift": "drift"}  # method -> run directory tag
-
-
-def _train_config(fixed: dict, flags: dict) -> TrainConfig:
-    """``TrainConfig(**fixed)`` with each ``(flag, value)``'s fields set in turn,
-    so that a failed check names its flag."""
-    config = TrainConfig(**fixed)
-    for (flag, value), fields in flags.items():
-        try:
-            config = replace(config, **fields)
-        except ValueError as exc:
-            raise ValueError(f"{flag} {value}: {exc}") from exc
-    return config
 
 
 def main() -> None:
@@ -63,7 +51,7 @@ def main() -> None:
         seeds = evalcli.parse_seeds(args.seeds)
         plans = {}  # backbone -> (the base run's config, each method's phase config)
         for kind in kinds:
-            base_cfg = _train_config(
+            base_cfg = evalcli.flag_config(
                 dict(seed=seeds[0], corruption=kind, eval_samples=256),
                 {
                     ("--base-steps", args.base_steps): dict(
@@ -73,7 +61,7 @@ def main() -> None:
                     ("--base-batch", args.base_batch): dict(batch_size=args.base_batch),
                 },
             )
-            phase_cfg = _train_config(
+            phase_cfg = evalcli.flag_config(
                 dict(corruption=kind),
                 {
                     ("--phase-steps", args.phase_steps): dict(steps=args.phase_steps),

@@ -79,6 +79,14 @@ class DenoiserParams:
                 raise InvalidInputError(f"{name} has shape {shape}, expected [{expected}]")
         if sizes["B"] < 2:
             raise InvalidInputError(f"w1 stacks {sizes['B']} block(s), need at least two")
+        self.model  # raises unless the shapes make a valid ModelConfig
+
+    @property
+    def model(self) -> ModelConfig:
+        """The ``ModelConfig`` of these parameter shapes."""
+        return ModelConfig(vocab_size=self.vocab_size, length=self.length,
+                           embed_dim=self.embed_dim, hidden_dim=self.w1.shape[2],
+                           n_blocks=len(self.w1))
 
     @property
     def vocab_size(self) -> int:

@@ -117,9 +117,11 @@ def evaluate(
     n_samples: int = 256,
     seed: int = 0,
 ) -> EvalReport:
-    """Sample at each NFE budget and score with the exact oracle; seed-deterministic."""
-    if n_samples < 1:
-        raise InvalidInputError("n_samples must be at least 1")
+    """Sample at each NFE budget and score with the exact oracle; seed-deterministic.
+
+    The settings must pass ``TrainConfig``'s checks for the model of ``params``."""
+    TrainConfig(model=params.model, corruption=kind, eval_nfes=tuple(nfes), eval_samples=n_samples,
+                seed=seed)
     if params.vocab_size != source.vocab_size + 1:
         raise InvalidInputError(
             f"the denoiser's vocabulary of {params.vocab_size} tokens must be the source's "
@@ -397,12 +399,9 @@ def _read(flag: str, path, load_file):
 def _read_init(path, config: TrainConfig) -> Checkpoint:
     """The ``--init`` checkpoint, whose model must have the shape of ``config.model``."""
     checkpoint = _read("--init", path, load_checkpoint)
-    p = checkpoint.params
-    have = dict(vocab_size=p.vocab_size, length=p.length, embed_dim=p.embed_dim,
-                hidden_dim=p.w1.shape[2], n_blocks=len(p.w1))
-    want = dataclasses.asdict(config.model)
+    have, want = checkpoint.params.model, config.model
     if have != want:
-        have, want = (", ".join(f"{k}={v}" for k, v in m.items()) for m in (have, want))
+        have, want = (", ".join(f"{k}={v}" for k, v in vars(m).items()) for m in (have, want))
         raise UsageError(f"--init {path} holds a model of {have}, but the config's model is {want}")
     return checkpoint
 
@@ -418,34 +417,37 @@ def _check_vocabulary(path, source: MarkovSource, vocab_size: int, model: str) -
 
 
 def parse_seeds(text: str) -> tuple[int, ...]:
-    """The ``--seeds`` value ``text`` as distinct nonnegative seeds, or a usage error."""
+    """The ``--seeds`` value ``text`` as distinct ``TrainConfig`` seeds, or a usage error."""
     try:
         seeds = parse_int_list(text)
         if len(set(seeds)) < len(seeds):
             raise InvalidInputError("repeated seed")
-        if min(seeds) < 0:
-            raise InvalidInputError("need nonnegative seeds")
+        for seed in seeds:
+            TrainConfig(seed=seed)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"--seeds {text}: {exc}") from exc
     return seeds
 
 
-def check_sampling(length: int, kind: CorruptionKind, nfes, samples: int, seed: int) -> None:
-    """Usage errors for sampling flags that a checkpoint of sequence ``length`` cannot run."""
-    if len(set(nfes)) < len(nfes):
-        raise UsageError(f"--nfe {','.join(map(str, nfes))}: repeated NFE budget")
-    if samples < 1:
-        raise UsageError(f"--samples {samples}: need at least 1 sample")
-    if seed < 0:
-        raise UsageError(f"--seed {seed}: need a nonnegative seed")
-    for nfe in nfes:
-        if kind == CorruptionKind.MASKED and not 1 <= nfe <= length:
-            raise UsageError(
-                f"--nfe {nfe}: masked sampling needs 1 <= nfe <= {length}, "
-                "the checkpoint's sequence length"
-            )
-        if nfe < 1:
-            raise UsageError(f"--nfe {nfe}: need at least 1 denoising step")
+def flag_config(fixed: dict, flags: dict) -> TrainConfig:
+    """``TrainConfig(**fixed)`` with each ``(flag, value)``'s fields set in turn, so
+    that a failed check is a usage error naming its flag.  The first flag's fields
+    go into the construction, so a default they replace is never checked."""
+    config = None
+    for (flag, value), fields in flags.items():
+        try:
+            config = TrainConfig(**fixed, **fields) if config is None else replace(config, **fields)
+        except InvalidInputError as exc:
+            raise UsageError(f"{flag} {value}: {exc}") from exc
+    return config
+
+
+def _sampling_config(args, model, nfes: tuple) -> TrainConfig:
+    """``sample``'s or ``eval``'s settings on a checkpoint's ``model``."""
+    flags = {("--nfe", ",".join(map(str, nfes))): dict(eval_nfes=nfes),
+             ("--samples", args.samples): dict(eval_samples=args.samples),
+             ("--seed", args.seed): dict(seed=args.seed)}
+    return flag_config(dict(model=model, corruption=CorruptionKind(args.corruption)), flags)
 
 
 def _check_negatives(config: TrainConfig, prefix: str = "") -> None:
@@ -514,10 +516,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_sample(args) -> int:
     checkpoint = _read("--init", args.init, load_checkpoint)
-    kind = CorruptionKind(args.corruption)
-    check_sampling(checkpoint.params.length, kind, [args.nfe], args.samples, args.seed)
+    config = _sampling_config(args, checkpoint.params.model, (args.nfe,))
     rng = np.random.default_rng([args.seed, args.nfe])
-    seqs = sample_batch(checkpoint.params, kind, args.nfe, args.samples, rng)
+    seqs = sample_batch(checkpoint.params, config.corruption, args.nfe, args.samples, rng)
     _write_manifest(args, _flag_values(args))
     path = os.path.join(args.out, "samples.jsonl")
     with open(path, "w", encoding="utf-8") as fh:
@@ -531,11 +532,9 @@ def _cmd_eval(args) -> int:
     checkpoint = _read("--init", args.init, load_checkpoint)
     source = _read("--source", args.source, load_source)
     _check_vocabulary(args.source, source, checkpoint.params.vocab_size, "the --init checkpoint")
-    kind = CorruptionKind(args.corruption)
-    check_sampling(checkpoint.params.length, kind, args.nfe, args.samples, args.seed)
-    report = evaluate(
-        checkpoint.params, source, kind, nfes=args.nfe, n_samples=args.samples, seed=args.seed
-    )
+    config = _sampling_config(args, checkpoint.params.model, args.nfe)
+    report = evaluate(checkpoint.params, source, config.corruption, config.eval_nfes,
+                      config.eval_samples, config.seed)
     _write_manifest(args, _flag_values(args))
     dump(report, os.path.join(args.out, "report.json"))
     for item in report.per_nfe:

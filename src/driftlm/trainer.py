@@ -93,6 +93,8 @@ class TrainConfig:
         if len(set(self.eval_nfes)) != len(self.eval_nfes):
             raise InvalidInputError("eval_nfes must be distinct")
         for nfe in self.eval_nfes:
+            if not isinstance(nfe, (int, np.integer)) or isinstance(nfe, bool):
+                raise InvalidInputError(f"eval_nfes must hold integers, got {nfe!r}")
             if nfe < 1:
                 raise InvalidInputError(f"eval_nfes must be >= 1, got {nfe}")
             if self.corruption == CorruptionKind.MASKED and nfe > self.model.length:

@@ -166,6 +166,11 @@ def test_model_config_rejects_a_width_below_1_naming_it(name, value):
     ModelConfig(**{name: 1})
 
 
+@pytest.mark.parametrize("model", [SMALL_MODEL, DESK_MODEL], ids=["small", "default"])
+def test_params_model_is_the_config_they_were_made_from(model):
+    assert init_params(model, np.random.default_rng(0)).model == model
+
+
 def test_zero_params_give_uniform_predictions():
     cfg = SMALL_MODEL
     zeros = init_params(cfg, np.random.default_rng(0), init_std=0.0)

@@ -166,6 +166,27 @@ def test_report_dict_shape(small_params):
     assert doc["per_nfe"][0]["gen_ppl"] >= 1.0
 
 
+# evaluate()'s settings that TrainConfig refuses, and the field the error names
+BAD_EVALUATE_SETTINGS = {
+    "repeated-nfe": (dict(nfes=(4, 4)), r"^eval_nfes must be distinct$"),
+    "no-nfe": (dict(nfes=()), r"^eval_nfes must name at least one"),
+    "non-integer-nfe": (dict(nfes=(4.5,)), r"^eval_nfes must hold integers, got 4.5$"),
+    "nfe-past-length": (dict(nfes=(6,)), r"^eval_nfes must be <= 5, the model's sequence length"),
+    "no-samples": (dict(n_samples=0), r"^eval_samples must be >= 1, got 0$"),
+    "negative-seed": (dict(seed=-1), r"^seed must be >= 0, got -1$"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_EVALUATE_SETTINGS))
+def test_evaluate_refuses_bad_settings_naming_the_field(small_params, monkeypatch, case):
+    settings, message = BAD_EVALUATE_SETTINGS[case]
+    source = banded_source(vocab_size=6, band=(0.6, 0.4))
+    sampled = _counting(monkeypatch, "sample_batch")
+    with pytest.raises(InvalidInputError, match=message):
+        evaluate(small_params, source, CorruptionKind.MASKED, **{"nfes": (2,), **settings})
+    assert sampled == []
+
+
 @pytest.mark.parametrize("source_vocab", [40, 20], ids=["source-larger", "source-smaller"])
 def test_vocabulary_mismatch_names_both_sizes(tmp_path, capsys, source_vocab):
     # the default model has 32 tokens: 31 source tokens and the mask
@@ -656,12 +677,19 @@ def _keep_one_block(doc: dict) -> None:
             part[name] = part[name][:1]
 
 
+def _keep_one_token(doc: dict) -> None:
+    for part in (doc["params"], doc["adam_m"], doc["adam_v"]):
+        part["embed"] = part["embed"][:1]
+        part["out_proj"] = [row[:1] for row in part["out_proj"]]
+
+
 # a checkpoint edit whose moments still match its parameters, and the field
 # the error must name
 BAD_SHAPES = {
     "narrow-pos-embed": (_cut_pos_embed, r"pos_embed has shape \(6, 4\), expected \[L=6, d=8\]"),
     "narrow-w2": (_cut_w2, r"w2 has shape \(2, 12, 4\), expected \[B=2, h=12, d=8\]"),
     "one-block": (_keep_one_block, r"w1 stacks 1 block\(s\), need at least two"),
+    "one-token": (_keep_one_token, r"vocab_size >= 2 and length >= 1 required"),
 }
 
 
@@ -873,24 +901,34 @@ def test_cli_ablate_bad_grid_is_a_usage_error(cli_env, capsys, monkeypatch, axis
 BAD_RUN_FLAGS = {
     "sample-nfe-past-length": (
         "sample", ["--nfe", "7"],
-        "--nfe 7: masked sampling needs 1 <= nfe <= 6, the checkpoint's sequence length",
+        "--nfe 7: eval_nfes must be <= 6, the model's sequence length, for masked sampling, "
+        "got 7",
     ),
-    "sample-nfe-0": ("sample", ["--nfe", "0"], "--nfe 0: masked sampling needs 1 <= nfe <= 6"),
+    "sample-nfe-0": ("sample", ["--nfe", "0"], "--nfe 0: eval_nfes must be >= 1, got 0"),
     "sample-uniform-nfe-0": (
-        "sample", ["--corruption", "uniform", "--nfe", "0"],
-        "--nfe 0: need at least 1 denoising step",
+        "sample", ["--corruption", "uniform", "--nfe", "0"], "--nfe 0: eval_nfes must be >= 1",
     ),
-    "sample-no-samples": ("sample", ["--samples", "0"], "--samples 0: need at least 1 sample"),
+    # the tiny checkpoint has 6 positions, fewer than the default --nfe of
+    # sample (16) and eval (4,8,16), so these rows pass a --nfe that fits
+    "sample-no-samples": (
+        "sample", ["--nfe", "4", "--samples", "0"], "--samples 0: eval_samples must be >= 1, got 0",
+    ),
     "eval-second-nfe-past-length": (
-        "eval", ["--nfe", "2,7"], "--nfe 7: masked sampling needs 1 <= nfe <= 6",
+        "eval", ["--nfe", "2,7"], "--nfe 2,7: eval_nfes must be <= 6, the model's sequence length",
     ),
-    "eval-no-samples": ("eval", ["--samples", "0"], "--samples 0: need at least 1 sample"),
-    "eval-repeated-nfe": ("eval", ["--nfe", "3,2,3"], "--nfe 3,2,3: repeated NFE budget"),
+    "eval-no-samples": (
+        "eval", ["--nfe", "4", "--samples", "0"], "--samples 0: eval_samples must be >= 1, got 0",
+    ),
+    "eval-repeated-nfe": ("eval", ["--nfe", "3,2,3"], "--nfe 3,2,3: eval_nfes must be distinct"),
     "eval-bad-nfe-item": (
         "eval", ["--nfe", "4,x"], "argument --nfe: invalid literal for int() with base 10: 'x'",
     ),
-    "sample-negative-seed": ("sample", ["--seed", "-1"], "--seed -1: need a nonnegative seed"),
-    "eval-negative-seed": ("eval", ["--seed", "-1"], "--seed -1: need a nonnegative seed"),
+    "sample-negative-seed": (
+        "sample", ["--nfe", "4", "--seed", "-1"], "--seed -1: seed must be >= 0, got -1",
+    ),
+    "eval-negative-seed": (
+        "eval", ["--nfe", "4", "--seed", "-1"], "--seed -1: seed must be >= 0, got -1",
+    ),
     "drift-train-init-shape": (
         "drift-train", [],
         "--init {init} holds a model of vocab_size=8, length=6, embed_dim=8, hidden_dim=12, "
@@ -910,7 +948,7 @@ BAD_RUN_FLAGS = {
     ),
     "ablate-negative-seed": (
         "ablate", ["--config", "{config}", "--axis", "lift", "--grid", "soft", "--seeds", "0,-1"],
-        "--seeds 0,-1: need nonnegative seeds",
+        "--seeds 0,-1: seed must be >= 0, got -1",
     ),
     "ablate-nfe-0": (
         "ablate", ["--config", "{config}", "--axis", "lift", "--grid", "soft", "--nfe", "0"],

@@ -107,6 +107,13 @@ def test_config_rejects_empty_sizes_naming_the_field(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("nfes", [(4.5,), (4, 8.0), (True,)], ids=["4.5", "8.0", "bool"])
+def test_config_rejects_a_non_integer_nfe(nfes):
+    with pytest.raises(InvalidInputError, match=r"^eval_nfes must hold integers, got "):
+        TrainConfig(eval_nfes=nfes)
+    assert TrainConfig(eval_nfes=(np.int64(4), 8)).eval_nfes == (4, 8)
+
+
 def test_config_takes_a_uniform_nfe_past_the_length():
     # uniform sampling resamples every position at each step, so it has no upper bound
     assert TrainConfig(eval_nfes=(17,), corruption=CorruptionKind.UNIFORM).eval_nfes == (17,)
