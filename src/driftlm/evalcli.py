@@ -120,7 +120,8 @@ def evaluate(
     """Sample at each NFE budget and score with the exact oracle; seed-deterministic.
 
     The settings must pass ``TrainConfig``'s checks for the model of ``params``."""
-    TrainConfig(model=params.model, corruption=kind, eval_nfes=tuple(nfes), eval_samples=n_samples,
+    nfes = tuple(nfes)
+    TrainConfig(model=params.model, corruption=kind, eval_nfes=nfes, eval_samples=n_samples,
                 seed=seed)
     if params.vocab_size != source.vocab_size + 1:
         raise InvalidInputError(
@@ -430,24 +431,25 @@ def parse_seeds(text: str) -> tuple[int, ...]:
 
 
 def flag_config(fixed: dict, flags: dict) -> TrainConfig:
-    """``TrainConfig(**fixed)`` with each ``(flag, value)``'s fields set in turn, so
-    that a failed check is a usage error naming its flag.  The first flag's fields
-    go into the construction, so a default they replace is never checked."""
-    config = None
+    """``TrainConfig(**fixed)`` with each ``(flag, value)``'s fields set in turn,
+    so that a failed check is a usage error naming its flag."""
+    config = TrainConfig(**fixed)
     for (flag, value), fields in flags.items():
         try:
-            config = TrainConfig(**fixed, **fields) if config is None else replace(config, **fields)
-        except InvalidInputError as exc:
+            config = replace(config, **fields)
+        except ValueError as exc:
             raise UsageError(f"{flag} {value}: {exc}") from exc
     return config
 
 
 def _sampling_config(args, model, nfes: tuple) -> TrainConfig:
-    """``sample``'s or ``eval``'s settings on a checkpoint's ``model``."""
-    flags = {("--nfe", ",".join(map(str, nfes))): dict(eval_nfes=nfes),
-             ("--samples", args.samples): dict(eval_samples=args.samples),
-             ("--seed", args.seed): dict(seed=args.seed)}
-    return flag_config(dict(model=model, corruption=CorruptionKind(args.corruption)), flags)
+    """``sample``'s or ``eval``'s settings on a checkpoint's ``model``; the
+    placeholder NFE of 1 fits any model, so only the flags' values can fail."""
+    flags = {("--samples", args.samples): dict(eval_samples=args.samples),
+             ("--seed", args.seed): dict(seed=args.seed),
+             ("--nfe", ",".join(map(str, nfes))): dict(eval_nfes=nfes)}
+    fixed = dict(model=model, corruption=CorruptionKind(args.corruption), eval_nfes=(1,))
+    return flag_config(fixed, flags)
 
 
 def _check_negatives(config: TrainConfig, prefix: str = "") -> None:

@@ -155,6 +155,10 @@ def test_evaluate_deterministic(small_params):
     a = evaluate(small_params, source, CorruptionKind.MASKED, nfes=(2, 4), n_samples=12, seed=9)
     b = evaluate(small_params, source, CorruptionKind.MASKED, nfes=(2, 4), n_samples=12, seed=9)
     assert a == b
+    # a one-shot iterable is read once, for the checks and the scores alike
+    c = evaluate(small_params, source, CorruptionKind.MASKED, nfes=iter((2, 4)), n_samples=12,
+                 seed=9)
+    assert c == a
 
 
 def test_report_dict_shape(small_params):
@@ -908,27 +912,21 @@ BAD_RUN_FLAGS = {
     "sample-uniform-nfe-0": (
         "sample", ["--corruption", "uniform", "--nfe", "0"], "--nfe 0: eval_nfes must be >= 1",
     ),
-    # the tiny checkpoint has 6 positions, fewer than the default --nfe of
-    # sample (16) and eval (4,8,16), so these rows pass a --nfe that fits
     "sample-no-samples": (
-        "sample", ["--nfe", "4", "--samples", "0"], "--samples 0: eval_samples must be >= 1, got 0",
+        "sample", ["--samples", "0"], "--samples 0: eval_samples must be >= 1, got 0",
     ),
     "eval-second-nfe-past-length": (
         "eval", ["--nfe", "2,7"], "--nfe 2,7: eval_nfes must be <= 6, the model's sequence length",
     ),
     "eval-no-samples": (
-        "eval", ["--nfe", "4", "--samples", "0"], "--samples 0: eval_samples must be >= 1, got 0",
+        "eval", ["--samples", "0"], "--samples 0: eval_samples must be >= 1, got 0",
     ),
     "eval-repeated-nfe": ("eval", ["--nfe", "3,2,3"], "--nfe 3,2,3: eval_nfes must be distinct"),
     "eval-bad-nfe-item": (
         "eval", ["--nfe", "4,x"], "argument --nfe: invalid literal for int() with base 10: 'x'",
     ),
-    "sample-negative-seed": (
-        "sample", ["--nfe", "4", "--seed", "-1"], "--seed -1: seed must be >= 0, got -1",
-    ),
-    "eval-negative-seed": (
-        "eval", ["--nfe", "4", "--seed", "-1"], "--seed -1: seed must be >= 0, got -1",
-    ),
+    "sample-negative-seed": ("sample", ["--seed", "-1"], "--seed -1: seed must be >= 0, got -1"),
+    "eval-negative-seed": ("eval", ["--seed", "-1"], "--seed -1: seed must be >= 0, got -1"),
     "drift-train-init-shape": (
         "drift-train", [],
         "--init {init} holds a model of vocab_size=8, length=6, embed_dim=8, hidden_dim=12, "
