@@ -38,11 +38,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.vocab_size < 2 or self.length < 1:
             raise InvalidInputError("vocab_size >= 2 and length >= 1 required")
-        for name in ("embed_dim", "hidden_dim"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n_blocks < 2:
-            raise InvalidInputError("need at least two blocks for penultimate/final pooling")
+        # two blocks at least: the encoder pools the penultimate and final ones
+        for name, low in (("embed_dim", 1), ("hidden_dim", 1), ("n_blocks", 2)):
+            if getattr(self, name) < low:
+                raise InvalidInputError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     @property
     def mask_index(self) -> int:

@@ -275,6 +275,12 @@ ABLATION_AXES = {
     "att_rep_ratio": _ratio_overrides,
     "temperature_set": lambda v: {"drift.temperatures": [float(t) for t in v.split("/")]},
 }
+# the paper's ablation tables: an axis's --grid when the command gives none
+DEFAULT_GRIDS = {
+    "lift": "soft,hard-st",
+    "att_rep_ratio": "1:1,1:0,2:1,0:1,1:2",
+    "queue_size": "4,64,256",
+}
 
 
 ABLATION_HEADER = [
@@ -545,11 +551,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    if args.grid is None and args.axis not in DEFAULT_GRIDS:
+        raise UsageError(f"--axis {args.axis} has no default grid; give its values with --grid")
     config = _resolve_train_config(args, drift_phase=True)
     source = _read("--source", args.source, load_source)
     checkpoint = _read_init(args.init, config)
     _check_vocabulary(args.source, source, config.model.vocab_size, "the config's model")
-    grid = args.grid.split(",")
+    grid = (DEFAULT_GRIDS[args.axis] if args.grid is None else args.grid).split(",")
     configs = {}  # grid value -> its config, each resolved before anything is written
     for value in grid:
         try:
@@ -619,7 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="sweep one design axis over seeds", allow_abbrev=False)
     _add_train_flags(p, drift_phase=True, seed_flag=False)
     p.add_argument("--axis", required=True, choices=ABLATION_AXES)
-    p.add_argument("--grid", required=True, help="comma-separated axis values")
+    defaults = "; ".join(f"{axis} {grid}" for axis, grid in DEFAULT_GRIDS.items())
+    p.add_argument("--grid", default=None,
+                   help=f"comma-separated axis values (default: {defaults})")
     p.add_argument("--seeds", default="0,1,2")
     return parser
 

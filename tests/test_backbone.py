@@ -154,16 +154,26 @@ def test_corrupt_rejects_mask_in_clean():
         corrupt(np.array([[0, 31]]), _one(0.5), CorruptionKind.MASKED, np.random.default_rng(0), 32)
 
 
+def test_corrupt_rejects_a_level_array_of_another_length(rng):
+    clean = rng.integers(0, 31, size=(3, 16))
+    with pytest.raises(InvalidInputError, match="one level per row"):
+        corrupt(clean, np.full(2, 0.5), CorruptionKind.MASKED, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # denoiser forward
 
 
-@pytest.mark.parametrize("name", ["embed_dim", "hidden_dim"])
-@pytest.mark.parametrize("value", [0, -1])
-def test_model_config_rejects_a_width_below_1_naming_it(name, value):
-    with pytest.raises(InvalidInputError, match=f"^{name} must be >= 1, got {value}$"):
+@pytest.mark.parametrize(
+    "name, value, low",
+    [pytest.param(name, value, 1, id=f"{value}-{name}")
+     for value in (0, -1) for name in ("embed_dim", "hidden_dim")]
+    + [pytest.param("n_blocks", 1, 2, id="1-n_blocks")],
+)
+def test_model_config_rejects_a_width_below_1_naming_it(name, value, low):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be >= {low}, got {value}$"):
         ModelConfig(**{name: value})
-    ModelConfig(**{name: 1})
+    ModelConfig(**{name: low})
 
 
 @pytest.mark.parametrize("model", [SMALL_MODEL, DESK_MODEL], ids=["small", "default"])
@@ -323,19 +333,26 @@ def test_backward_refuses_a_forward_only_cache(small_params, with_at, rng):
         backward_tokens(small_params, cache, logits)
 
 
+TOKENS = np.zeros((3, SMALL_MODEL.length), dtype=np.int64)
+
+
 @pytest.mark.parametrize(
-    "at, match",
+    "tokens, at, match",
     [
-        (np.zeros((2, 1), dtype=np.int64), r"at must be .*shape \[3, k\]"),
-        (np.zeros(3, dtype=np.int64), r"at must be .*shape \[3, k\]"),
-        (np.zeros((3, 1)), r"at must be integer"),
-        (np.full((3, 1), SMALL_MODEL.length), r"at holds a column outside"),
-        (np.full((3, 1), -1), r"at holds a column outside"),
+        (TOKENS, np.zeros((2, 1), dtype=np.int64), r"at must be .*shape \[3, k\]"),
+        (TOKENS, np.zeros(3, dtype=np.int64), r"at must be .*shape \[3, k\]"),
+        (TOKENS, np.zeros((3, 1)), r"at must be integer"),
+        (TOKENS, np.full((3, 1), SMALL_MODEL.length), r"at holds a column outside"),
+        (TOKENS, np.full((3, 1), -1), r"at holds a column outside"),
+        (TOKENS[:, 1:], None, rf"tokens must have shape \[N, {SMALL_MODEL.length}\]"),
+        (TOKENS[0], None, rf"tokens must have shape \[N, {SMALL_MODEL.length}\]"),
+        (TOKENS + SMALL_MODEL.vocab_size, None, "token index outside the model vocabulary"),
+        (TOKENS - 1, None, "token index outside the model vocabulary"),
     ],
-    ids=["rows", "ndim", "float", "past-end", "negative"],
+    ids=["rows", "ndim", "float", "past-end", "negative", "tokens-length", "tokens-ndim",
+         "token-past-vocab", "negative-token"],
 )
-def test_forward_rejects_bad_at(small_params, at, match):
-    tokens = np.zeros((3, SMALL_MODEL.length), dtype=np.int64)
+def test_forward_rejects_bad_at(small_params, tokens, at, match):
     with pytest.raises(InvalidInputError, match=match):
         forward_tokens(small_params, tokens, at=at)
 

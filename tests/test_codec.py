@@ -286,6 +286,13 @@ def test_scalar_for_an_array_is_named():
         decode(MarkovSource, doc)
 
 
+def test_a_non_object_for_a_dict_field_is_named():
+    doc = checkpoint_doc()
+    doc["adam_m"] = [1.0]
+    with pytest.raises(InvalidInputError, match=r"^adam_m must be an object, got \[1\.0\]$"):
+        decode(Checkpoint, doc)
+
+
 def test_moments_must_match_the_parameters():
     doc = checkpoint_doc()
     doc["adam_v"]["b1"] = doc["adam_v"]["b1"][:-1]  # one block short

@@ -274,6 +274,16 @@ def test_source_file_roundtrip(tmp_path):
     assert np.array_equal(loaded.transition, src.transition)
 
 
+def test_source_and_sampler_reject_empty_sizes():
+    with pytest.raises(InvalidInputError, match="vocab_size must be positive"):
+        MarkovSource(0, np.zeros(0), np.zeros((0, 0)))
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidInputError, match="n must be at least 1"):
+        sample_sequences(uniform_source(), 0, 4, rng)
+    with pytest.raises(InvalidInputError, match="length must be at least 1"):
+        sample_sequences(uniform_source(), 4, 0, rng)
+
+
 def test_load_source_rejects_bad_row_count(tmp_path):
     path = tmp_path / "source.json"
     doc = {"vocab_size": 3, "initial": [0.5, 0.25, 0.25], "transition": [[1, 0, 0]]}

@@ -246,6 +246,24 @@ def test_empty_required_side_raises(rng):
         drift_single_temp(h, refs, np.zeros((0, 8)), 0.1)
 
 
+def test_build_references_rejects_an_empty_side(rng):
+    current, queue = unit_rows(rng, 2, 8), np.zeros((0, 8))
+    for real, gen in ((queue, current), (current, queue)):
+        with pytest.raises(InvalidInputError, match="current features must be nonempty"):
+            build_references(real, gen, queue, queue)
+
+
+def test_drift_rejects_a_pool_of_another_width_and_a_nonpositive_tau(rng):
+    h, refs = unit_rows(rng, 2, 8), unit_rows(rng, 3, 8)
+    with pytest.raises(InvalidInputError, match=r"positives must have shape \[K, 8\]"):
+        drift_multi_temp(h, refs[:, :7], refs, DriftConfig())
+    with pytest.raises(InvalidInputError, match=r"negatives must have shape \[K, 8\]"):
+        drift_multi_temp(h, refs, refs[:, :7], DriftConfig())
+    for tau in (0.0, -0.1):
+        with pytest.raises(InvalidInputError, match="tau must be positive"):
+            drift_single_temp(h, refs, refs, tau)
+
+
 def test_zero_ratio_weight_allows_empty_side(rng):
     h = rng.normal(size=(1, 8))
     refs = rng.normal(size=(3, 8))

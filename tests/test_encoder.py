@@ -226,6 +226,15 @@ def test_real_feature_deterministic_and_distinct(rng):
     assert hits >= 99
 
 
+def test_encode_rejects_bad_embeddings(small_encoder):
+    d = small_encoder.embed_dim
+    for bad in (np.zeros((2, L - 1, d)), np.zeros((L, d)), np.zeros((2, L, d + 1))):
+        with pytest.raises(InvalidInputError, match=rf"embeddings must have shape \[n, {L}, {d}\]"):
+            encode(small_encoder, bad)
+    with pytest.raises(InvalidInputError, match="encode: non-finite embeddings"):
+        encode(small_encoder, np.full((2, L, d), np.nan))
+
+
 def test_real_feature_rejects_mask(small_encoder):
     seq = np.zeros((1, L), dtype=np.int64)
     seq[0, 0] = SMALL_MODEL.mask_index

@@ -18,6 +18,8 @@ from driftlm.evalcli import (
     ABLATION_AXES,
     ABLATION_HEADER,
     METRICS,
+    EvalReport,
+    NfeMetrics,
     _resolve_train_config,
     build_parser,
     cli,
@@ -168,6 +170,13 @@ def test_report_dict_shape(small_params):
     assert set(doc) == {"per_nfe", "n_samples", "seed"}
     assert doc["per_nfe"][0]["nfe"] == 2
     assert doc["per_nfe"][0]["gen_ppl"] >= 1.0
+
+
+@pytest.mark.parametrize("gen_ppl, entropy", [(0.5, 1.0), (1.0, -0.1)], ids=["ppl", "entropy"])
+def test_report_rejects_metrics_out_of_range(gen_ppl, entropy):
+    item = NfeMetrics(nfe=4, gen_ppl=gen_ppl, entropy=entropy)
+    with pytest.raises(InvalidInputError, match="EvalReport metrics out of range"):
+        EvalReport(per_nfe=(item,), n_samples=1, seed=0)
 
 
 # evaluate()'s settings that TrainConfig refuses, and the field the error names
@@ -496,6 +505,7 @@ def test_cli_drift_train_requires_init(cli_env, capsys):
         ('{"model": {"hidden_dim": 0}}', "model: hidden_dim must be >= 1, got 0"),
         ('{"model": {"hidden_dim": -1}}', "model: hidden_dim must be >= 1, got -1"),
         ('{"model": {"embed_dim": 0}}', "model: embed_dim must be >= 1, got 0"),
+        ('{"model": {"n_blocks": 1}}', "model: n_blocks must be >= 2, got 1"),
         ('{"eval_nfes": [0]}', "eval_nfes must be >= 1, got 0"),
         ('{"eval_nfes": [4, 17]}', "eval_nfes must be <= 16, the model's sequence length"),
         ('{"seed": -1}', "seed must be >= 0, got -1"),
@@ -504,7 +514,7 @@ def test_cli_drift_train_requires_init(cli_env, capsys):
         "decoder-rejects", "truncated-json", "missing-file", "deleted-renormalize-sides",
         "deleted-adam-beta1", "deleted-adam-beta2", "deleted-adam-eps", "deleted-t-min",
         "deleted-t-max", "deleted-init-std", "deleted-drift-eps", "hidden-dim-0",
-        "hidden-dim-minus-1", "embed-dim-0", "eval-nfes-0", "eval-nfes-past-length",
+        "hidden-dim-minus-1", "embed-dim-0", "n-blocks-1", "eval-nfes-0", "eval-nfes-past-length",
         "negative-seed",
     ],
 )
@@ -795,12 +805,12 @@ def test_cli_drift_train_rerun_from_its_manifest_is_byte_identical(cli_env, caps
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
-def _ablate_argv(cli_env, out, axis: str, grid: str, seeds: str) -> list[str]:
-    """``ablate`` of the tiny config from the tiny checkpoint."""
+def _ablate_argv(cli_env, out, axis: str, grid: str | None, seeds: str) -> list[str]:
+    """``ablate`` of the tiny config from the tiny checkpoint; no ``--grid`` if ``grid`` is None."""
     _, source_path, config_path, ckpt_path = cli_env
-    return ["ablate", "--source", str(source_path), "--out", str(out), "--config",
-            str(config_path), "--init", str(ckpt_path), "--axis", axis, "--grid", grid,
-            "--seeds", seeds]
+    argv = ["ablate", "--source", str(source_path), "--out", str(out), "--config",
+            str(config_path), "--init", str(ckpt_path), "--axis", axis, "--seeds", seeds]
+    return argv if grid is None else [*argv, "--grid", grid]
 
 
 def _read_rows(path) -> list[dict]:
@@ -868,6 +878,38 @@ def test_cli_ablate_takes_no_seed_flag(cli_env, capsys, monkeypatch):
     out.mkdir()
     assert cli([*_ablate_argv(cli_env, out, "lift", "soft", "0"), "--seed", "1"]) == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert trained == [] and not any(out.iterdir())
+
+
+# the paper's ablation grids, which ablate runs for an axis given no --grid
+PAPER_GRIDS = {
+    "lift": "soft,hard-st",
+    "att_rep_ratio": "1:1,1:0,2:1,0:1,1:2",
+    "queue_size": "4,64,256",
+}
+
+
+@pytest.mark.parametrize("axis", list(PAPER_GRIDS))
+def test_cli_ablate_without_grid_runs_the_paper_grid(cli_env, capsys, axis):
+    """Run without ``--grid``, an axis writes the bytes of its explicit paper grid."""
+    default, explicit = cli_env[0] / "default", cli_env[0] / "explicit"
+    for out, grid in ((default, None), (explicit, PAPER_GRIDS[axis])):
+        assert cli([*_ablate_argv(cli_env, out, axis, grid, "0"), "--steps", "1"]) == 0
+    for name in ("ablation.csv", "manifest.json"):
+        assert (default / name).read_bytes() == (explicit / name).read_bytes(), name
+    values = list(dict.fromkeys(row["value"] for row in _read_rows(default / "ablation.csv")))
+    assert values == PAPER_GRIDS[axis].split(",")
+
+
+@pytest.mark.parametrize("axis", ["objective", "temperature_set"])
+def test_cli_ablate_axis_without_a_default_grid_needs_grid(cli_env, capsys, monkeypatch, axis):
+    trained = _counting(monkeypatch, "train_run")
+    out = cli_env[0] / "run"
+    out.mkdir()
+    assert cli(_ablate_argv(cli_env, out, axis, None, "0")) == 2
+    errors = _error_lines(capsys.readouterr().err, "ablate")
+    assert errors == [f"driftlm ablate: error: --axis {axis} has no default grid; "
+                      "give its values with --grid"]
     assert trained == [] and not any(out.iterdir())
 
 
@@ -1161,7 +1203,7 @@ CLI_SURFACE = {
             None,
             True,
         ),
-        ("--grid", None, None, True),
+        ("--grid", None, None, False),
         ("--seeds", None, "0,1,2", False),
     ],
 }

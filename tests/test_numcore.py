@@ -13,6 +13,7 @@ from driftlm.numcore import (
     InvalidInputError,
     draw_rows,
     l2_normalize_vjp,
+    log_softmax_rows,
     softmax_rows,
     softmax_vjp_from_probs,
     tanh_vjp_from_output,
@@ -48,6 +49,8 @@ def test_softmax_overflow_safe():
 def test_softmax_rejects_nonfinite():
     with pytest.raises(InvalidInputError):
         softmax_rows(np.array([[1.0, math.inf]]))
+    with pytest.raises(InvalidInputError, match="log_softmax_rows: non-finite logits"):
+        log_softmax_rows(np.array([[1.0, math.nan]]))
 
 
 @given(finite_rows)

@@ -7,7 +7,7 @@ import pytest
 
 from driftlm.backbone import CorruptionKind, base_loss, corrupt
 from driftlm.encoder import LiftKind, feature_dim, lift_and_encode, pullback_to_logits
-from driftlm.numcore import softmax_rows
+from driftlm.numcore import InvalidInputError, softmax_rows
 from driftlm.objectives import (
     ObjectiveKind,
     ObjectiveVariant,
@@ -111,6 +111,11 @@ def test_teacher_eta_zero_is_identity(rng):
     assert np.array_equal(mirror_teacher(logits, rng.normal(size=(4, 6)), 0.0), softmax_rows(logits))
 
 
+def test_teacher_rejects_a_negative_eta(rng):
+    with pytest.raises(InvalidInputError, match="eta must be nonnegative"):
+        mirror_teacher(rng.normal(size=(4, 6)), rng.normal(size=(4, 6)), -0.1)
+
+
 def test_teacher_constant_direction_is_identity(rng):
     logits = rng.normal(size=(4, 6))
     g = np.ones((4, 6)) * 2.3
@@ -203,6 +208,14 @@ def test_total_feature_l2_zero_drift_reduces_to_base(small_encoder, rng):
     for i in range(3):
         _, bg = base_loss(state.logits[i : i + 1], cleans[i : i + 1], records[i][1])
         assert np.allclose(with_base[i], bg[0], atol=1e-15)
+
+
+def test_total_rejects_drifts_of_another_shape(small_encoder, rng):
+    cleans, _, state = _batch(small_encoder, rng)
+    m = feature_dim(small_encoder)
+    for shape in ((2, m), (3, m + 1), (m,)):
+        with pytest.raises(InvalidInputError, match="drifts must match the lifted features' shape"):
+            total_objective(ObjectiveKind(), state, np.zeros(shape), cleans)
 
 
 def test_total_mirror_kl_eta_zero_is_null(small_encoder, rng):

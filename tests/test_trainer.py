@@ -75,6 +75,14 @@ def run_steps(config, source, n_steps, state=None):
     return state, metrics
 
 
+def test_train_step_rejects_a_batch_of_another_size(source):
+    config = tiny_config()
+    state = init_state(config)
+    batch = sample_sequences(source, config.batch_size + 1, config.model.length, state.rng)
+    with pytest.raises(InvalidInputError, match="clean_batch size must equal config.batch_size"):
+        train_step(state, batch, config)
+
+
 # ---------------------------------------------------------------------------
 # determinism and accumulation
 
