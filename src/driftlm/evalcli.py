@@ -56,6 +56,7 @@ from .trainer import (
     CheckpointError,
     TrainConfig,
     TrainState,
+    checkpoint_of,
     init_state,
     load_checkpoint,
     save_checkpoint,
@@ -281,6 +282,10 @@ DEFAULT_GRIDS = {
     "att_rep_ratio": "1:1,1:0,2:1,0:1,1:2",
     "queue_size": "4,64,256",
 }
+# the directional study: summary method -> its overrides of the phase config;
+# the base rows are zero-step runs from the base checkpoint and are not saved
+PHASES = {"base": {"steps": 0}, "continuation": {}, "drift": {"objective": ObjectiveKind()}}
+RUN_TAGS = {"continuation": "cont", "drift": "drift"}  # method -> run directory tag
 
 
 ABLATION_HEADER = [
@@ -588,6 +593,51 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
+def _cmd_study(args) -> int:
+    # every flag is checked before anything is written; an error names its flag
+    kinds = ([CorruptionKind.MASKED, CorruptionKind.UNIFORM] if args.corruption == "both"
+             else [CorruptionKind(args.corruption)])
+    seeds = parse_seeds(args.seeds)
+    plans = {}  # backbone -> (the base run's config, each method's phase config)
+    for kind in kinds:
+        base_cfg = flag_config(
+            dict(seed=seeds[0], corruption=kind, eval_samples=256),
+            {
+                ("--base-steps", args.base_steps): dict(
+                    steps=args.base_steps, eval_every=max(args.base_steps, 1)
+                ),
+                ("--base-lr", args.base_lr): dict(lr=args.base_lr),
+                ("--base-batch", args.base_batch): dict(batch_size=args.base_batch),
+            },
+        )
+        phase_cfg = flag_config(
+            dict(corruption=kind),
+            {
+                ("--phase-steps", args.phase_steps): dict(steps=args.phase_steps),
+                ("--phase-lr", args.phase_lr): dict(lr=args.phase_lr),
+                ("--nfe", ",".join(map(str, args.nfe))): dict(eval_nfes=args.nfe),
+                ("--samples", args.samples): dict(eval_samples=args.samples),
+            },
+        )
+        plans[kind] = base_cfg, {m: replace(phase_cfg, **f) for m, f in PHASES.items()}
+    _write_manifest(args, _flag_values(args))
+    source = banded_source()
+    save_source(source, os.path.join(args.out, "source.json"))
+    for kind, (base_cfg, phases) in plans.items():
+        print(f"[{kind.value}] base training ({args.base_steps} steps, B={args.base_batch})")
+        state, _ = train_run(base_cfg, source, out_dir=os.path.join(args.out, f"{kind.value}-base"))
+        out_dirs = {m: os.path.join(args.out, f"{kind.value}-{t}") for m, t in RUN_TAGS.items()}
+        rows = compare(phases, source, checkpoint_of(state), seeds, out_dirs)
+        table = os.path.join(args.out, f"{kind.value}-summary.csv")
+        columns = [f"{m}_nfe{n}" for m in METRICS for n in args.nfe]
+        summary = [{"method": r["variant"], **r} for r in rows]
+        write_csv(table, ["method", "seed", *columns], summary)
+        for row in seed_stats(rows, args.nfe):
+            print(f"[{kind.value}] {ablation_line(row)}")
+        print(f"[{kind.value}] wrote {table}")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driftlm",
@@ -631,6 +681,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None,
                    help=f"comma-separated axis values (default: {defaults})")
     p.add_argument("--seeds", default="0,1,2")
+
+    p = sub.add_parser("study", allow_abbrev=False,  # so --seed is not read as --seeds
+                       help="the directional study: base, continuation and drift runs per seed")
+    p.add_argument("--out", default="runs/directional")
+    p.add_argument("--corruption", choices=["masked", "uniform", "both"], default="both")
+    p.add_argument("--base-steps", type=int, default=2000)
+    p.add_argument("--phase-steps", type=int, default=2000)
+    p.add_argument("--base-lr", type=float, default=6e-3)
+    p.add_argument("--phase-lr", type=float, default=3e-6)
+    p.add_argument("--base-batch", type=int, default=512)
+    p.add_argument("--seeds", default="0,1,2")
+    p.add_argument("--nfe", type=parse_int_list, default=(4, 8, 16))
+    p.add_argument("--samples", type=int, default=2048)
     return parser
 
 
@@ -641,6 +704,7 @@ COMMANDS = {
     "sample": _cmd_sample,
     "eval": _cmd_eval,
     "ablate": _cmd_ablate,
+    "study": _cmd_study,
 }
 
 

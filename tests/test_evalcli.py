@@ -940,6 +940,60 @@ def test_cli_ablate_bad_grid_is_a_usage_error(cli_env, capsys, monkeypatch, axis
     assert calls == [] and not out.exists()
 
 
+# a study flag value that nothing may run with, and the cause after its
+# "<flags>: " prefix, or argparse's whole message where it rejects the value
+BAD_STUDY_FLAGS = {
+    "--seeds 0,0": "repeated seed",
+    "--seeds 0,x": "invalid literal for int()",
+    "--nfe 4,x": "argument --nfe: invalid literal for int() with base 10: 'x'",
+    "--nfe 0": "eval_nfes must be >= 1, got 0",
+    "--nfe 17": "eval_nfes must be <= 16, the model's sequence length, for masked sampling",
+    "--nfe 4,4": "eval_nfes must be distinct",
+    "--samples 0": "eval_samples must be >= 1",
+    "--base-steps -1": "steps must be >= 0 and eval_every >= 1",
+}
+
+
+@pytest.mark.parametrize("flags", list(BAD_STUDY_FLAGS))
+def test_study_bad_flag_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, flags):
+    trained = _counting(monkeypatch, "train_run")
+    out = tmp_path / "study"
+    out.mkdir()
+    argv = ["study", "--out", str(out), "--corruption", "masked", "--base-steps", "2",
+            "--phase-steps", "2", "--samples", "16", *flags.split()]
+    assert cli(argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1, errors
+    cause = BAD_STUDY_FLAGS[flags]
+    want = cause if cause.startswith("argument ") else f"{flags}: {cause}"
+    assert errors[0].startswith(f"driftlm study: error: {want}")
+    assert trained == [] and not any(out.iterdir())
+
+
+def _study(out, *flags: str) -> int:
+    """A toy study run: one phase step, one seed, 4 samples at NFE 1."""
+    return cli(["study", "--out", str(out), "--base-batch", "8", "--phase-steps", "1",
+                "--seeds", "0", "--samples", "4", "--nfe", "1", *flags])
+
+
+def test_cli_study_runs_both_backbones_by_default(tmp_path, capsys):
+    out = tmp_path / "study"
+    assert _study(out, "--base-steps", "1") == 0
+    for kind in ("masked", "uniform"):
+        table = out / f"{kind}-summary.csv"
+        assert table.read_text().splitlines()[0] == "method,seed,gen_ppl_nfe1,entropy_nfe1"
+        assert [row["method"] for row in _read_rows(table)] == ["base", "continuation", "drift"]
+        for run in ("base", "cont-s0", "drift-s0"):
+            assert (out / f"{kind}-{run}").is_dir()
+    assert json.loads((out / "manifest.json").read_text())["command"] == "study"
+
+
+def test_cli_study_takes_a_zero_step_base(tmp_path, capsys):
+    out = tmp_path / "study"
+    assert _study(out, "--corruption", "masked", "--base-steps", "0") == 0
+    assert [row["step"] for row in _read_rows(out / "masked-base" / "metrics.csv")] == ["0"]
+
+
 # command, its flags after --init, --out and --source, and the start of its
 # one stderr line; "{init}" and "{config}" are the tiny checkpoint and
 # config, "{micro_batch_1}" that config with micro_batch 1, and "{default}"
@@ -1205,6 +1259,19 @@ CLI_SURFACE = {
         ),
         ("--grid", None, None, False),
         ("--seeds", None, "0,1,2", False),
+    ],
+    "study": [
+        ("-h/--help", None, "==SUPPRESS==", False),
+        ("--out", None, "runs/directional", False),
+        ("--corruption", ["masked", "uniform", "both"], "both", False),
+        ("--base-steps", None, 2000, False),
+        ("--phase-steps", None, 2000, False),
+        ("--base-lr", None, 6e-3, False),
+        ("--phase-lr", None, 3e-6, False),
+        ("--base-batch", None, 512, False),
+        ("--seeds", None, "0,1,2", False),
+        ("--nfe", None, (4, 8, 16), False),
+        ("--samples", None, 2048, False),
     ],
 }
 
