@@ -114,9 +114,9 @@ def evaluate(
     params: DenoiserParams,
     source: MarkovSource,
     kind: CorruptionKind,
-    nfes=(4, 8, 16),
-    n_samples: int = 256,
-    seed: int = 0,
+    nfes=TrainConfig.eval_nfes,
+    n_samples: int = TrainConfig.eval_samples,
+    seed: int = TrainConfig.seed,
 ) -> EvalReport:
     """Sample at each NFE budget and score with the exact oracle; seed-deterministic.
 
@@ -660,17 +660,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--nfe", type=int, default=16)
-    p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=TrainConfig.eval_samples)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--corruption", choices=[k.value for k in CorruptionKind], default="masked")
 
     p = sub.add_parser("eval", help="oracle Gen.-PPL and entropy at fixed NFE budgets")
     p.add_argument("--init", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--nfe", type=parse_int_list, default=(4, 8, 16))
-    p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nfe", type=parse_int_list, default=TrainConfig.eval_nfes)
+    p.add_argument("--samples", type=int, default=TrainConfig.eval_samples)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--corruption", choices=[k.value for k in CorruptionKind], default="masked")
 
     # each run takes a --seeds value; without abbreviations --seed is not read as --seeds

@@ -303,12 +303,11 @@ def test_tabled_forward_equals_the_computed_forward(model, n, rng):
     assert all(np.array_equal(table, k) for table, k in zip(tables, kept))
 
 
-@pytest.mark.parametrize("n", [65, 70])
+@pytest.mark.parametrize("n", [2 * backbone.SAMPLER_CHUNK + 1, 2 * backbone.SAMPLER_CHUNK + 6])
 @pytest.mark.parametrize("k", [1, 2, "L"])
 def test_forward_only_slices_equal_the_computed_forward(n, k, rng):
-    # the rows run as SAMPLER_CHUNK-row slices: 32 + 33 (a one-row remainder
-    # joins the slice before it) and 32 + 32 + 6, each written into one array
-    assert 2 * backbone.SAMPLER_CHUNK < n < 3 * backbone.SAMPLER_CHUNK
+    # the rows run as SAMPLER_CHUNK-row slices: two, the one-row remainder
+    # joining the second, and three, the last of 6 rows; each written into one array
     k = DESK_MODEL.length if k == "L" else k
     params = _params_for(DESK_MODEL)
     tables = token_tables(params)
@@ -509,23 +508,50 @@ def test_sampler_rejects_bad_n(small_params, kind, n):
 
 
 @pytest.mark.parametrize(
-    "kind, want",
+    "kind, model, chunk, n, nfes, want",
     [
         # the all-mask forward, then groups of 2 * 5 // commit rows: step 0
         # (commit 2) draws from that forward, step 1 (commit 2) takes groups
         # of 5 rows and step 2 (commit 1) one group of 10
-        (CorruptionKind.MASKED, [(1, None), (5, 2), (4, 2), (9, 1)]),
+        (CorruptionKind.MASKED, SMALL_MODEL, 2, 9, (3,), [(1, None), (5, 2), (4, 2), (9, 1)]),
         # commit L every step: groups of 2 rows, the last row joining the last group
-        (CorruptionKind.UNIFORM, [(2, None), (2, None), (2, None), (3, None)] * 3),
+        (CorruptionKind.UNIFORM, SMALL_MODEL, 2, 9, (3,),
+         [(2, None), (2, None), (2, None), (3, None)] * 3),
+        # the benchmark's eval calls (2048 rows, NFE 4, 8 and 16) at the module's
+        # slice: per budget one all-mask row, then 16, 8 and 4 groups per step,
+        # 167 calls in all; uniform, 64 groups of 32 rows per step, 1,792 calls
+        (CorruptionKind.MASKED, DESK_MODEL, None, 2048, (4, 8, 16),
+         [(1, None), *[(128, 4)] * 16 * 3, (1, None), *[(256, 2)] * 8 * 7,
+          (1, None), *[(512, 1)] * 4 * 15]),
+        (CorruptionKind.UNIFORM, DESK_MODEL, None, 2048, (4, 8, 16), [(32, None)] * 64 * 28),
     ],
-    ids=["masked", "uniform"],
+    ids=["masked", "uniform", "masked-eval-size", "uniform-eval-size"],
 )
-def test_sampler_makes_one_forward_per_group_per_step(small_params, kind, want, monkeypatch):
-    monkeypatch.setattr(backbone, "SAMPLER_CHUNK", 2)
-    calls = count_forwards(monkeypatch)
-    sample_batch(small_params, kind, 3, 9, np.random.default_rng(3))
-    got = [(tokens.shape[0], None if at is None else at.shape[1]) for tokens, at in calls]
-    assert got == want
+def test_sampler_makes_one_forward_per_group_per_step(kind, model, chunk, n, nfes, want,
+                                                      monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(backbone, "SAMPLER_CHUNK", chunk)
+    calls, drawn = [], []
+
+    def zero_logits(params, tokens, at=None, tables=None):
+        calls.append((tokens.shape[0], None if at is None else at.shape[1]))
+        return np.zeros((*(tokens.shape if at is None else at.shape), params.vocab_size)), None
+
+    draw_rows = backbone.numcore.draw_rows
+
+    def recording(cdf, rng):
+        drawn.append(cdf.nbytes)
+        return draw_rows(cdf, rng)
+
+    monkeypatch.setattr(backbone, "forward_tokens", zero_logits)
+    monkeypatch.setattr(backbone.numcore, "draw_rows", recording)
+    params = _params_for(model)
+    for nfe in nfes:
+        sample_batch(params, kind, nfe, n, np.random.default_rng(3))
+    assert calls == want
+    # each group's probabilities stay within 128 KB (at the eval size, each is
+    # 512 positions x 31 tokens x 8 B = 126,976 B)
+    assert max(drawn) <= 128 * 1024
 
 
 @pytest.mark.parametrize(

@@ -829,7 +829,7 @@ def test_cli_ablate_writes_table(cli_env, capsys):
     ]
     assert all(float(r[f"{m}_sd"]) == 0.0 and r["n_seeds"] == "1" for r in rows for m in METRICS)
     # an unknown axis is argparse's usage error
-    assert cli(_ablate_argv(cli_env, cli_env[0] / "nope", "nope", "1", "0")) == 2
+    assert cli(_ablate_argv(cli_env, cli_env[0] / "nope", "bogus", None, "0")) == 2
     assert not (cli_env[0] / "nope").exists()
 
 
@@ -870,6 +870,19 @@ def test_cli_ablate_manifest_names_only_the_seeds_that_ran(cli_env, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seeds"] == [0, 1] and "seed" not in manifest["config"]
     assert manifest["config"]["queue_capacity"] == tiny_train_config().queue_capacity
+
+
+def test_cli_drift_train_takes_no_alpha_flag(cli_env, capsys, monkeypatch):
+    # the deleted objective alpha, which a config names in a BAD_RUN_FLAGS case
+    tmp_path, source_path, _, ckpt_path = cli_env
+    trained = _counting(monkeypatch, "train_run")
+    out = tmp_path / "run"
+    out.mkdir()
+    argv = ["drift-train", "--init", str(ckpt_path), "--alpha", "2", "--source", str(source_path),
+            "--out", str(out), "--steps", "1"]
+    assert cli(argv) == 2
+    assert "unrecognized arguments: --alpha 2" in capsys.readouterr().err
+    assert trained == [] and not any(out.iterdir())
 
 
 def test_cli_ablate_takes_no_seed_flag(cli_env, capsys, monkeypatch):
@@ -971,9 +984,9 @@ def test_study_bad_flag_is_a_usage_error_before_any_work(tmp_path, capsys, monke
 
 
 def _study(out, *flags: str) -> int:
-    """A toy study run: one phase step, one seed, 4 samples at NFE 1."""
+    """A toy study run: one phase step, one seed, 4 samples at NFE 4."""
     return cli(["study", "--out", str(out), "--base-batch", "8", "--phase-steps", "1",
-                "--seeds", "0", "--samples", "4", "--nfe", "1", *flags])
+                "--seeds", "0", "--samples", "4", "--nfe", "4", *flags])
 
 
 def test_cli_study_runs_both_backbones_by_default(tmp_path, capsys):
@@ -981,10 +994,15 @@ def test_cli_study_runs_both_backbones_by_default(tmp_path, capsys):
     assert _study(out, "--base-steps", "1") == 0
     for kind in ("masked", "uniform"):
         table = out / f"{kind}-summary.csv"
-        assert table.read_text().splitlines()[0] == "method,seed,gen_ppl_nfe1,entropy_nfe1"
+        assert table.read_text().splitlines()[0] == "method,seed,gen_ppl_nfe4,entropy_nfe4"
         assert [row["method"] for row in _read_rows(table)] == ["base", "continuation", "drift"]
         for run in ("base", "cont-s0", "drift-s0"):
             assert (out / f"{kind}-{run}").is_dir()
+        # a phase run evaluates its final model once, at the study's plan
+        assert (out / f"{kind}-cont-s0" / "metrics.csv").read_text().splitlines()[0] == (
+            "step,loss,drift_norm,grad_norm,gen_ppl_nfe4,entropy_nfe4"
+        )
+        assert len(_read_rows(out / f"{kind}-cont-s0" / "metrics.csv")) == 1
     assert json.loads((out / "manifest.json").read_text())["command"] == "study"
 
 
@@ -996,8 +1014,9 @@ def test_cli_study_takes_a_zero_step_base(tmp_path, capsys):
 
 # command, its flags after --init, --out and --source, and the start of its
 # one stderr line; "{init}" and "{config}" are the tiny checkpoint and
-# config, "{micro_batch_1}" that config with micro_batch 1, and "{default}"
-# the default config's model, which "{init}" does not fit
+# config, "{micro_batch_1}" that config with micro_batch 1, "{alpha}" a config
+# that sets the deleted objective alpha, and "{default}" the default config's
+# model, which "{init}" does not fit
 BAD_RUN_FLAGS = {
     "sample-nfe-past-length": (
         "sample", ["--nfe", "7"],
@@ -1018,6 +1037,9 @@ BAD_RUN_FLAGS = {
         "eval", ["--samples", "0"], "--samples 0: eval_samples must be >= 1, got 0",
     ),
     "eval-repeated-nfe": ("eval", ["--nfe", "3,2,3"], "--nfe 3,2,3: eval_nfes must be distinct"),
+    "eval-repeated-adjacent-nfe": (
+        "eval", ["--nfe", "4,4"], "--nfe 4,4: eval_nfes must be distinct",
+    ),
     "eval-bad-nfe-item": (
         "eval", ["--nfe", "4,x"], "argument --nfe: invalid literal for int() with base 10: 'x'",
     ),
@@ -1081,6 +1103,15 @@ BAD_RUN_FLAGS = {
         "drift-train", ["--config", "{config}", "--temperatures", "0.1,nan"],
         "drift: temperatures must be a nonempty list of positive reals",
     ),
+    # the deleted mirror-mse variant and objective alpha
+    "drift-train-deleted-mirror-mse": (
+        "drift-train", ["--objective", "mirror-mse"],
+        "argument --objective: invalid choice: 'mirror-mse'",
+    ),
+    "drift-train-deleted-alpha": (
+        "drift-train", ["--config", "{alpha}"],
+        "--config {alpha}: unknown objective keys: ['objective.alpha']",
+    ),
     "drift-train-nan-eta": (
         "drift-train", ["--config", "{config}", "--objective", "mirror-kl", "--eta", "nan"],
         "objective: eta must be nonnegative and finite",
@@ -1107,10 +1138,12 @@ BAD_RUN_FLAGS = {
 def test_cli_bad_run_flag_is_a_usage_error_before_any_work(cli_env, capsys, monkeypatch, case):
     tmp_path, source_path, config_path, ckpt_path = cli_env
     command, flags, line = BAD_RUN_FLAGS[case]
-    files = dict(init=ckpt_path, config=config_path, micro_batch_1=tmp_path / "micro1.json")
+    files = dict(init=ckpt_path, config=config_path, micro_batch_1=tmp_path / "micro1.json",
+                 alpha=tmp_path / "alpha.json")
     files["micro_batch_1"].write_text(
         json.dumps(train_config_to_dict(tiny_train_config(micro_batch=1))), encoding="utf-8"
     )
+    files["alpha"].write_text('{"objective": {"alpha": 2.0}}', encoding="utf-8")
     default = ", ".join(f"{k}={v}" for k, v in vars(ModelConfig()).items())
     sampled = _counting(monkeypatch, "sample_batch")
     trained = _counting(monkeypatch, "train_run")
@@ -1122,7 +1155,7 @@ def test_cli_bad_run_flag_is_a_usage_error_before_any_work(cli_env, capsys, monk
     argv += [flag.format(**files) for flag in flags]
     assert cli(argv) == 2
     errors = _error_lines(capsys.readouterr().err, command)
-    want = line.format(init=ckpt_path, default=default)
+    want = line.format(**files, default=default)
     assert len(errors) == 1 and errors[0].startswith(f"driftlm {command}: error: {want}"), errors
     assert _flags_named(errors[0]) <= set(argv)
     assert sampled == [] and trained == [] and not any(out.iterdir())
