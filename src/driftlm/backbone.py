@@ -140,7 +140,7 @@ def corrupt(
     levels: Array,
     kind: CorruptionKind,
     rng: np.random.Generator,
-    vocab_size: int = 32,
+    vocab_size: int = ModelConfig.vocab_size,
 ) -> tuple[Array, Array]:
     """Independent per-position corruption of each row ``clean[i]`` at level ``levels[i]``.
 
@@ -149,18 +149,16 @@ def corrupt(
     masked process, every position for the uniform one.  All hit uniforms
     are drawn before any resampled token.
     """
-    seq = np.asarray(clean, dtype=np.int64)
+    mask_index = vocab_size - 1
+    seq = numcore.token_rows(clean, mask_index)
     t = np.asarray(levels, dtype=np.float64)
-    if seq.ndim != 2 or t.shape != seq.shape[:1]:
-        raise InvalidInputError("corrupt expects clean [n, L] and one level per row")
+    if t.shape != seq.shape[:1]:
+        raise InvalidInputError("corrupt expects one level per row of clean")
     bad = np.flatnonzero(~((t > 0.0) & (t < 1.0)))
     if bad.size:
         raise InvalidInputError(
             f"corruption level must lie in (0, 1), got {t[bad[0]]} in row {bad[0]}"
         )
-    mask_index = vocab_size - 1
-    if np.any(seq < 0) or np.any(seq >= mask_index):
-        raise InvalidInputError("clean sequence contains the mask symbol or bad indices")
     hits = rng.random(seq.shape) < t[:, None]
     if kind == CorruptionKind.MASKED:
         return np.where(hits, mask_index, seq), hits
@@ -281,12 +279,10 @@ def forward_tokens(
     from that row alone.  It returns ``None`` for the cache, which
     ``backward_tokens`` refuses.
     """
-    tok = np.asarray(tokens, dtype=np.int64)
+    tok = numcore.token_rows(tokens, params.vocab_size)
     length = params.length
-    if tok.ndim != 2 or tok.shape[1] != length:
+    if tok.shape[1] != length:
         raise InvalidInputError(f"tokens must have shape [N, {length}]")
-    if tok.size and (tok.min() < 0 or tok.max() >= params.vocab_size):
-        raise InvalidInputError("token index outside the model vocabulary")
     if at is not None:
         at = np.asarray(at)
         if at.ndim != 2 or at.shape[0] != tok.shape[0] or at.dtype.kind not in "iu":

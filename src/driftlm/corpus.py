@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import dump, load
-from .numcore import Array, InvalidInputError, draw_rows
+from .numcore import Array, InvalidInputError, draw_rows, token_rows
 
 _STOCHASTIC_TOL = 1e-12
 IMPOSSIBLE_FLOOR = 1e-12  # what ``oracle_gen_ppl`` scores a zero-probability factor as
@@ -90,46 +90,10 @@ def sample_sequences(source: MarkovSource, n: int, length: int, rng: np.random.G
     return out
 
 
-def token_rows(seqs, vocab_size: int | None = None) -> Array:
-    """``seqs`` as a nonempty ``[n, L]`` int64 token array, L >= 1.
-
-    Accepts an array or a sequence of equal-length 1-D rows.  Tokens must be
-    nonnegative and, when ``vocab_size`` is given, below it (so the mask
-    symbol is rejected).  Errors name the first bad row.
-    """
-    if not isinstance(seqs, np.ndarray):
-        seqs = list(seqs)
-        for i, row in enumerate(seqs):
-            if np.ndim(row) != 1 or np.size(row) != np.size(seqs[0]):
-                raise InvalidInputError(
-                    f"row {i}: expected a 1-D row of {np.size(seqs[0])} tokens, "
-                    f"got shape {np.shape(row)}"
-                )
-    s = np.asarray(seqs)
-    if s.ndim != 2 or s.shape[0] == 0:
-        raise InvalidInputError(
-            f"sequences must form a nonempty [n, L] token array, got shape {s.shape}"
-        )
-    if s.shape[1] == 0:
-        raise InvalidInputError("row 0: empty sequence")
-    if not np.issubdtype(s.dtype, np.integer):
-        raise InvalidInputError(f"token indices must be integers, got dtype {s.dtype}")
-    bad = s < 0
-    if vocab_size is not None:
-        bad |= s >= vocab_size
-    bad_rows = np.flatnonzero(bad.any(axis=1))
-    if bad_rows.size:
-        i = int(bad_rows[0])
-        token = int(s[i][bad[i]][0])
-        bound = "nonnegative" if vocab_size is None else f"in [0, {vocab_size})"
-        raise InvalidInputError(f"row {i}: token index {token} is not {bound}")
-    return s.astype(np.int64, copy=False)
-
-
 def oracle_gen_ppl(source: MarkovSource, seqs) -> float:
     """exp of the mean per-token NLL over all sequences, zero factors floored.
 
-    ``seqs`` is an ``[n, L]`` token array (see ``token_rows``).  Row
+    ``seqs`` is an ``[n, L]`` token array (see ``numcore.token_rows``).  Row
     log-likelihoods are added left to right in row order (``cumsum``, not the
     pairwise ``sum``), so the result is bit-identical to scoring one
     sequence at a time.

@@ -137,9 +137,7 @@ def real_features_batch(encoder: DenoiserParams, clean_batch: Array) -> Array:
 
     Target side only: the block caches are dropped.
     """
-    batch = np.asarray(clean_batch, dtype=np.int64)
-    if np.any(batch < 0) or np.any(batch >= encoder.mask_index):
-        raise InvalidInputError("clean sequences contain the mask symbol or bad indices")
+    batch = numcore.token_rows(clean_batch, encoder.mask_index)
     return encode(encoder, encoder.embed[batch])[0]
 
 

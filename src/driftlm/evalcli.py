@@ -45,10 +45,9 @@ from .corpus import (
     oracle_gen_ppl,
     sample_sequences,
     save_source,
-    token_rows,
 )
 from .encoder import LiftKind, encoder_param_bytes
-from .numcore import InvalidInputError
+from .numcore import InvalidInputError, token_rows
 from .objectives import ObjectiveKind, ObjectiveVariant
 from .trainer import (
     STEP_METRICS,
@@ -98,7 +97,7 @@ class EvalReport:
 def entropy_metric(seqs) -> float:
     """Mean per-sequence Shannon entropy (nats) of each sequence's own histogram.
 
-    ``seqs`` is an ``[n, L]`` token array (see ``corpus.token_rows``).
+    ``seqs`` is an ``[n, L]`` token array (see ``numcore.token_rows``).
     """
     s = token_rows(seqs)
     n, length = s.shape
@@ -286,6 +285,7 @@ DEFAULT_GRIDS = {
 # the base rows are zero-step runs from the base checkpoint and are not saved
 PHASES = {"base": {"steps": 0}, "continuation": {}, "drift": {"objective": ObjectiveKind()}}
 RUN_TAGS = {"continuation": "cont", "drift": "drift"}  # method -> run directory tag
+DEFAULT_SEEDS = "0,1,2"  # ablate's and study's --seeds
 
 
 ABLATION_HEADER = [
@@ -638,12 +638,23 @@ def _cmd_study(args) -> int:
     return 0
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: leftover arguments are an error under the command's
+    usage, as its other usage errors are, not under ``driftlm``'s."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return parsed, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driftlm",
         description="Desk-scale drifting-objective lab for discrete diffusion LMs",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("make-source", help="write a banded Markov source file")
     p.add_argument("--out", required=True)
@@ -680,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = "; ".join(f"{axis} {grid}" for axis, grid in DEFAULT_GRIDS.items())
     p.add_argument("--grid", default=None,
                    help=f"comma-separated axis values (default: {defaults})")
-    p.add_argument("--seeds", default="0,1,2")
+    p.add_argument("--seeds", default=DEFAULT_SEEDS)
 
     p = sub.add_parser("study", allow_abbrev=False,  # so --seed is not read as --seeds
                        help="the directional study: base, continuation and drift runs per seed")
@@ -691,8 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-lr", type=float, default=6e-3)
     p.add_argument("--phase-lr", type=float, default=3e-6)
     p.add_argument("--base-batch", type=int, default=512)
-    p.add_argument("--seeds", default="0,1,2")
-    p.add_argument("--nfe", type=parse_int_list, default=(4, 8, 16))
+    p.add_argument("--seeds", default=DEFAULT_SEEDS)
+    p.add_argument("--nfe", type=parse_int_list, default=TrainConfig.eval_nfes)
     p.add_argument("--samples", type=int, default=2048)
     return parser
 

@@ -1,10 +1,12 @@
-"""Row softmax, the one categorical draw and the three hand-written VJPs training needs.
+"""The one token-batch check, row softmax, the one categorical draw and the
+three hand-written VJPs training needs.
 
 The training pipeline evaluates a fixed computation graph, so there is no
 taped autodiff engine: the backbone and the encoder compose the softmax,
 tanh and L2-normalisation VJPs below explicitly.  The test suite checks
 every rule against a finite-difference oracle of its own.  ``draw_rows``
-picks the tokens of both the Markov source and the denoiser's sampler.
+picks the tokens of both the Markov source and the denoiser's sampler, and
+``token_rows`` checks every batch of token ids a stage takes.
 """
 
 from __future__ import annotations
@@ -16,6 +18,31 @@ Array = np.ndarray
 
 class InvalidInputError(ValueError):
     """An operation or a config received a value outside its domain."""
+
+
+def token_rows(tokens, bound: int | None = None) -> Array:
+    """``tokens`` as a nonempty ``[n, L]`` int64 array, L >= 1, every id in
+    ``[0, bound)`` (nonnegative when ``bound`` is None).  An error names the
+    first bad row; the rows are searched only once the batch's min or max
+    fails, so a valid batch costs one ``min`` and one ``max``."""
+    try:
+        s = np.asarray(tokens)
+    except ValueError:  # a ragged list of rows
+        raise InvalidInputError("ragged rows: sequences must form an [n, L] token array") from None
+    if s.ndim != 2 or s.shape[0] == 0:
+        raise InvalidInputError(
+            f"sequences must form a nonempty [n, L] token array, got shape {s.shape}"
+        )
+    if s.shape[1] == 0:
+        raise InvalidInputError("row 0: empty sequence")
+    if s.dtype.kind not in "iu":
+        raise InvalidInputError(f"token indices must be integers, got dtype {s.dtype}")
+    if s.min() < 0 or (bound is not None and s.max() >= bound):
+        bad = (s < 0) if bound is None else (s < 0) | (s >= bound)
+        i = int(np.flatnonzero(bad.any(axis=1))[0])
+        domain = "nonnegative" if bound is None else f"in [0, {bound})"
+        raise InvalidInputError(f"row {i}: token index {s[i][bad[i]][0]} is not {domain}")
+    return s.astype(np.int64, copy=False)
 
 
 def softmax_rows(logits: Array) -> Array:

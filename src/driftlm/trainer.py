@@ -42,7 +42,7 @@ from .backbone import (
 from .codec import arrays_hook, decode, jsonable
 from .drift import DriftConfig, build_references, drift_multi_temp, queue_push
 from .encoder import feature_dim, lift_and_encode, make_frozen_encoder, real_features_batch
-from .numcore import Array, InvalidInputError
+from .numcore import Array, InvalidInputError, token_rows
 from .objectives import ObjectiveKind, total_objective
 
 CHECKPOINT_FORMAT = "driftlm-checkpoint"
@@ -206,7 +206,7 @@ def train_step(state: TrainState, clean_batch: Array, config: TrainConfig) -> di
     ``micro_batch=1`` with repulsion on needs a nonempty generated queue:
     an anchor is never its own negative.
     """
-    batch = np.asarray(clean_batch, dtype=np.int64)
+    batch = token_rows(clean_batch, config.model.mask_index)
     n = batch.shape[0]
     if n != config.batch_size:
         raise InvalidInputError("clean_batch size must equal config.batch_size")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -344,9 +345,9 @@ TOKENS = np.zeros((3, SMALL_MODEL.length), dtype=np.int64)
         (TOKENS, np.full((3, 1), SMALL_MODEL.length), r"at holds a column outside"),
         (TOKENS, np.full((3, 1), -1), r"at holds a column outside"),
         (TOKENS[:, 1:], None, rf"tokens must have shape \[N, {SMALL_MODEL.length}\]"),
-        (TOKENS[0], None, rf"tokens must have shape \[N, {SMALL_MODEL.length}\]"),
-        (TOKENS + SMALL_MODEL.vocab_size, None, "token index outside the model vocabulary"),
-        (TOKENS - 1, None, "token index outside the model vocabulary"),
+        (TOKENS[0], None, rf"\[n, L\] token array, got shape \({SMALL_MODEL.length},\)"),
+        (TOKENS + SMALL_MODEL.vocab_size, None, r"^row 0: token index 7 is not in \[0, 7\)$"),
+        (TOKENS - 1, None, r"^row 0: token index -1 is not in \[0, 7\)$"),
     ],
     ids=["rows", "ndim", "float", "past-end", "negative", "tokens-length", "tokens-ndim",
          "token-past-vocab", "negative-token"],
@@ -749,6 +750,77 @@ def test_sampler_deterministic_given_seed(small_params):
     a = sample_batch(small_params, CorruptionKind.UNIFORM, 3, 4, np.random.default_rng(11))
     b = sample_batch(small_params, CorruptionKind.UNIFORM, 3, 4, np.random.default_rng(11))
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the masked sampler's exact law
+
+LAW_MODEL = ModelConfig(vocab_size=5, length=4, embed_dim=8, hidden_dim=16)
+
+
+def exact_law(params, nfe: int) -> dict[tuple[int, ...], float]:
+    """The masked sampler's law over whole sequences, by enumerating its states.
+
+    A state is a partial sequence.  Each step commits ``ceil(remaining /
+    steps_left)`` positions, every subset of the masked ones equally likely,
+    and draws each committed position from the softmax of its clean logits
+    in one full forward of the state.
+    """
+    length, mask_index = params.length, params.mask_index
+    law, remaining = {(mask_index,) * length: 1.0}, length
+    for step in range(nfe):
+        commit = -(-remaining // (nfe - step))
+        states = list(law)
+        probs = softmax_rows(forward_tokens(params, np.array(states))[0][..., :mask_index])
+        subsets = math.comb(remaining, commit)
+        nxt: dict[tuple[int, ...], float] = {}
+        for state, p_pos in zip(states, probs):
+            masked = [j for j in range(length) if state[j] == mask_index]
+            for cols in itertools.combinations(masked, commit):
+                for drawn in itertools.product(range(mask_index), repeat=commit):
+                    seq, p = list(state), law[state] / subsets
+                    for j, token in zip(cols, drawn):
+                        seq[j] = token
+                        p *= p_pos[j, token]
+                    nxt[tuple(seq)] = nxt.get(tuple(seq), 0.0) + p
+        law, remaining = nxt, remaining - commit
+    return law
+
+
+def _pooled_chi_square_p(observed: np.ndarray, expected: np.ndarray) -> float:
+    """Chi-square p-value, the cells expecting fewer than 5 counts pooled into
+    one; the upper tail by the Wilson-Hilferty normal approximation."""
+    small = expected < 5.0
+    if small.any():
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    k = expected.size - 1
+    z = ((stat / k) ** (1 / 3) - (1 - 2 / (9 * k))) / math.sqrt(2 / (9 * k))
+    return 0.5 * math.erfc(z / math.sqrt(2))
+
+
+def _law_params():
+    return init_params(LAW_MODEL, np.random.default_rng(0), init_std=0.5)
+
+
+@pytest.mark.parametrize("nfe", range(1, LAW_MODEL.length + 1))
+def test_masked_exact_law_sums_to_one(nfe):
+    law = exact_law(_law_params(), nfe)
+    assert len(law) == LAW_MODEL.clean_vocab ** LAW_MODEL.length
+    assert abs(sum(law.values()) - 1.0) <= 1e-12
+
+
+def test_masked_sampler_draws_its_exact_law():
+    # the model, sample count, NFE and seed were fixed before the test first ran
+    params, n, nfe = _law_params(), 50_000, 3
+    samples = sample_batch(params, CorruptionKind.MASKED, nfe, n, np.random.default_rng(0))
+    digits = LAW_MODEL.clean_vocab ** np.arange(LAW_MODEL.length)[::-1]
+    observed = np.bincount(samples @ digits, minlength=LAW_MODEL.clean_vocab ** LAW_MODEL.length)
+    expected = np.zeros(observed.size)
+    for seq, p in exact_law(params, nfe).items():
+        expected[np.dot(seq, digits)] = n * p
+    assert _pooled_chi_square_p(observed, expected) > 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,8 @@ from driftlm.corpus import (
     oracle_gen_ppl,
     sample_sequences,
     save_source,
-    token_rows,
 )
-from driftlm.numcore import InvalidInputError
+from driftlm.numcore import InvalidInputError, token_rows
 
 from conftest import ConstantDraws
 

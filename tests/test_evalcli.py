@@ -105,7 +105,7 @@ def test_entropy_matches_per_sequence_loop(small_params):
 BAD_SAMPLES = {
     "no-rows": ([], "nonempty"),
     "empty-row": ([np.array([], dtype=np.int64)], "row 0"),
-    "ragged": ([np.array([0, 1, 2]), np.array([0, 1, 2]), np.array([0, 1])], "row 2"),
+    "ragged": ([np.array([0, 1, 2]), np.array([0, 1, 2]), np.array([0, 1])], "ragged rows"),
     "negative": ([np.array([0, 1]), np.array([-1, 0])], "row 1: token index -1"),
     "not-2d": (np.array([0, 1, 2]), "shape"),
     "float-tokens": (np.array([[0.0, 1.0]]), "integers"),
@@ -881,7 +881,8 @@ def test_cli_drift_train_takes_no_alpha_flag(cli_env, capsys, monkeypatch):
     argv = ["drift-train", "--init", str(ckpt_path), "--alpha", "2", "--source", str(source_path),
             "--out", str(out), "--steps", "1"]
     assert cli(argv) == 2
-    assert "unrecognized arguments: --alpha 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "driftlm drift-train: error: unrecognized arguments: --alpha 2"
     assert trained == [] and not any(out.iterdir())
 
 
@@ -890,7 +891,8 @@ def test_cli_ablate_takes_no_seed_flag(cli_env, capsys, monkeypatch):
     out = cli_env[0] / "run"
     out.mkdir()
     assert cli([*_ablate_argv(cli_env, out, "lift", "soft", "0"), "--seed", "1"]) == 2
-    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "driftlm ablate: error: unrecognized arguments: --seed 1"
     assert trained == [] and not any(out.iterdir())
 
 

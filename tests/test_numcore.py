@@ -9,6 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from driftlm.backbone import CorruptionKind, corrupt, forward_tokens
+from driftlm.corpus import banded_source, oracle_gen_ppl
+from driftlm.encoder import real_features_batch
+from driftlm.evalcli import entropy_metric
 from driftlm.numcore import (
     InvalidInputError,
     draw_rows,
@@ -17,9 +21,10 @@ from driftlm.numcore import (
     softmax_rows,
     softmax_vjp_from_probs,
     tanh_vjp_from_output,
+    token_rows,
 )
 
-from conftest import ConstantDraws, OracleFailureError, finite_diff_grad, rel_err
+from conftest import SMALL_MODEL, ConstantDraws, OracleFailureError, finite_diff_grad, rel_err
 
 finite_rows = arrays(
     np.float64,
@@ -92,6 +97,53 @@ def test_draw_rows_never_picks_an_entry_of_probability_0(u, want):
     for probs, pick in zip(map(np.array, rows), want):
         picks = draw_rows(np.cumsum(np.tile(probs, (2, 1)), axis=1), ConstantDraws(u))
         assert picks.tolist() == [pick, pick] and probs[pick] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# token batches
+
+# every stage that takes token ids, on the small model, with the bound it checks
+# them against: the clean vocabulary, the whole one, or none
+TOKEN_STAGES = {
+    "corrupt": (SMALL_MODEL.mask_index, lambda params, encoder, batch: corrupt(
+        batch, np.full(len(batch), 0.5), CorruptionKind.MASKED, np.random.default_rng(0),
+        params.vocab_size)),
+    "forward_tokens": (SMALL_MODEL.vocab_size,
+                       lambda params, encoder, batch: forward_tokens(params, batch)),
+    "real_features_batch": (SMALL_MODEL.mask_index,
+                            lambda params, encoder, batch: real_features_batch(encoder, batch)),
+    "oracle_gen_ppl": (SMALL_MODEL.clean_vocab, lambda params, encoder, batch: oracle_gen_ppl(
+        banded_source(vocab_size=SMALL_MODEL.clean_vocab), batch)),
+    "entropy_metric": (None, lambda params, encoder, batch: entropy_metric(batch)),
+}
+
+
+def _token_batch() -> np.ndarray:
+    return np.arange(3 * SMALL_MODEL.length).reshape(3, -1) % SMALL_MODEL.clean_vocab
+
+
+@pytest.mark.parametrize("stage", list(TOKEN_STAGES))
+def test_every_stage_names_the_first_bad_row(stage, small_params, small_encoder):
+    bound, run = TOKEN_STAGES[stage]
+    batch = _token_batch()
+    run(small_params, small_encoder, batch)  # the clean batch passes
+    batch[1, 2], batch[2, 0] = -1, -2
+    with pytest.raises(InvalidInputError, match=r"^row 1: token index -1 is not "):
+        run(small_params, small_encoder, batch)
+    if bound is not None:
+        batch = _token_batch()
+        batch[2, 3] = bound
+        message = rf"^row 2: token index {bound} is not in \[0, {bound}\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            run(small_params, small_encoder, batch)
+
+
+def test_token_rows_returns_int64_rows_and_keeps_an_int64_array():
+    batch = _token_batch()
+    assert token_rows(batch, SMALL_MODEL.vocab_size) is batch
+    for rows in (batch.astype(np.uint8), batch.tolist()):
+        assert token_rows(rows).dtype == np.int64
+        assert np.array_equal(token_rows(rows), batch)
 
 
 # ---------------------------------------------------------------------------

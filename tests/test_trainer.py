@@ -83,6 +83,15 @@ def test_train_step_rejects_a_batch_of_another_size(source):
         train_step(state, batch, config)
 
 
+def test_train_step_rejects_non_integer_tokens(source):
+    config = tiny_config()
+    state = init_state(config)
+    batch = sample_sequences(source, config.batch_size, config.model.length, state.rng)
+    with pytest.raises(InvalidInputError, match="token indices must be integers, got dtype float64"):
+        train_step(state, batch + 0.5, config)
+    assert state.step == 0
+
+
 # ---------------------------------------------------------------------------
 # determinism and accumulation
 
@@ -422,6 +431,42 @@ def test_nonfinite_loss_aborts_with_dump(source, monkeypatch):
     assert dump["step"] == 1 and "corrupted" in dump and "levels" in dump
     assert state.step == 0 and len(state.q_real) == 0 and len(state.q_gen) == 0
     assert np.array_equal(params_to_vector(state.params), before)
+
+
+@pytest.mark.parametrize("loss_name", ["base_loss", "total_objective"], ids=["base", "drift"])
+def test_divergence_in_the_second_slice_dumps_its_rows(source, monkeypatch, loss_name):
+    # B = 32 runs as two 16-sequence slices in a base step and in a drift step
+    # at micro_batch 8; the second slice's loss is inf
+    cfg = tiny_config(batch_size=32, micro_batch=8,
+                      objective=ObjectiveKind() if loss_name == "total_objective" else None)
+    loss_fn, calls = getattr(trainer, loss_name), []
+
+    def diverging(*args):
+        losses, grad = loss_fn(*args)
+        calls.append(len(losses))
+        if len(calls) == 2:
+            losses[-1] = np.inf
+        return losses, grad
+
+    monkeypatch.setattr(trainer, loss_name, diverging)
+    state = init_state(cfg)
+    batch = sample_sequences(source, cfg.batch_size, cfg.model.length, state.rng)
+    before = copy.deepcopy(state)
+    draws = copy.deepcopy(state.rng)  # the step's levels, then its corruption
+    levels = draws.uniform(*trainer.NOISE_LEVELS, size=cfg.batch_size)
+    corrupted, _ = corrupt(batch, levels, cfg.corruption, draws, cfg.model.vocab_size)
+    message = r"^non-finite loss at step 1, rows 16:32$"
+    with pytest.raises(TrainingDivergedError, match=message) as excinfo:
+        train_step(state, batch, cfg)
+    assert calls == [16, 16]
+    dump = excinfo.value.dump
+    assert dump["step"] == 1 and dump["rows"] == [16, 32] and dump["loss"] == np.inf
+    assert dump["corrupted"] == corrupted[16:].tolist()
+    assert dump["levels"] == levels[16:].tolist()
+    assert state.step == before.step == 0 and len(state.q_real) == len(state.q_gen) == 0
+    for name, arr in param_items(before.params):
+        assert np.array_equal(getattr(state.params, name), arr), name
+        assert np.array_equal(state.adam_m[name], before.adam_m[name]), name
 
 
 # ---------------------------------------------------------------------------
